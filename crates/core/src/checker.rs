@@ -17,8 +17,13 @@ use crate::shadow::ShadowMemory;
 /// *allocations* (segment vectors, interval-tree arena, interner) are
 /// expensive to rebuild per trace. A `CheckerScratch` is `reset()` between
 /// traces instead — mirroring the entry [`BufferPool`](pmtest_trace::BufferPool)
-/// — so a steady-state worker checks without touching the allocator. Pass it
-/// to [`TraceChecker::with_scratch`] or [`check_trace_with`].
+/// — and the replay rewrites that state in place, so a worker replaying
+/// through [`check_packed_with`] with a kept [`LocResolver`] allocates nothing
+/// per entry once warm, beyond the diagnostics of a failing trace (pinned by
+/// `crates/core/tests/alloc_free_replay.rs`; segment maps past 2048 segments
+/// spill to a BTree, which allocates). Pass it to
+/// [`TraceChecker::with_scratch`], [`check_trace_with`] or
+/// [`check_packed_with`].
 #[derive(Default)]
 pub struct CheckerScratch {
     shadow: ShadowMemory,
@@ -498,9 +503,10 @@ pub fn check_trace(trace: &Trace, model: &dyn PersistencyModel) -> Vec<Diag> {
     TraceChecker::new(model).run(trace)
 }
 
-/// Checks one trace on recycled scratch state — the engine hot path. The
-/// scratch is reset first, so results are identical to [`check_trace`];
-/// in steady state no allocation happens besides the returned diagnostics.
+/// Checks one trace on recycled scratch state. The scratch is reset first,
+/// so results are identical to [`check_trace`]. Each call resolves locations
+/// through a fresh [`LocResolver`], one allocation per trace; the engine's
+/// workers keep theirs and call [`check_packed_with`].
 ///
 /// # Examples
 ///

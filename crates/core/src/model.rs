@@ -1,9 +1,10 @@
 use std::fmt::Debug;
 
 use pmtest_interval::ByteRange;
-use pmtest_trace::{Entry, Event, SourceLoc};
+use pmtest_trace::{Entry, Event, LocId, SourceLoc};
 
 use crate::diag::{Diag, DiagKind};
+use crate::epoch::EpochInterval;
 use crate::shadow::ShadowMemory;
 
 /// The checking rules for one memory persistency model (§4.4, §5.2).
@@ -179,6 +180,26 @@ pub(crate) fn hops_op(
     }
 }
 
+/// The first pair of persist intervals — one from a written sub-range of
+/// `first`, one from a written sub-range of `second`, in address order —
+/// that `ordered` rejects, with the first sub-range's write location.
+/// Walks the shadow memory in place: nothing is collected.
+fn first_unordered(
+    shadow: &ShadowMemory,
+    first: ByteRange,
+    second: ByteRange,
+    ordered: impl Fn(&EpochInterval, &EpochInterval) -> bool,
+) -> Option<(ByteRange, EpochInterval, Option<LocId>, ByteRange, EpochInterval)> {
+    let persists = |range| {
+        shadow.states_in(range).filter_map(|(sub, st)| st.persist.map(|p| (sub, p, st.write_loc)))
+    };
+    persists(first).find_map(|(sub_a, pi_a, loc_a)| {
+        persists(second)
+            .find(|(_, pi_b, _)| !ordered(&pi_a, pi_b))
+            .map(|(sub_b, pi_b, _)| (sub_a, pi_a, loc_a, sub_b, pi_b))
+    })
+}
+
 /// x86 `isOrderedBefore` (§4.4): interval ends-before-starts, one witness
 /// per checker. Shared by [`X86Model`] and the fused path.
 pub(crate) fn x86_ordered_before(
@@ -188,24 +209,20 @@ pub(crate) fn x86_ordered_before(
     loc: SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
-    let firsts = shadow.persist_intervals(first);
-    let seconds = shadow.persist_intervals(second);
-    for (sub_a, pi_a, loc_a) in &firsts {
-        for (sub_b, pi_b, _) in &seconds {
-            if !pi_a.ends_before_starts(pi_b) {
-                diags.push(Diag {
-                    kind: DiagKind::NotOrderedBefore,
-                    loc,
-                    range: Some(*sub_a),
-                    culprit: *loc_a,
-                    message: format!(
-                        "persist interval {pi_a} of {sub_a:?} may not complete before \
-                         {pi_b} of {sub_b:?} begins"
-                    ),
-                });
-                return; // one witness per checker, like the paper's output
-            }
-        }
+    // One witness per checker, like the paper's output.
+    if let Some((sub_a, pi_a, loc_a, sub_b, pi_b)) =
+        first_unordered(shadow, first, second, EpochInterval::ends_before_starts)
+    {
+        diags.push(Diag {
+            kind: DiagKind::NotOrderedBefore,
+            loc,
+            range: Some(sub_a),
+            culprit: loc_a.map(|id| shadow.resolve_loc(id)),
+            message: format!(
+                "persist interval {pi_a} of {sub_a:?} may not complete before \
+                 {pi_b} of {sub_b:?} begins"
+            ),
+        });
     }
 }
 
@@ -219,26 +236,21 @@ pub(crate) fn hops_ordered_before(
     loc: SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
-    let firsts = shadow.persist_intervals(first);
-    let seconds = shadow.persist_intervals(second);
-    for (sub_a, pi_a, loc_a) in &firsts {
-        for (sub_b, pi_b, _) in &seconds {
-            if !pi_a.starts_before(pi_b) {
-                diags.push(Diag {
-                    kind: DiagKind::NotOrderedBefore,
-                    loc,
-                    range: Some(*sub_a),
-                    culprit: *loc_a,
-                    message: format!(
-                        "write at {sub_a:?} (epoch {}) is not fence-ordered before \
-                         write at {sub_b:?} (epoch {})",
-                        pi_a.start(),
-                        pi_b.start()
-                    ),
-                });
-                return;
-            }
-        }
+    if let Some((sub_a, pi_a, loc_a, sub_b, pi_b)) =
+        first_unordered(shadow, first, second, EpochInterval::starts_before)
+    {
+        diags.push(Diag {
+            kind: DiagKind::NotOrderedBefore,
+            loc,
+            range: Some(sub_a),
+            culprit: loc_a.map(|id| shadow.resolve_loc(id)),
+            message: format!(
+                "write at {sub_a:?} (epoch {}) is not fence-ordered before \
+                 write at {sub_b:?} (epoch {})",
+                pi_a.start(),
+                pi_b.start()
+            ),
+        });
     }
 }
 

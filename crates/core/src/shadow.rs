@@ -1,4 +1,6 @@
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pmtest_interval::{ByteRange, SegmentMap};
 use pmtest_trace::{LocId, LocInterner, SourceLoc};
@@ -17,7 +19,8 @@ use crate::epoch::{Epoch, EpochInterval};
 /// are stored as [`LocId`]s interned per shadow memory — a trace replays the
 /// same few call sites over and over, and the 4-byte id keeps this state
 /// `Copy` when a write splits into many segments. Resolve them with
-/// [`ShadowMemory::resolve_loc`].
+/// [`ShadowMemory::resolve_loc`]. The state is 64 bytes: two 24-byte
+/// `Option<EpochInterval>`s and two 8-byte `Option<LocId>`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegState {
     /// Persist interval of the last write, if the range was written.
@@ -47,8 +50,12 @@ pub struct FlushObservation {
 /// Every trace is checked against a *logically* fresh `ShadowMemory`; traces
 /// are independent units of checking. The instance itself is built to be
 /// recycled: [`clear`](Self::clear) resets the state while keeping every
-/// backing allocation (segment vectors, interner arena), so a pooled shadow
-/// memory checks trace after trace without touching the allocator.
+/// backing allocation (segment vectors, range lists, interner arena).
+/// Operations rewrite segment state in place wherever they land on existing
+/// segment boundaries, so once a pooled shadow memory has seen a trace's
+/// shape it replays it without touching the allocator — as long as its
+/// segment map stays in the flat representation (up to 2048 segments; see
+/// [`SegmentMap`]).
 ///
 /// # Examples
 ///
@@ -70,11 +77,16 @@ pub struct ShadowMemory {
     timestamp: Epoch,
     /// Ranges with a writeback issued since the last fence.
     open_flushes: Vec<ByteRange>,
-    /// Ranges written since the last durability fence (for `dfence`).
-    open_writes: Vec<ByteRange>,
+    /// Ranges written since the last durability fence (for `dfence`), each
+    /// once. A `dfence` depends only on this set — it closes the persist
+    /// intervals over each range and splits segments at each range's ends,
+    /// in any order — so a repeated write adds nothing, and the set holds the
+    /// distinct ranges written rather than one entry per write. That matters
+    /// under x86, where only a foreign `dfence` drains it.
+    open_writes: HashSet<ByteRange, BuildHasherDefault<RangeHasher>>,
     excluded: SegmentMap<()>,
     /// Source locations of this trace's writes/flushes, interned so segment
-    /// states stay small and `Copy`.
+    /// states stay `Copy`.
     locs: LocInterner,
 }
 
@@ -92,7 +104,7 @@ impl ShadowMemory {
             map: SegmentMap::new(),
             timestamp: 0,
             open_flushes: Vec::new(),
-            open_writes: Vec::new(),
+            open_writes: HashSet::default(),
             excluded: SegmentMap::new(),
             locs: LocInterner::new(),
         }
@@ -146,7 +158,7 @@ impl ShadowMemory {
                 flush_loc: None,
             },
         );
-        self.open_writes.push(range);
+        self.open_writes.insert(range);
     }
 
     /// Records a writeback: opens a flush interval over `range` and reports
@@ -203,7 +215,7 @@ impl ShadowMemory {
     pub fn fence(&mut self) {
         self.timestamp += 1;
         let ts = self.timestamp;
-        for range in std::mem::take(&mut self.open_flushes) {
+        for &range in &self.open_flushes {
             self.map.update_range(range, |_, cur| {
                 let mut state = *cur?;
                 if let Some(f) = &mut state.flush {
@@ -217,6 +229,7 @@ impl ShadowMemory {
                 Some(state)
             });
         }
+        self.open_flushes.clear();
     }
 
     /// A HOPS `ofence` (§5.2): advances the epoch without forcing
@@ -230,7 +243,7 @@ impl ShadowMemory {
     pub fn dfence(&mut self) {
         self.timestamp += 1;
         let ts = self.timestamp;
-        for range in std::mem::take(&mut self.open_writes) {
+        for &range in &self.open_writes {
             self.map.update_range(range, |_, cur| {
                 let mut state = *cur?;
                 if let Some(p) = &mut state.persist {
@@ -239,6 +252,7 @@ impl ShadowMemory {
                 Some(state)
             });
         }
+        self.open_writes.clear();
         self.open_flushes.clear();
     }
 
@@ -260,7 +274,7 @@ impl ShadowMemory {
     /// Whether every written byte of `range` has a closed persist interval.
     #[must_use]
     pub fn is_persisted(&self, range: ByteRange) -> bool {
-        self.persist_intervals(range).iter().all(|(_, p, _)| p.is_closed())
+        self.map.overlapping(range).all(|(_, st)| st.persist.is_none_or(|p| p.is_closed()))
     }
 
     /// Direct access to the raw segment states overlapping `range`.
@@ -301,6 +315,28 @@ impl ShadowMemory {
     #[must_use]
     pub fn is_in_scope(&self, range: ByteRange) -> bool {
         !self.excluded.covers(range)
+    }
+}
+
+/// Hasher for the [`ByteRange`] keys of `open_writes`: a multiplicative mix
+/// of the two bounds. Deterministic, and cheap next to `SipHash` on the write
+/// path; the keys are the program's own addresses, not adversarial input.
+#[derive(Default)]
+struct RangeHasher(u64);
+
+impl Hasher for RangeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 31)
     }
 }
 
@@ -451,6 +487,46 @@ mod tests {
         sh.dfence();
         assert!(sh.is_persisted(r(0, 300)));
         assert_eq!(sh.timestamp(), 2);
+    }
+
+    #[test]
+    fn dfence_closes_every_interval_after_more_writes_than_segments() {
+        // x86 dialect: no dfence drains the open writes, so they pile up —
+        // 200 writes (some overlapping their neighbours) over a few segments.
+        let mut sh = ShadowMemory::new();
+        for round in 0..50 {
+            for seg in 0..4u64 {
+                sh.record_write(r(seg * 64, seg * 64 + 8 + round % 3), loc());
+            }
+            sh.fence();
+        }
+        let segments = sh.states_in(r(0, 1024)).count();
+        assert!(segments < 200, "the 200 writes must outnumber the {segments} segments");
+        assert!(!sh.is_persisted(r(0, 1024)));
+        // A foreign dfence still closes every open persist interval.
+        sh.dfence();
+        assert!(sh.states_in(r(0, 1024)).all(|(_, st)| st.persist.is_some_and(|p| p.is_closed())));
+    }
+
+    #[test]
+    fn dfence_splits_at_the_ends_of_every_write_since_the_last_one() {
+        // B overwrites A whole, so A's ends are no segment boundary any
+        // more; the dfence still splits there, once however often B repeats.
+        let mut sh = ShadowMemory::new();
+        sh.record_write(r(8, 16), loc());
+        for _ in 0..3 {
+            sh.record_write(r(0, 24), loc());
+        }
+        let subs =
+            |sh: &ShadowMemory| sh.states_in(r(0, 24)).map(|(sub, _)| sub).collect::<Vec<_>>();
+        assert_eq!(subs(&sh), [r(0, 24)]);
+        sh.dfence();
+        assert_eq!(subs(&sh), [r(0, 8), r(8, 16), r(16, 24)]);
+        assert!(sh.is_persisted(r(0, 24)));
+        // The writes were drained: the next dfence splits nothing new.
+        sh.record_write(r(4, 12), loc());
+        sh.dfence();
+        assert_eq!(subs(&sh), [r(0, 4), r(4, 12), r(12, 16), r(16, 24)]);
     }
 
     #[test]

@@ -95,12 +95,15 @@ impl<V> IntervalTree<V> {
     }
 
     /// Iterates over the intervals overlapping `range` (pre-order).
+    ///
+    /// The iterator allocates nothing: its depth-first stack is a fixed
+    /// array sized for the tree's height bound (see [`MAX_STACK`]).
     pub fn overlaps(&self, range: ByteRange) -> Overlaps<'_, V> {
-        let mut stack = Vec::new();
+        let mut it = Overlaps { tree: self, range, stack: [0; MAX_STACK], depth: 0 };
         if let Some(root) = self.root {
-            stack.push(root);
+            it.push(root);
         }
-        Overlaps { tree: self, range, stack }
+        it
     }
 
     /// Whether any stored interval overlaps `range`.
@@ -117,37 +120,60 @@ impl<V> IntervalTree<V> {
         if range.is_empty() {
             return true;
         }
-        let mut hits: Vec<ByteRange> = self.overlaps(range).map(|(r, _)| r).collect();
-        hits.sort_by_key(ByteRange::start);
         let mut cursor = range.start();
-        for hit in hits {
-            if hit.start() > cursor {
-                return false;
-            }
+        let mut gap = false;
+        self.walk_in_order(self.root, range, &mut |hit| {
+            gap = hit.start() > cursor;
             cursor = cursor.max(hit.end());
-            if cursor >= range.end() {
-                return true;
-            }
-        }
-        cursor >= range.end()
+            !gap && cursor < range.end()
+        });
+        !gap && cursor >= range.end()
     }
 
     /// The maximal sub-ranges of `range` not covered by any stored interval.
+    ///
+    /// Allocates only when there is a gap to report.
     pub fn uncovered(&self, range: ByteRange) -> Vec<ByteRange> {
-        let mut hits: Vec<ByteRange> = self.overlaps(range).map(|(r, _)| r).collect();
-        hits.sort_by_key(ByteRange::start);
         let mut gaps = Vec::new();
         let mut cursor = range.start();
-        for hit in hits {
+        self.walk_in_order(self.root, range, &mut |hit| {
             if hit.start() > cursor {
                 gaps.push(ByteRange::new(cursor, hit.start()));
             }
             cursor = cursor.max(hit.end());
-        }
+            true
+        });
         if cursor < range.end() {
             gaps.push(ByteRange::new(cursor, range.end()));
         }
         gaps
+    }
+
+    /// Visits the intervals overlapping `range` in start order (an in-order
+    /// walk of the start-keyed tree, pruned by `max_end`) until `visit`
+    /// returns `false`. Returns whether the walk ran to the end.
+    fn walk_in_order(
+        &self,
+        at: Option<usize>,
+        range: ByteRange,
+        visit: &mut impl FnMut(ByteRange) -> bool,
+    ) -> bool {
+        let Some(id) = at else { return true };
+        let node = &self.nodes[id];
+        if node.max_end <= range.start() {
+            return true;
+        }
+        if !self.walk_in_order(node.left, range, visit) {
+            return false;
+        }
+        // This start and every start in the right subtree are past the query.
+        if node.range.start() >= range.end() {
+            return true;
+        }
+        if node.range.overlaps(&range) && !visit(node.range) {
+            return false;
+        }
+        self.walk_in_order(node.right, range, visit)
     }
 
     /// Iterates over all stored intervals in unspecified order.
@@ -240,31 +266,46 @@ impl<V> FromIterator<(ByteRange, V)> for IntervalTree<V> {
     }
 }
 
+/// Capacity of the [`Overlaps`] stack. The pre-order walk holds at most one
+/// pending left child per level of the current path plus the two children of
+/// the node just visited, so at most `height + 1` entries; an AVL tree of `n`
+/// nodes is under `1.4405 * log2(n + 2)` high, below 93 even for `n = 2^64`.
+const MAX_STACK: usize = 96;
+
 /// Iterator over the intervals of an [`IntervalTree`] that overlap a query
 /// range.
 pub struct Overlaps<'a, V> {
     tree: &'a IntervalTree<V>,
     range: ByteRange,
-    stack: Vec<usize>,
+    stack: [usize; MAX_STACK],
+    depth: usize,
+}
+
+impl<V> Overlaps<'_, V> {
+    fn push(&mut self, id: usize) {
+        self.stack[self.depth] = id;
+        self.depth += 1;
+    }
 }
 
 impl<'a, V> Iterator for Overlaps<'a, V> {
     type Item = (ByteRange, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some(id) = self.stack.pop() {
-            let node = &self.tree.nodes[id];
+        while self.depth > 0 {
+            self.depth -= 1;
+            let node = &self.tree.nodes[self.stack[self.depth]];
             // Prune subtrees whose max_end cannot reach the query.
             if node.max_end <= self.range.start() {
                 continue;
             }
             if let Some(l) = node.left {
-                self.stack.push(l);
+                self.push(l);
             }
             // Right subtree only matters if this start is before query end.
             if node.range.start() < self.range.end() {
                 if let Some(r) = node.right {
-                    self.stack.push(r);
+                    self.push(r);
                 }
             }
             if node.range.overlaps(&self.range) {

@@ -5,11 +5,15 @@ use crate::ByteRange;
 
 /// Segment count past which a map spills from the flat vector to the BTree.
 ///
-/// Traces in the engine's short-trace regime touch a handful of ranges, so
-/// the common case is a linear scan over a few cache lines; the BTree only
-/// wins once splits accumulate into dozens of segments (long fuzzed traces,
-/// whole-pool workloads).
-const FLAT_MAX: usize = 32;
+/// Updates that land on existing segment boundaries — every flush and fence
+/// update of the PMFS and kv traces measured — rewrite the flat vector in
+/// place after a binary search, so the only flat cost that grows with the
+/// segment count is the tail move when a segment is inserted or removed
+/// mid-map. In the `checker_replay` live-segment sweep (DESIGN.md §12),
+/// where half the writes of the 2048-segment rows and all of the
+/// 4096-segment rows insert a new segment mid-map, the flat vector is ahead
+/// through 2048 segments and the BTree at 4096.
+const FLAT_MAX: usize = 2048;
 
 /// A map from non-overlapping half-open byte ranges to values.
 ///
@@ -20,12 +24,15 @@ const FLAT_MAX: usize = 32;
 /// of a previously tracked range.
 ///
 /// Internally the map is **adaptive**: while small it is a flat sorted
-/// vector of `(start, end, value)` segments — binary-searched reads, splice
-/// writes, and zero steady-state allocation once [`clear`](Self::clear) has
-/// been recycling the backing storage. Past [`FLAT_MAX`] segments it spills
-/// into a `BTreeMap` keyed by segment start and stays there until cleared.
-/// The invariant either way (checked in debug builds and by property tests)
-/// is that segments are non-empty, sorted, and pairwise disjoint.
+/// vector of `(start, end, value)` segments — binary-searched reads, values
+/// overwritten in place when an update lands on existing segment boundaries,
+/// and one tail move per segment inserted or removed. Past [`FLAT_MAX`]
+/// segments it spills into a `BTreeMap` keyed by segment start and stays
+/// there until cleared. [`clear`](Self::clear) keeps the flat vector's
+/// capacity, so a recycled map that stays flat allocates nothing; the BTree
+/// allocates and frees nodes as segments come and go. The invariant either
+/// way (checked in debug builds and by property tests) is that segments are
+/// non-empty, sorted, and pairwise disjoint.
 ///
 /// # Examples
 ///
@@ -213,19 +220,29 @@ impl<V: Clone> SegmentMap<V> {
     /// Maps `range` to `value`, overwriting anything previously stored there.
     ///
     /// Existing segments that partially overlap `range` are split; their
-    /// portions outside `range` keep their old values.
+    /// portions outside `range` keep their old values. When `range` is
+    /// exactly one existing segment, its value is overwritten in place.
     pub fn insert(&mut self, range: ByteRange, value: V) {
         if range.is_empty() {
             return;
         }
         if self.in_tree {
-            self.tree_carve(range);
-            self.tree.insert(range.start(), (range.end(), value));
+            match self.tree.get_mut(&range.start()) {
+                Some((end, old)) if *end == range.end() => *old = value,
+                _ => {
+                    self.tree_carve(range);
+                    self.tree.insert(range.start(), (range.end(), value));
+                }
+            }
         } else {
-            self.flat_carve(range);
-            let idx = self.flat.partition_point(|&(s, _, _)| s < range.start());
-            self.flat.insert(idx, (range.start(), range.end(), value));
-            self.maybe_spill();
+            let lo = self.flat_first_overlapping(range.start());
+            match self.flat.get_mut(lo) {
+                Some((s, e, old)) if *s == range.start() && *e == range.end() => *old = value,
+                _ => {
+                    self.flat_replace(lo, range, Some(value));
+                    self.maybe_spill();
+                }
+            }
         }
         self.debug_check();
     }
@@ -239,7 +256,8 @@ impl<V: Clone> SegmentMap<V> {
         if self.in_tree {
             self.tree_carve(range);
         } else {
-            self.flat_carve(range);
+            let lo = self.flat_first_overlapping(range.start());
+            self.flat_replace(lo, range, None);
         }
         self.debug_check();
     }
@@ -249,13 +267,16 @@ impl<V: Clone> SegmentMap<V> {
     /// For each maximal sub-range with uniform current value (`Some(v)` for a
     /// covered sub-range, `None` for a gap), `f(sub_range, current)` decides
     /// the new value: `Some(v)` stores `v`, `None` leaves the sub-range empty.
+    /// Sub-ranges are visited in address order.
     ///
     /// This is the primitive behind the paper's checking rules: a `write`
     /// replaces the status over its range, a `clwb` updates the flush interval
     /// of covered sub-ranges and can inspect gaps to flag unnecessary
-    /// writebacks. On the flat representation the rewrite happens in place —
-    /// replacement pieces are staged on the vector's own tail — so the
-    /// steady-state cost is zero allocations.
+    /// writebacks. Segments straddling either end of `range` are split at
+    /// that end first; then every covered segment is rewritten in place.
+    /// When `range` is exactly covered by existing segments (a flush of what
+    /// was written, a fence over what was flushed) nothing moves and nothing
+    /// is allocated: each value is overwritten where it lies.
     pub fn update_range<F>(&mut self, range: ByteRange, mut f: F)
     where
         F: FnMut(ByteRange, Option<&V>) -> Option<V>,
@@ -266,54 +287,33 @@ impl<V: Clone> SegmentMap<V> {
         if self.in_tree {
             self.tree_update_range(range, f);
         } else {
-            // Window of flat segments overlapping the range.
-            let lo = self.flat_first_overlapping(range.start());
-            let hi = self.flat.partition_point(|&(s, _, _)| s < range.end());
-            let old_len = self.flat.len();
-            // Stage the replacement on the tail: the preserved left overhang
-            // of a straddling first segment, then every piece `f` keeps, then
-            // the preserved right overhang. Values are cloned out before the
-            // push so growing the vector never invalidates a borrow.
-            if lo < hi {
-                let (s, _, _) = self.flat[lo];
-                if s < range.start() {
-                    let v = self.flat[lo].2.clone();
-                    self.flat.push((s, range.start(), v));
-                }
-            }
+            // Splitting at the end first keeps the index the start split
+            // returns valid.
+            self.flat_split_at(range.end());
+            let mut i = self.flat_split_at(range.start());
             let mut cursor = range.start();
-            for i in lo..hi {
-                let (s, e, _) = self.flat[i];
-                let clip_s = s.max(range.start());
-                let clip_e = e.min(range.end());
-                if cursor < clip_s {
-                    if let Some(new) = f(ByteRange::new(cursor, clip_s), None) {
-                        self.flat.push((cursor, clip_s, new));
+            while cursor < range.end() {
+                let next =
+                    self.flat.get(i).filter(|seg| seg.0 < range.end()).map(|&(s, e, _)| (s, e));
+                let gap_end = next.map_or(range.end(), |(s, _)| s);
+                if cursor < gap_end {
+                    if let Some(new) = f(ByteRange::new(cursor, gap_end), None) {
+                        self.flat.insert(i, (cursor, gap_end, new));
+                        i += 1;
                     }
                 }
-                let cur = self.flat[i].2.clone();
-                if let Some(new) = f(ByteRange::new(clip_s, clip_e), Some(&cur)) {
-                    self.flat.push((clip_s, clip_e, new));
+                let Some((s, e)) = next else { break };
+                match f(ByteRange::new(s, e), Some(&self.flat[i].2)) {
+                    Some(new) => {
+                        self.flat[i].2 = new;
+                        i += 1;
+                    }
+                    None => {
+                        self.flat.remove(i);
+                    }
                 }
-                cursor = clip_e;
+                cursor = e;
             }
-            if cursor < range.end() {
-                if let Some(new) = f(ByteRange::new(cursor, range.end()), None) {
-                    self.flat.push((cursor, range.end(), new));
-                }
-            }
-            if lo < hi {
-                let (_, e, _) = self.flat[hi - 1];
-                if e > range.end() {
-                    let v = self.flat[hi - 1].2.clone();
-                    self.flat.push((range.end(), e, v));
-                }
-            }
-            // Swap the staged tail into the window's place and drop the old
-            // window: [prefix, window, rest, staged] → [prefix, staged, rest].
-            let staged = self.flat.len() - old_len;
-            self.flat[lo..].rotate_right(staged);
-            self.flat.drain(lo + staged..lo + staged + (hi - lo));
             self.maybe_spill();
         }
         self.debug_check();
@@ -329,55 +329,87 @@ impl<V: Clone> SegmentMap<V> {
         }
     }
 
-    /// Flat-representation carve: removes `range` coverage, keeping the
-    /// out-of-range overhangs of straddling boundary segments. Overhangs are
-    /// staged on the vector's tail, then rotated into the window's place.
-    fn flat_carve(&mut self, range: ByteRange) {
-        let lo = self.flat_first_overlapping(range.start());
-        let hi = self.flat.partition_point(|&(s, _, _)| s < range.end());
-        if lo == hi {
-            return;
+    /// Splits the flat segment straddling `addr`, if any, so that a segment
+    /// boundary falls on `addr`; both halves keep the segment's value.
+    /// Returns the index of the first segment starting at or after `addr`.
+    fn flat_split_at(&mut self, addr: u64) -> usize {
+        let i = self.flat_first_overlapping(addr);
+        match self.flat.get_mut(i) {
+            Some((s, e, v)) if *s < addr => {
+                let right = (addr, *e, v.clone());
+                *e = addr;
+                self.flat.insert(i + 1, right);
+                i + 1
+            }
+            _ => i,
         }
-        let old_len = self.flat.len();
-        let (first_s, _, _) = self.flat[lo];
-        if first_s < range.start() {
-            let v = self.flat[lo].2.clone();
-            self.flat.push((first_s, range.start(), v));
-        }
-        let (_, last_e, _) = self.flat[hi - 1];
-        if last_e > range.end() {
-            let v = self.flat[hi - 1].2.clone();
-            self.flat.push((range.end(), last_e, v));
-        }
-        let staged = self.flat.len() - old_len;
-        self.flat[lo..].rotate_right(staged);
-        self.flat.drain(lo + staged..lo + staged + (hi - lo));
     }
 
-    /// BTree-representation `update_range` (the pre-adaptive algorithm).
+    /// Replaces the flat segments overlapping `range` — the window starting
+    /// at `lo`, the first of them — by `middle` over all of `range` (or by
+    /// nothing), keeping the out-of-range overhangs of the boundary segments.
+    /// One splice: the tail moves at most once.
+    fn flat_replace(&mut self, lo: usize, range: ByteRange, middle: Option<V>) {
+        let hi = lo + self.flat[lo..].partition_point(|&(s, _, _)| s < range.end());
+        let (left, right) = if lo < hi {
+            let (s, _, ref v) = self.flat[lo];
+            let left = (s < range.start()).then(|| (s, range.start(), v.clone()));
+            let (_, e, ref v) = self.flat[hi - 1];
+            (left, (e > range.end()).then(|| (range.end(), e, v.clone())))
+        } else {
+            (None, None)
+        };
+        let middle = middle.map(|v| (range.start(), range.end(), v));
+        self.flat.splice(lo..hi, left.into_iter().chain(middle).chain(right));
+    }
+
+    /// BTree-representation `update_range`: the flat algorithm over BTree
+    /// entries, rewriting each run of contiguous segments in one range walk.
     fn tree_update_range<F>(&mut self, range: ByteRange, mut f: F)
     where
         F: FnMut(ByteRange, Option<&V>) -> Option<V>,
     {
-        // Collect the current view first to avoid aliasing the tree while
-        // mutating it.
-        let mut pieces: Vec<(ByteRange, Option<V>)> = Vec::new();
+        self.tree_split_at(range.start());
+        self.tree_split_at(range.end());
         let mut cursor = range.start();
-        for (seg, v) in self.overlapping(range) {
-            if cursor < seg.start() {
-                pieces.push((ByteRange::new(cursor, seg.start()), None));
+        while cursor < range.end() {
+            let mut erased = None;
+            for (&s, (e, value)) in self.tree.range_mut(cursor..range.end()) {
+                if s > cursor {
+                    break;
+                }
+                cursor = *e;
+                match f(ByteRange::new(s, *e), Some(value)) {
+                    Some(new) => *value = new,
+                    None => {
+                        erased = Some(s);
+                        break;
+                    }
+                }
             }
-            pieces.push((seg, Some(v.clone())));
-            cursor = seg.end();
+            if let Some(s) = erased {
+                self.tree.remove(&s);
+                continue;
+            }
+            if cursor < range.end() {
+                let gap_end =
+                    self.tree.range(cursor..range.end()).next().map_or(range.end(), |(&s, _)| s);
+                if let Some(new) = f(ByteRange::new(cursor, gap_end), None) {
+                    self.tree.insert(cursor, (gap_end, new));
+                }
+                cursor = gap_end;
+            }
         }
-        if cursor < range.end() {
-            pieces.push((ByteRange::new(cursor, range.end()), None));
-        }
+    }
 
-        self.tree_carve(range);
-        for (sub, current) in pieces {
-            if let Some(new) = f(sub, current.as_ref()) {
-                self.tree.insert(sub.start(), (sub.end(), new));
+    /// Splits the BTree segment straddling `addr`, if any (see
+    /// [`flat_split_at`](Self::flat_split_at)).
+    fn tree_split_at(&mut self, addr: u64) {
+        if let Some((_, (end, value))) = self.tree.range_mut(..addr).next_back() {
+            if *end > addr {
+                let right = (*end, value.clone());
+                *end = addr;
+                self.tree.insert(addr, right);
             }
         }
     }
@@ -385,24 +417,10 @@ impl<V: Clone> SegmentMap<V> {
     /// BTree-representation carve: removes `range` coverage, splitting
     /// boundary segments so that no remaining segment overlaps `range`.
     fn tree_carve(&mut self, range: ByteRange) {
-        // Split a segment straddling range.start().
-        if let Some((&s, &(e, _))) = self.tree.range(..range.start()).next_back() {
-            if e > range.start() {
-                let (_, (_, v)) = self.tree.remove_entry(&s).expect("segment exists");
-                self.tree.insert(s, (range.start(), v.clone()));
-                if e > range.end() {
-                    self.tree.insert(range.end(), (e, v));
-                }
-            }
-        }
-        // Remove or truncate segments starting inside the range.
-        let starts: Vec<u64> =
-            self.tree.range(range.start()..range.end()).map(|(&s, _)| s).collect();
-        for s in starts {
-            let (e, v) = self.tree.remove(&s).expect("segment exists");
-            if e > range.end() {
-                self.tree.insert(range.end(), (e, v));
-            }
+        self.tree_split_at(range.start());
+        self.tree_split_at(range.end());
+        while let Some((&s, _)) = self.tree.range(range.start()..range.end()).next() {
+            self.tree.remove(&s);
         }
     }
 
@@ -685,6 +703,30 @@ mod tests {
         assert_eq!(m.get(10_001), Some(&'z'));
         m.insert(r(1, 5), 'b');
         assert_eq!(m.get(4), Some(&'b'));
+    }
+
+    #[test]
+    fn exact_overwrites_keep_every_boundary_in_both_representations() {
+        for mut m in [filled(8), filled(FLAT_MAX as u64 + 1)] {
+            let flat = m.is_flat();
+            let before: Vec<ByteRange> = m.iter().map(|(rg, _)| rg).collect();
+            m.insert(r(4, 6), 'b');
+            // Fill the gap after [0, 2), then update exactly over both
+            // segments, keeping the first and erasing the second.
+            m.insert(r(2, 4), 'x');
+            let mut seen = Vec::new();
+            m.update_range(r(0, 4), |sub, cur| {
+                seen.push((sub.start(), sub.end(), cur.copied()));
+                cur.filter(|&&v| v != 'x').map(|_| 'c')
+            });
+            assert_eq!(seen, [(0, 2, Some('a')), (2, 4, Some('x'))]);
+            let after: Vec<ByteRange> = m.iter().map(|(rg, _)| rg).collect();
+            assert_eq!(after, before, "flat={flat}");
+            assert_eq!(
+                (m.get(0), m.get(2), m.get(4), m.get(8)),
+                (Some(&'c'), None, Some(&'b'), Some(&'a'))
+            );
+        }
     }
 
     #[test]

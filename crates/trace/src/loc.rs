@@ -3,9 +3,10 @@
 //! A trace replays the same few call sites over and over — every `write`
 //! from one instrumented store carries the identical [`SourceLoc`] — yet the
 //! shadow memory used to clone that location into every segment it split.
-//! Interning collapses the per-segment cost to a 4-byte [`LocId`] and makes
-//! the segment state `Copy`, which is what lets the segment map's flat
-//! representation move states around with `memcpy` instead of clone calls.
+//! Interning replaces the location in each segment state with a 4-byte
+//! [`LocId`] (8 bytes as an `Option`) and makes the state `Copy`, so
+//! splitting a segment or rewriting its state is a plain copy, not a clone
+//! call.
 //!
 //! The interner is built to be *recycled* across traces: [`LocInterner::clear`]
 //! drops the entries but keeps every backing allocation, so a pooled checker
