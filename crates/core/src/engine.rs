@@ -85,6 +85,15 @@ impl TraceBatch {
             TraceBatch::Arena(arena) => arena.sealed() as u64,
         }
     }
+
+    /// Packed records the batch holds, for the ring's queued-record bound.
+    fn words(&self) -> u64 {
+        match self {
+            TraceBatch::One(trace) => trace.packed().len() as u64,
+            TraceBatch::Many(traces) => traces.iter().map(|t| t.packed().len() as u64).sum(),
+            TraceBatch::Arena(arena) => arena.traces().map(|(_, w, _)| w.len() as u64).sum(),
+        }
+    }
 }
 
 /// What actually travels on a producer ring: the traces plus their dispatch
@@ -798,7 +807,7 @@ impl Engine {
         if plane.is_dead() {
             return Err(SubmitError);
         }
-        let n = batch.len();
+        let (n, words) = (batch.len(), batch.words());
         self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
         let submitted = self.shared.telemetry.timing.then(Instant::now);
         // From here the accounting settles when `msg` drops — whether a
@@ -810,7 +819,7 @@ impl Engine {
             submitted,
         };
         let (ring, temporary) = self.producer_ring();
-        let depth = match plane.push(&ring, msg, n) {
+        let depth = match plane.push(&ring, msg, n, words) {
             Ok(depth) => depth,
             Err(_) => return Err(SubmitError),
         };
