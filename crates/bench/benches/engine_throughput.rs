@@ -206,7 +206,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             // depth-4 queues that used to stall batched rounds.
             let session = PmTestSession::builder().workers(workers).batch_capacity(batch).build();
             session.start();
-            run_round(&session, traces); // warm the buffer pool
+            run_round(&session, traces); // warm the arena pool
             group.bench_with_input(
                 BenchmarkId::new(format!("w{workers}"), format!("b{batch}")),
                 &traces,
@@ -235,7 +235,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             .telemetry(TelemetryConfig::enabled().with_tracing())
             .build();
         session.start();
-        run_round(&session, traces); // warm the buffer pool
+        run_round(&session, traces); // warm the arena pool
         group.bench_with_input(BenchmarkId::new("telemetry_w4", "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });
@@ -250,8 +250,8 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         });
     }
     // A/B row: the reference configuration with only the cross-trace
-    // profiler on. The profiling decode walk runs on the replay path, so
-    // this row prices the advisor's data collection; the profiling-*off*
+    // profiler on. The profiler observes the replay walk (profiled traces
+    // skip the clean lane), so this row prices the advisor's data collection; the profiling-*off*
     // guard is the plain w4/b32 row above, whose floor assertion keeps the
     // disabled-path cost (one relaxed load) from regressing.
     {
@@ -261,7 +261,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             .telemetry(TelemetryConfig::profiling_only())
             .build();
         session.start();
-        run_round(&session, traces); // warm the buffer pool
+        run_round(&session, traces); // warm the arena pool
         group.bench_with_input(BenchmarkId::new("profiling_w4", "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });
@@ -356,8 +356,8 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
     samples
 }
 
-/// Engine/pool counters from one instrumented 4-worker batch-32 round, for
-/// the JSON report.
+/// Engine and arena-pool counters from one 4-worker batch-32 round, for the
+/// JSON report.
 fn stats_sample(traces: u64) -> String {
     let session = PmTestSession::builder().workers(4).batch_capacity(32).build();
     session.start();
@@ -385,9 +385,9 @@ fn stats_sample(traces: u64) -> String {
             "    \"backpressure_stalls\": {},\n",
             "    \"steals\": {},\n",
             "    \"rings_registered\": {},\n",
-            "    \"pool_recycled\": {},\n",
-            "    \"pool_fresh\": {},\n",
-            "    \"pool_hit_rate\": {:.4},\n",
+            "    \"arena_pool_recycled\": {},\n",
+            "    \"arena_pool_fresh\": {},\n",
+            "    \"arena_pool_hit_rate\": {:.4},\n",
             "    \"shadow_pool_recycled\": {},\n",
             "    \"shadow_pool_fresh\": {},\n",
             "    \"shadow_pool_hit_rate\": {:.4},\n",
@@ -464,17 +464,22 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
             .find(|s| s.path == "session" && s.workers == workers && s.batch == 32)?;
         Some(b1.ns_per_trace / b32.ns_per_trace)
     };
+    // Every row carries the host's parallelism; a row with more checking
+    // workers than vCPUs measures oversubscription, not scaling.
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut rows = String::new();
     for (i, s) in samples.iter().enumerate() {
         let _ = writeln!(
             rows,
-            "    {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"ns_per_trace_floor\": {:.1}, \"traces_per_sec\": {:.0}}}{}",
+            "    {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"ns_per_trace_floor\": {:.1}, \"traces_per_sec\": {:.0}, \"host_parallelism\": {}, \"oversubscribed\": {}}}{}",
             s.path,
             s.workers,
             s.batch,
             s.ns_per_trace,
             s.floor_ns_per_trace,
             s.traces_per_sec(),
+            parallelism,
+            s.workers > parallelism,
             if i + 1 == samples.len() { "" } else { "," },
         );
     }
@@ -501,6 +506,7 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
         concat!(
             "{{\n",
             "  \"bench\": \"engine_throughput\",\n",
+            "  \"host_parallelism\": {},\n",
             "  \"traces_per_round\": {},\n",
             "  \"entries_per_trace\": {},\n",
             "  \"workload\": \"short traces: write+flush+fence+isPersist; session rows: 4 producer threads via the Sink path; session-rep/session-cached rows: one 62-record repetitive shape (30 distinct write+flush ranges) with the verdict cache off/on; cached-probe row: fingerprint + L1 lookup only, no engine; recorder rows: 1 inline producer via the owned ThreadRecorder handle; ring capacity derived (256/batch, min 32)\",\n",
@@ -512,6 +518,7 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
             "  \"stats_sample\": {}\n",
             "}}\n"
         ),
+        parallelism,
         traces,
         ENTRIES_PER_TRACE,
         rows,

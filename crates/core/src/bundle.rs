@@ -13,8 +13,9 @@
 use std::fmt::Write as _;
 
 use pmtest_obs::json::escape_into;
-use pmtest_trace::{Entry, Event, IntervalNote, StepRecord};
+use pmtest_trace::{Entry, Event, FlightRecorder, IntervalNote, StepRecord};
 
+use crate::checker::ReplayObserver;
 use crate::diag::{Diag, Severity};
 use crate::shadow::ShadowMemory;
 
@@ -55,45 +56,49 @@ pub struct DiagnosisBundle {
     pub steps: Vec<StepRecord>,
 }
 
-/// Build the step record for one replayed entry: the model's epoch counter
-/// plus the persist intervals touching the entry's own ranges.
-pub(crate) fn capture_step(
-    trace_id: u64,
-    index: usize,
-    entry: &Entry,
-    shadow: &ShadowMemory,
-) -> StepRecord {
-    let mut intervals = Vec::new();
-    let mut note = |range| {
-        for (sub, iv, write_loc) in shadow.persist_intervals(range) {
-            intervals.push(IntervalNote {
-                range: sub,
-                begin: iv.start(),
-                end: iv.end(),
-                write_loc,
-            });
+/// The flight recorder's replay observer: every replayed entry of trace
+/// `trace_id` lands in the worker's ring as a step record — the model's
+/// epoch counter plus the persist intervals touching the entry's own ranges.
+pub(crate) struct StepCapture<'a> {
+    pub(crate) recorder: &'a FlightRecorder,
+    pub(crate) trace_id: u64,
+}
+
+impl ReplayObserver for StepCapture<'_> {
+    fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory) {
+        let mut intervals = Vec::new();
+        let mut note = |range| {
+            for (sub, iv, write_loc) in shadow.persist_intervals(range) {
+                intervals.push(IntervalNote {
+                    range: sub,
+                    begin: iv.start(),
+                    end: iv.end(),
+                    write_loc,
+                });
+            }
+        };
+        match entry.event {
+            Event::Write(r)
+            | Event::Flush(r)
+            | Event::TxAdd(r)
+            | Event::IsPersist(r)
+            | Event::Exclude(r)
+            | Event::Include(r) => note(r),
+            Event::IsOrderedBefore(a, b) => {
+                note(a);
+                note(b);
+            }
+            Event::Fence
+            | Event::OFence
+            | Event::DFence
+            | Event::TxBegin
+            | Event::TxEnd
+            | Event::TxCheckerStart
+            | Event::TxCheckerEnd => {}
         }
-    };
-    match entry.event {
-        Event::Write(r)
-        | Event::Flush(r)
-        | Event::TxAdd(r)
-        | Event::IsPersist(r)
-        | Event::Exclude(r)
-        | Event::Include(r) => note(r),
-        Event::IsOrderedBefore(a, b) => {
-            note(a);
-            note(b);
-        }
-        Event::Fence
-        | Event::OFence
-        | Event::DFence
-        | Event::TxBegin
-        | Event::TxEnd
-        | Event::TxCheckerStart
-        | Event::TxCheckerEnd => {}
+        let (trace_id, epoch) = (self.trace_id, shadow.timestamp());
+        self.recorder.record(StepRecord { trace_id, index, entry: *entry, epoch, intervals });
     }
-    StepRecord { trace_id, index, entry: *entry, epoch: shadow.timestamp(), intervals }
 }
 
 /// The corpus-text token for an event (the dialect `pmtest-explain` and the

@@ -19,11 +19,11 @@
 //! * a cache entry ([`CachedVerdict`]) carries the *full verdict*: the exact
 //!   diagnostic list (interned sites included — `Report` output is
 //!   byte-identical to a cold check) and, when the profiling layer is on,
-//!   the per-site [`SiteDelta`]s of the §16 profile walk, so the cross-trace
+//!   the per-site [`SiteDelta`]s the §16 profiler observed, so the cross-trace
 //!   profile stays exact under hits.
 //!
 //! **Bypass predicate.** A trace bypasses the cache (checked cold, nothing
-//! cached) when the engine's instrumented replay lane is active — the
+//! cached) when a replay observer must see every occurrence — the
 //! telemetry *timing* layer (per-entry checker histograms and per-worker
 //! `TraceStats` must observe every entry) or the *flight recorder*
 //! (per-step window capture, including the automatic ERROR-bundle capture
@@ -55,7 +55,7 @@ pub struct VerdictCacheConfig {
     pub enabled: bool,
     /// Hard bound on resident L2 verdict bytes (per engine, split evenly
     /// across shards). Per-worker L1s additionally pin at most
-    /// [`L1_SLOTS`] `Arc`s each, all aliasing L2-counted verdicts.
+    /// `L1_SLOTS` (512) `Arc`s each, all aliasing L2-counted verdicts.
     pub max_bytes: usize,
 }
 
@@ -154,7 +154,7 @@ pub struct VerdictCacheStats {
     /// Lookups answered by neither tier — the trace paid a cold check.
     pub misses: u64,
     /// Traces that skipped the cache entirely under the bypass predicate
-    /// (instrumented replay: timing layer or flight recorder active).
+    /// (timing layer or flight recorder observing the replay).
     pub bypasses: u64,
     /// Verdicts inserted into the L2.
     pub inserts: u64,

@@ -16,7 +16,7 @@ use crate::shadow::ShadowMemory;
 /// Every trace is checked against logically fresh state, but the state's
 /// *allocations* (segment vectors, interval-tree arena, interner) are
 /// expensive to rebuild per trace. A `CheckerScratch` is `reset()` between
-/// traces instead — mirroring the entry [`BufferPool`](pmtest_trace::BufferPool)
+/// traces instead — mirroring the engine's [`ArenaPool`](pmtest_trace::ArenaPool)
 /// — and the replay rewrites that state in place, so a worker replaying
 /// through [`check_packed_with`] with a kept [`LocResolver`] allocates nothing
 /// per entry once warm, beyond the diagnostics of a failing trace (pinned by
@@ -289,27 +289,28 @@ impl<'a> TraceChecker<'a> {
     /// Processes every entry of `trace` and returns the diagnostics.
     #[must_use]
     pub fn run(mut self, trace: &Trace) -> Vec<Diag> {
-        let mut resolver = LocResolver::new();
-        self.process_packed(trace.packed(), &mut resolver);
+        self.process_packed(trace.packed(), &mut LocResolver::new(), &mut ());
         self.finish()
     }
 
-    /// Processes a packed record slice in place. Decoding happens one entry
-    /// at a time on the stack — the worker hot path never materialises a
-    /// `Vec<Entry>` for the trace.
-    pub fn process_packed(&mut self, words: &[PackedEntry], resolver: &mut LocResolver) {
+    /// Processes a packed record slice in place — the one replay walk.
+    /// Decoding happens one entry at a time on the stack, so no `Vec<Entry>`
+    /// is ever built for the trace; `obs` sees each entry right after it is
+    /// applied (the `()` observer compiles to the bare loop).
+    pub(crate) fn process_packed<O: ReplayObserver>(
+        &mut self,
+        words: &[PackedEntry],
+        resolver: &mut LocResolver,
+        obs: &mut O,
+    ) {
         let mut i = 0;
+        let mut index = 0;
         while let Some((entry, next)) = decode_next(words, i, resolver) {
             self.process(&entry);
+            obs.on_entry(index, &entry, &self.scratch.get().shadow);
             i = next;
+            index += 1;
         }
-    }
-
-    /// Processes packed records and returns the diagnostics.
-    #[must_use]
-    pub fn run_packed(mut self, words: &[PackedEntry], resolver: &mut LocResolver) -> Vec<Diag> {
-        self.process_packed(words, resolver);
-        self.finish()
     }
 
     /// Returns the diagnostics accumulated so far.
@@ -323,6 +324,21 @@ impl<'a> TraceChecker<'a> {
     pub fn shadow(&self) -> &ShadowMemory {
         &self.scratch.get().shadow
     }
+}
+
+/// A per-entry hook on the packed replay walk
+/// ([`TraceChecker::process_packed`]): called once per entry, in program
+/// order, right after the checker applied it, with the shadow state it left
+/// behind. The engine's telemetry layers (per-category timing, the flight
+/// recorder, the site profiler) are observers; the plain replay passes `()`.
+pub(crate) trait ReplayObserver {
+    /// Observes entry `index` of the trace.
+    fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory);
+}
+
+impl ReplayObserver for () {
+    #[inline(always)]
+    fn on_entry(&mut self, _: usize, _: &Entry, _: &ShadowMemory) {}
 }
 
 /// The no-exclusions fast path of [`TraceChecker::process`]: identical
@@ -546,7 +562,9 @@ pub fn check_packed_with(
     scratch: &mut CheckerScratch,
     resolver: &mut LocResolver,
 ) -> Vec<Diag> {
-    TraceChecker::with_scratch(model, scratch).run_packed(words, resolver)
+    let mut checker = TraceChecker::with_scratch(model, scratch);
+    checker.process_packed(words, resolver, &mut ());
+    checker.finish()
 }
 
 /// Maximum number of distinct ranges the clean-lane DFA tracks before it
@@ -565,7 +583,7 @@ enum FastState {
 /// answers "is this trace certainly diagnostic-free under `model`?" without
 /// decoding entries, resolving locations, or touching shadow memory.
 ///
-/// The DFA tracks up to [`FAST_SLOTS`] mutually disjoint ranges, each
+/// The DFA tracks up to `FAST_SLOTS` (4) mutually disjoint ranges, each
 /// matched *exactly* (same start and end on every reappearance), through
 /// `dirty → flushed → persisted`. Anything it is not absolutely sure about —
 /// partially overlapping ranges, transaction events, ordering checkers,

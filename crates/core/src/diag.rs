@@ -295,8 +295,8 @@ impl Report {
     }
 
     /// Whether two reports carry the same diagnostics up to ordering,
-    /// wording, and source attribution — i.e. their [`signature`]s
-    /// (Self::signature) match. Use `==` instead when byte-identical
+    /// wording, and source attribution — i.e. their
+    /// [`signature`](Self::signature)s match. Use `==` instead when byte-identical
     /// reports (messages and locations included) are required.
     #[must_use]
     pub fn equivalent(&self, other: &Report) -> bool {

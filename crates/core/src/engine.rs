@@ -6,21 +6,25 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
-use pmtest_obs::{EventLog, ScrapeServer, SpanHandle, TelemetrySnapshot};
-use pmtest_trace::packed::decode_all;
+use pmtest_obs::{Counter, EventLog, ScrapeServer, SpanHandle, TelemetrySnapshot};
 use pmtest_trace::{
-    ArenaPool, BufferPool, FlightRecorder, LocResolver, PackedEntry, Trace, TraceArena, TraceStats,
+    ArenaPool, Entry, FlightRecorder, LocResolver, PackedEntry, Trace, TraceArena, TraceStats,
 };
 
-use crate::bundle::{capture_step, BundleReason, DiagnosisBundle};
+use crate::bundle::{BundleReason, DiagnosisBundle, StepCapture};
 use crate::cache::{
     CachedVerdict, VerdictCache, VerdictCacheConfig, VerdictCacheStats, WorkerCache,
 };
-use crate::checker::{check_packed_with, packed_clean, CheckerScratch, TraceChecker};
+use crate::checker::{
+    check_packed_with, packed_clean, CheckerScratch, ReplayObserver, TraceChecker,
+};
 use crate::diag::{Report, Severity, TraceReport};
 use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
 use crate::model::{BuiltinModel, PersistencyModel, X86Model};
-use crate::telemetry::{EngineTelemetry, Stage, TelemetryConfig};
+use crate::shadow::ShadowMemory;
+use crate::telemetry::{
+    EngineCounters, EngineTelemetry, EntryTimer, SiteProfiler, Stage, TelemetryConfig,
+};
 
 /// Configuration of the checking engine.
 #[derive(Clone, Debug)]
@@ -38,13 +42,6 @@ pub struct EngineConfig {
     /// What the engine records beyond its always-on counters (latency
     /// histograms, the structured event ring). Defaults to everything off.
     pub telemetry: TelemetryConfig,
-    /// Retained for compatibility with replay harnesses (the differential
-    /// fuzzer's replay mode). The sharded ingest plane already gives every
-    /// producer thread its own FIFO ring — each producer's batches are
-    /// claimed in submission order — and reports are sorted by trace id
-    /// regardless of which worker checked what, so results are reproducible
-    /// with or without this knob. It no longer changes scheduling.
-    pub deterministic_dispatch: bool,
     /// The content-addressed verdict cache (see [`crate::cache`]). Off by
     /// default: the default configuration keeps measuring — and the golden
     /// suites keep pinning — the uncached path.
@@ -58,51 +55,20 @@ impl Default for EngineConfig {
             workers: 1,
             queue_capacity: 256,
             telemetry: TelemetryConfig::off(),
-            deterministic_dispatch: false,
             verdict_cache: VerdictCacheConfig::default(),
         }
     }
 }
 
-/// One message on the ingest plane: a single trace, a batch of traces, or a
-/// whole record arena.
-///
-/// The single-trace variant keeps the unbatched path (the paper's default)
-/// free of the extra `Vec` a one-element batch would allocate; the arena
-/// variant is the batched session's zero-copy handoff — many traces, one
-/// contiguous buffer, one pointer move.
-enum TraceBatch {
-    One(Trace),
-    Many(Vec<Trace>),
-    Arena(TraceArena),
-}
-
-impl TraceBatch {
-    fn len(&self) -> u64 {
-        match self {
-            TraceBatch::One(_) => 1,
-            TraceBatch::Many(traces) => traces.len() as u64,
-            TraceBatch::Arena(arena) => arena.sealed() as u64,
-        }
-    }
-
-    /// Packed records the batch holds, for the ring's queued-record bound.
-    fn words(&self) -> u64 {
-        match self {
-            TraceBatch::One(trace) => trace.packed().len() as u64,
-            TraceBatch::Many(traces) => traces.iter().map(|t| t.packed().len() as u64).sum(),
-            TraceBatch::Arena(arena) => arena.traces().map(|(_, w, _)| w.len() as u64).sum(),
-        }
-    }
-}
-
-/// What actually travels on a producer ring: the traces plus their dispatch
-/// accounting. The accounting settles on drop, so the `outstanding` counter
-/// stays consistent no matter how the batch dies — checked normally,
-/// abandoned mid-batch by a panicking checker, or discarded from a dead
-/// plane's rings after the last worker exits.
+/// What actually travels on a producer ring: a sealed record arena — the
+/// one message shape, whether it carries a session's batch or a single
+/// submitted trace — plus its dispatch accounting. The accounting settles
+/// on drop, so the `outstanding` counter stays consistent no matter how the
+/// batch dies — checked normally, abandoned mid-batch by a panicking
+/// checker, or discarded from a dead plane's rings after the last worker
+/// exits.
 struct BatchMsg {
-    traces: TraceBatch,
+    arena: TraceArena,
     accounting: BatchAccounting,
     /// Send time, for the dispatch-latency histogram. `None` unless the
     /// telemetry timing layer is on — reading the clock per submit would
@@ -173,38 +139,38 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
 /// A worker takes one scratch per received batch and returns it afterwards,
 /// so the pool never holds more instances than there are workers — but the
 /// shadow memory, transaction log tree, and interner *allocations* inside
-/// each instance survive indefinitely. Together with the entry
-/// [`BufferPool`] this removes the last per-trace allocation from the
-/// steady-state checking path.
+/// each instance survive indefinitely. Together with the [`ArenaPool`] this
+/// removes the last per-trace allocation from the steady-state checking
+/// path.
 struct ShadowPool {
     // Boxed so acquire/release move one pointer under the lock, not the
     // whole scratch struct.
     #[allow(clippy::vec_box)]
     free: Mutex<Vec<Box<CheckerScratch>>>,
     /// Acquisitions served by recycling a pooled instance.
-    recycled: AtomicU64,
+    recycled: Counter,
     /// Acquisitions that had to allocate a fresh instance.
-    fresh: AtomicU64,
+    fresh: Counter,
     /// Instances retained when released; beyond this they are dropped.
     cap: usize,
 }
 
 impl ShadowPool {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, counters: &EngineCounters) -> Self {
         Self {
             free: Mutex::new(Vec::with_capacity(cap)),
-            recycled: AtomicU64::new(0),
-            fresh: AtomicU64::new(0),
+            recycled: counters.shadow_recycled.clone(),
+            fresh: counters.shadow_fresh.clone(),
             cap,
         }
     }
 
     fn acquire(&self) -> Box<CheckerScratch> {
         if let Some(scratch) = self.free.lock().pop() {
-            self.recycled.fetch_add(1, Ordering::Relaxed);
+            self.recycled.inc();
             scratch
         } else {
-            self.fresh.fetch_add(1, Ordering::Relaxed);
+            self.fresh.inc();
             Box::default()
         }
     }
@@ -214,11 +180,6 @@ impl ShadowPool {
         if free.len() < self.cap {
             free.push(scratch);
         }
-    }
-
-    /// (recycled, fresh) acquisition counts.
-    fn counts(&self) -> (u64, u64) {
-        (self.recycled.load(Ordering::Relaxed), self.fresh.load(Ordering::Relaxed))
     }
 }
 
@@ -240,16 +201,18 @@ impl ShadowPool {
 ///   affinity rings first and *steal* from the rest when idle, so the active
 ///   worker set tracks the offered load. See `crate::ingest` and DESIGN.md
 ///   §13.
-/// * **Arena batches** — a batched session records straight into a
-///   [`TraceArena`] of compact packed records; [`submit_arena`](Self::submit_arena)
-///   moves the whole batch as one pointer handoff, and workers check the
-///   packed records in place without decoding them into `Entry` vectors.
+/// * **Arena messages** — every submission travels as one [`TraceArena`] of
+///   compact packed records: a batched session records straight into one
+///   and [`submit_arena`](Self::submit_arena) moves the whole batch as one
+///   pointer handoff; [`submit`](Self::submit) wraps a lone trace's record
+///   buffer without copying it. Workers check the packed records in place
+///   without decoding them into `Entry` vectors.
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
-/// * **Storage recycling** — workers return entry buffers, arenas, and
-///   checker scratch state to pools that sessions and later batches draw
-///   from, keeping the steady-state path off the allocator.
+/// * **Storage recycling** — workers return arenas and checker scratch state
+///   to pools that submissions and later batches draw from, keeping the
+///   steady-state path off the allocator.
 ///
 /// # Examples
 ///
@@ -293,10 +256,7 @@ struct Shared {
     /// request — so [`Engine::report`] clones an already-built [`Report`]
     /// and [`Engine::with_report`] borrows it without copying at all.
     collected: Mutex<Report>,
-    /// Record buffers recycled between workers (release) and sessions
-    /// (acquire) on the unbatched path.
-    pool: Arc<BufferPool>,
-    /// Batch arenas recycled between workers and batched sessions.
+    /// Arenas recycled between workers (release) and submitters (acquire).
     arena_pool: Arc<ArenaPool>,
     /// Checker scratch state (shadow memory, tx scope, interner) recycled
     /// across batches, one instance held per busy worker.
@@ -306,14 +266,9 @@ struct Shared {
     verdict_cache: Option<VerdictCache>,
     idle_lock: Mutex<()>,
     idle: Condvar,
-    traces_checked: AtomicU64,
-    entries_processed: AtomicU64,
-    diagnostics: AtomicU64,
-    batches_submitted: AtomicU64,
-    traces_submitted: AtomicU64,
-    /// Typed metric handles (histograms, per-kind diagnostic counters, the
-    /// event ring). Always present; whether clocks are read depends on
-    /// [`TelemetryConfig::timing`].
+    /// Typed metric handles (the engine's counters, histograms, per-kind
+    /// diagnostic counters, the event ring). Always present; whether clocks
+    /// are read depends on [`TelemetryConfig::timing`].
     telemetry: EngineTelemetry,
     /// Per-worker flight recorders. Empty unless
     /// [`TelemetryConfig::recorder`] is on, so the off path never touches
@@ -328,15 +283,6 @@ struct Shared {
     /// Name of the configured persistency model, for bundle headers built
     /// outside the workers ([`Engine::capture_bundle`]).
     model_name: String,
-    /// Crash points visited by exploration sweeps recorded on this engine
-    /// ([`Engine::record_exploration`]).
-    explore_points: AtomicU64,
-    /// Crash images run through a recovery procedure.
-    explore_images: AtomicU64,
-    /// Crash points served off shared (incrementally advanced) prefix state.
-    explore_share_hits: AtomicU64,
-    /// Crash points that paid a from-scratch rescan.
-    explore_share_misses: AtomicU64,
 }
 
 /// Most ERROR bundles retained between [`Engine::take_bundles`] drains. One
@@ -384,45 +330,34 @@ impl Shared {
         }
     }
 
-    /// Lifetime counters; see [`Engine::stats`].
+    /// Lifetime counters; see [`Engine::stats`]. Reads the same registered
+    /// handles the telemetry snapshot exports.
     fn stats(&self) -> EngineStats {
-        let plane = &self.plane;
+        let (c, ingest) = (&self.telemetry.counters, &self.telemetry.ingest);
         EngineStats {
-            traces_checked: self.traces_checked.load(Ordering::Relaxed),
-            entries_processed: self.entries_processed.load(Ordering::Relaxed),
-            diagnostics: self.diagnostics.load(Ordering::Relaxed),
-            batches_submitted: self.batches_submitted.load(Ordering::Relaxed),
-            traces_submitted: self.traces_submitted.load(Ordering::Relaxed),
-            queue_highwater: plane.occupancy_highwater(),
-            backpressure_stalls: plane.backpressure_stalls(),
-            steals: plane.steals(),
-            rings_registered: plane.rings_registered(),
-            affinity_hits: plane.affinity_hits(),
-            parks: plane.parks(),
-            wakes: plane.wakes(),
-            recruit_cas_fails: plane.recruit_cas_fails(),
+            traces_checked: c.traces_checked.get(),
+            entries_processed: c.entries_processed.get(),
+            diagnostics: c.diagnostics.get(),
+            batches_submitted: c.batches_submitted.get(),
+            traces_submitted: c.traces_submitted.get(),
+            queue_highwater: self.plane.occupancy_highwater(),
+            backpressure_stalls: ingest.backpressure_stalls.get(),
+            steals: ingest.steals.get(),
+            rings_registered: ingest.rings_registered.get(),
+            affinity_hits: ingest.affinity_hits.get(),
+            parks: ingest.parks.get(),
+            wakes: ingest.wakes.get(),
+            recruit_cas_fails: ingest.recruit_cas_fails.get(),
         }
     }
 
     /// Snapshot assembly; see [`Engine::telemetry_snapshot`]. Lives on
     /// `Shared` so the scrape endpoint can serve live snapshots through a
-    /// [`Weak`] without holding the engine itself.
+    /// [`Weak`] without holding the engine itself. The registry carries
+    /// every counter; what is added here is derived at snapshot time.
     fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.telemetry.snapshot();
-        let stats = self.stats();
-        snap.push_counter("engine_traces_checked", &[], stats.traces_checked);
-        snap.push_counter("engine_entries_processed", &[], stats.entries_processed);
-        snap.push_counter("engine_diagnostics", &[], stats.diagnostics);
-        snap.push_counter("engine_batches_submitted", &[], stats.batches_submitted);
-        snap.push_counter("engine_traces_submitted", &[], stats.traces_submitted);
-        snap.push_counter("engine_queue_highwater", &[], stats.queue_highwater);
-        snap.push_counter("engine_backpressure_stalls", &[], stats.backpressure_stalls);
-        snap.push_counter("engine_ring_steals", &[], stats.steals);
-        snap.push_counter("engine_ring_affinity_hits", &[], stats.affinity_hits);
-        snap.push_counter("engine_rings_registered", &[], stats.rings_registered);
-        snap.push_counter("engine_parker_parks", &[], stats.parks);
-        snap.push_counter("engine_parker_wakes", &[], stats.wakes);
-        snap.push_counter("engine_parker_recruit_cas_fails", &[], stats.recruit_cas_fails);
+        snap.push_counter("engine_queue_highwater", &[], self.plane.occupancy_highwater());
         snap.push_gauge("engine_workers", &[], self.shards.len() as f64);
         let plane = &self.plane;
         snap.push_gauge("engine_ring_occupancy", &[], plane.current_occupancy() as f64);
@@ -434,21 +369,14 @@ impl Shared {
             snap.push_gauge("engine_ring_highwater", labels, ring.highwater as f64);
             snap.push_counter("engine_ring_pushed", labels, ring.pushed);
         }
-        let pool = self.pool.stats();
-        snap.push_counter("pool_recycled", &[], pool.recycled);
-        snap.push_counter("pool_fresh", &[], pool.fresh);
-        snap.push_counter("pool_released", &[], pool.released);
-        snap.push_counter("pool_dropped", &[], pool.dropped);
-        snap.push_gauge("pool_hit_rate", &[], pool.hit_rate());
         let arena = self.arena_pool.stats();
         snap.push_counter("arena_pool_recycled", &[], arena.recycled);
         snap.push_counter("arena_pool_fresh", &[], arena.fresh);
         snap.push_counter("arena_pool_released", &[], arena.released);
         snap.push_counter("arena_pool_dropped", &[], arena.dropped);
         snap.push_gauge("arena_pool_hit_rate", &[], arena.hit_rate());
-        let (recycled, fresh) = self.shadow_pool.counts();
-        snap.push_counter("shadow_pool_recycled", &[], recycled);
-        snap.push_counter("shadow_pool_fresh", &[], fresh);
+        let c = &self.telemetry.counters;
+        let (recycled, fresh) = (c.shadow_recycled.get(), c.shadow_fresh.get());
         let acquisitions = recycled + fresh;
         snap.push_gauge(
             "shadow_pool_hit_rate",
@@ -467,16 +395,8 @@ impl Shared {
             snap.push_gauge("verdict_cache_entries", &[], stats.entries as f64);
             snap.push_gauge("verdict_cache_hit_rate", &[], stats.hit_rate());
         }
-        let hits = self.explore_share_hits.load(Ordering::Relaxed);
-        let misses = self.explore_share_misses.load(Ordering::Relaxed);
-        snap.push_counter(
-            "crash_points_enumerated",
-            &[],
-            self.explore_points.load(Ordering::Relaxed),
-        );
-        snap.push_counter("images_checked", &[], self.explore_images.load(Ordering::Relaxed));
-        snap.push_counter("prefix_share_hits", &[], hits);
-        snap.push_counter("prefix_share_misses", &[], misses);
+        let hits = self.telemetry.counters.prefix_share_hits.get();
+        let misses = self.telemetry.counters.prefix_share_misses.get();
         snap.push_gauge(
             "prefix_share_hit_rate",
             &[],
@@ -549,26 +469,25 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
         assert!(config.queue_capacity > 0, "engine queue capacity must be positive");
+        let telemetry = EngineTelemetry::new(config.workers, &config.telemetry);
         let shared = Arc::new(Shared {
             outstanding: AtomicU64::new(0),
-            plane: Arc::new(IngestPlane::new(config.workers, config.queue_capacity)),
+            plane: Arc::new(IngestPlane::new(
+                config.workers,
+                config.queue_capacity,
+                telemetry.ingest.clone(),
+            )),
             shards: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
             collected: Mutex::new(Report::default()),
-            pool: Arc::new(BufferPool::new()),
             arena_pool: Arc::new(ArenaPool::new()),
-            shadow_pool: ShadowPool::new(config.workers),
+            shadow_pool: ShadowPool::new(config.workers, &telemetry.counters),
             verdict_cache: config
                 .verdict_cache
                 .enabled
                 .then(|| VerdictCache::new(&config.verdict_cache)),
             idle_lock: Mutex::new(()),
             idle: Condvar::new(),
-            traces_checked: AtomicU64::new(0),
-            entries_processed: AtomicU64::new(0),
-            diagnostics: AtomicU64::new(0),
-            batches_submitted: AtomicU64::new(0),
-            traces_submitted: AtomicU64::new(0),
-            telemetry: EngineTelemetry::new(config.workers, &config.telemetry),
+            telemetry,
             recorders: if config.telemetry.recorder {
                 (0..config.workers)
                     .map(|_| FlightRecorder::new(config.telemetry.recorder_capacity))
@@ -579,10 +498,6 @@ impl Engine {
             bundles: Mutex::new(Vec::new()),
             bundles_dropped: AtomicU64::new(0),
             model_name: config.model.name().to_owned(),
-            explore_points: AtomicU64::new(0),
-            explore_images: AtomicU64::new(0),
-            explore_share_hits: AtomicU64::new(0),
-            explore_share_misses: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
@@ -629,15 +544,8 @@ impl Engine {
         self.queue_capacity
     }
 
-    /// The pool of recycled trace-record buffers. Sessions draw replacement
-    /// buffers from here; workers return each checked trace's buffer.
-    #[must_use]
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.shared.pool
-    }
-
-    /// The pool of recycled batch arenas. Batched sessions draw replacement
-    /// arenas from here; workers return each checked batch's arena.
+    /// The pool of recycled arenas. Sessions and [`submit`](Self::submit)
+    /// draw arenas from here; workers return each checked batch's arena.
     #[must_use]
     pub fn arena_pool(&self) -> &Arc<ArenaPool> {
         &self.shared.arena_pool
@@ -699,10 +607,11 @@ impl Engine {
     /// (`crash_points_enumerated`, `images_checked`, `prefix_share_hits`,
     /// `prefix_share_misses` in [`telemetry_snapshot`](Self::telemetry_snapshot)).
     pub fn record_exploration(&self, stats: &crate::explore::ExploreStats) {
-        self.shared.explore_points.fetch_add(stats.crash_points_enumerated, Ordering::Relaxed);
-        self.shared.explore_images.fetch_add(stats.images_checked, Ordering::Relaxed);
-        self.shared.explore_share_hits.fetch_add(stats.prefix_share_hits, Ordering::Relaxed);
-        self.shared.explore_share_misses.fetch_add(stats.prefix_share_misses, Ordering::Relaxed);
+        let c = &self.shared.telemetry.counters;
+        c.crash_points.add(stats.crash_points_enumerated);
+        c.images_checked.add(stats.images_checked);
+        c.prefix_share_hits.add(stats.prefix_share_hits);
+        c.prefix_share_misses.add(stats.prefix_share_misses);
     }
 
     /// Runs a crash-point exploration sweep ([`crate::explore::explore`])
@@ -727,9 +636,9 @@ impl Engine {
         pmtest_obs::trace_event::to_chrome_trace(&self.shared.telemetry.spans.snapshot())
     }
 
-    /// One human-readable line summarizing [`telemetry_snapshot`]
-    /// (Self::telemetry_snapshot): traces checked, check-latency quantiles,
-    /// queue high-water, diagnostic totals.
+    /// One human-readable line summarizing
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot): traces checked,
+    /// check-latency quantiles, queue high-water, diagnostic totals.
     #[must_use]
     pub fn telemetry_summary(&self) -> String {
         crate::telemetry::summary_line(&self.telemetry_snapshot())
@@ -762,18 +671,23 @@ impl Engine {
         pmtest_obs::AdvisorReport::from_profile(&self.profile())
     }
 
-    /// Submits one trace for asynchronous checking.
+    /// Submits one trace for asynchronous checking. The trace travels as a
+    /// one-trace arena that adopts its record buffer without copying; an
+    /// empty trace still gets its (empty) report.
     ///
     /// # Errors
     ///
     /// Returns [`SubmitError`] if the worker pool has terminated (the engine
     /// was shut down, or a worker panicked); the trace is dropped.
     pub fn submit(&self, trace: Trace) -> Result<(), SubmitError> {
-        self.dispatch(TraceBatch::One(trace))
+        let mut arena = self.shared.arena_pool.acquire();
+        arena.push_trace(trace);
+        self.dispatch(arena)
     }
 
     /// Submits a batch of traces in one ring operation, paying the dispatch
-    /// cost once. An empty batch is a no-op.
+    /// cost once: the traces are packed into one arena. An empty batch is a
+    /// no-op.
     ///
     /// # Errors
     ///
@@ -783,7 +697,11 @@ impl Engine {
         if traces.is_empty() {
             return Ok(());
         }
-        self.dispatch(TraceBatch::Many(traces))
+        let mut arena = self.shared.arena_pool.acquire();
+        for trace in traces {
+            arena.push_trace(trace);
+        }
+        self.dispatch(arena)
     }
 
     /// Submits a sealed record arena — the batched session's zero-copy path.
@@ -799,22 +717,24 @@ impl Engine {
         if arena.sealed() == 0 {
             return Ok(());
         }
-        self.dispatch(TraceBatch::Arena(arena))
+        self.dispatch(arena)
     }
 
-    fn dispatch(&self, batch: TraceBatch) -> Result<(), SubmitError> {
+    fn dispatch(&self, arena: TraceArena) -> Result<(), SubmitError> {
         let plane = &self.shared.plane;
         if plane.is_dead() {
             return Err(SubmitError);
         }
-        let (n, words) = (batch.len(), batch.words());
+        // Packed records the arena holds, for the ring's queued-record bound.
+        let words = arena.traces().map(|(_, w, _)| w.len() as u64).sum();
+        let n = arena.sealed() as u64;
         self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
         let submitted = self.shared.telemetry.timing.then(Instant::now);
         // From here the accounting settles when `msg` drops — whether a
         // worker finishes it, a panicking checker abandons it, or a dead
         // plane discards it. No explicit rollback.
         let msg = BatchMsg {
-            traces: batch,
+            arena,
             accounting: BatchAccounting { shared: self.shared.clone(), n },
             submitted,
         };
@@ -875,9 +795,10 @@ impl Engine {
     /// Records a successfully delivered batch: submission counters plus the
     /// queue-depth gauge (the ring occupancy the batch landed at).
     fn note_submitted(&self, n: u64, depth: u64) {
-        self.shared.batches_submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.traces_submitted.fetch_add(n, Ordering::Relaxed);
-        self.shared.telemetry.queue_depth.set(depth);
+        let telemetry = &self.shared.telemetry;
+        telemetry.counters.batches_submitted.inc();
+        telemetry.counters.traces_submitted.add(n);
+        telemetry.queue_depth.set(depth);
     }
 
     /// Blocks until every submitted trace has been checked
@@ -985,12 +906,31 @@ impl Engine {
 }
 
 /// Tallies a worker accumulates across one batch, settled into the shared
-/// atomics with one `fetch_add` each per batch instead of per trace.
+/// counters with one add each per batch instead of per trace.
 #[derive(Default)]
 struct BatchTally {
     traces: u64,
     entries: u64,
     diags: u64,
+}
+
+/// A worker's per-trace checking state, kept across batches so the steady
+/// state allocates nothing.
+struct WorkerState {
+    idx: usize,
+    /// The model's built-in identity, enabling the clean lane.
+    fast: Option<BuiltinModel>,
+    /// Location mirror for decoding packed records.
+    resolver: LocResolver,
+    /// This worker's verdict-cache front end (fingerprinter + private L1),
+    /// present only when the engine carries the shared L2.
+    wcache: Option<WorkerCache>,
+    /// The profiling layer's observer, holding the batch's profile until
+    /// the batch ends.
+    profiler: SiteProfiler,
+    /// Results of the batch being checked, appended to the shard at its end.
+    reports: Vec<TraceReport>,
+    tally: BatchTally,
 }
 
 /// One worker thread: claim batches off the ingest plane (affinity rings
@@ -999,12 +939,15 @@ struct BatchTally {
 /// the plane dead if this is the last worker out (normal exit or panic).
 fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyModel>) {
     let _guard = WorkerGuard::new(shared.plane.clone());
-    let fast = model.builtin();
-    let mut resolver = LocResolver::new();
-    let mut reports: Vec<TraceReport> = Vec::new();
-    // This worker's verdict-cache front end (fingerprinter + private L1),
-    // present only when the engine carries the shared L2.
-    let mut wcache: Option<WorkerCache> = shared.verdict_cache.as_ref().map(|_| WorkerCache::new());
+    let mut state = WorkerState {
+        idx,
+        fast: model.builtin(),
+        resolver: LocResolver::new(),
+        wcache: shared.verdict_cache.as_ref().map(|_| WorkerCache::new()),
+        profiler: SiteProfiler::default(),
+        reports: Vec::new(),
+        tally: BatchTally::default(),
+    };
     // One span buffer per worker (tid = worker index). Registration is the
     // only allocation; with the tracing layer off the sink defers even that,
     // and every record below is one relaxed load and a taken-branch.
@@ -1015,7 +958,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
         // Destructured so the accounting guard outlives the checking: a
         // panicking checker unwinds through it and the batch still retires
         // (otherwise `wait_idle` would block forever on the lost traces).
-        let BatchMsg { traces, accounting: _accounting, submitted } = msg;
+        let BatchMsg { arena, accounting: _accounting, submitted } = msg;
         let dequeued = submitted.map(|sent| {
             let now = Instant::now();
             let waited = now.duration_since(sent).as_nanos() as u64;
@@ -1035,64 +978,11 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
                 .record(to.duration_since(from).as_nanos() as u64);
         }
         let span_replay = tracing.then(|| span.now_ns());
-        let mut tally = BatchTally::default();
-        match traces {
-            TraceBatch::One(trace) => {
-                check_span(
-                    shared,
-                    idx,
-                    model,
-                    fast,
-                    trace.id(),
-                    trace.packed(),
-                    trace.len() as u32,
-                    &mut scratch,
-                    &mut resolver,
-                    &mut reports,
-                    &mut tally,
-                    wcache.as_mut(),
-                );
-                shared.pool.release(trace.into_packed());
-            }
-            TraceBatch::Many(traces) => {
-                for trace in traces {
-                    check_span(
-                        shared,
-                        idx,
-                        model,
-                        fast,
-                        trace.id(),
-                        trace.packed(),
-                        trace.len() as u32,
-                        &mut scratch,
-                        &mut resolver,
-                        &mut reports,
-                        &mut tally,
-                        wcache.as_mut(),
-                    );
-                    shared.pool.release(trace.into_packed());
-                }
-            }
-            TraceBatch::Arena(arena) => {
-                for (id, words, entries) in arena.traces() {
-                    check_span(
-                        shared,
-                        idx,
-                        model,
-                        fast,
-                        id,
-                        words,
-                        entries,
-                        &mut scratch,
-                        &mut resolver,
-                        &mut reports,
-                        &mut tally,
-                        wcache.as_mut(),
-                    );
-                }
-                shared.arena_pool.release(arena);
-            }
+        for (id, words, entries) in arena.traces() {
+            check_span(shared, model, &mut state, &mut scratch, id, words, entries);
         }
+        state.profiler.flush(&shared.telemetry.profile);
+        shared.arena_pool.release(arena);
         let replay_done = shared.telemetry.timing.then(Instant::now);
         if let (Some(from), Some(to)) = (replay_start, replay_done) {
             shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
@@ -1100,15 +990,17 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
         let span_merge = tracing.then(|| span.now_ns());
         shared.telemetry.segmap_repr_switches.add(scratch.take_repr_switch_delta());
         shared.shadow_pool.release(scratch);
-        // Batched settlement: one fetch_add per counter per batch.
-        if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), wcache.as_mut()) {
+        // Batched settlement: one add per counter per batch.
+        if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), state.wcache.as_mut()) {
             cache.flush_tally(&mut wc.tally);
         }
-        shared.traces_checked.fetch_add(tally.traces, Ordering::Relaxed);
-        shared.entries_processed.fetch_add(tally.entries, Ordering::Relaxed);
-        shared.diagnostics.fetch_add(tally.diags, Ordering::Relaxed);
-        if !reports.is_empty() {
-            shared.shards[idx].lock().append(&mut reports);
+        let tally = std::mem::take(&mut state.tally);
+        let counters = &shared.telemetry.counters;
+        counters.traces_checked.add(tally.traces);
+        counters.entries_processed.add(tally.entries);
+        counters.diagnostics.add(tally.diags);
+        if !state.reports.is_empty() {
+            shared.shards[idx].lock().append(&mut state.reports);
         }
         if let Some(from) = replay_done {
             shared.telemetry.stage(Stage::ReportMerge).record(from.elapsed().as_nanos() as u64);
@@ -1126,56 +1018,47 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
     }
 }
 
-/// Checks one trace's packed records on worker `idx`.
+/// Checks one trace's packed records on the worker owning `state`.
 ///
-/// Three paths, fastest first:
+/// Two lanes, fastest first:
 ///
-/// * **Clean lane** — for built-in models (and no instrumentation), a
-///   conservative DFA sweep over the raw records ([`packed_clean`]) proves
-///   the common all-clean trace diagnostic-free without decoding entries or
-///   touching the shadow memory.
-/// * **Packed replay** — otherwise the full checker replays the records,
-///   decoding one entry at a time on the stack ([`check_packed_with`]).
-/// * **Instrumented replay** — with the telemetry timing layer or the flight
-///   recorder on, entries are decoded up front and the checker loop is run
-///   manually so each entry's cost lands in its [`CheckerCategory`]
-///   histogram and each step can be captured.
+/// * **Clean lane** — for built-in models with every observing telemetry
+///   layer off, a conservative DFA sweep over the raw records
+///   ([`packed_clean`]) proves the common all-clean trace diagnostic-free
+///   without decoding entries or touching the shadow memory.
+/// * **Packed replay** — otherwise the one replay walk decodes one entry at a
+///   time on the stack ([`check_packed_with`]). The timing layer (per-entry
+///   [`CheckerCategory`] histograms and [`TraceStats`]), the flight recorder
+///   (per-step capture) and the profiler (per-site deltas) ride that walk as
+///   observers.
 ///
-/// All three produce identical diagnostics (the clean lane only ever proves
+/// Both produce identical diagnostics (the clean lane only ever proves
 /// "none"). Results land in the worker's report buffer and the batch tally.
 ///
-/// With the verdict cache on (and the instrumented lane off — see the
-/// bypass predicate in [`crate::cache`]), the trace is fingerprinted first:
-/// a hit replays the memoized verdict — identical diagnostics, identical
-/// profile deltas — without touching the checker at all, and a miss runs
-/// the normal lanes and memoizes their outcome.
+/// With the verdict cache on (and neither the timing layer nor the recorder
+/// on — see the bypass predicate in [`crate::cache`]), the trace is
+/// fingerprinted first: a hit replays the memoized verdict — identical
+/// diagnostics, identical profile deltas — without touching the checker at
+/// all, and a miss runs the normal lanes and memoizes their outcome.
 ///
 /// [`CheckerCategory`]: crate::telemetry::CheckerCategory
-#[allow(clippy::too_many_arguments)]
 fn check_span(
     shared: &Shared,
-    idx: usize,
     model: &Arc<dyn PersistencyModel>,
-    fast: Option<BuiltinModel>,
+    state: &mut WorkerState,
+    scratch: &mut CheckerScratch,
     trace_id: u64,
     words: &[PackedEntry],
     entries: u32,
-    scratch: &mut CheckerScratch,
-    resolver: &mut LocResolver,
-    reports: &mut Vec<TraceReport>,
-    tally: &mut BatchTally,
-    wcache: Option<&mut WorkerCache>,
 ) {
     let timing = shared.telemetry.timing;
-    let recorder = shared.recorders.get(idx);
+    let recorder = shared.recorders.get(state.idx);
     let profiling = shared.telemetry.profile.is_enabled();
-    // Verdict-cache probe. The bypass predicate is the instrumented lane's
-    // own condition: per-entry timing and flight-recorder capture (incl.
-    // ERROR bundles) must observe every occurrence, so those traces are
-    // checked cold and never cached.
-    let mut cache_slot: Option<(&VerdictCache, &mut WorkerCache, pmtest_trace::TraceFingerprint)> =
-        None;
-    if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), wcache) {
+    // Verdict-cache probe. Per-entry timing and flight-recorder capture
+    // (incl. ERROR bundles) must observe every occurrence, so those traces
+    // are checked cold and never cached.
+    let mut cache_slot: Option<(&VerdictCache, pmtest_trace::TraceFingerprint)> = None;
+    if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), state.wcache.as_mut()) {
         if timing || recorder.is_some() {
             wc.tally.bypasses += 1;
         } else {
@@ -1183,56 +1066,37 @@ fn check_span(
             if let Some(verdict) = wc.lookup(cache, fp, profiling) {
                 if profiling {
                     if let Some((ops, warns)) = &verdict.profile {
-                        shared.telemetry.profile.record_trace(ops, warns);
+                        state.profiler.add(ops, warns);
                     }
                 }
                 let diags = verdict.diags.clone();
-                tally.traces += 1;
-                tally.entries += u64::from(entries);
-                tally.diags += diags.len() as u64;
-                for diag in &diags {
-                    shared.telemetry.diag_counter(diag.kind).inc();
-                }
-                reports.push(TraceReport { trace_id, diags });
+                file_report(shared, state, trace_id, entries, diags);
                 return;
             }
-            cache_slot = Some((cache, wc, fp));
+            cache_slot = Some((cache, fp));
         }
     }
-    let diags = if timing || recorder.is_some() {
-        let started = Instant::now();
-        let fused = fast.is_some();
-        let decoded = decode_all(words);
+    let mut profile = None;
+    let diags = if timing || recorder.is_some() || profiling {
+        let mut observers = Observers {
+            timer: timing.then(|| EntryTimer::start(&shared.telemetry)),
+            steps: recorder.map(|recorder| StepCapture { recorder, trace_id }),
+            profiler: profiling.then_some(&mut state.profiler),
+        };
         let mut checker = TraceChecker::with_scratch(model.as_ref(), scratch);
-        let mut last = started;
-        for (index, entry) in decoded.iter().enumerate() {
-            checker.process(entry);
-            if timing {
-                let now = Instant::now();
-                shared
-                    .telemetry
-                    .checker_histogram(&entry.event)
-                    .record(now.duration_since(last).as_nanos() as u64);
-                last = now;
-            }
-            if let Some(rec) = recorder {
-                rec.record(capture_step(trace_id, index, entry, checker.shadow()));
-            }
-        }
+        checker.process_packed(words, &mut state.resolver, &mut observers);
         let diags = checker.finish();
-        if timing {
-            let elapsed = started.elapsed().as_nanos() as u64;
-            shared.telemetry.check_latency.record(elapsed);
-            if fused {
-                shared.telemetry.fused_replay.record(elapsed);
-            }
-            shared.telemetry.worker_stats[idx].lock().merge(&TraceStats::from_entries(&decoded));
+        if let Some(timer) = observers.timer {
+            timer.finish(state.idx, state.fast.is_some());
+        }
+        if profiling {
+            profile = state.profiler.end_trace(&diags, cache_slot.is_some());
         }
         diags
-    } else if fast.is_some_and(|f| packed_clean(f, words)) {
+    } else if state.fast.is_some_and(|f| packed_clean(f, words)) {
         Vec::new()
     } else {
-        check_packed_with(words, model.as_ref(), scratch, resolver)
+        check_packed_with(words, model.as_ref(), scratch, &mut state.resolver)
     };
     if let Some(rec) = recorder {
         if diags.iter().any(|d| d.severity() == Severity::Fail) {
@@ -1253,29 +1117,52 @@ fn check_span(
             }
         }
     }
-    if let Some((cache, wc, fp)) = cache_slot {
-        // Cache miss: memoize the cold check's full verdict. The profile
-        // deltas are computed once and double as this trace's own profile
-        // fold, so a profiled miss pays the walk exactly as often as the
-        // uncached path does.
-        let profile = if profiling {
-            let deltas = crate::telemetry::profile_deltas(words, resolver, &diags);
-            shared.telemetry.profile.record_trace(&deltas.0, &deltas.1);
-            Some(deltas)
-        } else {
-            None
-        };
+    if let (Some((cache, fp)), Some(wc)) = (cache_slot, state.wcache.as_mut()) {
+        // Cache miss: memoize the cold check's full verdict, profile deltas
+        // included, so a later hit folds exactly what this walk folded.
         wc.install(cache, fp, CachedVerdict::new(diags.clone(), profile));
-    } else if profiling {
-        crate::telemetry::profile_span(&shared.telemetry.profile, words, resolver, &diags);
     }
-    tally.traces += 1;
-    tally.entries += u64::from(entries);
-    tally.diags += diags.len() as u64;
+    file_report(shared, state, trace_id, entries, diags);
+}
+
+/// The telemetry layers observing one trace's replay, each present only
+/// when its layer is on.
+struct Observers<'a> {
+    timer: Option<EntryTimer<'a>>,
+    steps: Option<StepCapture<'a>>,
+    profiler: Option<&'a mut SiteProfiler>,
+}
+
+impl ReplayObserver for Observers<'_> {
+    fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory) {
+        if let Some(timer) = &mut self.timer {
+            timer.on_entry(index, entry, shadow);
+        }
+        if let Some(steps) = &mut self.steps {
+            steps.on_entry(index, entry, shadow);
+        }
+        if let Some(profiler) = &mut self.profiler {
+            profiler.on_entry(index, entry, shadow);
+        }
+    }
+}
+
+/// Files one trace's verdict: batch tally, per-kind diagnostic counters,
+/// and the worker's report buffer.
+fn file_report(
+    shared: &Shared,
+    state: &mut WorkerState,
+    trace_id: u64,
+    entries: u32,
+    diags: Vec<crate::diag::Diag>,
+) {
+    state.tally.traces += 1;
+    state.tally.entries += u64::from(entries);
+    state.tally.diags += diags.len() as u64;
     for diag in &diags {
         shared.telemetry.diag_counter(diag.kind).inc();
     }
-    reports.push(TraceReport { trace_id, diags });
+    state.reports.push(TraceReport { trace_id, diags });
 }
 
 impl Drop for Engine {
@@ -1552,19 +1439,6 @@ mod tests {
     }
 
     #[test]
-    fn buffers_are_recycled_through_the_pool() {
-        let engine = Engine::new(EngineConfig::default());
-        for id in 0..50 {
-            engine.submit(clean_trace(id)).unwrap();
-        }
-        engine.wait_idle();
-        let stats = engine.buffer_pool().stats();
-        assert_eq!(stats.released, 50, "every checked trace returns its buffer");
-        let buf = engine.buffer_pool().acquire();
-        assert!(buf.is_empty(), "recycled buffer must be cleared");
-    }
-
-    #[test]
     fn shutdown_returns_full_report_once() {
         let engine = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
         for id in 0..20 {
@@ -1608,7 +1482,7 @@ mod tests {
         assert!(not_persisted.labels.iter().any(|(k, v)| k == "severity" && v == "FAIL"));
         assert_eq!(snap.counter_sum("engine_diag_total"), 4, "no other kind fired");
         assert!(snap.gauge("engine_queue_depth").is_some(), "sampled on submit");
-        assert!(snap.gauge("pool_hit_rate").is_some());
+        assert!(snap.gauge("arena_pool_hit_rate").is_some());
         assert!(snap.counter("engine_ring_steals").is_some(), "ingest counters exported");
         assert!(snap.counter("engine_rings_registered").unwrap() >= 1);
         assert!(snap.gauge("engine_ring_occupancy").is_some());

@@ -45,6 +45,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
+use pmtest_obs::Counter;
 
 /// Sequence numbers for plane identities, used to key producer thread-local
 /// ring registries (an address would alias after an engine is dropped).
@@ -162,6 +163,28 @@ impl<T> ProducerRing<T> {
     }
 }
 
+/// The plane's monotonic counters. The engine registers each handle once in
+/// its metrics registry, so its stats and its telemetry snapshot read the
+/// same values; a standalone plane keeps unregistered ones.
+#[derive(Clone, Default)]
+pub(crate) struct IngestCounters {
+    /// Batches claimed outside the claiming worker's affinity pass.
+    pub(crate) steals: Counter,
+    /// Batches claimed inside the claiming worker's affinity pass.
+    pub(crate) affinity_hits: Counter,
+    /// Rings ever registered (≥ live rings; retired rings are pruned).
+    pub(crate) rings_registered: Counter,
+    /// Pushes that found their ring full and had to wait for a consumer.
+    pub(crate) backpressure_stalls: Counter,
+    /// Worker parks actually entered (`park_timeout` calls).
+    pub(crate) parks: Counter,
+    /// Sleepers unparked by a producer's recruit wake.
+    pub(crate) wakes: Counter,
+    /// Recruiting CAS attempts that lost to an in-flight recruit: the
+    /// backlog warranted a wake but one was already pending.
+    pub(crate) recruit_cas_fails: Counter,
+}
+
 /// The plane: every registered ring plus the worker wake/stall protocol and
 /// the observability counters the engine exports.
 pub(crate) struct IngestPlane<T> {
@@ -196,28 +219,13 @@ pub(crate) struct IngestPlane<T> {
     /// discarded.
     dead: AtomicBool,
     workers_alive: AtomicUsize,
-    // ---- counters ----
-    /// Batches claimed outside the claiming worker's affinity pass.
-    steals: AtomicU64,
-    /// Batches claimed inside the claiming worker's affinity pass.
-    affinity_hits: AtomicU64,
-    /// Rings ever registered (≥ live rings; retired rings are pruned).
-    rings_registered: AtomicU64,
+    pub(crate) counters: IngestCounters,
     /// Highest trace occupancy ever observed on a single ring at push time.
     occupancy_highwater: AtomicU64,
-    /// Pushes that found their ring full and had to wait for a consumer.
-    backpressure_stalls: AtomicU64,
-    /// Worker parks actually entered (`park_timeout` calls).
-    parks: AtomicU64,
-    /// Sleepers unparked by a producer's recruit wake.
-    wakes: AtomicU64,
-    /// Recruiting CAS attempts that lost to an in-flight recruit: the
-    /// backlog warranted a wake but one was already pending.
-    recruit_cas_fails: AtomicU64,
 }
 
 impl<T: Send> IngestPlane<T> {
-    pub(crate) fn new(workers: usize, ring_capacity: usize) -> Self {
+    pub(crate) fn new(workers: usize, ring_capacity: usize, counters: IngestCounters) -> Self {
         Self {
             id: PLANE_SEQ.fetch_add(1, Ordering::Relaxed),
             ring_capacity,
@@ -230,14 +238,8 @@ impl<T: Send> IngestPlane<T> {
             closed: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             workers_alive: AtomicUsize::new(workers),
-            steals: AtomicU64::new(0),
-            affinity_hits: AtomicU64::new(0),
-            rings_registered: AtomicU64::new(0),
+            counters,
             occupancy_highwater: AtomicU64::new(0),
-            backpressure_stalls: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-            recruit_cas_fails: AtomicU64::new(0),
         }
     }
 
@@ -249,9 +251,13 @@ impl<T: Send> IngestPlane<T> {
     /// Registers a new producer ring, assigning its preferred worker
     /// round-robin so producers spread across the pool.
     pub(crate) fn register_ring(&self) -> Arc<ProducerRing<T>> {
-        let seq = self.rings_registered.fetch_add(1, Ordering::Relaxed);
+        let mut rings = self.rings.write();
+        // Read and bumped under the registry lock, so every ring gets its
+        // own sequence number.
+        let seq = self.counters.rings_registered.get();
+        self.counters.rings_registered.inc();
         let ring = Arc::new(ProducerRing::new(self.ring_capacity, seq as usize % self.workers));
-        self.rings.write().push(ring.clone());
+        rings.push(ring.clone());
         ring
     }
 
@@ -302,7 +308,7 @@ impl<T: Send> IngestPlane<T> {
             // backpressure regime).
             if !stalled {
                 stalled = true;
-                self.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
+                self.counters.backpressure_stalls.inc();
             }
             if self.dead.load(Ordering::Acquire) {
                 return Err(PlaneClosed);
@@ -315,10 +321,15 @@ impl<T: Send> IngestPlane<T> {
         ring.words.fetch_add(words, Ordering::AcqRel);
         ring.tail.store(t + 1, Ordering::Release);
         ring.pushed.fetch_add(1, Ordering::Relaxed);
-        let depth = ring.occupancy.fetch_add(n, Ordering::Relaxed) + n;
+        // A worker may take the message as soon as `tail` is published, and
+        // subtract it from `occupancy` and `pending` before the adds below:
+        // the counters then sit one message below zero, wrapped, for a
+        // moment, so the sums must wrap too (a plain `+` overflows there and
+        // panics in debug builds).
+        let depth = ring.occupancy.fetch_add(n, Ordering::Relaxed).wrapping_add(n);
         ring.highwater.fetch_max(depth, Ordering::Relaxed);
         self.occupancy_highwater.fetch_max(depth, Ordering::Relaxed);
-        let pending = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        let pending = self.pending.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
         // Dekker handshake with the park path: workers enlist in `parked`
         // (bumping `sleepers`, SeqCst) before re-checking `pending`, so
         // either we see the sleeper here or it sees our pending increment.
@@ -348,7 +359,7 @@ impl<T: Send> IngestPlane<T> {
                     // Backlog warranted a wake, but a recruit is already in
                     // flight. High rates here mean the single-recruit gate is
                     // doing real damping work.
-                    self.recruit_cas_fails.fetch_add(1, Ordering::Relaxed);
+                    self.counters.recruit_cas_fails.inc();
                 }
             }
         }
@@ -367,7 +378,7 @@ impl<T: Send> IngestPlane<T> {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             thread
         };
-        self.wakes.fetch_add(1, Ordering::Relaxed);
+        self.counters.wakes.inc();
         woken.unpark();
     }
 
@@ -411,13 +422,13 @@ impl<T: Send> IngestPlane<T> {
         let rings = self.rings.read();
         for ring in rings.iter().filter(|r| r.pref == me) {
             if let Some(got) = self.try_pop(ring) {
-                self.affinity_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.affinity_hits.inc();
                 return Some(got);
             }
         }
         for ring in rings.iter().filter(|r| r.pref != me) {
             if let Some(got) = self.try_pop(ring) {
-                self.steals.fetch_add(1, Ordering::Relaxed);
+                self.counters.steals.inc();
                 return Some(got);
             }
         }
@@ -452,7 +463,7 @@ impl<T: Send> IngestPlane<T> {
                 self.delist(me);
                 continue;
             }
-            self.parks.fetch_add(1, Ordering::Relaxed);
+            self.counters.parks.inc();
             std::thread::park_timeout(WORKER_PARK);
             self.delist(me);
         }
@@ -530,31 +541,6 @@ impl<T: Send> IngestPlane<T> {
 
     // ---- observability ----
 
-    /// Batches claimed outside the claiming worker's affinity pass.
-    pub(crate) fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Batches claimed inside the claiming worker's affinity pass.
-    pub(crate) fn affinity_hits(&self) -> u64 {
-        self.affinity_hits.load(Ordering::Relaxed)
-    }
-
-    /// Worker parks actually entered.
-    pub(crate) fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
-    }
-
-    /// Sleepers unparked by a producer's recruit wake.
-    pub(crate) fn wakes(&self) -> u64 {
-        self.wakes.load(Ordering::Relaxed)
-    }
-
-    /// Recruiting CAS attempts that lost to an in-flight recruit.
-    pub(crate) fn recruit_cas_fails(&self) -> u64 {
-        self.recruit_cas_fails.load(Ordering::Relaxed)
-    }
-
     /// A per-ring observability sample across every registered ring still
     /// on the scan path.
     pub(crate) fn ring_stats(&self) -> Vec<RingStats> {
@@ -571,19 +557,9 @@ impl<T: Send> IngestPlane<T> {
             .collect()
     }
 
-    /// Producer rings ever registered with this plane.
-    pub(crate) fn rings_registered(&self) -> u64 {
-        self.rings_registered.load(Ordering::Relaxed)
-    }
-
     /// Highest trace occupancy ever observed on one ring at push time.
     pub(crate) fn occupancy_highwater(&self) -> u64 {
         self.occupancy_highwater.load(Ordering::Relaxed)
-    }
-
-    /// Pushes that found their ring full and had to wait.
-    pub(crate) fn backpressure_stalls(&self) -> u64 {
-        self.backpressure_stalls.load(Ordering::Relaxed)
     }
 
     /// Traces currently queued across all rings.
@@ -630,7 +606,8 @@ mod tests {
     fn no_lost_or_duplicated_batches_under_producer_exit_races() {
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 500;
-        let plane: Arc<IngestPlane<u64>> = Arc::new(IngestPlane::new(2, 4));
+        let plane: Arc<IngestPlane<u64>> =
+            Arc::new(IngestPlane::new(2, 4, IngestCounters::default()));
         let seen = Mutex::new(HashSet::new());
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
@@ -664,14 +641,15 @@ mod tests {
         });
         assert_eq!(seen.lock().len(), (PRODUCERS * PER_PRODUCER) as usize);
         assert_eq!(plane.current_occupancy(), 0);
-        assert_eq!(plane.rings_registered(), PRODUCERS);
+        assert_eq!(plane.counters.rings_registered.get(), PRODUCERS);
     }
 
     /// A full ring blocks its producer (counting the stall) until a consumer
     /// frees a slot.
     #[test]
     fn full_ring_backpressures_the_producer() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 1));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 1, IngestCounters::default()));
         let ring = plane.register_ring();
         plane.push(&ring, 0, 1, 1).unwrap();
         let pushed = Arc::new(AtomicBool::new(false));
@@ -686,7 +664,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!pushed.load(Ordering::Acquire), "push into a full ring must block");
-        assert!(plane.backpressure_stalls() >= 1);
+        assert!(plane.counters.backpressure_stalls.get() >= 1);
         let (first, _) = plane.try_pop(&ring).expect("first message queued");
         assert_eq!(first, 0);
         blocked.join().unwrap();
@@ -700,7 +678,8 @@ mod tests {
     /// a message of any size.
     #[test]
     fn queued_records_backpressure_the_producer() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
         plane.push(&ring, 0, 1, 2 * MAX_QUEUED_WORDS).unwrap();
         let pushed = Arc::new(AtomicBool::new(false));
@@ -715,7 +694,7 @@ mod tests {
         };
         // The stall is counted before the wait, and nothing can land before
         // the pop below, so this holds however late the thread runs.
-        while plane.backpressure_stalls() == 0 {
+        while plane.counters.backpressure_stalls.get() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(!pushed.load(Ordering::Acquire), "a ring over its record bound must block");
@@ -724,12 +703,28 @@ mod tests {
         // Small messages share the bound until the next would pass it.
         plane.push(&ring, 2, 1, MAX_QUEUED_WORDS - 2).unwrap();
         plane.push(&ring, 3, 1, 1).unwrap();
-        assert_eq!(plane.backpressure_stalls(), 1, "within the bound nothing stalls");
+        assert_eq!(plane.counters.backpressure_stalls.get(), 1, "within the bound nothing stalls");
         assert_eq!(ring.words.load(Ordering::Relaxed), MAX_QUEUED_WORDS);
         for expect in 1..=3 {
             assert_eq!(plane.try_pop(&ring).expect("queued").0, expect);
         }
         assert_eq!(ring.words.load(Ordering::Relaxed), 0);
+    }
+
+    /// A worker can take a message the moment `tail` is published, before
+    /// its producer adds it to `occupancy` and `pending`; the producer's
+    /// sums must wrap back into range instead of overflowing.
+    #[test]
+    fn push_tolerates_a_take_before_its_counters_are_bumped() {
+        let plane: IngestPlane<u32> = IngestPlane::new(1, 8, IngestCounters::default());
+        let ring = plane.register_ring();
+        // What a racing take leaves behind: both counters one message
+        // below zero.
+        ring.occupancy.fetch_sub(1, Ordering::Relaxed);
+        plane.pending.fetch_sub(1, Ordering::SeqCst);
+        assert_eq!(plane.push(&ring, 7, 1, 1), Ok(0), "queue depth back at zero");
+        assert_eq!(plane.pending.load(Ordering::SeqCst), 0);
+        assert_eq!(ring.occupancy(), 0);
     }
 
     /// When the last worker dies, queued messages are discarded — and each
@@ -744,7 +739,8 @@ mod tests {
             }
         }
         let settled = Arc::new(AtomicUsize::new(0));
-        let plane: Arc<IngestPlane<Settles>> = Arc::new(IngestPlane::new(1, 8));
+        let plane: Arc<IngestPlane<Settles>> =
+            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
         for _ in 0..3 {
             plane.push(&ring, Settles(settled.clone()), 1, 1).unwrap();
@@ -762,7 +758,8 @@ mod tests {
     /// worker pool dies — a blocked submit must not hang forever.
     #[test]
     fn worker_death_unblocks_a_stalled_producer() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 1));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 1, IngestCounters::default()));
         let ring = plane.register_ring();
         plane.push(&ring, 0, 1, 1).unwrap();
         let stalled = {
@@ -779,7 +776,8 @@ mod tests {
     /// survive until their messages are claimed.
     #[test]
     fn retired_rings_are_pruned_once_drained() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
         plane.push(&ring, 7, 1, 1).unwrap();
         ring.retire();
@@ -796,21 +794,23 @@ mod tests {
     /// worker's claims are counted.
     #[test]
     fn steals_are_counted_only_for_foreign_claims() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(2, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(2, 8, IngestCounters::default()));
         let ring = plane.register_ring(); // pref = 0
         plane.push(&ring, 1, 1, 1).unwrap();
         assert!(plane.try_claim(0).is_some());
-        assert_eq!(plane.steals(), 0, "affinity claim is not a steal");
+        assert_eq!(plane.counters.steals.get(), 0, "affinity claim is not a steal");
         plane.push(&ring, 2, 1, 1).unwrap();
         assert!(plane.try_claim(1).is_some());
-        assert_eq!(plane.steals(), 1, "foreign claim is a steal");
-        assert_eq!(plane.affinity_hits(), 1, "only the first claim was on-affinity");
+        assert_eq!(plane.counters.steals.get(), 1, "foreign claim is a steal");
+        assert_eq!(plane.counters.affinity_hits.get(), 1, "only the first claim was on-affinity");
     }
 
     /// Per-ring samples track pushes, occupancy, and the high-water mark.
     #[test]
     fn ring_stats_sample_push_and_highwater() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(2, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(2, 8, IngestCounters::default()));
         let a = plane.register_ring();
         let b = plane.register_ring();
         plane.push(&a, 1, 3, 1).unwrap();
@@ -835,7 +835,8 @@ mod tests {
     /// flight records a recruiting-CAS loss instead of a second wake.
     #[test]
     fn parker_counters_track_parks_wakes_and_recruit_losses() {
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
         let worker = {
             let plane = plane.clone();
@@ -857,27 +858,29 @@ mod tests {
         }
         plane.close();
         assert_eq!(worker.join().unwrap(), 1);
-        assert!(plane.parks() >= 1, "the worker parked at least once");
+        assert!(plane.counters.parks.get() >= 1, "the worker parked at least once");
 
         // Wake accounting, driven deterministically: enlist this thread as a
         // sleeper, then a wake must pop it and count exactly once.
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         plane.parked.lock().push((0, std::thread::current()));
         plane.sleepers.store(1, Ordering::SeqCst);
         plane.wake_one();
-        assert_eq!(plane.wakes(), 1, "popping a sleeper counts one wake");
+        assert_eq!(plane.counters.wakes.get(), 1, "popping a sleeper counts one wake");
         plane.wake_one();
-        assert_eq!(plane.wakes(), 1, "an empty stack wakes (and counts) nothing");
+        assert_eq!(plane.counters.wakes.get(), 1, "an empty stack wakes (and counts) nothing");
 
         // Recruit-loss path: with the recruiting flag pre-claimed and a
         // sleeper enlisted, a push whose backlog exceeds the awake count
         // must count a CAS loss rather than wake anyone.
-        let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(1, 8));
+        let plane: Arc<IngestPlane<u32>> =
+            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
         plane.recruiting.store(true, Ordering::SeqCst);
         plane.sleepers.store(1, Ordering::SeqCst);
         plane.push(&ring, 2, 1, 1).unwrap();
-        assert_eq!(plane.recruit_cas_fails(), 1);
-        assert_eq!(plane.wakes(), 0, "a lost recruit CAS must not wake");
+        assert_eq!(plane.counters.recruit_cas_fails.get(), 1);
+        assert_eq!(plane.counters.wakes.get(), 0, "a lost recruit CAS must not wake");
     }
 }

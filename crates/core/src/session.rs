@@ -200,11 +200,11 @@ impl SessionShared {
     ///
     /// A producer keeps `queue_capacity + 1` arenas in flight once its ring
     /// backs up (one per queued batch, plus the one it records into), so a
-    /// cold pool mints exactly that many `pool_fresh` arenas per thread
+    /// cold pool mints exactly that many `arena_pool_fresh` arenas per thread
     /// before recycling takes over. Releasing them up front — pre-sized so
     /// the pool's retention check keeps them and the first batches record
     /// without slab growth — moves those misses off the steady-state rate:
-    /// the committed w4/b32 `pool_hit_rate` was 0.79 without this, ≥0.9
+    /// the committed w4/b32 `arena_pool_hit_rate` was 0.79 without this, ≥0.9
     /// with it (asserted in the engine stress test).
     fn prewarmed_arena(&self) -> TraceArena {
         let pool = self.engine.arena_pool();
@@ -220,21 +220,6 @@ impl SessionShared {
         }
         pool.acquire()
     }
-    /// Ships one completed per-thread batch arena to the engine, recording
-    /// its fill level and why it flushed (`session_flush_total{cause=…}`).
-    /// With batching off (capacity 1) every trace ships the moment it is
-    /// sent, so there is no batch telemetry to record.
-    fn ship_arena(&self, arena: TraceArena, cause: FlushCause) {
-        let n = arena.sealed();
-        if n == 0 {
-            return;
-        }
-        if self.batch_capacity > 1 {
-            self.engine.telemetry().note_batch_shipped(cause, n);
-        }
-        let _ = self.engine.submit_arena(arena);
-    }
-
     /// The full ship path for a recording-side arena: detach the sealed
     /// batch onto a recycled arena, fold the allocator/intern tallies the
     /// live arena kept through the detach into the engine's counters, and
@@ -255,12 +240,21 @@ impl SessionShared {
         }
     }
 
+    /// Detaches the sealed batch onto a recycled arena and submits it,
+    /// recording its fill level and why it flushed
+    /// (`session_flush_total{cause=…}`). With batching off (capacity 1)
+    /// every trace ships the moment it is sent, so there is no batch
+    /// telemetry to record.
     fn ship_detached(&self, arena: &mut TraceArena, cause: FlushCause) {
         let shipped = arena.detach_for_ship(self.engine.arena_pool().acquire());
         // `detach_for_ship` keeps the tallies on the recording side; taking
         // them here makes the fold exactly once per shipped batch.
-        self.engine.telemetry().note_arena_stats(arena.take_stats());
-        self.ship_arena(shipped, cause);
+        let telemetry = self.engine.telemetry();
+        telemetry.note_arena_stats(arena.take_stats());
+        if self.batch_capacity > 1 {
+            telemetry.note_batch_shipped(cause, shipped.sealed());
+        }
+        let _ = self.engine.submit_arena(shipped);
     }
 
     /// A producer-side span buffer for one recording thread, when the
@@ -309,7 +303,7 @@ impl SessionBuilder {
     ///
     /// When not set, the depth is derived from the batch size
     /// ([`derived_queue_capacity`](crate::derived_queue_capacity)):
-    /// `256 / batch_capacity`, clamped to `[8, 256]`, so the pipeline
+    /// `256 / batch_capacity`, clamped to `[32, 256]`, so the pipeline
     /// buffers a consistent number of *traces* whether submission is
     /// batched or not.
     #[must_use]
@@ -334,16 +328,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Retained for replay harnesses (default: off). The sharded ingest
-    /// plane is per-producer FIFO and reports are sorted by trace id, so
-    /// results are reproducible regardless; this knob no longer changes
-    /// scheduling. See [`crate::EngineConfig::deterministic_dispatch`].
-    #[must_use]
-    pub fn deterministic_dispatch(mut self, on: bool) -> Self {
-        self.config.deterministic_dispatch = on;
         self
     }
 

@@ -19,10 +19,13 @@ use pmtest_obs::{
     Counter, EventLog, Gauge, Histogram, MetricsRegistry, ProfileStore, SiteDelta, SpanSink,
     TelemetrySnapshot,
 };
-use pmtest_trace::packed::decode_next;
-use pmtest_trace::{ArenaStats, Event, FlightRecorder, LocResolver, PackedEntry, TraceStats};
+use pmtest_trace::{ArenaStats, Entry, Event, FlightRecorder, TraceStats, TraceStatsBuilder};
 
+use crate::cache::ProfileDeltas;
+use crate::checker::ReplayObserver;
 use crate::diag::{Diag, DiagKind, Severity};
+use crate::ingest::IngestCounters;
+use crate::shadow::ShadowMemory;
 
 /// What the engine records beyond its always-on counters.
 ///
@@ -76,7 +79,7 @@ impl Default for TelemetryConfig {
 impl TelemetryConfig {
     /// Counters only — the zero-cost default.
     #[must_use]
-    pub fn off() -> Self {
+    pub const fn off() -> Self {
         Self {
             timing: false,
             events: false,
@@ -277,9 +280,34 @@ impl FlushCause {
     }
 }
 
+/// The engine's own monotonic tallies. Each is registered once in the
+/// metrics registry, so [`EngineStats`](crate::EngineStats) and the
+/// telemetry snapshot read the same handles.
+pub(crate) struct EngineCounters {
+    pub(crate) traces_checked: Counter,
+    pub(crate) entries_processed: Counter,
+    pub(crate) diagnostics: Counter,
+    pub(crate) batches_submitted: Counter,
+    pub(crate) traces_submitted: Counter,
+    /// Crash points visited by exploration sweeps recorded on the engine.
+    pub(crate) crash_points: Counter,
+    /// Crash images run through a recovery procedure.
+    pub(crate) images_checked: Counter,
+    /// Crash points served off shared (incrementally advanced) prefix state.
+    pub(crate) prefix_share_hits: Counter,
+    /// Crash points that paid a from-scratch rescan.
+    pub(crate) prefix_share_misses: Counter,
+    /// Checker-scratch acquisitions served by recycling, and by allocating.
+    pub(crate) shadow_recycled: Counter,
+    pub(crate) shadow_fresh: Counter,
+}
+
 /// The engine's typed metric handles, shared with its workers.
 pub(crate) struct EngineTelemetry {
     registry: MetricsRegistry,
+    pub(crate) counters: EngineCounters,
+    /// The ingest plane's counters, registered here and handed to the plane.
+    pub(crate) ingest: IngestCounters,
     /// Structured event ring (batch spans, flush events).
     pub(crate) events: EventLog,
     /// Whether the timing layer is on (checked by workers and dispatch).
@@ -376,7 +404,32 @@ impl EngineTelemetry {
                 registry.counter("engine_worker_busy_ns", &[("worker", &worker)])
             })
             .collect();
+        let counter = |name: &str| registry.counter(name, &[]);
+        let counters = EngineCounters {
+            traces_checked: counter("engine_traces_checked"),
+            entries_processed: counter("engine_entries_processed"),
+            diagnostics: counter("engine_diagnostics"),
+            batches_submitted: counter("engine_batches_submitted"),
+            traces_submitted: counter("engine_traces_submitted"),
+            crash_points: counter("crash_points_enumerated"),
+            images_checked: counter("images_checked"),
+            prefix_share_hits: counter("prefix_share_hits"),
+            prefix_share_misses: counter("prefix_share_misses"),
+            shadow_recycled: counter("shadow_pool_recycled"),
+            shadow_fresh: counter("shadow_pool_fresh"),
+        };
+        let ingest = IngestCounters {
+            backpressure_stalls: counter("engine_backpressure_stalls"),
+            steals: counter("engine_ring_steals"),
+            affinity_hits: counter("engine_ring_affinity_hits"),
+            rings_registered: counter("engine_rings_registered"),
+            parks: counter("engine_parker_parks"),
+            wakes: counter("engine_parker_wakes"),
+            recruit_cas_fails: counter("engine_parker_recruit_cas_fails"),
+        };
         Self {
+            counters,
+            ingest,
             events,
             timing: config.timing,
             started: Instant::now(),
@@ -500,92 +553,185 @@ impl EngineTelemetry {
     }
 }
 
-/// Feeds one checked trace into the cross-trace profile store: a single
-/// decode walk re-detects the wasteful persistency patterns — duplicate and
-/// unnecessary flushes, duplicate undo-log appends, fences ordering no new
-/// work — per source site, dialect-independently (under HOPS the checkers
-/// demote flush/fence to `ForeignOperation`, but the profile still sees
-/// them), and attributes every WARN diagnostic to its site. Called from the
-/// worker replay path only when [`ProfileStore::is_enabled`] — the off cost
-/// is the caller's one relaxed load.
-pub(crate) fn profile_span(
-    store: &ProfileStore,
-    words: &[PackedEntry],
-    resolver: &mut LocResolver,
-    diags: &[Diag],
-) {
-    let (ops, warns) = profile_deltas(words, resolver, diags);
-    store.record_trace(&ops, &warns);
+/// The timing layer's replay observer: charges each entry's wall time to
+/// its [`CheckerCategory`] histogram and accumulates the trace's
+/// [`TraceStats`] on the same walk.
+pub(crate) struct EntryTimer<'a> {
+    telemetry: &'a EngineTelemetry,
+    started: Instant,
+    last: Instant,
+    stats: TraceStatsBuilder,
 }
 
-/// The profiling walk of [`profile_span`], separated from the store fold so
-/// the verdict cache can capture (and later replay) a trace's deltas: both
-/// vectors' keys are `'static`, making the pair storable verbatim.
-pub(crate) fn profile_deltas(
-    words: &[PackedEntry],
-    resolver: &mut LocResolver,
-    diags: &[Diag],
-) -> crate::cache::ProfileDeltas {
-    let mut sites: std::collections::BTreeMap<(&'static str, u32), SiteDelta> =
-        std::collections::BTreeMap::new();
+impl<'a> EntryTimer<'a> {
+    /// Starts the clock on one trace.
+    pub(crate) fn start(telemetry: &'a EngineTelemetry) -> Self {
+        let started = Instant::now();
+        Self { telemetry, started, last: started, stats: TraceStatsBuilder::default() }
+    }
+
+    /// Closes the trace: its whole-replay latency (also charged to the
+    /// fused-replay histogram when the model is a built-in) and its stats,
+    /// folded into worker `worker`'s aggregate.
+    pub(crate) fn finish(self, worker: usize, fused: bool) {
+        let elapsed = self.started.elapsed().as_nanos() as u64;
+        self.telemetry.check_latency.record(elapsed);
+        if fused {
+            self.telemetry.fused_replay.record(elapsed);
+        }
+        self.telemetry.worker_stats[worker].lock().merge(&self.stats.finish());
+    }
+}
+
+impl ReplayObserver for EntryTimer<'_> {
+    fn on_entry(&mut self, _: usize, entry: &Entry, _: &ShadowMemory) {
+        let now = Instant::now();
+        self.telemetry
+            .checker_histogram(&entry.event)
+            .record(now.duration_since(self.last).as_nanos() as u64);
+        self.last = now;
+        self.stats.push(&entry.event);
+    }
+}
+
+/// One source site, as the profile store keys it: `(file, line)`.
+type Site = (&'static str, u32);
+
+/// The profiling layer's replay observer: re-detects the wasteful
+/// persistency patterns — duplicate and unnecessary flushes, duplicate
+/// undo-log appends, fences ordering no new work — per source site,
+/// dialect-independently (under HOPS the checkers demote flush/fence to
+/// `ForeignOperation`, but the profile still sees them). Each worker keeps
+/// one, so its buffers outlive the trace, and [`flush`](Self::flush)es the
+/// traces of a whole batch into the profile store under one lock.
+#[derive(Default)]
+pub(crate) struct SiteProfiler {
+    /// Per-site deltas of the observed trace, in first-touch order until
+    /// [`end_trace`](Self::end_trace) sorts them.
+    sites: Vec<(Site, SiteDelta)>,
     // Shadow sets mirroring the checker's redundancy view: what has been
     // written (and not yet re-dirtied), what is clean-flushed, and what the
     // open transaction has already logged.
-    let mut written: SegmentMap<()> = SegmentMap::new();
-    let mut flushed: SegmentMap<()> = SegmentMap::new();
-    let mut logged: SegmentMap<()> = SegmentMap::new();
-    let mut work_since_fence = false;
-    let overlap_bytes = |map: &SegmentMap<()>, r: ByteRange| -> u64 {
-        map.overlapping(r).map(|(seg, _)| seg.intersection(&r).map_or(0, |o| o.len())).sum()
+    written: SegmentMap<()>,
+    flushed: SegmentMap<()>,
+    logged: SegmentMap<()>,
+    work_since_fence: bool,
+    /// Traces ended since the last flush, with their summed per-site
+    /// deltas and their WARN attributions.
+    batch_traces: u64,
+    batch_ops: Vec<(Site, SiteDelta)>,
+    batch_warns: Vec<(Site, &'static str)>,
+}
+
+/// The delta of `site`, added on first touch. A linear scan: a trace
+/// touches a handful of sites, and the line compare rejects most.
+fn site_delta(sites: &mut Vec<(Site, SiteDelta)>, (file, line): Site) -> &mut SiteDelta {
+    let at = match sites.iter().position(|((f, l), _)| *l == line && *f == file) {
+        Some(at) => at,
+        None => {
+            sites.push(((file, line), SiteDelta::default()));
+            sites.len() - 1
+        }
     };
-    let mut i = 0;
-    while let Some((entry, next)) = decode_next(words, i, resolver) {
-        i = next;
-        let site = (entry.loc.file(), entry.loc.line());
+    &mut sites[at].1
+}
+
+/// Bytes of `r` that `map`'s (disjoint) segments cover.
+fn covered_bytes(map: &SegmentMap<()>, r: ByteRange) -> u64 {
+    map.overlapping(r).map(|(seg, _)| seg.intersection(&r).map_or(0, |o| o.len())).sum()
+}
+
+impl SiteProfiler {
+    /// Ends the observed trace: its per-site deltas, sorted by site, and the
+    /// WARN attributions of `diags` join the batch, and the per-trace state
+    /// resets. With `capture` the trace's own deltas are returned too, for
+    /// the verdict cache: every key is `'static`, so they store verbatim.
+    pub(crate) fn end_trace(&mut self, diags: &[Diag], capture: bool) -> Option<ProfileDeltas> {
+        let mut sites = std::mem::take(&mut self.sites);
+        sites.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let warns: Vec<_> = diags
+            .iter()
+            .filter(|d| d.severity() == Severity::Warn)
+            .map(|d| ((d.loc.file(), d.loc.line()), d.kind.code()))
+            .collect();
+        self.add(&sites, &warns);
+        let deltas = capture.then(|| (sites.clone(), warns));
+        sites.clear();
+        self.sites = sites;
+        self.written.clear();
+        self.flushed.clear();
+        self.logged.clear();
+        self.work_since_fence = false;
+        deltas
+    }
+
+    /// Adds one ended trace's deltas to the batch: an observed trace's, or
+    /// the stored ones of a trace the verdict cache answered.
+    pub(crate) fn add(&mut self, ops: &[(Site, SiteDelta)], warns: &[(Site, &'static str)]) {
+        self.batch_traces += 1;
+        for (site, delta) in ops {
+            site_delta(&mut self.batch_ops, *site).merge(delta);
+        }
+        self.batch_warns.extend_from_slice(warns);
+    }
+
+    /// Folds the batch into `store`, under one lock for all its traces.
+    pub(crate) fn flush(&mut self, store: &ProfileStore) {
+        if self.batch_traces > 0 {
+            store.record_traces(self.batch_traces, &self.batch_ops, &self.batch_warns);
+            self.batch_traces = 0;
+            self.batch_ops.clear();
+            self.batch_warns.clear();
+        }
+    }
+}
+
+impl ReplayObserver for SiteProfiler {
+    fn on_entry(&mut self, _: usize, entry: &Entry, _: &ShadowMemory) {
         match entry.event {
             Event::Write(r) => {
-                sites.entry(site).or_default().writes += 1;
-                written.insert(r, ());
+                site_delta(&mut self.sites, (entry.loc.file(), entry.loc.line())).writes += 1;
+                self.written.insert(r, ());
                 // A rewrite re-dirties the line: a later flush is useful again.
-                flushed.remove(r);
-                work_since_fence = true;
+                self.flushed.remove(r);
+                self.work_since_fence = true;
             }
             Event::Flush(r) => {
-                let delta = sites.entry(site).or_default();
+                let delta = site_delta(&mut self.sites, (entry.loc.file(), entry.loc.line()));
                 delta.flushes += 1;
-                let dup = overlap_bytes(&flushed, r);
+                let dup = covered_bytes(&self.flushed, r);
                 if dup > 0 {
                     delta.dup_flushes += 1;
                     delta.dup_flush_bytes += dup;
                 }
-                let unwritten: u64 = written.gaps(r).iter().map(ByteRange::len).sum();
+                let unwritten = r.len() - covered_bytes(&self.written, r);
                 if unwritten > 0 {
                     delta.unnecessary_flushes += 1;
                     delta.unnecessary_flush_bytes += unwritten;
                 }
-                flushed.insert(r, ());
-                work_since_fence = true;
+                self.flushed.insert(r, ());
+                self.work_since_fence = true;
             }
             Event::Fence | Event::OFence | Event::DFence => {
-                let delta = sites.entry(site).or_default();
+                let delta = site_delta(&mut self.sites, (entry.loc.file(), entry.loc.line()));
                 delta.fences += 1;
-                if !work_since_fence {
+                if !self.work_since_fence {
                     delta.redundant_fences += 1;
                 }
-                work_since_fence = false;
+                self.work_since_fence = false;
             }
             Event::TxAdd(r) => {
-                let delta = sites.entry(site).or_default();
+                let delta = site_delta(&mut self.sites, (entry.loc.file(), entry.loc.line()));
                 delta.logs += 1;
-                let dup = overlap_bytes(&logged, r);
+                let dup = covered_bytes(&self.logged, r);
                 if dup > 0 {
                     delta.dup_logs += 1;
                     delta.dup_log_bytes += dup;
                 }
-                logged.insert(r, ());
-                work_since_fence = true;
+                self.logged.insert(r, ());
+                self.work_since_fence = true;
             }
-            Event::TxBegin | Event::TxEnd => logged.clear(),
+            Event::TxBegin | Event::TxEnd => self.logged.clear(),
             Event::IsPersist(_)
             | Event::IsOrderedBefore(_, _)
             | Event::TxCheckerStart
@@ -594,13 +740,6 @@ pub(crate) fn profile_deltas(
             | Event::Include(_) => {}
         }
     }
-    let ops: Vec<_> = sites.into_iter().collect();
-    let warns: Vec<_> = diags
-        .iter()
-        .filter(|d| d.severity() == Severity::Warn)
-        .map(|d| ((d.loc.file(), d.loc.line()), d.kind.code()))
-        .collect();
-    (ops, warns)
 }
 
 /// A one-line human summary of an engine snapshot — traces checked, check
@@ -721,9 +860,8 @@ mod tests {
         assert!(s.contains("timing off"), "{s}");
         let tel = EngineTelemetry::new(1, &TelemetryConfig::enabled());
         tel.check_latency.record(1_500);
-        let mut snap = tel.snapshot();
-        snap.push_counter("engine_traces_checked", &[], 1);
-        let s = summary_line(&snap);
+        tel.counters.traces_checked.inc();
+        let s = summary_line(&tel.snapshot());
         assert!(s.contains("1 traces checked"), "{s}");
         assert!(s.contains("p50"), "{s}");
         assert!(!s.contains("WARNING"), "no drops, no warning: {s}");

@@ -20,7 +20,6 @@ fn profiling_engine(model: Arc<dyn pmtest_core::PersistencyModel>) -> Engine {
     Engine::new(EngineConfig {
         model,
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::profiling_only(),
         ..EngineConfig::default()
     })

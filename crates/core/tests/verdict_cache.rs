@@ -3,8 +3,8 @@
 //! The cache's one obligation is invisibility: with it on, every observable
 //! output — `Report` rendering, diagnosis bundles, profile snapshots — must
 //! be identical to a cache-off run, while the bypass predicate keeps the
-//! instrumented replay lane (timing layer, flight recorder) checking every
-//! occurrence cold.
+//! replay observers that must see every occurrence (timing layer, flight
+//! recorder) checking every occurrence cold.
 
 use pmtest_core::{HopsModel, PmTestSession, SessionBuilder, TelemetryConfig};
 use pmtest_interval::ByteRange;
@@ -132,7 +132,7 @@ fn timing_layer_bypasses_the_cache() {
     let report = session.finish();
     assert_eq!(report.traces().len(), 100);
     let stats = session.verdict_cache_stats().expect("cache enabled");
-    assert_eq!(stats.bypasses, 100, "instrumented lane checks every occurrence cold");
+    assert_eq!(stats.bypasses, 100, "observed replays check every occurrence cold");
     assert_eq!(stats.l1_hits + stats.l2_hits + stats.misses, 0);
 }
 

@@ -208,7 +208,7 @@ pub fn check_program(program: &Program) -> Result<Vec<Divergence>, SubmitError> 
             let report = exec::run_with_model(
                 &program.line_expanded(),
                 exec::model_for(program.dialect),
-                EngineRun { workers: 1, batch_capacity: 1 },
+                &EngineRun::new(1, 1),
                 1,
             )?;
             widened = Some(

@@ -14,22 +14,30 @@ use pmtest_trace::Trace;
 use crate::program::{Dialect, Program, POOL_BYTES};
 
 /// One engine configuration of the differential matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineRun {
     /// Worker threads.
     pub workers: usize,
     /// Traces per submitted batch.
     pub batch_capacity: usize,
+    /// Telemetry layers the engine runs with; none of them may change a
+    /// report.
+    pub telemetry: TelemetryConfig,
+}
+
+impl EngineRun {
+    /// A matrix cell with every telemetry layer off.
+    #[must_use]
+    pub const fn new(workers: usize, batch_capacity: usize) -> Self {
+        Self { workers, batch_capacity, telemetry: TelemetryConfig::off() }
+    }
 }
 
 /// The default matrix: the paper's single-worker default, a two-worker
 /// unbatched run, and a wide batched run — enough to catch shard-merge and
 /// batching bugs on every fuzzed program without tripling its cost.
-pub const DEFAULT_MATRIX: &[EngineRun] = &[
-    EngineRun { workers: 1, batch_capacity: 1 },
-    EngineRun { workers: 2, batch_capacity: 1 },
-    EngineRun { workers: 4, batch_capacity: 32 },
-];
+pub const DEFAULT_MATRIX: &[EngineRun] =
+    &[EngineRun::new(1, 1), EngineRun::new(2, 1), EngineRun::new(4, 32)];
 
 /// How many identical copies of the program each engine run checks. Multiple
 /// replicas make worker scheduling matter (a single trace never exercises
@@ -46,17 +54,21 @@ pub fn model_for(dialect: Dialect) -> Arc<dyn PersistencyModel> {
     }
 }
 
-/// Builds an engine for one matrix cell. Dispatch is deterministic so a
-/// replayed program reproduces the exact trace→worker schedule.
-#[must_use]
-pub fn build_engine(model: Arc<dyn PersistencyModel>, run: EngineRun) -> Engine {
-    Engine::new(EngineConfig {
+/// The engine configuration of one matrix cell.
+fn cell_config(model: Arc<dyn PersistencyModel>, run: &EngineRun) -> EngineConfig {
+    EngineConfig {
         model,
         workers: run.workers,
         queue_capacity: 64,
-        deterministic_dispatch: true,
+        telemetry: run.telemetry.clone(),
         ..EngineConfig::default()
-    })
+    }
+}
+
+/// Builds an engine for one matrix cell.
+#[must_use]
+pub fn build_engine(model: Arc<dyn PersistencyModel>, run: &EngineRun) -> Engine {
+    Engine::new(cell_config(model, run))
 }
 
 /// Submits `replicas` copies of the program (trace ids `start_id..`) in
@@ -92,7 +104,7 @@ pub fn submit_replicas(
 pub fn run_with_model(
     program: &Program,
     model: Arc<dyn PersistencyModel>,
-    run: EngineRun,
+    run: &EngineRun,
     replicas: u64,
 ) -> Result<Report, SubmitError> {
     let engine = build_engine(model, run);
@@ -106,21 +118,21 @@ pub fn run_with_model(
 /// # Errors
 ///
 /// Returns [`SubmitError`] if the engine stopped accepting traces.
-pub fn run_engine(program: &Program, run: EngineRun, replicas: u64) -> Result<Report, SubmitError> {
+pub fn run_engine(
+    program: &Program,
+    run: &EngineRun,
+    replicas: u64,
+) -> Result<Report, SubmitError> {
     run_with_model(program, model_for(program.dialect), run, replicas)
 }
 
 /// Builds a matrix-cell engine with the verdict cache enabled — identical
 /// to [`build_engine`] otherwise, for cache-on/off equivalence sweeps.
 #[must_use]
-pub fn build_engine_cached(model: Arc<dyn PersistencyModel>, run: EngineRun) -> Engine {
+pub fn build_engine_cached(model: Arc<dyn PersistencyModel>, run: &EngineRun) -> Engine {
     Engine::new(EngineConfig {
-        model,
-        workers: run.workers,
-        queue_capacity: 64,
-        deterministic_dispatch: true,
         verdict_cache: VerdictCacheConfig { enabled: true, ..VerdictCacheConfig::default() },
-        ..EngineConfig::default()
+        ..cell_config(model, run)
     })
 }
 
@@ -134,7 +146,7 @@ pub fn build_engine_cached(model: Arc<dyn PersistencyModel>, run: EngineRun) -> 
 /// Returns [`SubmitError`] if the engine stopped accepting traces.
 pub fn run_engine_cached(
     program: &Program,
-    run: EngineRun,
+    run: &EngineRun,
     replicas: u64,
 ) -> Result<Report, SubmitError> {
     let engine = build_engine_cached(model_for(program.dialect), run);
@@ -187,8 +199,8 @@ impl MatrixOutcome {
 /// Returns [`SubmitError`] if any engine stopped accepting traces.
 pub fn run_matrix(program: &Program, matrix: &[EngineRun]) -> Result<MatrixOutcome, SubmitError> {
     let mut reports = Vec::with_capacity(matrix.len());
-    for &run in matrix {
-        reports.push((run, run_engine(program, run, REPLICAS)?));
+    for run in matrix {
+        reports.push((run.clone(), run_engine(program, run, REPLICAS)?));
     }
     Ok(MatrixOutcome { reports })
 }
@@ -207,7 +219,6 @@ pub fn capture_diagnosis_bundle(program: &Program) -> Result<String, String> {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig {
             recorder_capacity: trace.len().max(1),
             ..TelemetryConfig::recorder_only()

@@ -274,7 +274,7 @@ pub fn explore_program_with(
     program: &Program,
     random: Option<(u64, usize)>,
 ) -> Result<ExploreOutcome, SubmitError> {
-    let report = exec::run_engine(program, EngineRun { workers: 1, batch_capacity: 1 }, 1)?;
+    let report = exec::run_engine(program, &EngineRun::new(1, 1), 1)?;
     let diags: Vec<Diag> = report
         .traces()
         .iter()

@@ -25,7 +25,6 @@ fn advisor_json(program: &Program, workers: usize, batch_capacity: usize) -> Str
         model: model_for(program.dialect),
         workers,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::profiling_only(),
         ..EngineConfig::default()
     });

@@ -26,7 +26,7 @@ fn both_dialects() -> GenConfig {
 fn assert_reports_match(range: std::ops::Range<u64>, cfg: &GenConfig, matrix: &[EngineRun]) {
     for seed in range {
         let program = generate(seed, cfg);
-        for &run in matrix {
+        for run in matrix {
             let off = run_engine(&program, run, REPLICAS).expect("cache-off run");
             let on = run_engine_cached(&program, run, REPLICAS).expect("cache-on run");
             assert_eq!(
@@ -52,10 +52,7 @@ proptest! {
     /// multi-worker cells must reproduce the uncached report byte for byte.
     #[test]
     fn cached_reports_match_for_arbitrary_programs(seed in any::<u64>()) {
-        let cells = [
-            EngineRun { workers: 1, batch_capacity: 1 },
-            EngineRun { workers: 4, batch_capacity: 32 },
-        ];
+        let cells = [EngineRun::new(1, 1), EngineRun::new(4, 32)];
         assert_reports_match(seed..seed.saturating_add(1), &both_dialects(), &cells);
     }
 }
@@ -68,7 +65,6 @@ fn profiled_run(seed: u64, cached: bool) -> (String, TraceStats) {
         model: model_for(program.dialect),
         workers: 2,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::profiling_only(),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
@@ -98,7 +94,6 @@ fn timed_stats(seed: u64, cached: bool) -> TraceStats {
         model: model_for(program.dialect),
         workers: 2,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::timing_only(),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
@@ -129,7 +124,6 @@ fn bundle_lines(seed: u64, cached: bool) -> String {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig {
             recorder_capacity: trace.len().max(1),
             ..TelemetryConfig::recorder_only()
@@ -161,6 +155,6 @@ fn diagnosis_bundles_match_with_the_cache_on() {
 #[test]
 #[ignore = "acceptance sweep; ~1 min in release builds"]
 fn seeds_0_to_10000_cached_reports_match() {
-    let cell = [EngineRun { workers: 4, batch_capacity: 32 }];
+    let cell = [EngineRun::new(4, 32)];
     assert_reports_match(0..10_000, &both_dialects(), &cell);
 }

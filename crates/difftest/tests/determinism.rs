@@ -1,31 +1,61 @@
 //! Determinism regression: the same seed + program must yield
-//! byte-identical sorted reports across every worker count and batch size.
-//! Anything weaker means a replayed corpus entry might not reproduce.
+//! byte-identical sorted reports across every worker count, batch size and
+//! telemetry layer. Anything weaker means a replayed corpus entry might not
+//! reproduce.
 
-use pmtest_difftest::exec::{run_engine, EngineRun, REPLICAS};
+use pmtest_core::TelemetryConfig;
+use pmtest_difftest::exec::{
+    build_engine, model_for, run_engine, submit_replicas, EngineRun, REPLICAS,
+};
 use pmtest_difftest::gen::{generate, GenConfig};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCH_CAPACITIES: [usize; 2] = [1, 32];
+
+/// Every telemetry layer the engine's replay can be observed by, alone and
+/// all together.
+fn telemetry_layers() -> [(&'static str, TelemetryConfig); 5] {
+    [
+        ("off", TelemetryConfig::off()),
+        ("timing_only", TelemetryConfig::timing_only()),
+        ("recorder_only", TelemetryConfig::recorder_only()),
+        ("profiling_only", TelemetryConfig::profiling_only()),
+        ("enabled", TelemetryConfig::enabled()),
+    ]
+}
 
 #[test]
 fn reports_are_byte_identical_across_workers_and_batching() {
     let cfg = GenConfig::default();
     for seed in [0u64, 7, 42, 1234, 99999] {
         let program = generate(seed, &cfg);
-        let baseline = run_engine(
-            &program,
-            EngineRun { workers: WORKER_COUNTS[0], batch_capacity: BATCH_CAPACITIES[0] },
-            REPLICAS,
-        )
-        .expect("baseline run");
+        let baseline = run_engine(&program, &EngineRun::new(1, 1), REPLICAS).expect("baseline run");
         for workers in WORKER_COUNTS {
             for batch_capacity in BATCH_CAPACITIES {
-                let report = run_engine(&program, EngineRun { workers, batch_capacity }, REPLICAS)
-                    .expect("matrix run");
+                let mut profiles = Vec::new();
+                for (layer, telemetry) in telemetry_layers() {
+                    let run = EngineRun { workers, batch_capacity, telemetry };
+                    let engine = build_engine(model_for(program.dialect), &run);
+                    submit_replicas(&engine, &program, batch_capacity, REPLICAS, 0)
+                        .expect("matrix run");
+                    assert_eq!(
+                        engine.take_report(),
+                        baseline,
+                        "seed {seed}: {workers} workers / batch {batch_capacity} / telemetry \
+                         {layer} diverged from 1/1/off"
+                    );
+                    if run.telemetry.profiling {
+                        profiles.push((layer, engine.profile()));
+                    }
+                }
+                let [(_, alone), (_, all)] = &profiles[..] else {
+                    panic!("two profiling layers expected")
+                };
+                assert_eq!(alone.traces, REPLICAS, "seed {seed}: every replica profiled");
                 assert_eq!(
-                    report, baseline,
-                    "seed {seed}: {workers} workers / batch {batch_capacity} diverged from 1/1"
+                    alone, all,
+                    "seed {seed}: {workers} workers / batch {batch_capacity}: profile under \
+                     profiling_only differs from enabled()"
                 );
             }
         }
@@ -35,8 +65,8 @@ fn reports_are_byte_identical_across_workers_and_batching() {
 #[test]
 fn repeated_runs_of_the_same_cell_are_identical() {
     let program = generate(7, &GenConfig::default());
-    let run = EngineRun { workers: 4, batch_capacity: 8 };
-    let a = run_engine(&program, run, REPLICAS).expect("first run");
-    let b = run_engine(&program, run, REPLICAS).expect("second run");
+    let run = EngineRun::new(4, 8);
+    let a = run_engine(&program, &run, REPLICAS).expect("first run");
+    let b = run_engine(&program, &run, REPLICAS).expect("second run");
     assert_eq!(a, b);
 }

@@ -22,8 +22,7 @@ fn render_corpus() -> String {
     let mut out = String::new();
     for seed in 0..GOLDEN_SEEDS {
         let program = generate(seed, &cfg);
-        let report = run_engine(&program, EngineRun { workers: 1, batch_capacity: 1 }, REPLICAS)
-            .expect("golden run");
+        let report = run_engine(&program, &EngineRun::new(1, 1), REPLICAS).expect("golden run");
         let _ = writeln!(out, "# seed {seed} dialect {:?}", program.dialect);
         out.push_str(&report.to_json_lines());
     }

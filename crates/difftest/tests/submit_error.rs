@@ -62,8 +62,7 @@ fn engine_rejects_submissions_after_a_worker_panic_instead_of_hanging() {
     let program = generate(0, &GenConfig::default());
     assert!(!program.ops.is_empty());
 
-    let engine =
-        build_engine(Arc::new(PanickingModel), EngineRun { workers: 1, batch_capacity: 1 });
+    let engine = build_engine(Arc::new(PanickingModel), &EngineRun::new(1, 1));
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut id = 0u64;
     let error = loop {

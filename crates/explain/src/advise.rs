@@ -23,7 +23,6 @@ pub fn profile_program(program: &Program) -> AdvisorReport {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::profiling_only(),
         ..EngineConfig::default()
     });

@@ -1,7 +1,11 @@
 //! End-to-end: a failing corpus program runs through a flight-recorder
 //! engine, the emitted diagnosis bundle validates against the obs schema,
-//! loads back, and renders the same culprit the direct program render
-//! highlights.
+//! matches its committed golden byte for byte, loads back, and renders the
+//! same culprit the direct program render highlights. Regenerate the
+//! goldens with `PMTEST_BLESS=1 cargo test -p pmtest-explain --test
+//! bundle_roundtrip`.
+
+use std::path::PathBuf;
 
 use pmtest_core::{BundleReason, Engine, EngineConfig, TelemetryConfig};
 use pmtest_difftest::corpus::load_corpus;
@@ -13,13 +17,28 @@ fn recorder_engine(program: &pmtest_difftest::program::Program) -> Engine {
     Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig {
             recorder_capacity: program.ops.len().max(1),
             ..TelemetryConfig::recorder_only()
         },
         ..EngineConfig::default()
     })
+}
+
+/// Compares `got` with `tests/golden/<name>`, or rewrites the golden under
+/// `PMTEST_BLESS`.
+fn check_golden(name: &str, got: &str) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let path = dir.join(name);
+    if std::env::var_os("PMTEST_BLESS").is_some() {
+        std::fs::create_dir_all(&dir).expect("create golden dir");
+        std::fs::write(&path, got).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden {} ({e}); regenerate with PMTEST_BLESS=1", path.display())
+    });
+    assert_eq!(got, golden, "{name}: bundle drifted; PMTEST_BLESS=1 to regenerate");
 }
 
 #[test]
@@ -42,6 +61,7 @@ fn corpus_bundles_validate_and_render_the_same_culprit() {
         let text = bundles[0].to_json_lines();
         assert!(is_bundle(&text), "{name}");
         validate_bundle(&text).unwrap_or_else(|e| panic!("{name}: emitted bundle invalid: {e}"));
+        check_golden(&format!("bundle_{}.jsonl", name.trim_end_matches(".txt")), &text);
 
         // The loaded window replays to the same number of entries (the
         // recorder saw the whole trace: capacity >= ops).

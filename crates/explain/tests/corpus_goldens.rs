@@ -21,8 +21,8 @@ fn render_culprit(render: &str) -> Option<String> {
 
 /// The `culprit` of the first FAIL line of the engine's JSON-lines report.
 fn report_culprit(program: &pmtest_difftest::program::Program) -> Option<String> {
-    let report = run_engine(program, EngineRun { workers: 1, batch_capacity: 1 }, 1)
-        .expect("engine accepts corpus program");
+    let report =
+        run_engine(program, &EngineRun::new(1, 1), 1).expect("engine accepts corpus program");
     for line in report.to_json_lines().lines() {
         let doc = json::parse(line).expect("report line parses");
         if doc.get("severity").and_then(JsonValue::as_str) == Some("FAIL") {

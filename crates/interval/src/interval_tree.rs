@@ -97,7 +97,7 @@ impl<V> IntervalTree<V> {
     /// Iterates over the intervals overlapping `range` (pre-order).
     ///
     /// The iterator allocates nothing: its depth-first stack is a fixed
-    /// array sized for the tree's height bound (see [`MAX_STACK`]).
+    /// array sized for the tree's height bound (see `MAX_STACK`).
     pub fn overlaps(&self, range: ByteRange) -> Overlaps<'_, V> {
         let mut it = Overlaps { tree: self, range, stack: [0; MAX_STACK], depth: 0 };
         if let Some(root) = self.root {

@@ -26,7 +26,7 @@ const FLAT_MAX: usize = 2048;
 /// Internally the map is **adaptive**: while small it is a flat sorted
 /// vector of `(start, end, value)` segments — binary-searched reads, values
 /// overwritten in place when an update lands on existing segment boundaries,
-/// and one tail move per segment inserted or removed. Past [`FLAT_MAX`]
+/// and one tail move per segment inserted or removed. Past `FLAT_MAX` (2048)
 /// segments it spills into a `BTreeMap` keyed by segment start and stays
 /// there until cleared. [`clear`](Self::clear) keeps the flat vector's
 /// capacity, so a recycled map that stays flat allocates nothing; the BTree

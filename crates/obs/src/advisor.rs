@@ -1,7 +1,6 @@
-//! Bentō-style optimization advisor: ranks a cross-trace
-//! [`ProfileSnapshot`](crate::profile::ProfileSnapshot) into concrete,
-//! source-located suggestions, emitted as a deterministic, schema-validated
-//! `ADVISOR_*.json` document.
+//! Bentō-style optimization advisor: ranks a cross-trace [`ProfileSnapshot`]
+//! into concrete, source-located suggestions, emitted as a deterministic,
+//! schema-validated `ADVISOR_*.json` document.
 //!
 //! Four suggestion kinds cover the profile's wasteful patterns:
 //!

@@ -132,7 +132,7 @@ impl ProfileStore {
     }
 
     /// Folds one checked trace's tallies into the store: `ops` carries the
-    /// per-site operation/waste deltas from the profiling walk, `warns` one
+    /// per-site operation/waste deltas the profiler observed, `warns` one
     /// `(site, code)` pair per WARN diagnostic the checkers produced.
     ///
     /// Callers gate on [`is_enabled`](Self::is_enabled); this method always
@@ -142,8 +142,19 @@ impl ProfileStore {
         ops: &[((&'static str, u32), SiteDelta)],
         warns: &[((&'static str, u32), &'static str)],
     ) {
+        self.record_traces(1, ops, warns);
+    }
+
+    /// Folds the summed tallies of `traces` checked traces under one lock —
+    /// the per-batch form of [`record_trace`](Self::record_trace).
+    pub fn record_traces(
+        &self,
+        traces: u64,
+        ops: &[((&'static str, u32), SiteDelta)],
+        warns: &[((&'static str, u32), &'static str)],
+    ) {
         let mut inner = self.inner.lock().expect("profile store poisoned");
-        inner.traces += 1;
+        inner.traces += traces;
         for ((file, line), delta) in ops {
             inner.sites.entry((file, *line)).or_default().ops.merge(delta);
         }

@@ -1,6 +1,6 @@
 //! Chrome trace-event JSON: exporter and validator.
 //!
-//! The span layer ([`crate::spans`]) records completed spans; this module
+//! The span layer ([`crate::SpanSink`]) records completed spans; this module
 //! turns a [`SpanDump`] into the Chrome trace-event JSON format that
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load directly
 //! — and, in the same spirit as the rest of the crate, proves its own output:

@@ -7,10 +7,12 @@
 //! A [`TraceArena`] replaces that with two flat vectors: the packed words
 //! of every trace in the batch, back to back, and a small span index
 //! `(id, start, records, entries)` marking where each sealed trace lives.
-//! Arenas are recycled through the pool in `crate::pool`, so steady-state
-//! recording never touches the allocator.
+//! Arenas are recycled through the [`ArenaPool`](crate::ArenaPool), so
+//! steady-state recording never touches the allocator. The arena is the
+//! engine's only message shape: a lone submitted [`Trace`] travels as a
+//! one-span arena built by [`push_trace`](TraceArena::push_trace).
 
-use crate::event::Entry;
+use crate::event::{Entry, Trace};
 use crate::packed::{encode_into_interned, InternStats, LocInterner, PackedEntry};
 
 /// Where one sealed trace lives inside a [`TraceArena`].
@@ -125,6 +127,29 @@ impl TraceArena {
             self.slab_allocs += 1;
             self.last_word_cap = self.words.capacity();
         }
+    }
+
+    /// Appends a whole recorded `trace` as one sealed span. An arena that
+    /// holds no records adopts the trace's record buffer instead of copying
+    /// it, so a lone trace ships without a copy; later traces are copied in
+    /// behind it. An empty trace still gets its (empty) span.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the arena has an open (unsealed) region.
+    pub fn push_trace(&mut self, trace: Trace) {
+        debug_assert_eq!(self.open_start, self.words.len(), "push_trace onto an open region");
+        let (id, entries) = (trace.id(), trace.len() as u32);
+        let words = trace.into_packed();
+        if self.words.is_empty() {
+            self.words = words;
+            // An adopted buffer is not slab growth of this arena.
+            self.last_word_cap = self.words.capacity();
+        } else {
+            self.words.extend_from_slice(&words);
+        }
+        self.open_entries = entries;
+        self.seal(id);
     }
 
     /// Number of sealed traces.
@@ -293,6 +318,25 @@ mod tests {
         let stats = arena.take_stats();
         assert!(stats.slab_allocs >= 1);
         assert_eq!(stats.interns.tls_hits + stats.interns.global, 1);
+    }
+
+    #[test]
+    fn pushed_traces_become_sealed_spans() {
+        let mut lone = Trace::new(4);
+        lone.push(Event::Write(r(0, 8)).at(loc(1)));
+        lone.push(Event::IsOrderedBefore(r(0, 8), r(8, 16)).at(loc(2)));
+        let buffer = lone.packed().as_ptr();
+        let mut arena = TraceArena::new();
+        arena.push_trace(lone);
+        // The first trace's buffer is adopted, not copied.
+        assert_eq!(arena.traces().next().unwrap().1.as_ptr(), buffer);
+        assert_eq!(arena.take_stats().slab_allocs, 0, "adoption is not slab growth");
+        arena.push_trace(Trace::new(5)); // empty: still a span
+        let mut tail = Trace::new(6);
+        tail.push(Event::Fence.at(loc(3)));
+        arena.push_trace(tail);
+        let spans: Vec<_> = arena.traces().map(|(id, w, n)| (id, w.len(), n)).collect();
+        assert_eq!(spans, vec![(4, 3, 2), (5, 0, 0), (6, 1, 1)]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use packed::{
     Fingerprinter, InternStats, LocResolver, PackedEntry, PackedOp, TraceFingerprint,
     PACKED_ENTRY_BYTES,
 };
-pub use pool::{ArenaPool, BufferPool, PoolItem, PoolStats, RecyclePool};
+pub use pool::{ArenaPool, PoolStats};
 pub use recorder::{FlightRecorder, IntervalNote, StepRecord};
 pub use sink::{CountingSink, MemorySink, NullSink, SharedSink, Sink};
-pub use stats::TraceStats;
+pub use stats::{TraceStats, TraceStatsBuilder};

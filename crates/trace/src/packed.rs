@@ -233,7 +233,7 @@ fn intern_loc_tiered(loc: SourceLoc) -> (u32, InternTier) {
 /// the record path, but the `thread_local!` access plus `RefCell` borrow it
 /// pays per entry is measurable at ingest rates. A recording thread replays
 /// the same handful of call sites, so an arena-resident scan of at most
-/// [`LOC_INTERNER_MAX`] sites settles almost every entry with a few
+/// `LOC_INTERNER_MAX` (8) sites settles almost every entry with a few
 /// pointer compares; [`intern_loc`] is the miss path. Interned ids are
 /// process-global, so a recycled buffer's cache stays valid on whatever
 /// thread picks the buffer up next — eviction (round-robin) affects only

@@ -1,18 +1,13 @@
-//! Recycling pools for trace buffers and batch arenas.
+//! The recycling pool for batch arenas.
 //!
 //! Decoupled checking (Fig. 8) moves trace storage from the program thread
 //! to a checking worker on every `PMTest_SEND_TRACE`. Without recycling,
-//! each trace costs one heap allocation on the hot path plus one
-//! deallocation on a worker — and under the short traces of the paper's
-//! microbenchmarks (Fig. 10a) the allocator becomes a measurable fraction
-//! of the runtime overhead. The pools close that loop: workers return
-//! emptied storage here, and sessions draw replacements instead of
-//! allocating. Two instantiations exist:
-//!
-//! * [`BufferPool`] — `Vec<PackedEntry>` record buffers, backing
-//!   single-`Trace` submissions;
-//! * [`ArenaPool`] — [`TraceArena`] batch arenas, backing the session's
-//!   record-in-place batching.
+//! each batch costs heap allocations on the hot path plus deallocations on
+//! a worker — and under the short traces of the paper's microbenchmarks
+//! (Fig. 10a) the allocator becomes a measurable fraction of the runtime
+//! overhead. The [`ArenaPool`] closes that loop: workers return checked
+//! [`TraceArena`]s here, and sessions (and the engine's own single-trace
+//! submissions) draw replacements instead of allocating.
 //!
 //! The free list is sharded to keep producers (many program threads) and
 //! consumers (worker threads) from serialising on one lock. Each shard is a
@@ -22,85 +17,47 @@
 //! within noise of that design for the pool's access pattern (sub-microsecond
 //! critical sections, shard count ≥ typical thread count).
 //!
-//! Items are always recycled (cleared) on release, *before* they become
-//! visible to any other trace. That is the pool's core invariant: recycled
-//! storage can never leak records from one trace into another.
+//! Arenas are always cleared on release, *before* they become visible to
+//! any other trace. That is the pool's core invariant: recycled storage can
+//! never leak records from one trace into another.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::arena::TraceArena;
-use crate::packed::PackedEntry;
 
 /// Number of independent free-list shards. A power of two so the rotating
 /// counter maps onto shards with a mask.
 const SHARDS: usize = 8;
 
-/// Default cap on items retained per shard (total = `SHARDS` × this).
+/// Default cap on arenas retained per shard (total = `SHARDS` × this).
 const DEFAULT_ITEMS_PER_SHARD: usize = 64;
 
-/// Default cap on the retained capacity of a pooled item, in records. A
-/// trace that ballooned to thousands of records should not pin that memory
-/// forever; oversized items are dropped instead of pooled.
+/// Default cap on the retained word capacity of a pooled arena, in records.
+/// A batch that ballooned to thousands of records should not pin that
+/// memory forever; oversized arenas are dropped instead of pooled.
 const DEFAULT_MAX_ITEM_CAPACITY: usize = 4096;
 
-/// Storage the recycling pool knows how to clear and size-check.
-pub trait PoolItem: Default + Send {
-    /// Empties the item while keeping its backing allocation.
-    fn recycle(&mut self);
-    /// Retained backing capacity, in records, for the retention cap.
-    fn retained_capacity(&self) -> usize;
-    /// Whether the item is empty (the pool's cleared-on-release invariant).
-    fn is_clear(&self) -> bool;
-}
-
-impl PoolItem for Vec<PackedEntry> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-
-    fn retained_capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn is_clear(&self) -> bool {
-        self.is_empty()
-    }
-}
-
-impl PoolItem for TraceArena {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-
-    fn retained_capacity(&self) -> usize {
-        self.word_capacity()
-    }
-
-    fn is_clear(&self) -> bool {
-        self.is_empty()
-    }
-}
-
-/// A sharded free list of recyclable trace storage shared between sessions
+/// A sharded free list of recyclable batch arenas shared between sessions
 /// (which acquire) and engine workers (which release).
 ///
 /// # Examples
 ///
 /// ```
-/// use pmtest_trace::BufferPool;
+/// use pmtest_trace::{ArenaPool, Event, TraceArena};
 ///
-/// let pool = BufferPool::new();
-/// let mut buf = pool.acquire(); // fresh allocation: pool is empty
-/// buf.reserve(16);
-/// pool.release(buf);
-/// let buf = pool.acquire(); // recycled — and guaranteed empty
-/// assert!(buf.is_empty());
+/// let pool = ArenaPool::new();
+/// let mut arena = pool.acquire(); // fresh allocation: pool is empty
+/// arena.push(Event::Fence.here());
+/// arena.seal(0);
+/// pool.release(arena);
+/// let arena = pool.acquire(); // recycled — and guaranteed empty
+/// assert!(arena.is_empty());
 /// assert_eq!(pool.stats().recycled, 1);
 /// ```
-pub struct RecyclePool<T> {
-    shards: Vec<Mutex<Vec<T>>>,
+pub struct ArenaPool {
+    shards: Vec<Mutex<Vec<TraceArena>>>,
     /// Rotates acquire/release across shards so a single hot thread does not
     /// hammer shard 0.
     cursor: AtomicUsize,
@@ -112,23 +69,17 @@ pub struct RecyclePool<T> {
     dropped: AtomicU64,
 }
 
-/// Packed-record buffers for single-`Trace` submissions.
-pub type BufferPool = RecyclePool<Vec<PackedEntry>>;
-
-/// Batch arenas for the session's record-in-place batching.
-pub type ArenaPool = RecyclePool<TraceArena>;
-
-/// Lifetime counters of a [`RecyclePool`].
+/// Lifetime counters of an [`ArenaPool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Acquires served from the free list.
     pub recycled: u64,
     /// Acquires that fell back to a fresh allocation.
     pub fresh: u64,
-    /// Items returned to the pool (whether retained or dropped).
+    /// Arenas returned to the pool (whether retained or dropped).
     pub released: u64,
-    /// Released items dropped because a shard was full or the item exceeded
-    /// the capacity cap.
+    /// Released arenas dropped because a shard was full or the arena
+    /// exceeded the capacity cap.
     pub dropped: u64,
 }
 
@@ -145,14 +96,14 @@ impl PoolStats {
     }
 }
 
-impl<T: PoolItem> RecyclePool<T> {
+impl ArenaPool {
     /// A pool with the default retention caps.
     #[must_use]
     pub fn new() -> Self {
         Self::with_limits(SHARDS * DEFAULT_ITEMS_PER_SHARD, DEFAULT_MAX_ITEM_CAPACITY)
     }
 
-    /// A pool retaining at most `max_items` items in total, each of
+    /// A pool retaining at most `max_items` arenas in total, each of word
     /// capacity at most `max_item_capacity` records.
     #[must_use]
     pub fn with_limits(max_items: usize, max_item_capacity: usize) -> Self {
@@ -169,34 +120,34 @@ impl<T: PoolItem> RecyclePool<T> {
         }
     }
 
-    /// Takes an item from the pool, or allocates a fresh one if every shard
-    /// is empty. The returned item is always empty.
+    /// Takes an arena from the pool, or allocates a fresh one if every shard
+    /// is empty. The returned arena is always empty.
     #[must_use]
-    pub fn acquire(&self) -> T {
+    pub fn acquire(&self) -> TraceArena {
         let start = self.cursor.fetch_add(1, Ordering::Relaxed);
         for offset in 0..SHARDS {
             let shard = &self.shards[(start + offset) & (SHARDS - 1)];
             // Skip contended shards: a miss here only costs an extra probe.
             let Some(mut guard) = shard.try_lock() else { continue };
-            if let Some(item) = guard.pop() {
+            if let Some(arena) = guard.pop() {
                 drop(guard);
                 self.recycled.fetch_add(1, Ordering::Relaxed);
-                debug_assert!(item.is_clear(), "pooled item must be empty");
-                return item;
+                debug_assert!(arena.is_empty(), "pooled arena must be empty");
+                return arena;
             }
         }
         self.fresh.fetch_add(1, Ordering::Relaxed);
-        T::default()
+        TraceArena::default()
     }
 
-    /// Returns an item to the pool. The item is cleared here — before it
+    /// Returns an arena to the pool. The arena is cleared here — before it
     /// becomes visible to any future [`acquire`](Self::acquire) — so records
-    /// can never leak across traces. Oversized items and overflow beyond
+    /// can never leak across traces. Oversized arenas and overflow beyond
     /// the retention cap are dropped.
-    pub fn release(&self, mut item: T) {
+    pub fn release(&self, mut arena: TraceArena) {
         self.released.fetch_add(1, Ordering::Relaxed);
-        item.recycle();
-        let cap = item.retained_capacity();
+        arena.clear();
+        let cap = arena.word_capacity();
         if cap == 0 || cap > self.max_item_capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -206,14 +157,14 @@ impl<T: PoolItem> RecyclePool<T> {
             let shard = &self.shards[(start + offset) & (SHARDS - 1)];
             let Some(mut guard) = shard.try_lock() else { continue };
             if guard.len() < self.items_per_shard {
-                guard.push(item);
+                guard.push(arena);
                 return;
             }
         }
         self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Items currently available for recycling.
+    /// Arenas currently available for recycling.
     #[must_use]
     pub fn available(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -231,15 +182,15 @@ impl<T: PoolItem> RecyclePool<T> {
     }
 }
 
-impl<T: PoolItem> Default for RecyclePool<T> {
+impl Default for ArenaPool {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: PoolItem> std::fmt::Debug for RecyclePool<T> {
+impl std::fmt::Debug for ArenaPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecyclePool")
+        f.debug_struct("ArenaPool")
             .field("available", &self.available())
             .field("stats", &self.stats())
             .finish()
@@ -250,55 +201,58 @@ impl<T: PoolItem> std::fmt::Debug for RecyclePool<T> {
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::packed::encode_into;
 
-    fn dirty_buffer(n: usize) -> Vec<PackedEntry> {
-        let mut buf = Vec::with_capacity(n.max(1));
-        for _ in 0..n {
-            encode_into(&mut buf, Event::Fence.here());
+    /// An arena holding `n` sealed one-fence traces, its word buffer sized
+    /// to at least one record.
+    fn dirty_arena(n: usize) -> TraceArena {
+        let mut arena = TraceArena::with_word_capacity(n.max(1));
+        for id in 0..n {
+            arena.push(Event::Fence.here());
+            arena.seal(id as u64);
         }
-        buf
+        arena
     }
 
     #[test]
     fn acquire_from_empty_pool_allocates() {
-        let pool = BufferPool::new();
-        let buf = pool.acquire();
-        assert!(buf.is_empty());
+        let pool = ArenaPool::new();
+        let arena = pool.acquire();
+        assert!(arena.is_empty());
         assert_eq!(pool.stats().fresh, 1);
         assert_eq!(pool.stats().recycled, 0);
     }
 
     #[test]
-    fn released_buffers_come_back_empty() {
-        let pool = BufferPool::new();
-        pool.release(dirty_buffer(5));
-        let buf = pool.acquire();
-        assert!(buf.is_empty(), "recycled buffer leaked records");
-        assert!(buf.capacity() >= 5, "capacity should be retained");
+    fn released_arenas_come_back_empty() {
+        let pool = ArenaPool::new();
+        pool.release(dirty_arena(5));
+        let arena = pool.acquire();
+        assert!(arena.is_empty(), "recycled arena leaked records");
+        assert_eq!(arena.sealed(), 0);
+        assert!(arena.word_capacity() >= 5, "capacity should be retained");
         assert_eq!(pool.stats().recycled, 1);
     }
 
     #[test]
-    fn oversized_buffers_are_dropped() {
-        let pool = BufferPool::with_limits(16, 8);
-        pool.release(dirty_buffer(9)); // capacity > 8 → dropped
+    fn oversized_arenas_are_dropped() {
+        let pool = ArenaPool::with_limits(16, 8);
+        pool.release(dirty_arena(9)); // capacity > 8 → dropped
         assert_eq!(pool.available(), 0);
         assert_eq!(pool.stats().dropped, 1);
     }
 
     #[test]
-    fn zero_capacity_buffers_are_not_pooled() {
-        let pool = BufferPool::new();
-        pool.release(Vec::new());
+    fn zero_capacity_arenas_are_not_pooled() {
+        let pool = ArenaPool::new();
+        pool.release(TraceArena::new());
         assert_eq!(pool.available(), 0);
     }
 
     #[test]
     fn retention_cap_is_enforced() {
-        let pool = BufferPool::with_limits(4, 1024);
+        let pool = ArenaPool::with_limits(4, 1024);
         for _ in 0..100 {
-            pool.release(dirty_buffer(2));
+            pool.release(dirty_arena(2));
         }
         // div_ceil rounds the per-shard cap up to 1, so at most SHARDS stay.
         assert!(pool.available() <= SHARDS);
@@ -307,9 +261,9 @@ mod tests {
 
     #[test]
     fn hit_rate_reflects_recycling() {
-        let pool = BufferPool::new();
+        let pool = ArenaPool::new();
         let a = pool.acquire(); // fresh
-        pool.release(dirty_buffer(3));
+        pool.release(dirty_arena(3));
         let _b = pool.acquire(); // recycled
         pool.release(a);
         let stats = pool.stats();
@@ -319,30 +273,18 @@ mod tests {
     }
 
     #[test]
-    fn arena_pool_recycles_cleared_arenas() {
-        let pool = ArenaPool::new();
-        let mut arena = pool.acquire();
-        arena.push(Event::Fence.here());
-        arena.seal(1);
-        pool.release(arena);
-        let arena = pool.acquire();
-        assert!(arena.is_empty(), "recycled arena leaked traces");
-        assert_eq!(arena.sealed(), 0);
-        assert_eq!(pool.stats().recycled, 1);
-    }
-
-    #[test]
     fn concurrent_producers_and_consumers() {
-        let pool = std::sync::Arc::new(BufferPool::new());
+        let pool = std::sync::Arc::new(ArenaPool::new());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let pool = pool.clone();
                 s.spawn(move || {
-                    for _ in 0..1_000 {
-                        let mut buf = pool.acquire();
-                        assert!(buf.is_empty());
-                        encode_into(&mut buf, Event::Fence.here());
-                        pool.release(buf);
+                    for id in 0..1_000 {
+                        let mut arena = pool.acquire();
+                        assert!(arena.is_empty());
+                        arena.push(Event::Fence.here());
+                        arena.seal(id);
+                        pool.release(arena);
                     }
                 });
             }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{Entry, Event, EventKind, Trace};
+use crate::{Event, EventKind, Trace};
 
 /// Aggregate statistics of a trace — the kind of analysis WHISPER (ASPLOS
 /// 2017) performs on PM workloads and that motivated PMTest's design: how
@@ -61,54 +61,11 @@ impl TraceStats {
     /// Computes the statistics of one trace.
     #[must_use]
     pub fn from_trace(trace: &Trace) -> Self {
-        Self::from_entries(&trace.entries())
-    }
-
-    /// Computes the statistics of one trace given as an entry slice (the
-    /// engine's already-decoded form).
-    #[must_use]
-    pub fn from_entries(entries: &[Entry]) -> Self {
-        let mut stats = TraceStats { entries: entries.len() as u64, ..TraceStats::default() };
-        let mut epoch_writes = 0u64;
-        for entry in entries {
-            match entry.event {
-                Event::Write(r) => {
-                    stats.writes += 1;
-                    stats.bytes_written += r.len();
-                    epoch_writes += 1;
-                }
-                Event::Flush(r) => {
-                    stats.flushes += 1;
-                    stats.bytes_flushed += r.len();
-                }
-                Event::Fence => {
-                    stats.fences += 1;
-                    stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-                    epoch_writes = 0;
-                }
-                Event::OFence => {
-                    stats.ofences += 1;
-                    stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-                    epoch_writes = 0;
-                }
-                Event::DFence => {
-                    stats.dfences += 1;
-                    stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-                    epoch_writes = 0;
-                }
-                Event::TxBegin => stats.transactions += 1,
-                Event::TxAdd(_) => stats.tx_adds += 1,
-                Event::TxCheckerStart => stats.tx_checker_scopes += 1,
-                Event::IsPersist(_) | Event::IsOrderedBefore(_, _) => {
-                    stats.low_level_checkers += 1;
-                }
-                Event::TxEnd | Event::TxCheckerEnd => {}
-                e if e.kind() == EventKind::Scope => stats.scope_events += 1,
-                _ => {}
-            }
+        let mut builder = TraceStatsBuilder::default();
+        for entry in trace.entries() {
+            builder.push(&entry.event);
         }
-        stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-        stats
+        builder.finish()
     }
 
     /// Number of fence-delimited epochs (any fence flavour), counting the
@@ -140,6 +97,59 @@ impl TraceStats {
         self.scope_events += other.scope_events;
         self.entries += other.entries;
         self.max_writes_per_epoch = self.max_writes_per_epoch.max(other.max_writes_per_epoch);
+    }
+}
+
+/// [`TraceStats`] accumulated one event at a time, in program order, for a
+/// caller that walks the trace anyway — the engine's timing layer feeds it
+/// from the replay walk instead of decoding the trace a second time.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TraceStatsBuilder {
+    stats: TraceStats,
+    /// Writes in the open (not yet fenced) epoch.
+    epoch_writes: u64,
+}
+
+impl TraceStatsBuilder {
+    /// Counts the next event of the trace.
+    pub fn push(&mut self, event: &Event) {
+        let stats = &mut self.stats;
+        stats.entries += 1;
+        match *event {
+            Event::Write(r) => {
+                stats.writes += 1;
+                stats.bytes_written += r.len();
+                self.epoch_writes += 1;
+            }
+            Event::Flush(r) => {
+                stats.flushes += 1;
+                stats.bytes_flushed += r.len();
+            }
+            Event::Fence => stats.fences += 1,
+            Event::OFence => stats.ofences += 1,
+            Event::DFence => stats.dfences += 1,
+            Event::TxBegin => stats.transactions += 1,
+            Event::TxAdd(_) => stats.tx_adds += 1,
+            Event::TxCheckerStart => stats.tx_checker_scopes += 1,
+            Event::IsPersist(_) | Event::IsOrderedBefore(_, _) => {
+                stats.low_level_checkers += 1;
+            }
+            Event::TxEnd | Event::TxCheckerEnd => {}
+            e if e.kind() == EventKind::Scope => stats.scope_events += 1,
+            _ => {}
+        }
+        if matches!(event, Event::Fence | Event::OFence | Event::DFence) {
+            stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(self.epoch_writes);
+            self.epoch_writes = 0;
+        }
+    }
+
+    /// The statistics of the events pushed so far, closing the open epoch.
+    #[must_use]
+    pub fn finish(self) -> TraceStats {
+        let mut stats = self.stats;
+        stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(self.epoch_writes);
+        stats
     }
 }
 

@@ -1,23 +1,23 @@
-//! Property tests for the trace-buffer recycling pool.
+//! Property tests for the arena recycling pool.
 //!
-//! The pool's core invariant: a buffer recycled through the pool can never
-//! leak entries from one trace into another. Every `acquire` must observe an
-//! empty buffer, no matter what interleaving of acquires and releases (with
-//! arbitrarily dirty buffers) preceded it, and the stats counters must stay
+//! The pool's core invariant: an arena recycled through the pool can never
+//! leak records from one trace into another. Every `acquire` must observe an
+//! empty arena, no matter what interleaving of acquires and releases (with
+//! arbitrarily dirty arenas) preceded it, and the stats counters must stay
 //! consistent with the operation sequence.
 
-use pmtest_trace::packed::encode_into;
-use pmtest_trace::{BufferPool, Event, PackedEntry, Trace};
+use pmtest_trace::{ArenaPool, Event, Trace, TraceArena};
 use proptest::prelude::*;
 
 /// One step of a pool workload.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Acquire a buffer, stuff `fill` entries into it, keep it on the side.
+    /// Acquire an arena, record and seal `fill` traces into it, keep it on
+    /// the side.
     AcquireAndFill(u8),
-    /// Release the oldest held buffer (no-op when none are held).
+    /// Release the oldest held arena (no-op when none are held).
     ReleaseOldest,
-    /// Release a freshly allocated dirty buffer of the given size.
+    /// Release a freshly allocated dirty arena of the given size.
     ReleaseForeign(u8),
 }
 
@@ -29,31 +29,37 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn dirty(n: u8) -> Vec<PackedEntry> {
-    let mut buf = Vec::with_capacity(n.max(1) as usize);
-    for _ in 0..n {
-        encode_into(&mut buf, Event::Fence.here());
+/// Records `n` one-fence traces into `arena`.
+fn fill(arena: &mut TraceArena, n: u8) {
+    for id in 0..n {
+        arena.push(Event::Fence.here());
+        arena.seal(u64::from(id));
     }
-    buf
+}
+
+fn dirty(n: u8) -> TraceArena {
+    let mut arena = TraceArena::with_word_capacity(n.max(1) as usize);
+    fill(&mut arena, n);
+    arena
 }
 
 proptest! {
     /// No interleaving of acquires and dirty releases ever surfaces a
-    /// non-empty buffer from `acquire`.
+    /// non-empty arena from `acquire`.
     #[test]
-    fn acquired_buffers_are_always_empty(ops in proptest::collection::vec(arb_op(), 1..200)) {
-        let pool = BufferPool::new();
-        let mut held: Vec<Vec<PackedEntry>> = Vec::new();
+    fn acquired_arenas_are_always_empty(ops in proptest::collection::vec(arb_op(), 1..200)) {
+        let pool = ArenaPool::new();
+        let mut held: Vec<TraceArena> = Vec::new();
         let mut acquires = 0u64;
         let mut releases = 0u64;
         for op in &ops {
             match op {
-                Op::AcquireAndFill(fill) => {
-                    let mut buf = pool.acquire();
+                Op::AcquireAndFill(n) => {
+                    let mut arena = pool.acquire();
                     acquires += 1;
-                    prop_assert!(buf.is_empty(), "acquire returned {} stale entries", buf.len());
-                    buf.extend(dirty(*fill));
-                    held.push(buf);
+                    prop_assert!(arena.is_empty(), "acquire returned {} stale traces", arena.sealed());
+                    fill(&mut arena, *n);
+                    held.push(arena);
                 }
                 Op::ReleaseOldest => {
                     if !held.is_empty() {
@@ -74,22 +80,24 @@ proptest! {
         prop_assert!(pool.available() as u64 <= releases);
     }
 
-    /// Round-tripping record buffers through `Trace` the way the engine does
-    /// (session encodes into a pooled buffer, worker releases
-    /// `trace.into_packed()`) never leaks records across traces, for any
-    /// sequence of trace lengths.
+    /// Round-tripping lone traces the way `Engine::submit` does (a pooled
+    /// arena adopts the trace's record buffer, the worker releases the
+    /// arena) never leaks records across traces, for any sequence of trace
+    /// lengths.
     #[test]
-    fn trace_round_trip_never_leaks(lens in proptest::collection::vec(0..40usize, 1..100)) {
-        let pool = BufferPool::new();
+    fn submitted_traces_never_leak(lens in proptest::collection::vec(0..40usize, 1..100)) {
+        let pool = ArenaPool::new();
         for (id, len) in lens.iter().enumerate() {
-            let mut buf = pool.acquire();
-            prop_assert!(buf.is_empty(), "trace {} inherited {} records", id, buf.len());
+            let mut arena = pool.acquire();
+            prop_assert!(arena.is_empty(), "trace {} inherited {} traces", id, arena.sealed());
+            let mut trace = Trace::new(id as u64);
             for _ in 0..*len {
-                encode_into(&mut buf, Event::Fence.here());
+                trace.push(Event::Fence.here());
             }
-            let trace = Trace::from_packed(id as u64, buf, *len as u32);
-            prop_assert_eq!(trace.len(), *len);
-            pool.release(trace.into_packed());
+            arena.push_trace(trace);
+            let spans: Vec<_> = arena.traces().map(|(id, words, n)| (id, words.len(), n)).collect();
+            prop_assert_eq!(spans, vec![(id as u64, *len, *len as u32)]);
+            pool.release(arena);
         }
         let stats = pool.stats();
         prop_assert_eq!(stats.released, lens.len() as u64);

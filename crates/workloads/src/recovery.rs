@@ -1,6 +1,6 @@
 //! Recovery procedures for crash-point exploration.
 //!
-//! [`pmtest_core::explore`] enumerates reachable post-crash images; the
+//! [`pmtest_core::explore()`] enumerates reachable post-crash images; the
 //! procs here say what "recovers correctly" means for each workload, in the
 //! recovery-invariant discipline of persistent data structures: mount the
 //! raw image, run the structure's recovery (refusing images that provably

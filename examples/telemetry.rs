@@ -20,8 +20,9 @@ const TRACES_PER_THREAD: u64 = 100;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Everything on: timing histograms, the structured event ring, the
     // flight recorder, AND the per-thread span buffers. The verdict cache is
-    // on too — with the instrumented replay lane active it must bypass every
-    // trace, so the exported counters demonstrate the bypass predicate.
+    // on too — with the timing layer and recorder observing every replay it
+    // must bypass every trace, so the exported counters demonstrate the
+    // bypass predicate.
     let session = PmTestSession::builder()
         .workers(2)
         .batch_capacity(8)
@@ -127,8 +128,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(stats.threads >= 2, "producer and worker tracks expected, got {stats:?}");
     assert_eq!(snap.counter_sum("engine_spans_dropped"), 0, "span buffers must not overflow here");
     // The verdict cache saw every trace and bypassed all of them: the timing
-    // layer and flight recorder are on, and the instrumented replay lane
-    // must observe every occurrence cold.
+    // layer and flight recorder are on, and those replay observers must see
+    // every occurrence cold.
     assert_eq!(snap.counter("verdict_cache_bypasses"), Some(expected as u64));
     assert_eq!(snap.counter("verdict_cache_l1_hits"), Some(0));
     assert_eq!(snap.counter("verdict_cache_l2_hits"), Some(0));

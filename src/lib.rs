@@ -95,7 +95,7 @@ pub mod prelude {
     pub use pmtest_obs::TelemetrySnapshot;
     pub use pmtest_pmem::{PersistMode, PmHeap, PmPool};
     pub use pmtest_trace::{
-        BufferPool, Entry, Event, PoolStats, Sink, SourceLoc, Trace, TraceStats,
+        ArenaPool, Entry, Event, PoolStats, Sink, SourceLoc, Trace, TraceStats,
     };
 }
 
