@@ -223,52 +223,35 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             });
         }
     }
-    // A/B row: the reference w4/b32 configuration with every telemetry
-    // layer on (stage timing, event log, flight recorder, span tracing).
-    // Not part of the scaling assertion — it exists so the overhead of the
-    // observability plane is measured in every run, next to the off row it
-    // is compared against.
-    {
-        let session = PmTestSession::builder()
-            .workers(4)
-            .batch_capacity(32)
-            .telemetry(TelemetryConfig::enabled().with_tracing())
-            .build();
+    // A/B rows: the reference w4/b32 configuration with telemetry layers
+    // on. Not part of the scaling assertion — they exist so the overhead of
+    // the observability plane is measured in every run, next to the off row
+    // they are compared against:
+    // * `session-telemetry` — every layer (stage timing, recorder, span
+    //   tracing, profiler);
+    // * `session-recorder` — the recorder alone, which re-checks only
+    //   failing traces, so the clean traces here keep the clean lane;
+    // * `session-profiling` — the cross-trace profiler alone. It observes
+    //   the replay walk (profiled traces skip the clean lane), so this row
+    //   prices the advisor's data collection; the profiling-*off* guard is
+    //   the plain w4/b32 row above, whose floor assertion keeps the
+    //   disabled-path cost (one relaxed load) from regressing.
+    for (path, id, telemetry) in [
+        ("session-telemetry", "telemetry_w4", TelemetryConfig::enabled()),
+        ("session-recorder", "recorder_w4", TelemetryConfig::recorder_only()),
+        ("session-profiling", "profiling_w4", TelemetryConfig::profiling_only()),
+    ] {
+        let session =
+            PmTestSession::builder().workers(4).batch_capacity(32).telemetry(telemetry).build();
         session.start();
         run_round(&session, traces); // warm the arena pool
-        group.bench_with_input(BenchmarkId::new("telemetry_w4", "b32"), &traces, |b, &traces| {
+        group.bench_with_input(BenchmarkId::new(id, "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });
         let per_round_ns = group.last_estimate_ns().expect("benchmark just ran");
         let floor_ns = group.last_best_ns().expect("benchmark just ran");
         samples.push(Sample {
-            path: "session-telemetry",
-            workers: 4,
-            batch: 32,
-            ns_per_trace: per_round_ns / traces as f64,
-            floor_ns_per_trace: floor_ns / traces as f64,
-        });
-    }
-    // A/B row: the reference configuration with only the cross-trace
-    // profiler on. The profiler observes the replay walk (profiled traces
-    // skip the clean lane), so this row prices the advisor's data collection; the profiling-*off*
-    // guard is the plain w4/b32 row above, whose floor assertion keeps the
-    // disabled-path cost (one relaxed load) from regressing.
-    {
-        let session = PmTestSession::builder()
-            .workers(4)
-            .batch_capacity(32)
-            .telemetry(TelemetryConfig::profiling_only())
-            .build();
-        session.start();
-        run_round(&session, traces); // warm the arena pool
-        group.bench_with_input(BenchmarkId::new("profiling_w4", "b32"), &traces, |b, &traces| {
-            b.iter(|| run_round(&session, traces))
-        });
-        let per_round_ns = group.last_estimate_ns().expect("benchmark just ran");
-        let floor_ns = group.last_best_ns().expect("benchmark just ran");
-        samples.push(Sample {
-            path: "session-profiling",
+            path,
             workers: 4,
             batch: 32,
             ns_per_trace: per_round_ns / traces as f64,
@@ -366,9 +349,6 @@ fn stats_sample(traces: u64) -> String {
     let stats = session.stats();
     let pool = session.pool_stats();
     let snap = session.telemetry_snapshot();
-    let shadow_recycled = snap.counter("shadow_pool_recycled").unwrap_or(0);
-    let shadow_fresh = snap.counter("shadow_pool_fresh").unwrap_or(0);
-    let shadow_hit = snap.gauge("shadow_pool_hit_rate").unwrap_or(0.0);
     let repr_switches = snap.counter("engine_segmap_repr_switches").unwrap_or(0);
     let mut s = String::new();
     let _ = write!(
@@ -388,9 +368,6 @@ fn stats_sample(traces: u64) -> String {
             "    \"arena_pool_recycled\": {},\n",
             "    \"arena_pool_fresh\": {},\n",
             "    \"arena_pool_hit_rate\": {:.4},\n",
-            "    \"shadow_pool_recycled\": {},\n",
-            "    \"shadow_pool_fresh\": {},\n",
-            "    \"shadow_pool_hit_rate\": {:.4},\n",
             "    \"segmap_repr_switches\": {}\n",
             "  }}"
         ),
@@ -405,9 +382,6 @@ fn stats_sample(traces: u64) -> String {
         pool.recycled,
         pool.fresh,
         pool.hit_rate(),
-        shadow_recycled,
-        shadow_fresh,
-        shadow_hit,
         repr_switches,
     );
     s
@@ -510,7 +484,7 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
             "  \"traces_per_round\": {},\n",
             "  \"entries_per_trace\": {},\n",
             "  \"workload\": \"short traces: write+flush+fence+isPersist; session rows: 4 producer threads via the Sink path; session-rep/session-cached rows: one 62-record repetitive shape (30 distinct write+flush ranges) with the verdict cache off/on; cached-probe row: fingerprint + L1 lookup only, no engine; recorder rows: 1 inline producer via the owned ThreadRecorder handle; ring capacity derived (256/batch, min 32)\",\n",
-            "  \"telemetry\": \"all layers off (default) except the session-telemetry A/B row (timing + events + recorder + tracing on) and the session-profiling A/B row (cross-trace profiler only); per-producer SPSC rings with work-stealing workers; producers record packed records into recycled arenas; clean traces take the packed DFA lane, the rest the fused replay on recycled CheckerScratch state; session-cached serves repeats from the content-addressed verdict cache\",\n",
+            "  \"telemetry\": \"all layers off (default) except the session-telemetry A/B row (timing + recorder + tracing + profiling on), the session-recorder A/B row (recorder only: failing traces re-checked into bundles) and the session-profiling A/B row (cross-trace profiler only); per-producer SPSC rings with work-stealing workers; producers record packed records into recycled arenas; clean traces take the packed DFA lane, the rest the fused replay on each worker's own CheckerScratch state; session-cached serves repeats from the content-addressed verdict cache\",\n",
             "  \"results\": [\n{}  ],\n",
             "  \"peak\": {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"traces_per_sec\": {:.0}}},\n",
             "  \"speedup_batch32_over_batch1_by_workers\": {{\n{}  }},\n",
@@ -691,6 +665,17 @@ fn assert_telemetry_budget(samples: &[Sample], baseline: Option<f64>) {
             off.ns_per_trace,
             on.ns_per_trace,
             (on.ns_per_trace / off.ns_per_trace - 1.0) * 100.0,
+        );
+    }
+    if let Some(on) = at("session-recorder") {
+        println!(
+            "recorder A/B at w4/b32: off {:.1} ns/trace (floor {:.1}), recorder on {:.1} \
+             ns/trace (floor {:.1}, {:.2}x)",
+            off.ns_per_trace,
+            off.floor_ns_per_trace,
+            on.ns_per_trace,
+            on.floor_ns_per_trace,
+            on.floor_ns_per_trace / off.floor_ns_per_trace,
         );
     }
     if let Some(on) = at("session-profiling") {

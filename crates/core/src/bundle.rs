@@ -1,23 +1,35 @@
 //! Diagnosis bundles: self-contained post-mortem captures of a failing
 //! check (DESIGN.md §11).
 //!
-//! When the flight recorder is on ([`crate::TelemetryConfig::recorder`]),
-//! every worker keeps a ring of recently replayed entries annotated with
-//! the interval state the model assigned. On any ERROR — or on demand via
-//! [`crate::Engine::capture_bundle`] — that window is frozen into a
-//! [`DiagnosisBundle`]: the firing checker, the full diagnostics, the
-//! trace window with source locations, the epoch boundaries, and the
-//! culprit write's interval history. Bundles serialize to JSON-lines
-//! (validated by `obs-check`) and replay in `pmtest-explain`.
+//! A verdict is a pure function of a trace's packed words and the model, so
+//! a bundle is built by re-checking the trace once more with a
+//! [`ReplayObserver`] that records each step: the entry plus the interval
+//! state the model assigned. With the recorder layer on
+//! ([`crate::TelemetryConfig::recorder`]), a worker re-checks every trace
+//! whose verdict carries a FAIL; [`crate::Engine::capture_bundle`]
+//! re-checks the last trace each worker checked; both keep the trace's last
+//! [`BUNDLE_STEPS`] steps. A [`DiagnosisBundle`] holds the firing checker,
+//! the full diagnostics, the captured steps with source locations, the
+//! epoch boundaries, and the culprit write's interval history. Bundles
+//! serialize to JSON-lines (validated by `obs-check`) and replay in
+//! `pmtest-explain`.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+use pmtest_interval::ByteRange;
 use pmtest_obs::json::escape_into;
-use pmtest_trace::{Entry, Event, FlightRecorder, IntervalNote, StepRecord};
+use pmtest_trace::{Entry, Event, SourceLoc, Trace};
 
-use crate::checker::ReplayObserver;
+use crate::checker::{check_trace_observed, ReplayObserver};
 use crate::diag::{Diag, Severity};
+use crate::model::PersistencyModel;
 use crate::shadow::ShadowMemory;
+
+/// Steps an engine bundle keeps: the last 64 of its trace, enough for every
+/// trace the paper's examples produce while bounding the 16 queued bundles
+/// of long traces.
+pub const BUNDLE_STEPS: usize = 64;
 
 /// Why a bundle was captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,32 +51,63 @@ impl BundleReason {
     }
 }
 
-/// A frozen flight-recorder window plus the diagnostics that triggered it.
+/// One per-range persist interval as the model saw it after a step.
+///
+/// `end == None` means the interval is still open (flushed but not yet
+/// fenced, or not flushed at all): the range is not guaranteed persistent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntervalNote {
+    /// The byte range this interval covers.
+    pub range: ByteRange,
+    /// Epoch in which the persist interval began (the write's epoch).
+    pub begin: u64,
+    /// Epoch in which the interval closed, if it has closed.
+    pub end: Option<u64>,
+    /// Source location of the write that opened the interval, if known.
+    pub write_loc: Option<SourceLoc>,
+}
+
+/// One replayed entry together with the interval state observed after it.
+#[derive(Debug, Clone)]
+pub struct StepRecord {
+    /// Index of the entry within its trace.
+    pub index: usize,
+    /// The entry itself (events are `Copy`).
+    pub entry: Entry,
+    /// The model's epoch counter after replaying this entry.
+    pub epoch: u64,
+    /// Persist intervals touching the entry's own ranges after this step.
+    pub intervals: Vec<IntervalNote>,
+}
+
+/// One trace's re-checked steps plus the diagnostics that triggered the
+/// capture.
 #[derive(Debug, Clone)]
 pub struct DiagnosisBundle {
     /// Name of the persistency model that replayed the trace.
     pub model: String,
     /// Why the bundle was captured.
     pub reason: BundleReason,
-    /// Id of the trace the (latest) window steps belong to.
+    /// Id of the trace the steps belong to.
     pub trace_id: u64,
-    /// Every diagnostic the trace produced, in emission order.
+    /// Every diagnostic the trace produced, in emission order (empty for a
+    /// [`BundleReason::Manual`] capture).
     pub diags: Vec<Diag>,
     /// Index into `diags` of the firing (first FAIL) diagnostic, if any.
     pub firing: Option<usize>,
-    /// The recorded window, oldest step first.
+    /// The trace's last captured steps, oldest first.
     pub steps: Vec<StepRecord>,
 }
 
-/// The flight recorder's replay observer: every replayed entry of trace
-/// `trace_id` lands in the worker's ring as a step record — the model's
-/// epoch counter plus the persist intervals touching the entry's own ranges.
-pub(crate) struct StepCapture<'a> {
-    pub(crate) recorder: &'a FlightRecorder,
-    pub(crate) trace_id: u64,
+/// The step-recording replay observer: every replayed entry becomes a step
+/// record — the model's epoch counter plus the persist intervals touching
+/// the entry's own ranges — and only the last `keep` are kept.
+struct StepCapture {
+    steps: VecDeque<StepRecord>,
+    keep: usize,
 }
 
-impl ReplayObserver for StepCapture<'_> {
+impl ReplayObserver for StepCapture {
     fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory) {
         let mut intervals = Vec::new();
         let mut note = |range| {
@@ -96,8 +139,15 @@ impl ReplayObserver for StepCapture<'_> {
             | Event::TxCheckerStart
             | Event::TxCheckerEnd => {}
         }
-        let (trace_id, epoch) = (self.trace_id, shadow.timestamp());
-        self.recorder.record(StepRecord { trace_id, index, entry: *entry, epoch, intervals });
+        self.steps.push_back(StepRecord {
+            index,
+            entry: *entry,
+            epoch: shadow.timestamp(),
+            intervals,
+        });
+        if self.steps.len() > self.keep {
+            self.steps.pop_front();
+        }
     }
 }
 
@@ -136,9 +186,27 @@ fn fence_cause(event: &Event) -> Option<&'static str> {
 }
 
 impl DiagnosisBundle {
-    /// Assemble a bundle from a worker's window for one trace's diagnostics.
+    /// Builds the bundle of `trace` by checking it once more under `model`
+    /// with the step recorder watching, keeping the trace's last `steps`
+    /// steps (the engine keeps [`BUNDLE_STEPS`]; `trace.len()` keeps them
+    /// all, so `pmtest-explain` replays the whole trace). An
+    /// [`BundleReason::Error`] bundle carries the re-check's diagnostics; a
+    /// [`BundleReason::Manual`] one carries the steps only.
     #[must_use]
-    pub(crate) fn from_window(
+    pub fn recheck(
+        model: &dyn PersistencyModel,
+        trace: &Trace,
+        reason: BundleReason,
+        steps: usize,
+    ) -> Self {
+        let mut capture = StepCapture { steps: VecDeque::new(), keep: steps };
+        let diags = check_trace_observed(trace, model, &mut capture);
+        let diags = if reason == BundleReason::Manual { Vec::new() } else { diags };
+        Self::from_steps(model.name(), reason, trace.id(), diags, capture.steps.into())
+    }
+
+    /// Assembles a bundle from one trace's steps and diagnostics.
+    fn from_steps(
         model: &str,
         reason: BundleReason,
         trace_id: u64,
@@ -262,15 +330,14 @@ impl DiagnosisBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmtest_interval::ByteRange;
-    use pmtest_trace::SourceLoc;
 
     use crate::diag::DiagKind;
+    use crate::model::X86Model;
 
     fn sample_bundle() -> DiagnosisBundle {
         let loc = SourceLoc::new("app.rs", 10);
         let culprit = SourceLoc::new("app.rs", 3);
-        DiagnosisBundle::from_window(
+        DiagnosisBundle::from_steps(
             "x86",
             BundleReason::Error,
             7,
@@ -283,7 +350,6 @@ mod tests {
             }],
             vec![
                 StepRecord {
-                    trace_id: 7,
                     index: 0,
                     entry: Event::Write(ByteRange::with_len(0, 8)).at(culprit),
                     epoch: 0,
@@ -295,7 +361,6 @@ mod tests {
                     }],
                 },
                 StepRecord {
-                    trace_id: 7,
                     index: 1,
                     entry: Event::Fence.at(SourceLoc::new("app.rs", 5)),
                     epoch: 1,
@@ -326,7 +391,7 @@ mod tests {
     #[test]
     fn firing_marks_first_fail_not_warns() {
         let loc = SourceLoc::new("a.rs", 1);
-        let bundle = DiagnosisBundle::from_window(
+        let bundle = DiagnosisBundle::from_steps(
             "x86",
             BundleReason::Error,
             1,
@@ -349,6 +414,33 @@ mod tests {
             Vec::new(),
         );
         assert_eq!(bundle.firing, Some(1));
+    }
+
+    #[test]
+    fn recheck_keeps_the_last_steps_of_one_trace() {
+        let r = ByteRange::with_len(0, 8);
+        let mut trace = Trace::new(9);
+        for _ in 0..BUNDLE_STEPS {
+            trace.push(Event::Write(r).here());
+        }
+        trace.push(Event::IsPersist(r).here());
+        let model = X86Model::new();
+        let bundle = DiagnosisBundle::recheck(&model, &trace, BundleReason::Error, BUNDLE_STEPS);
+        assert_eq!((bundle.model.as_str(), bundle.trace_id), ("x86", 9));
+        assert_eq!(bundle.steps.len(), BUNDLE_STEPS, "the window is bounded");
+        let first = bundle.steps[0].index;
+        assert_eq!(first, trace.len() - BUNDLE_STEPS, "the oldest steps are dropped");
+        assert_eq!(bundle.diags[0].kind, DiagKind::NotPersisted);
+        assert_eq!(bundle.firing, Some(0));
+        let manual = DiagnosisBundle::recheck(&model, &trace, BundleReason::Manual, BUNDLE_STEPS);
+        assert!(
+            manual.diags.is_empty() && manual.firing.is_none(),
+            "a manual capture is steps only"
+        );
+        assert_eq!(manual.to_json_lines().lines().count(), 1 + BUNDLE_STEPS);
+        let whole = DiagnosisBundle::recheck(&model, &trace, BundleReason::Error, trace.len());
+        assert_eq!(whole.steps.len(), trace.len(), "a trace-length window keeps every step");
+        assert_eq!(whole.steps[0].index, 0);
     }
 
     #[test]

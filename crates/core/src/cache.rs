@@ -23,18 +23,16 @@
 //!   profile stays exact under hits.
 //!
 //! **Bypass predicate.** A trace bypasses the cache (checked cold, nothing
-//! cached) when a replay observer must see every occurrence — the
-//! telemetry *timing* layer (per-entry checker histograms and per-worker
-//! `TraceStats` must observe every entry) or the *flight recorder*
-//! (per-step window capture, including the automatic ERROR-bundle capture
-//! on failing traces, must run per occurrence). Those are exactly the
-//! features whose answers depend on more than (words, model): they consume
-//! wall-clock time and cross-trace recorder state. Everything else —
-//! including the profiling layer, whose per-site deltas are themselves a
-//! pure function of the words — is served from the cache. The predicate is
-//! evaluated per engine construction (both layers are fixed at
-//! [`TelemetryConfig`](crate::TelemetryConfig) time), tested in
-//! `crates/core/tests/verdict_cache.rs`, and documented in DESIGN.md §17.
+//! cached) when the telemetry *timing* layer is on: its per-entry checker
+//! histograms and per-worker `TraceStats` must observe every occurrence,
+//! and wall-clock time is the one answer that depends on more than (words,
+//! model). Everything else is served from the cache — the profiling layer,
+//! whose per-site deltas are themselves a pure function of the words, and
+//! the recorder, whose ERROR bundles are re-derived from the words after
+//! the verdict is known, whether it came from a check or a hit. The
+//! predicate is fixed at [`TelemetryConfig`](crate::TelemetryConfig) time,
+//! tested in `crates/core/tests/verdict_cache.rs`, and documented in
+//! DESIGN.md §17.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,7 +152,7 @@ pub struct VerdictCacheStats {
     /// Lookups answered by neither tier — the trace paid a cold check.
     pub misses: u64,
     /// Traces that skipped the cache entirely under the bypass predicate
-    /// (timing layer or flight recorder observing the replay).
+    /// (the timing layer observing the replay).
     pub bypasses: u64,
     /// Verdicts inserted into the L2.
     pub inserts: u64,

@@ -9,20 +9,18 @@ use crate::model::{
 };
 use crate::shadow::ShadowMemory;
 
-/// The recyclable working state of a [`TraceChecker`]: the shadow memory,
-/// the transaction-checker scope, and the scratch buffers the replay loop
-/// needs.
+/// The recyclable working state of the replay: the shadow memory, the
+/// transaction-checker scope, and the scratch buffers the replay loop needs.
 ///
 /// Every trace is checked against logically fresh state, but the state's
 /// *allocations* (segment vectors, interval-tree arena, interner) are
 /// expensive to rebuild per trace. A `CheckerScratch` is `reset()` between
-/// traces instead — mirroring the engine's [`ArenaPool`](pmtest_trace::ArenaPool)
-/// — and the replay rewrites that state in place, so a worker replaying
-/// through [`check_packed_with`] with a kept [`LocResolver`] allocates nothing
-/// per entry once warm, beyond the diagnostics of a failing trace (pinned by
-/// `crates/core/tests/alloc_free_replay.rs`; segment maps past 2048 segments
-/// spill to a BTree, which allocates). Pass it to
-/// [`TraceChecker::with_scratch`], [`check_trace_with`] or
+/// traces instead, and the replay rewrites that state in place, so a worker
+/// replaying through [`check_packed_with`] with a kept [`LocResolver`]
+/// allocates nothing per entry once warm, beyond the diagnostics of a
+/// failing trace (pinned by `crates/core/tests/alloc_free_replay.rs`;
+/// segment maps past 2048 segments spill to a BTree, which allocates). Each
+/// engine worker owns one. Pass it to [`check_trace_with`] or
 /// [`check_packed_with`].
 #[derive(Default)]
 pub struct CheckerScratch {
@@ -48,8 +46,7 @@ impl CheckerScratch {
     }
 
     /// Resets to the logical state of a fresh scratch while keeping every
-    /// backing allocation. Called automatically by
-    /// [`TraceChecker::with_scratch`].
+    /// backing allocation. Every check on recycled scratch calls it first.
     pub fn reset(&mut self) {
         self.shadow.clear();
         self.tx.active = false;
@@ -94,29 +91,6 @@ struct TxScope {
     log: IntervalTree<SourceLoc>,
     /// Ranges modified inside the scope, attributed to the last write.
     modified: SegmentMap<SourceLoc>,
-}
-
-/// Owned-or-borrowed scratch: `TraceChecker::new` owns fresh state for
-/// one-shot use; `with_scratch` borrows a pooled instance.
-enum ScratchSlot<'a> {
-    Owned(Box<CheckerScratch>),
-    Borrowed(&'a mut CheckerScratch),
-}
-
-impl ScratchSlot<'_> {
-    fn get(&self) -> &CheckerScratch {
-        match self {
-            ScratchSlot::Owned(s) => s,
-            ScratchSlot::Borrowed(s) => s,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut CheckerScratch {
-        match self {
-            ScratchSlot::Owned(s) => s,
-            ScratchSlot::Borrowed(s) => s,
-        }
-    }
 }
 
 /// Applies one *operation* event. For the built-in models the rules are
@@ -173,165 +147,13 @@ fn do_check_ordered_before(
     }
 }
 
-/// Validates one trace against a persistency model's checking rules (§4.4)
-/// and the high-level transaction checkers (§5.1).
-///
-/// The checker walks entries in program order in a single fused pass:
-/// operations update the [`ShadowMemory`] (for the built-in models the rules
-/// are inlined, bypassing dynamic dispatch), checkers are validated against
-/// it in place, and the transaction checker maintains the *log tree* of
-/// `TX_ADD`ed ranges plus the set of objects modified inside the checked
-/// scope.
-///
-/// For one-shot use see [`check_trace`]; for the engine's recycled hot path
-/// see [`check_trace_with`] and [`CheckerScratch`].
-pub struct TraceChecker<'a> {
-    model: &'a dyn PersistencyModel,
-    /// `Some` when `model` is one of the built-ins, enabling the fused
-    /// devirtualized replay; queried once per trace.
-    fast: Option<BuiltinModel>,
-    scratch: ScratchSlot<'a>,
-    diags: Vec<Diag>,
-}
-
-impl<'a> TraceChecker<'a> {
-    /// Creates a checker for one trace with its own fresh state.
-    #[must_use]
-    pub fn new(model: &'a dyn PersistencyModel) -> Self {
-        Self {
-            model,
-            fast: model.builtin(),
-            scratch: ScratchSlot::Owned(Box::default()),
-            diags: Vec::new(),
-        }
-    }
-
-    /// Creates a checker that replays onto recycled `scratch` state (which
-    /// is reset here; any previous trace's results are discarded).
-    #[must_use]
-    pub fn with_scratch(model: &'a dyn PersistencyModel, scratch: &'a mut CheckerScratch) -> Self {
-        scratch.reset();
-        Self {
-            model,
-            fast: model.builtin(),
-            scratch: ScratchSlot::Borrowed(scratch),
-            diags: Vec::new(),
-        }
-    }
-
-    /// Splits the borrow so handlers can mutate scratch state and the
-    /// diagnostics sink simultaneously.
-    fn parts(&mut self) -> (&mut CheckerScratch, &mut Vec<Diag>) {
-        let Self { scratch, diags, .. } = self;
-        (scratch.get_mut(), diags)
-    }
-
-    /// Processes one entry.
-    pub fn process(&mut self, entry: &Entry) {
-        let model = self.model;
-        let fast = self.fast;
-        let (scratch, diags) = self.parts();
-        // Fast path: no exclusions active (the overwhelmingly common case),
-        // so no range clipping and no per-event allocation is needed.
-        if !scratch.shadow.has_exclusions() {
-            return process_unclipped(model, fast, scratch, diags, entry);
-        }
-        match entry.event {
-            Event::Write(range) => {
-                for sub in scratch.shadow.in_scope(range) {
-                    write_sub(model, fast, scratch, diags, sub, entry.loc);
-                }
-            }
-            Event::Flush(range) => {
-                for sub in scratch.shadow.in_scope(range) {
-                    apply_op(fast, model, &mut scratch.shadow, Event::Flush(sub), entry.loc, diags);
-                }
-            }
-            Event::Fence | Event::OFence | Event::DFence => {
-                apply_op(fast, model, &mut scratch.shadow, entry.event, entry.loc, diags);
-            }
-            Event::TxBegin => scratch.tx_begins.push(entry.loc),
-            Event::TxEnd => on_tx_end(scratch, diags, entry.loc),
-            Event::TxAdd(range) => {
-                if scratch.tx.active {
-                    for sub in scratch.shadow.in_scope(range) {
-                        tx_add_sub(scratch, diags, sub, entry.loc);
-                    }
-                }
-            }
-            Event::IsPersist(range) => {
-                for sub in scratch.shadow.in_scope(range) {
-                    do_check_persist(fast, model, &scratch.shadow, sub, entry.loc, diags);
-                }
-            }
-            Event::IsOrderedBefore(first, second) => {
-                for a in scratch.shadow.in_scope(first) {
-                    for b in scratch.shadow.in_scope(second) {
-                        do_check_ordered_before(
-                            fast,
-                            model,
-                            &scratch.shadow,
-                            a,
-                            b,
-                            entry.loc,
-                            diags,
-                        );
-                    }
-                }
-            }
-            Event::TxCheckerStart => on_tx_checker_start(scratch, entry.loc),
-            Event::TxCheckerEnd => on_tx_checker_end(model, fast, scratch, diags, entry.loc),
-            Event::Exclude(range) => scratch.shadow.exclude(range),
-            Event::Include(range) => scratch.shadow.include(range),
-        }
-    }
-
-    /// Processes every entry of `trace` and returns the diagnostics.
-    #[must_use]
-    pub fn run(mut self, trace: &Trace) -> Vec<Diag> {
-        self.process_packed(trace.packed(), &mut LocResolver::new(), &mut ());
-        self.finish()
-    }
-
-    /// Processes a packed record slice in place — the one replay walk.
-    /// Decoding happens one entry at a time on the stack, so no `Vec<Entry>`
-    /// is ever built for the trace; `obs` sees each entry right after it is
-    /// applied (the `()` observer compiles to the bare loop).
-    pub(crate) fn process_packed<O: ReplayObserver>(
-        &mut self,
-        words: &[PackedEntry],
-        resolver: &mut LocResolver,
-        obs: &mut O,
-    ) {
-        let mut i = 0;
-        let mut index = 0;
-        while let Some((entry, next)) = decode_next(words, i, resolver) {
-            self.process(&entry);
-            obs.on_entry(index, &entry, &self.scratch.get().shadow);
-            i = next;
-            index += 1;
-        }
-    }
-
-    /// Returns the diagnostics accumulated so far.
-    #[must_use]
-    pub fn finish(self) -> Vec<Diag> {
-        self.diags
-    }
-
-    /// Read access to the shadow memory (for tests and custom checkers).
-    #[must_use]
-    pub fn shadow(&self) -> &ShadowMemory {
-        &self.scratch.get().shadow
-    }
-}
-
-/// A per-entry hook on the packed replay walk
-/// ([`TraceChecker::process_packed`]): called once per entry, in program
+/// A per-entry hook on the replay walk: called once per entry, in program
 /// order, right after the checker applied it, with the shadow state it left
-/// behind. The engine's telemetry layers (per-category timing, the flight
-/// recorder, the site profiler) are observers; the plain replay passes `()`.
-pub(crate) trait ReplayObserver {
+/// behind. The engine's timing and profiling layers, the diagnosis-bundle
+/// step capture, and `pmtest-explain`'s timeline are observers; the plain
+/// replay passes `()`, which compiles to the bare loop. Run one with
+/// [`check_trace_observed`].
+pub trait ReplayObserver {
     /// Observes entry `index` of the trace.
     fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory);
 }
@@ -341,7 +163,94 @@ impl ReplayObserver for () {
     fn on_entry(&mut self, _: usize, _: &Entry, _: &ShadowMemory) {}
 }
 
-/// The no-exclusions fast path of [`TraceChecker::process`]: identical
+/// Validates one trace against a persistency model's checking rules (§4.4)
+/// and the high-level transaction checkers (§5.1) — the one replay walk
+/// every check runs.
+///
+/// The walk decodes the packed records one entry at a time on the stack
+/// (no `Vec<Entry>` is built) and applies each in a single fused pass:
+/// operations update the [`ShadowMemory`] (for the built-in models the
+/// rules are inlined, bypassing dynamic dispatch), checkers are validated
+/// against it in place, and the transaction checker maintains the *log
+/// tree* of `TX_ADD`ed ranges plus the set of objects modified inside the
+/// checked scope. `obs` sees each entry right after it is applied.
+pub(crate) fn replay<O: ReplayObserver>(
+    words: &[PackedEntry],
+    model: &dyn PersistencyModel,
+    scratch: &mut CheckerScratch,
+    resolver: &mut LocResolver,
+    obs: &mut O,
+) -> Vec<Diag> {
+    scratch.reset();
+    let fast = model.builtin();
+    let mut diags = Vec::new();
+    let mut i = 0;
+    let mut index = 0;
+    while let Some((entry, next)) = decode_next(words, i, resolver) {
+        process(model, fast, scratch, &mut diags, &entry);
+        obs.on_entry(index, &entry, &scratch.shadow);
+        i = next;
+        index += 1;
+    }
+    diags
+}
+
+/// Applies one entry.
+fn process(
+    model: &dyn PersistencyModel,
+    fast: Option<BuiltinModel>,
+    scratch: &mut CheckerScratch,
+    diags: &mut Vec<Diag>,
+    entry: &Entry,
+) {
+    // Fast path: no exclusions active (the overwhelmingly common case), so
+    // no range clipping and no per-event allocation is needed.
+    if !scratch.shadow.has_exclusions() {
+        return process_unclipped(model, fast, scratch, diags, entry);
+    }
+    match entry.event {
+        Event::Write(range) => {
+            for sub in scratch.shadow.in_scope(range) {
+                write_sub(model, fast, scratch, diags, sub, entry.loc);
+            }
+        }
+        Event::Flush(range) => {
+            for sub in scratch.shadow.in_scope(range) {
+                apply_op(fast, model, &mut scratch.shadow, Event::Flush(sub), entry.loc, diags);
+            }
+        }
+        Event::Fence | Event::OFence | Event::DFence => {
+            apply_op(fast, model, &mut scratch.shadow, entry.event, entry.loc, diags);
+        }
+        Event::TxBegin => scratch.tx_begins.push(entry.loc),
+        Event::TxEnd => on_tx_end(scratch, diags, entry.loc),
+        Event::TxAdd(range) => {
+            if scratch.tx.active {
+                for sub in scratch.shadow.in_scope(range) {
+                    tx_add_sub(scratch, diags, sub, entry.loc);
+                }
+            }
+        }
+        Event::IsPersist(range) => {
+            for sub in scratch.shadow.in_scope(range) {
+                do_check_persist(fast, model, &scratch.shadow, sub, entry.loc, diags);
+            }
+        }
+        Event::IsOrderedBefore(first, second) => {
+            for a in scratch.shadow.in_scope(first) {
+                for b in scratch.shadow.in_scope(second) {
+                    do_check_ordered_before(fast, model, &scratch.shadow, a, b, entry.loc, diags);
+                }
+            }
+        }
+        Event::TxCheckerStart => on_tx_checker_start(scratch, entry.loc),
+        Event::TxCheckerEnd => on_tx_checker_end(model, fast, scratch, diags, entry.loc),
+        Event::Exclude(range) => scratch.shadow.exclude(range),
+        Event::Include(range) => scratch.shadow.include(range),
+    }
+}
+
+/// The no-exclusions fast path of [`process`]: identical
 /// semantics with every range passed through whole.
 fn process_unclipped(
     model: &dyn PersistencyModel,
@@ -496,7 +405,7 @@ fn on_tx_checker_end(
 /// Checks one trace against `model`, returning all diagnostics.
 ///
 /// This is the one-shot path; tests and custom tools can call it directly.
-/// The engine's workers use [`check_trace_with`], which recycles the
+/// The engine's workers use [`check_packed_with`], which recycles the
 /// checker's allocations across traces.
 ///
 /// # Examples
@@ -516,7 +425,45 @@ fn on_tx_checker_end(
 /// ```
 #[must_use]
 pub fn check_trace(trace: &Trace, model: &dyn PersistencyModel) -> Vec<Diag> {
-    TraceChecker::new(model).run(trace)
+    check_trace_observed(trace, model, &mut ())
+}
+
+/// Checks one trace on fresh state like [`check_trace`], calling `obs` after
+/// every entry with the shadow state that entry left behind — the entry
+/// point for tools that watch the interval inference (the diagnosis-bundle
+/// re-check, `pmtest-explain`'s timeline). Diagnostics are identical to
+/// [`check_trace`].
+///
+/// # Examples
+///
+/// ```
+/// use pmtest_core::{check_trace_observed, ReplayObserver, ShadowMemory, X86Model};
+/// use pmtest_trace::{Entry, Event, Trace};
+/// use pmtest_interval::ByteRange;
+///
+/// /// The model's epoch counter after every entry.
+/// struct Epochs(Vec<u64>);
+/// impl ReplayObserver for Epochs {
+///     fn on_entry(&mut self, _: usize, _: &Entry, shadow: &ShadowMemory) {
+///         self.0.push(shadow.timestamp());
+///     }
+/// }
+///
+/// let mut trace = Trace::new(0);
+/// let r = ByteRange::with_len(0, 8);
+/// trace.push(Event::Write(r).here());
+/// trace.push(Event::Flush(r).here());
+/// trace.push(Event::Fence.here());
+/// let mut epochs = Epochs(Vec::new());
+/// assert!(check_trace_observed(&trace, &X86Model::new(), &mut epochs).is_empty());
+/// assert_eq!(epochs.0, [0, 0, 1]);
+/// ```
+pub fn check_trace_observed<O: ReplayObserver>(
+    trace: &Trace,
+    model: &dyn PersistencyModel,
+    obs: &mut O,
+) -> Vec<Diag> {
+    replay(trace.packed(), model, &mut CheckerScratch::new(), &mut LocResolver::new(), obs)
 }
 
 /// Checks one trace on recycled scratch state. The scratch is reset first,
@@ -547,7 +494,7 @@ pub fn check_trace_with(
     model: &dyn PersistencyModel,
     scratch: &mut CheckerScratch,
 ) -> Vec<Diag> {
-    TraceChecker::with_scratch(model, scratch).run(trace)
+    replay(trace.packed(), model, scratch, &mut LocResolver::new(), &mut ())
 }
 
 /// Checks a packed record slice on recycled scratch state — the worker hot
@@ -562,9 +509,7 @@ pub fn check_packed_with(
     scratch: &mut CheckerScratch,
     resolver: &mut LocResolver,
 ) -> Vec<Diag> {
-    let mut checker = TraceChecker::with_scratch(model, scratch);
-    checker.process_packed(words, resolver, &mut ());
-    checker.finish()
+    replay(words, model, scratch, resolver, &mut ())
 }
 
 /// Maximum number of distinct ranges the clean-lane DFA tracks before it

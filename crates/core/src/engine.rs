@@ -6,25 +6,19 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
-use pmtest_obs::{Counter, EventLog, ScrapeServer, SpanHandle, TelemetrySnapshot};
-use pmtest_trace::{
-    ArenaPool, Entry, FlightRecorder, LocResolver, PackedEntry, Trace, TraceArena, TraceStats,
-};
+use pmtest_obs::{ScrapeServer, SpanHandle, TelemetrySnapshot};
+use pmtest_trace::{ArenaPool, Entry, LocResolver, PackedEntry, Trace, TraceArena, TraceStats};
 
-use crate::bundle::{BundleReason, DiagnosisBundle, StepCapture};
+use crate::bundle::{BundleReason, DiagnosisBundle, BUNDLE_STEPS};
 use crate::cache::{
     CachedVerdict, VerdictCache, VerdictCacheConfig, VerdictCacheStats, WorkerCache,
 };
-use crate::checker::{
-    check_packed_with, packed_clean, CheckerScratch, ReplayObserver, TraceChecker,
-};
-use crate::diag::{Report, Severity, TraceReport};
+use crate::checker::{check_packed_with, packed_clean, replay, CheckerScratch, ReplayObserver};
+use crate::diag::{Diag, Report, Severity, TraceReport};
 use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
 use crate::model::{BuiltinModel, PersistencyModel, X86Model};
 use crate::shadow::ShadowMemory;
-use crate::telemetry::{
-    EngineCounters, EngineTelemetry, EntryTimer, SiteProfiler, Stage, TelemetryConfig,
-};
+use crate::telemetry::{EngineTelemetry, EntryTimer, SiteProfiler, Stage, TelemetryConfig};
 
 /// Configuration of the checking engine.
 #[derive(Clone, Debug)]
@@ -40,7 +34,8 @@ pub struct EngineConfig {
     /// backpressures the program (Fig. 12a).
     pub queue_capacity: usize,
     /// What the engine records beyond its always-on counters (latency
-    /// histograms, the structured event ring). Defaults to everything off.
+    /// histograms, diagnosis bundles, spans, the profile). Defaults to
+    /// everything off.
     pub telemetry: TelemetryConfig,
     /// The content-addressed verdict cache (see [`crate::cache`]). Off by
     /// default: the default configuration keeps measuring — and the golden
@@ -70,7 +65,7 @@ impl Default for EngineConfig {
 struct BatchMsg {
     arena: TraceArena,
     accounting: BatchAccounting,
-    /// Send time, for the dispatch-latency histogram. `None` unless the
+    /// Send time, for the ring-wait stage histogram. `None` unless the
     /// telemetry timing layer is on — reading the clock per submit would
     /// otherwise dominate short traces.
     submitted: Option<Instant>,
@@ -134,55 +129,6 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
     (256 / batch_capacity.max(1)).clamp(32, 256)
 }
 
-/// Pool of recycled [`CheckerScratch`] instances shared by the workers.
-///
-/// A worker takes one scratch per received batch and returns it afterwards,
-/// so the pool never holds more instances than there are workers — but the
-/// shadow memory, transaction log tree, and interner *allocations* inside
-/// each instance survive indefinitely. Together with the [`ArenaPool`] this
-/// removes the last per-trace allocation from the steady-state checking
-/// path.
-struct ShadowPool {
-    // Boxed so acquire/release move one pointer under the lock, not the
-    // whole scratch struct.
-    #[allow(clippy::vec_box)]
-    free: Mutex<Vec<Box<CheckerScratch>>>,
-    /// Acquisitions served by recycling a pooled instance.
-    recycled: Counter,
-    /// Acquisitions that had to allocate a fresh instance.
-    fresh: Counter,
-    /// Instances retained when released; beyond this they are dropped.
-    cap: usize,
-}
-
-impl ShadowPool {
-    fn new(cap: usize, counters: &EngineCounters) -> Self {
-        Self {
-            free: Mutex::new(Vec::with_capacity(cap)),
-            recycled: counters.shadow_recycled.clone(),
-            fresh: counters.shadow_fresh.clone(),
-            cap,
-        }
-    }
-
-    fn acquire(&self) -> Box<CheckerScratch> {
-        if let Some(scratch) = self.free.lock().pop() {
-            self.recycled.inc();
-            scratch
-        } else {
-            self.fresh.inc();
-            Box::default()
-        }
-    }
-
-    fn release(&self, scratch: Box<CheckerScratch>) {
-        let mut free = self.free.lock();
-        if free.len() < self.cap {
-            free.push(scratch);
-        }
-    }
-}
-
 /// The decoupled checking engine: trace batches flow through a sharded
 /// ingest plane to a pool of worker threads (Fig. 8).
 ///
@@ -210,9 +156,10 @@ impl ShadowPool {
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
-/// * **Storage recycling** — workers return arenas and checker scratch state
-///   to pools that submissions and later batches draw from, keeping the
-///   steady-state path off the allocator.
+/// * **Storage recycling** — workers return arenas to a pool that
+///   submissions draw from, and each worker keeps its own checker scratch
+///   state across batches, keeping the steady-state path off the
+///   allocator.
 ///
 /// # Examples
 ///
@@ -258,35 +205,31 @@ struct Shared {
     collected: Mutex<Report>,
     /// Arenas recycled between workers (release) and submitters (acquire).
     arena_pool: Arc<ArenaPool>,
-    /// Checker scratch state (shadow memory, tx scope, interner) recycled
-    /// across batches, one instance held per busy worker.
-    shadow_pool: ShadowPool,
     /// Shared L2 of the content-addressed verdict cache; `None` unless
     /// [`VerdictCacheConfig::enabled`]. Workers keep their L1s privately.
     verdict_cache: Option<VerdictCache>,
     idle_lock: Mutex<()>,
     idle: Condvar,
     /// Typed metric handles (the engine's counters, histograms, per-kind
-    /// diagnostic counters, the event ring). Always present; whether clocks
-    /// are read depends on [`TelemetryConfig::timing`].
+    /// diagnostic counters). Always present; whether clocks are read
+    /// depends on [`TelemetryConfig::timing`].
     telemetry: EngineTelemetry,
-    /// Per-worker flight recorders. Empty unless
-    /// [`TelemetryConfig::recorder`] is on, so the off path never touches
-    /// them (`recorders.get(idx)` is `None`).
-    recorders: Vec<FlightRecorder>,
+    /// The last trace each worker checked, re-checked by
+    /// [`Engine::capture_bundle`]. Empty unless [`TelemetryConfig::recorder`]
+    /// is on, which is how workers tell that the recorder is on.
+    last_traces: Vec<Mutex<Option<Trace>>>,
     /// Diagnosis bundles captured on ERROR, drained by
     /// [`Engine::take_bundles`]. Bounded at [`MAX_BUNDLES`]; captures past
     /// the bound increment `bundles_dropped` instead of growing the queue.
     bundles: Mutex<Vec<DiagnosisBundle>>,
     /// ERROR bundles discarded because the bundle queue was full.
     bundles_dropped: AtomicU64,
-    /// Name of the configured persistency model, for bundle headers built
-    /// outside the workers ([`Engine::capture_bundle`]).
-    model_name: String,
+    /// The persistency model every worker checks against.
+    model: Arc<dyn PersistencyModel>,
 }
 
 /// Most ERROR bundles retained between [`Engine::take_bundles`] drains. One
-/// failing checker in a loop would otherwise buffer a window of every
+/// failing checker in a loop would otherwise buffer the steps of every
 /// iteration; the first failures are the interesting ones.
 const MAX_BUNDLES: usize = 16;
 
@@ -327,6 +270,23 @@ impl Shared {
             // with the wait in `wait_idle`.
             drop(self.idle_lock.lock());
             self.idle.notify_all();
+        }
+    }
+
+    /// Files the ERROR bundle of a failing `trace`, built by re-checking it,
+    /// or counts it dropped once the bundle queue is full.
+    fn file_error_bundle(&self, trace: &Trace) {
+        let mut bundles = self.bundles.lock();
+        if bundles.len() < MAX_BUNDLES {
+            let reason = BundleReason::Error;
+            bundles.push(DiagnosisBundle::recheck(
+                self.model.as_ref(),
+                trace,
+                reason,
+                BUNDLE_STEPS,
+            ));
+        } else {
+            self.bundles_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -375,14 +335,6 @@ impl Shared {
         snap.push_counter("arena_pool_released", &[], arena.released);
         snap.push_counter("arena_pool_dropped", &[], arena.dropped);
         snap.push_gauge("arena_pool_hit_rate", &[], arena.hit_rate());
-        let c = &self.telemetry.counters;
-        let (recycled, fresh) = (c.shadow_recycled.get(), c.shadow_fresh.get());
-        let acquisitions = recycled + fresh;
-        snap.push_gauge(
-            "shadow_pool_hit_rate",
-            &[],
-            if acquisitions == 0 { 0.0 } else { recycled as f64 / acquisitions as f64 },
-        );
         if let Some(cache) = &self.verdict_cache {
             let stats = cache.stats();
             snap.push_counter("verdict_cache_l1_hits", &[], stats.l1_hits);
@@ -480,7 +432,6 @@ impl Engine {
             shards: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
             collected: Mutex::new(Report::default()),
             arena_pool: Arc::new(ArenaPool::new()),
-            shadow_pool: ShadowPool::new(config.workers, &telemetry.counters),
             verdict_cache: config
                 .verdict_cache
                 .enabled
@@ -488,24 +439,21 @@ impl Engine {
             idle_lock: Mutex::new(()),
             idle: Condvar::new(),
             telemetry,
-            recorders: if config.telemetry.recorder {
-                (0..config.workers)
-                    .map(|_| FlightRecorder::new(config.telemetry.recorder_capacity))
-                    .collect()
+            last_traces: if config.telemetry.recorder {
+                (0..config.workers).map(|_| Mutex::new(None)).collect()
             } else {
                 Vec::new()
             },
             bundles: Mutex::new(Vec::new()),
             bundles_dropped: AtomicU64::new(0),
-            model_name: config.model.name().to_owned(),
+            model: config.model,
         });
         let mut handles = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
             let shared = shared.clone();
-            let model = config.model.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("pmtest-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i, &model))
+                .spawn(move || worker_loop(&shared, i))
                 .expect("spawn pmtest worker");
             handles.push(handle);
         }
@@ -573,19 +521,11 @@ impl Engine {
         &self.shared.telemetry
     }
 
-    /// The engine's structured event log. Empty unless
-    /// [`TelemetryConfig::events`] is on (or it is enabled here at runtime
-    /// via [`EventLog::set_enabled`]).
-    #[must_use]
-    pub fn event_log(&self) -> &EventLog {
-        &self.shared.telemetry.events
-    }
-
     /// A full machine-readable snapshot of the engine's telemetry: registry
     /// metrics (per-checker latency histograms, per-kind diagnostic
     /// counters, queue-depth and worker-utilization gauges), the lifetime
-    /// [`EngineStats`] counters, ingest-plane ring metrics, pool statistics,
-    /// and the contents of the event ring.
+    /// [`EngineStats`] counters, ingest-plane ring metrics, and pool
+    /// statistics.
     ///
     /// Export it with [`TelemetrySnapshot::to_json_lines`],
     /// [`TelemetrySnapshot::to_prometheus`], or dump it to disk via
@@ -850,10 +790,11 @@ impl Engine {
         std::mem::take(&mut *self.drain_shards())
     }
 
-    /// Drains the diagnosis bundles captured so far (one per ERROR trace
-    /// while [`TelemetryConfig::recorder`] is on, bounded at 16 between
-    /// drains — the counterexamples that matter are the first ones).
-    /// Returns an empty vec when the recorder is off.
+    /// Drains the diagnosis bundles captured so far (one per trace whose
+    /// verdict carries a FAIL while [`TelemetryConfig::recorder`] is on,
+    /// whether the verdict came from a check or the verdict cache, bounded
+    /// at 16 between drains — the counterexamples that matter are the first
+    /// ones). Returns an empty vec when the recorder is off.
     #[must_use]
     pub fn take_bundles(&self) -> Vec<DiagnosisBundle> {
         self.wait_idle();
@@ -867,28 +808,23 @@ impl Engine {
         self.shared.bundles_dropped.load(Ordering::Relaxed)
     }
 
-    /// On-demand capture: waits for the pipeline to drain, then freezes
-    /// every worker's current flight-recorder window into a
-    /// [`BundleReason::Manual`] bundle (one per worker that has recorded
-    /// anything). Unlike the automatic ERROR path this does not require a
-    /// failing checker — use it to inspect interval state of a passing run.
-    /// Empty when the recorder is off.
+    /// On-demand capture: waits for the pipeline to drain, then re-checks
+    /// the last trace each worker checked into a [`BundleReason::Manual`]
+    /// bundle (one per worker that has checked anything). Unlike the
+    /// automatic ERROR path this does not require a failing checker — use
+    /// it to inspect the interval state of a passing run. Empty when the
+    /// recorder is off.
     #[must_use]
     pub fn capture_bundle(&self) -> Vec<DiagnosisBundle> {
         self.wait_idle();
+        let model = self.shared.model.as_ref();
         self.shared
-            .recorders
+            .last_traces
             .iter()
-            .filter_map(|rec| {
-                let steps = rec.window();
-                let last = steps.last()?;
-                Some(DiagnosisBundle::from_window(
-                    &self.shared.model_name,
-                    BundleReason::Manual,
-                    last.trace_id,
-                    Vec::new(),
-                    steps,
-                ))
+            .filter_map(|last| {
+                let last = last.lock();
+                let reason = BundleReason::Manual;
+                Some(DiagnosisBundle::recheck(model, last.as_ref()?, reason, BUNDLE_STEPS))
             })
             .collect()
     }
@@ -920,6 +856,9 @@ struct WorkerState {
     idx: usize,
     /// The model's built-in identity, enabling the clean lane.
     fast: Option<BuiltinModel>,
+    /// The checker's shadow memory and scratch buffers, reset (not
+    /// reallocated) between traces.
+    scratch: CheckerScratch,
     /// Location mirror for decoding packed records.
     resolver: LocResolver,
     /// This worker's verdict-cache front end (fingerprinter + private L1),
@@ -937,11 +876,12 @@ struct WorkerState {
 /// first, then stealing), check each trace's packed records in place, and
 /// file results. Exits when the plane is closed and drained; the guard marks
 /// the plane dead if this is the last worker out (normal exit or panic).
-fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyModel>) {
+fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let _guard = WorkerGuard::new(shared.plane.clone());
     let mut state = WorkerState {
         idx,
-        fast: model.builtin(),
+        fast: shared.model.builtin(),
+        scratch: CheckerScratch::new(),
         resolver: LocResolver::new(),
         wcache: shared.verdict_cache.as_ref().map(|_| WorkerCache::new()),
         profiler: SiteProfiler::default(),
@@ -961,15 +901,13 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
         let BatchMsg { arena, accounting: _accounting, submitted } = msg;
         let dequeued = submitted.map(|sent| {
             let now = Instant::now();
-            let waited = now.duration_since(sent).as_nanos() as u64;
-            shared.telemetry.dispatch_latency.record(waited);
-            shared.telemetry.stage(Stage::RingWait).record(waited);
+            shared
+                .telemetry
+                .stage(Stage::RingWait)
+                .record(now.duration_since(sent).as_nanos() as u64);
             now
         });
         let span_claim = tracing.then(|| span.now_ns());
-        // One recycled scratch serves the whole batch; it is reset (not
-        // reallocated) between traces.
-        let mut scratch = shared.shadow_pool.acquire();
         let replay_start = shared.telemetry.timing.then(Instant::now);
         if let (Some(from), Some(to)) = (dequeued, replay_start) {
             shared
@@ -979,17 +917,22 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
         }
         let span_replay = tracing.then(|| span.now_ns());
         for (id, words, entries) in arena.traces() {
-            check_span(shared, model, &mut state, &mut scratch, id, words, entries);
+            check_span(shared, &mut state, id, words, entries);
         }
         state.profiler.flush(&shared.telemetry.profile);
+        if let Some(last) = shared.last_traces.get(idx) {
+            // The recorder keeps the batch's last trace for a manual capture.
+            if let Some((id, words, entries)) = arena.traces().next_back() {
+                *last.lock() = Some(Trace::from_packed(id, words.to_vec(), entries));
+            }
+        }
         shared.arena_pool.release(arena);
         let replay_done = shared.telemetry.timing.then(Instant::now);
         if let (Some(from), Some(to)) = (replay_start, replay_done) {
             shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
         }
         let span_merge = tracing.then(|| span.now_ns());
-        shared.telemetry.segmap_repr_switches.add(scratch.take_repr_switch_delta());
-        shared.shadow_pool.release(scratch);
+        shared.telemetry.segmap_repr_switches.add(state.scratch.take_repr_switch_delta());
         // Batched settlement: one add per counter per batch.
         if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), state.wcache.as_mut()) {
             cache.flush_tally(&mut wc.tally);
@@ -1018,9 +961,25 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
     }
 }
 
-/// Checks one trace's packed records on the worker owning `state`.
-///
-/// Two lanes, fastest first:
+/// Checks one trace's packed records on the worker owning `state` and files
+/// its verdict. With the recorder on, a verdict carrying a FAIL — from any
+/// lane, the verdict cache included — also files an ERROR bundle, built by
+/// re-checking the trace's words.
+fn check_span(
+    shared: &Shared,
+    state: &mut WorkerState,
+    trace_id: u64,
+    words: &[PackedEntry],
+    entries: u32,
+) {
+    let diags = verdict(shared, state, words);
+    if !shared.last_traces.is_empty() && diags.iter().any(|d| d.severity() == Severity::Fail) {
+        shared.file_error_bundle(&Trace::from_packed(trace_id, words.to_vec(), entries));
+    }
+    file_report(shared, state, trace_id, entries, diags);
+}
+
+/// One trace's diagnostics. Two lanes, fastest first:
 ///
 /// * **Clean lane** — for built-in models with every observing telemetry
 ///   layer off, a conservative DFA sweep over the raw records
@@ -1028,38 +987,28 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
 ///   without decoding entries or touching the shadow memory.
 /// * **Packed replay** — otherwise the one replay walk decodes one entry at a
 ///   time on the stack ([`check_packed_with`]). The timing layer (per-entry
-///   [`CheckerCategory`] histograms and [`TraceStats`]), the flight recorder
-///   (per-step capture) and the profiler (per-site deltas) ride that walk as
-///   observers.
+///   [`CheckerCategory`] histograms and [`TraceStats`]) and the profiler
+///   (per-site deltas) ride that walk as observers.
 ///
 /// Both produce identical diagnostics (the clean lane only ever proves
-/// "none"). Results land in the worker's report buffer and the batch tally.
+/// "none").
 ///
-/// With the verdict cache on (and neither the timing layer nor the recorder
-/// on — see the bypass predicate in [`crate::cache`]), the trace is
-/// fingerprinted first: a hit replays the memoized verdict — identical
-/// diagnostics, identical profile deltas — without touching the checker at
-/// all, and a miss runs the normal lanes and memoizes their outcome.
+/// With the verdict cache on (and the timing layer off — see the bypass
+/// predicate in [`crate::cache`]), the trace is fingerprinted first: a hit
+/// replays the memoized verdict — identical diagnostics, identical profile
+/// deltas — without touching the checker at all, and a miss runs the normal
+/// lanes and memoizes their outcome.
 ///
 /// [`CheckerCategory`]: crate::telemetry::CheckerCategory
-fn check_span(
-    shared: &Shared,
-    model: &Arc<dyn PersistencyModel>,
-    state: &mut WorkerState,
-    scratch: &mut CheckerScratch,
-    trace_id: u64,
-    words: &[PackedEntry],
-    entries: u32,
-) {
+fn verdict(shared: &Shared, state: &mut WorkerState, words: &[PackedEntry]) -> Vec<Diag> {
+    let model = shared.model.as_ref();
     let timing = shared.telemetry.timing;
-    let recorder = shared.recorders.get(state.idx);
     let profiling = shared.telemetry.profile.is_enabled();
-    // Verdict-cache probe. Per-entry timing and flight-recorder capture
-    // (incl. ERROR bundles) must observe every occurrence, so those traces
-    // are checked cold and never cached.
+    // Verdict-cache probe. Per-entry timing must observe every occurrence,
+    // so timed traces are checked cold and never cached.
     let mut cache_slot: Option<(&VerdictCache, pmtest_trace::TraceFingerprint)> = None;
     if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), state.wcache.as_mut()) {
-        if timing || recorder.is_some() {
+        if timing {
             wc.tally.bypasses += 1;
         } else {
             let fp = wc.fingerprint(words);
@@ -1069,25 +1018,20 @@ fn check_span(
                         state.profiler.add(ops, warns);
                     }
                 }
-                let diags = verdict.diags.clone();
-                file_report(shared, state, trace_id, entries, diags);
-                return;
+                return verdict.diags.clone();
             }
             cache_slot = Some((cache, fp));
         }
     }
     let mut profile = None;
-    let diags = if timing || recorder.is_some() || profiling {
+    let diags = if timing || profiling {
         let mut observers = Observers {
             timer: timing.then(|| EntryTimer::start(&shared.telemetry)),
-            steps: recorder.map(|recorder| StepCapture { recorder, trace_id }),
             profiler: profiling.then_some(&mut state.profiler),
         };
-        let mut checker = TraceChecker::with_scratch(model.as_ref(), scratch);
-        checker.process_packed(words, &mut state.resolver, &mut observers);
-        let diags = checker.finish();
+        let diags = replay(words, model, &mut state.scratch, &mut state.resolver, &mut observers);
         if let Some(timer) = observers.timer {
-            timer.finish(state.idx, state.fast.is_some());
+            timer.finish(state.idx);
         }
         if profiling {
             profile = state.profiler.end_trace(&diags, cache_slot.is_some());
@@ -1096,40 +1040,20 @@ fn check_span(
     } else if state.fast.is_some_and(|f| packed_clean(f, words)) {
         Vec::new()
     } else {
-        check_packed_with(words, model.as_ref(), scratch, &mut state.resolver)
+        check_packed_with(words, model, &mut state.scratch, &mut state.resolver)
     };
-    if let Some(rec) = recorder {
-        if diags.iter().any(|d| d.severity() == Severity::Fail) {
-            let steps: Vec<_> =
-                rec.window().into_iter().filter(|s| s.trace_id == trace_id).collect();
-            let bundle = DiagnosisBundle::from_window(
-                model.name(),
-                BundleReason::Error,
-                trace_id,
-                diags.clone(),
-                steps,
-            );
-            let mut bundles = shared.bundles.lock();
-            if bundles.len() < MAX_BUNDLES {
-                bundles.push(bundle);
-            } else {
-                shared.bundles_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
     if let (Some((cache, fp)), Some(wc)) = (cache_slot, state.wcache.as_mut()) {
         // Cache miss: memoize the cold check's full verdict, profile deltas
         // included, so a later hit folds exactly what this walk folded.
         wc.install(cache, fp, CachedVerdict::new(diags.clone(), profile));
     }
-    file_report(shared, state, trace_id, entries, diags);
+    diags
 }
 
 /// The telemetry layers observing one trace's replay, each present only
 /// when its layer is on.
 struct Observers<'a> {
     timer: Option<EntryTimer<'a>>,
-    steps: Option<StepCapture<'a>>,
     profiler: Option<&'a mut SiteProfiler>,
 }
 
@@ -1137,9 +1061,6 @@ impl ReplayObserver for Observers<'_> {
     fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory) {
         if let Some(timer) = &mut self.timer {
             timer.on_entry(index, entry, shadow);
-        }
-        if let Some(steps) = &mut self.steps {
-            steps.on_entry(index, entry, shadow);
         }
         if let Some(profiler) = &mut self.profiler {
             profiler.on_entry(index, entry, shadow);
@@ -1154,7 +1075,7 @@ fn file_report(
     state: &mut WorkerState,
     trace_id: u64,
     entries: u32,
-    diags: Vec<crate::diag::Diag>,
+    diags: Vec<Diag>,
 ) {
     state.tally.traces += 1;
     state.tally.entries += u64::from(entries);
@@ -1225,9 +1146,8 @@ mod tests {
         assert_eq!(b.trace_id, 1);
         assert_eq!(b.model, "x86");
         assert_eq!(b.firing, Some(0));
-        // The window is filtered to the failing trace's own steps.
-        assert_eq!(b.steps.len(), 2);
-        assert!(b.steps.iter().all(|s| s.trace_id == 1));
+        // The re-check captured the failing trace's own steps.
+        assert_eq!(b.steps.iter().map(|s| s.index).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(b.diags[0].kind, DiagKind::NotPersisted);
         // Drained: a second take sees nothing new.
         assert!(engine.take_bundles().is_empty());
@@ -1249,7 +1169,7 @@ mod tests {
     }
 
     #[test]
-    fn capture_bundle_freezes_windows_on_demand() {
+    fn capture_bundle_rechecks_the_last_trace_on_demand() {
         let engine = Engine::new(EngineConfig {
             telemetry: TelemetryConfig::recorder_only(),
             ..EngineConfig::default()
@@ -1263,6 +1183,22 @@ mod tests {
         assert!(bundles[0].diags.is_empty());
         // No ERROR fired, so nothing landed in the automatic queue.
         assert!(engine.take_bundles().is_empty());
+    }
+
+    #[test]
+    fn manual_capture_holds_only_the_last_trace() {
+        let engine = Engine::new(EngineConfig {
+            telemetry: TelemetryConfig::recorder_only(),
+            ..EngineConfig::default()
+        });
+        // Four entries, then two: a window spanning both would hold six.
+        engine.submit_batch(vec![clean_trace(5), failing_trace(6)]).unwrap();
+        let bundles = engine.capture_bundle();
+        assert_eq!(bundles.len(), 1, "one worker, one bundle");
+        assert_eq!(bundles[0].trace_id, 6);
+        assert_eq!(bundles[0].steps.iter().map(|s| s.index).collect::<Vec<_>>(), [0, 1]);
+        let ops: Vec<_> = bundles[0].steps.iter().map(|s| s.entry.event).collect();
+        assert_eq!(ops, failing_trace(6).entries().iter().map(|e| e.event).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1494,22 +1430,18 @@ mod tests {
     }
 
     #[test]
-    fn shadow_pool_recycles_scratch_state_across_batches() {
+    fn worker_scratch_stays_flat_across_batches() {
         let engine = Engine::new(EngineConfig::default());
         for id in 0..50 {
-            engine.submit(clean_trace(id)).unwrap();
+            let mk = if id % 2 == 0 { failing_trace } else { clean_trace };
+            engine.submit(mk(id)).unwrap();
         }
         engine.wait_idle();
+        // Tiny traces never push the worker's segment maps past the flat
+        // representation, however many batches reuse them.
         let snap = engine.telemetry_snapshot();
-        let recycled = snap.counter("shadow_pool_recycled").unwrap_or(0);
-        let fresh = snap.counter("shadow_pool_fresh").unwrap();
-        assert_eq!(fresh, 1, "one worker allocates scratch state exactly once");
-        assert_eq!(recycled + fresh, 50, "one acquisition per single-trace batch");
-        let hit = snap.gauge("shadow_pool_hit_rate").unwrap();
-        assert!(hit > 0.9, "steady state must recycle, hit rate {hit}");
-        // Tiny clean traces never push a segment map past the flat
-        // representation.
         assert_eq!(snap.counter("engine_segmap_repr_switches"), Some(0));
+        assert_eq!(snap.counter("engine_traces_checked"), Some(50));
     }
 
     #[test]
@@ -1545,7 +1477,7 @@ mod tests {
         assert_eq!(is_persist.count, 8, "one isPersist per clean trace");
         let replay = snap.histogram_with("engine_checker_ns", "checker", "model_replay").unwrap();
         assert_eq!(replay.count, 24, "write + flush + fence per clean trace");
-        assert_eq!(snap.histogram("engine_dispatch_latency_ns").unwrap().count, 8);
+        assert_eq!(snap.histogram_with("engine_stage_ns", "stage", "ring_wait").unwrap().count, 8);
         assert!(snap.counter_sum("engine_worker_busy_ns") > 0);
         assert!(snap.gauge("engine_worker_utilization").is_some());
         let mut totals = TraceStats::default();
@@ -1656,7 +1588,7 @@ mod tests {
         // Arena/intern counters register even when the batched path is idle.
         assert_eq!(snap.counter("engine_arena_slab_allocs"), Some(0));
         assert_eq!(snap.counter_sum("engine_intern_hits"), 0);
-        // Span accounting is exported alongside the event ring's.
+        // Span accounting is exported.
         assert_eq!(snap.counter("engine_spans_dropped"), Some(0));
     }
 

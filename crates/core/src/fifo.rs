@@ -211,9 +211,7 @@ impl KernelFifo {
             if let Some(trace) = state.queue.pop_front() {
                 // Paper: the producer "gets interrupted and resumes execution
                 // when the FIFO is less than half full".
-                if state.queue.len() < self.capacity / 2 {
-                    self.not_full.notify_all();
-                }
+                self.wake_below_half(state.queue.len());
                 drop(state);
                 self.settle_pop_stall(stalled);
                 self.counters.pops.fetch_add(1, Ordering::Relaxed);
@@ -229,6 +227,15 @@ impl KernelFifo {
                 stalled = Some(Instant::now());
             }
             self.not_empty.wait(&mut state);
+        }
+    }
+
+    /// Wakes blocked producers once `len` queued traces leave the FIFO less
+    /// than half full — in exact arithmetic, so a one-slot FIFO wakes its
+    /// producer when it empties (`len < capacity / 2` never holds there).
+    fn wake_below_half(&self, len: usize) {
+        if 2 * len < self.capacity {
+            self.not_full.notify_all();
         }
     }
 
@@ -259,9 +266,7 @@ impl KernelFifo {
             if !state.queue.is_empty() {
                 let take = max.min(state.queue.len());
                 let batch: Vec<Trace> = state.queue.drain(..take).collect();
-                if state.queue.len() < self.capacity / 2 {
-                    self.not_full.notify_all();
-                }
+                self.wake_below_half(state.queue.len());
                 drop(state);
                 self.settle_pop_stall(stalled);
                 self.counters.pops.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -308,6 +313,20 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Polls `done` until it holds, for at most ten seconds. The FIFO counts
+    /// a stall under its lock before the blocked side waits, so waiting for
+    /// the counted stall holds however late that thread is scheduled.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let fifo = KernelFifo::with_capacity(8);
@@ -331,10 +350,10 @@ mod tests {
             let fifo = fifo.clone();
             std::thread::spawn(move || fifo.push(Trace::new(99)))
         };
-        // Give the producer time to block.
-        std::thread::sleep(Duration::from_millis(50));
+        assert!(eventually(|| fifo.stats().push_stalls == 1), "producer must block");
         assert!(!producer.is_finished(), "producer must block on a full fifo");
-        // One pop leaves 3 >= capacity/2: still blocked.
+        // One pop leaves 3 >= capacity/2: still blocked. The pause gives a
+        // wrongly woken producer time to finish; it cannot fail a correct run.
         fifo.pop().unwrap();
         std::thread::sleep(Duration::from_millis(50));
         assert!(!producer.is_finished(), "woken only below half capacity");
@@ -350,12 +369,17 @@ mod tests {
 
     #[test]
     fn close_unblocks_everyone() {
+        // A producer blocked on a full FIFO, with nothing draining the slot.
         let fifo = Arc::new(KernelFifo::with_capacity(1));
         fifo.push(Trace::new(0));
         let blocked_producer = {
             let fifo = fifo.clone();
             std::thread::spawn(move || fifo.push(Trace::new(1)))
         };
+        assert!(eventually(|| fifo.stats().push_stalls == 1), "producer must block");
+        fifo.close();
+        assert!(!blocked_producer.join().unwrap(), "closed fifo rejects");
+        // The consumer side: it drains what is queued, then sees the close.
         let consumer = {
             let fifo = fifo.clone();
             std::thread::spawn(move || {
@@ -366,11 +390,35 @@ mod tests {
                 seen
             })
         };
-        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(consumer.join().unwrap(), [0], "consumer drained then observed close");
+        // A consumer blocked on an empty FIFO is released by the close too.
+        let empty = Arc::new(KernelFifo::with_capacity(1));
+        let blocked_consumer = {
+            let empty = empty.clone();
+            std::thread::spawn(move || empty.pop())
+        };
+        assert!(eventually(|| empty.stats().pop_stalls == 1), "consumer must block");
+        empty.close();
+        assert_eq!(blocked_consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn one_slot_fifo_wakes_its_producer_on_pop() {
+        let fifo = Arc::new(KernelFifo::with_capacity(1));
+        fifo.push(Trace::new(0));
+        let producer = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || fifo.push(Trace::new(1)))
+        };
+        assert!(eventually(|| fifo.stats().push_stalls == 1), "producer must block");
+        assert_eq!(fifo.pop().map(|t| t.id()), Some(0));
+        let woke = eventually(|| producer.is_finished());
+        // Release a producer the pop failed to wake, so a lost wakeup fails
+        // this test instead of hanging it.
         fifo.close();
-        assert!(!blocked_producer.join().unwrap(), "closed fifo rejects");
-        let seen = consumer.join().unwrap();
-        assert_eq!(seen, [0], "consumer drained then observed close");
+        assert!(woke, "emptying a one-slot fifo must wake its blocked producer");
+        assert!(producer.join().unwrap(), "the woken push lands");
+        assert_eq!(fifo.pop().map(|t| t.id()), Some(1));
     }
 
     #[test]
@@ -397,7 +445,7 @@ mod tests {
             let fifo = fifo.clone();
             std::thread::spawn(move || fifo.push(Trace::new(99)))
         };
-        std::thread::sleep(Duration::from_millis(50));
+        assert!(eventually(|| fifo.stats().push_stalls == 1), "producer must block");
         assert!(!producer.is_finished(), "producer must block on a full fifo");
         // Draining four at once goes far below half capacity: wakes producer.
         assert_eq!(fifo.pop_batch(4).len(), 4);
@@ -431,7 +479,7 @@ mod tests {
             let fifo = fifo.clone();
             std::thread::spawn(move || fifo.push(Trace::new(2)))
         };
-        std::thread::sleep(Duration::from_millis(50));
+        assert!(eventually(|| fifo.stats().push_stalls >= 1), "producer must block");
         assert_eq!(fifo.stats().push_stalls, 1, "full fifo stalls the producer");
         fifo.pop().unwrap();
         fifo.pop().unwrap();
@@ -449,7 +497,7 @@ mod tests {
             let fifo = fifo.clone();
             std::thread::spawn(move || fifo.pop_batch(4))
         };
-        std::thread::sleep(Duration::from_millis(50));
+        assert!(eventually(|| fifo.stats().pop_stalls == 1), "consumer must block");
         fifo.push(Trace::new(0));
         assert_eq!(consumer.join().unwrap().len(), 1);
         let stats = fifo.stats();

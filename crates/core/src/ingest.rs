@@ -662,7 +662,11 @@ mod tests {
                 pushed.store(true, Ordering::Release);
             })
         };
-        std::thread::sleep(Duration::from_millis(20));
+        // The stall is counted before the wait, and nothing can land before
+        // the pop below, so this holds however late the thread runs.
+        while plane.counters.backpressure_stalls.get() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(!pushed.load(Ordering::Acquire), "push into a full ring must block");
         assert!(plane.counters.backpressure_stalls.get() >= 1);
         let (first, _) = plane.try_pop(&ring).expect("first message queued");

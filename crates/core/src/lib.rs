@@ -80,10 +80,11 @@ mod session;
 mod shadow;
 pub mod telemetry;
 
-pub use bundle::{op_token, BundleReason, DiagnosisBundle};
+pub use bundle::{op_token, BundleReason, DiagnosisBundle, IntervalNote, StepRecord, BUNDLE_STEPS};
 pub use cache::{VerdictCacheConfig, VerdictCacheStats};
 pub use checker::{
-    check_packed_with, check_trace, check_trace_with, packed_clean, CheckerScratch, TraceChecker,
+    check_packed_with, check_trace, check_trace_observed, check_trace_with, packed_clean,
+    CheckerScratch, ReplayObserver,
 };
 pub use diag::{Diag, DiagKind, Report, Severity, TraceReport};
 pub use engine::{derived_queue_capacity, Engine, EngineConfig, EngineStats, SubmitError};

@@ -25,8 +25,8 @@ pub trait PersistencyModel: Send + Sync + Debug {
     /// Applies one *operation* entry (`write`/`clwb`/fences) to the shadow
     /// memory, appending any performance diagnostics to `diags`.
     ///
-    /// Transaction events and checkers never reach this method; the
-    /// [`TraceChecker`](crate::TraceChecker) handles those uniformly.
+    /// Transaction events and checkers never reach this method; the replay
+    /// walk ([`check_trace`](crate::check_trace)) handles those uniformly.
     fn apply(&self, shadow: &mut ShadowMemory, entry: &Entry, diags: &mut Vec<Diag>);
 
     /// Validates `isPersist(range)` (§4.4): every written byte of `range`

@@ -324,7 +324,7 @@ impl SessionBuilder {
     }
 
     /// Configures engine telemetry (default: counters only — no clocks read
-    /// on the hot path, empty event ring). See [`TelemetryConfig`].
+    /// on the hot path). See [`TelemetryConfig`].
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.config.telemetry = telemetry;
@@ -517,8 +517,9 @@ impl PmTestSession {
         self.shared.engine.take_bundles()
     }
 
-    /// On-demand flight-recorder capture — see [`Engine::capture_bundle`].
-    /// Flushes the calling thread's pending batch first.
+    /// On-demand capture of each worker's last trace — see
+    /// [`Engine::capture_bundle`]. Flushes the calling thread's pending
+    /// batch first.
     #[must_use]
     pub fn capture_bundle(&self) -> Vec<crate::DiagnosisBundle> {
         self.flush();
@@ -574,13 +575,6 @@ impl PmTestSession {
     #[must_use]
     pub fn scrape_addr(&self) -> Option<std::net::SocketAddr> {
         self.shared.engine.scrape_addr()
-    }
-
-    /// The engine's structured event log (empty unless enabled via
-    /// [`SessionBuilder::telemetry`] or at runtime).
-    #[must_use]
-    pub fn event_log(&self) -> &pmtest_obs::EventLog {
-        self.shared.engine.event_log()
     }
 
     /// Convenience teardown: flushes the calling thread's trace, waits for
@@ -1144,24 +1138,6 @@ mod tests {
         let snap = session.telemetry_snapshot();
         assert_eq!(flush_cause_count(&snap, "thread_exit"), 1);
         assert_eq!(flush_cause_count(&snap, "capacity"), 0);
-    }
-
-    #[test]
-    fn session_event_log_captures_flushes() {
-        let session = PmTestSession::builder()
-            .batch_capacity(2)
-            .telemetry(TelemetryConfig::enabled())
-            .build();
-        session.start();
-        for _ in 0..4 {
-            record_clean_trace(&session);
-        }
-        assert!(session.report().is_clean());
-        let events = session.event_log().snapshot();
-        let flushes: Vec<_> = events.iter().filter(|e| e.name == "session.flush").collect();
-        assert_eq!(flushes.len(), 2, "two capacity flushes recorded as events");
-        let snap = session.telemetry_snapshot();
-        assert!(!snap.events.is_empty(), "snapshot carries the event ring");
     }
 
     #[test]

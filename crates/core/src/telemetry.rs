@@ -4,10 +4,9 @@
 //! The engine's counters are always on — each is one `Relaxed` atomic op on
 //! an already-atomic-heavy path, which is why telemetry-off overhead is
 //! within noise (see DESIGN.md §9 for the budget). The *timing* layer
-//! (per-checker latency histograms, dispatch latency, worker utilization,
+//! (per-checker and per-stage latency histograms, worker utilization,
 //! per-worker [`TraceStats`] aggregation) costs `Instant` reads per entry
-//! and is opt-in via [`TelemetryConfig::timing`]; the structured
-//! [`EventLog`] ring is likewise behind [`TelemetryConfig::events`].
+//! and is opt-in via [`TelemetryConfig::timing`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,10 +15,10 @@ use parking_lot::Mutex;
 use pmtest_interval::{ByteRange, SegmentMap};
 use pmtest_obs::advisor::AdvisorReport;
 use pmtest_obs::{
-    Counter, EventLog, Gauge, Histogram, MetricsRegistry, ProfileStore, SiteDelta, SpanSink,
-    TelemetrySnapshot,
+    Counter, Gauge, Histogram, MetricsRegistry, ProfileStore, SiteDelta, SpanSink,
+    TelemetrySnapshot, DEFAULT_SPAN_CAPACITY,
 };
-use pmtest_trace::{ArenaStats, Entry, Event, FlightRecorder, TraceStats, TraceStatsBuilder};
+use pmtest_trace::{ArenaStats, Entry, Event, TraceStats, TraceStatsBuilder};
 
 use crate::cache::ProfileDeltas;
 use crate::checker::ReplayObserver;
@@ -31,33 +30,27 @@ use crate::shadow::ShadowMemory;
 ///
 /// The default is everything off: counters and the queue-depth gauge still
 /// update (they are single relaxed atomics), but no clocks are read on the
-/// hot path, the event ring stays empty, and the span buffers are never
-/// even allocated.
+/// hot path and the span buffers are never even allocated.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Record latency histograms (per-checker, per-trace, dispatch, the
-    /// five pipeline stages), worker busy time / utilization, and
-    /// per-worker [`TraceStats`] aggregation. Costs two `Instant` reads per
-    /// trace entry on the worker side.
+    /// Record latency histograms (per-checker, per-trace, the five pipeline
+    /// stages), worker busy time / utilization, and per-worker
+    /// [`TraceStats`] aggregation. Costs two `Instant` reads per trace entry
+    /// on the worker side, and sends every trace past the verdict cache.
     pub timing: bool,
-    /// Record structured events (batch spans, flush causes) into the ring.
-    pub events: bool,
-    /// Capacity of the event ring (oldest events are overwritten).
-    pub event_capacity: usize,
-    /// Keep a per-worker flight-recorder ring of recently replayed entries
-    /// with the interval state the model assigned, and emit a diagnosis
-    /// bundle whenever a checker fires an ERROR (see DESIGN.md §11). Costs
-    /// an interval snapshot per entry on the worker side.
+    /// Emit a diagnosis bundle for every trace whose verdict carries a FAIL,
+    /// built by re-checking that trace's packed records with a step
+    /// recorder watching (see DESIGN.md §11), and keep each worker's last
+    /// trace for [`Engine::capture_bundle`](crate::Engine::capture_bundle).
+    /// Passing traces cost one copy of a batch's last trace; traces still
+    /// take the clean lane and the verdict cache.
     pub recorder: bool,
-    /// Steps retained per worker by the flight recorder.
-    pub recorder_capacity: usize,
     /// Record per-thread ingest spans (ship/claim/replay/merge) into
-    /// lock-free span buffers, exportable as Perfetto-loadable Chrome
-    /// trace-event JSON (see DESIGN.md §14). When off — the default — the
-    /// record path is one relaxed atomic load and a branch.
+    /// lock-free span buffers of [`DEFAULT_SPAN_CAPACITY`] spans each,
+    /// exportable as Perfetto-loadable Chrome trace-event JSON (see
+    /// DESIGN.md §14). When off — the default — the record path is one
+    /// relaxed atomic load and a branch.
     pub tracing: bool,
-    /// Spans retained per thread by the span buffers (newest win).
-    pub tracing_capacity: usize,
     /// Aggregate a cross-trace performance profile: per-`SourceLoc`
     /// flush/fence/log counts, wasted-persist bytes, and WARN diagnostics,
     /// feeding the optimization advisor (see DESIGN.md §16). When off — the
@@ -80,42 +73,25 @@ impl TelemetryConfig {
     /// Counters only — the zero-cost default.
     #[must_use]
     pub const fn off() -> Self {
-        Self {
-            timing: false,
-            events: false,
-            event_capacity: EventLog::DEFAULT_CAPACITY,
-            recorder: false,
-            recorder_capacity: FlightRecorder::DEFAULT_CAPACITY,
-            tracing: false,
-            tracing_capacity: pmtest_obs::DEFAULT_SPAN_CAPACITY,
-            profiling: false,
-            scrape_addr: None,
-        }
+        Self { timing: false, recorder: false, tracing: false, profiling: false, scrape_addr: None }
     }
 
-    /// Everything on: timing histograms, the event ring, the flight
-    /// recorder (diagnosis bundles on ERROR), span tracing, and the
-    /// cross-trace performance profile. The scrape endpoint stays off —
-    /// opt in with [`with_scrape`](Self::with_scrape).
+    /// Everything on: timing histograms, the recorder (diagnosis bundles on
+    /// ERROR), span tracing, and the cross-trace performance profile. The
+    /// scrape endpoint stays off — opt in with
+    /// [`with_scrape`](Self::with_scrape).
     #[must_use]
     pub fn enabled() -> Self {
-        Self {
-            timing: true,
-            events: true,
-            recorder: true,
-            tracing: true,
-            profiling: true,
-            ..Self::off()
-        }
+        Self { timing: true, recorder: true, tracing: true, profiling: true, ..Self::off() }
     }
 
-    /// Timing histograms without the event ring.
+    /// Timing histograms only.
     #[must_use]
     pub fn timing_only() -> Self {
         Self { timing: true, ..Self::off() }
     }
 
-    /// Flight recorder only: bundles on ERROR, no timing, no event ring.
+    /// Recorder only: bundles on ERROR, no timing.
     #[must_use]
     pub fn recorder_only() -> Self {
         Self { recorder: true, ..Self::off() }
@@ -128,7 +104,7 @@ impl TelemetryConfig {
     }
 
     /// Cross-trace performance profiling only: the advisor's site-keyed
-    /// profile store, no timing histograms, no rings.
+    /// profile store, no timing histograms, no span buffers.
     #[must_use]
     pub fn profiling_only() -> Self {
         Self { profiling: true, ..Self::off() }
@@ -297,9 +273,6 @@ pub(crate) struct EngineCounters {
     pub(crate) prefix_share_hits: Counter,
     /// Crash points that paid a from-scratch rescan.
     pub(crate) prefix_share_misses: Counter,
-    /// Checker-scratch acquisitions served by recycling, and by allocating.
-    pub(crate) shadow_recycled: Counter,
-    pub(crate) shadow_fresh: Counter,
 }
 
 /// The engine's typed metric handles, shared with its workers.
@@ -308,13 +281,9 @@ pub(crate) struct EngineTelemetry {
     pub(crate) counters: EngineCounters,
     /// The ingest plane's counters, registered here and handed to the plane.
     pub(crate) ingest: IngestCounters,
-    /// Structured event ring (batch spans, flush events).
-    pub(crate) events: EventLog,
     /// Whether the timing layer is on (checked by workers and dispatch).
     pub(crate) timing: bool,
     started: Instant,
-    /// Submit → worker-dequeue latency, ns (timing only).
-    pub(crate) dispatch_latency: Histogram,
     /// Queue depth of the chosen worker, sampled on every submit.
     pub(crate) queue_depth: Gauge,
     /// Whole-trace check latency, ns (timing only).
@@ -322,13 +291,9 @@ pub(crate) struct EngineTelemetry {
     /// Per-category entry-processing time, ns (timing only); indexed like
     /// [`CheckerCategory::ALL`].
     pub(crate) checker_ns: [Histogram; CheckerCategory::ALL.len()],
-    /// Whole-trace fused-replay time on the clock-free worker path, ns,
-    /// timed once per trace (timing only). The per-entry `checker_ns`
-    /// histograms attribute cost per checker category; this one measures the
-    /// single-pass loop the engine actually runs in production mode.
-    pub(crate) fused_replay: Histogram,
     /// Flat→BTree representation switches across the workers' recycled
-    /// segment maps (always on — the delta is folded in once per trace).
+    /// segment maps (always on — each worker folds its delta in once per
+    /// batch).
     pub(crate) segmap_repr_switches: Counter,
     /// FAIL/WARN production per [`DiagKind`]; indexed like [`DiagKind::ALL`].
     diag_kinds: [Counter; DiagKind::ALL.len()],
@@ -374,9 +339,7 @@ pub(crate) struct SpanNames {
 impl EngineTelemetry {
     pub(crate) fn new(workers: usize, config: &TelemetryConfig) -> Self {
         let registry = MetricsRegistry::new();
-        let events = EventLog::with_capacity(config.event_capacity.max(1));
-        events.set_enabled(config.events);
-        let spans = Arc::new(SpanSink::new(config.tracing_capacity.max(1)));
+        let spans = Arc::new(SpanSink::new(DEFAULT_SPAN_CAPACITY));
         spans.set_enabled(config.tracing);
         let profile = ProfileStore::new();
         profile.set_enabled(config.profiling);
@@ -415,8 +378,6 @@ impl EngineTelemetry {
             images_checked: counter("images_checked"),
             prefix_share_hits: counter("prefix_share_hits"),
             prefix_share_misses: counter("prefix_share_misses"),
-            shadow_recycled: counter("shadow_pool_recycled"),
-            shadow_fresh: counter("shadow_pool_fresh"),
         };
         let ingest = IngestCounters {
             backpressure_stalls: counter("engine_backpressure_stalls"),
@@ -430,14 +391,11 @@ impl EngineTelemetry {
         Self {
             counters,
             ingest,
-            events,
             timing: config.timing,
             started: Instant::now(),
-            dispatch_latency: registry.histogram("engine_dispatch_latency_ns", &[]),
             queue_depth: registry.gauge("engine_queue_depth", &[]),
             check_latency: registry.histogram("engine_check_latency_ns", &[]),
             checker_ns,
-            fused_replay: registry.histogram("engine_fused_replay_ns", &[]),
             segmap_repr_switches: registry.counter("engine_segmap_repr_switches", &[]),
             diag_kinds,
             worker_busy,
@@ -493,12 +451,6 @@ impl EngineTelemetry {
     pub(crate) fn note_batch_shipped(&self, cause: FlushCause, traces: usize) {
         self.batch_fill.record(traces as u64);
         self.flush_causes[cause as usize].inc();
-        if self.events.is_enabled() {
-            self.events.record(
-                "session.flush",
-                &[("cause", cause.label().into()), ("traces", (traces as u64).into())],
-            );
-        }
     }
 
     /// The per-category histogram charged for `event`.
@@ -506,7 +458,7 @@ impl EngineTelemetry {
         &self.checker_ns[CheckerCategory::of(event) as usize]
     }
 
-    /// Registry metrics plus derived per-worker gauges and the event ring.
+    /// Registry metrics plus derived per-worker gauges.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.registry.snapshot();
         let uptime_ns = self.started.elapsed().as_nanos() as f64;
@@ -541,14 +493,12 @@ impl EngineTelemetry {
                 );
             }
         }
-        snap.push_counter("engine_events_dropped", &[], self.events.dropped());
         snap.push_counter("engine_spans_dropped", &[], self.spans.dropped());
         if self.profile.is_enabled() {
             let profile = self.profile.snapshot();
             profile.fold_into(&mut snap);
             AdvisorReport::from_profile(&profile).fold_into(&mut snap);
         }
-        snap.events = self.events.snapshot();
         snap
     }
 }
@@ -570,15 +520,10 @@ impl<'a> EntryTimer<'a> {
         Self { telemetry, started, last: started, stats: TraceStatsBuilder::default() }
     }
 
-    /// Closes the trace: its whole-replay latency (also charged to the
-    /// fused-replay histogram when the model is a built-in) and its stats,
-    /// folded into worker `worker`'s aggregate.
-    pub(crate) fn finish(self, worker: usize, fused: bool) {
-        let elapsed = self.started.elapsed().as_nanos() as u64;
-        self.telemetry.check_latency.record(elapsed);
-        if fused {
-            self.telemetry.fused_replay.record(elapsed);
-        }
+    /// Closes the trace: its whole-replay latency and its stats, folded
+    /// into worker `worker`'s aggregate.
+    pub(crate) fn finish(self, worker: usize) {
+        self.telemetry.check_latency.record(self.started.elapsed().as_nanos() as u64);
         self.telemetry.worker_stats[worker].lock().merge(&self.stats.finish());
     }
 }
@@ -746,9 +691,9 @@ impl ReplayObserver for SiteProfiler {
 /// latency p50/p99, queue high-water, diagnostics — for examples and
 /// harnesses to dogfood the telemetry API without formatting it themselves.
 ///
-/// When the capped telemetry rings lost anything (event-ring overwrites,
-/// span-buffer overwrites), a second WARNING line is appended — silent data
-/// loss in the observability layer is how regressions hide.
+/// When the capped span buffers lost anything (overwritten spans), a second
+/// WARNING line is appended — silent data loss in the observability layer
+/// is how regressions hide.
 #[must_use]
 pub fn summary_line(snap: &TelemetrySnapshot) -> String {
     let traces = snap.counter("engine_traces_checked").unwrap_or(0);
@@ -801,13 +746,11 @@ pub fn summary_line(snap: &TelemetrySnapshot) -> String {
             snap.gauge("verdict_cache_bytes_resident").unwrap_or(0.0) as u64,
         ));
     }
-    let events_dropped = snap.counter_sum("engine_events_dropped");
     let spans_dropped = snap.counter_sum("engine_spans_dropped");
-    if events_dropped > 0 || spans_dropped > 0 {
+    if spans_dropped > 0 {
         line.push_str(&format!(
-            "\nWARNING: telemetry rings overflowed — {events_dropped} event(s) and \
-             {spans_dropped} span(s) dropped; raise event_capacity/tracing_capacity \
-             or snapshot more often"
+            "\nWARNING: span buffers overflowed — {spans_dropped} span(s) dropped; \
+             export the trace more often"
         ));
     }
     line
@@ -871,12 +814,10 @@ mod tests {
     fn summary_line_warns_on_ring_drops() {
         let tel = EngineTelemetry::new(1, &TelemetryConfig::off());
         let mut snap = tel.snapshot();
-        // Simulate overflowed rings.
-        snap.push_counter("engine_events_dropped", &[], 3);
+        // Simulate overflowed span buffers.
         snap.push_counter("engine_spans_dropped", &[], 5);
         let s = summary_line(&snap);
         assert!(s.contains("WARNING"), "{s}");
-        assert!(s.contains("3 event(s)"), "{s}");
         assert!(s.contains("5 span(s)"), "{s}");
     }
 

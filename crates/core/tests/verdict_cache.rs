@@ -2,9 +2,9 @@
 //!
 //! The cache's one obligation is invisibility: with it on, every observable
 //! output — `Report` rendering, diagnosis bundles, profile snapshots — must
-//! be identical to a cache-off run, while the bypass predicate keeps the
-//! replay observers that must see every occurrence (timing layer, flight
-//! recorder) checking every occurrence cold.
+//! be identical to a cache-off run, while the bypass predicate keeps the one
+//! replay observer that must see every occurrence (the timing layer)
+//! checking every occurrence cold.
 
 use pmtest_core::{HopsModel, PmTestSession, SessionBuilder, TelemetryConfig};
 use pmtest_interval::ByteRange;
@@ -137,7 +137,7 @@ fn timing_layer_bypasses_the_cache() {
 }
 
 #[test]
-fn recorder_bypasses_and_still_captures_bundles_per_repeat() {
+fn recorder_takes_the_cache_and_still_captures_bundles_per_repeat() {
     let run = |cache: bool| {
         let builder = PmTestSession::builder()
             .workers(1)
@@ -150,17 +150,18 @@ fn recorder_bypasses_and_still_captures_bundles_per_repeat() {
         }
         session.flush();
         let report = session.report();
-        let bundles = session.take_bundles();
-        (report.to_string(), bundles.len(), session.verdict_cache_stats())
+        let bundles: Vec<String> =
+            session.take_bundles().iter().map(|b| b.to_json_lines()).collect();
+        (report.to_string(), bundles, session.verdict_cache_stats())
     };
     let (report_off, bundles_off, _) = run(false);
     let (report_on, bundles_on, stats) = run(true);
     assert_eq!(report_on, report_off);
-    assert_eq!(bundles_on, bundles_off, "ERROR bundle capture must stay per-occurrence");
-    assert_eq!(bundles_on, 6);
+    assert_eq!(bundles_on.len(), 6, "a FAIL served from the cache still gets its bundle");
+    assert_eq!(bundles_on, bundles_off, "bundles must be byte-identical under cache hits");
     let stats = stats.expect("cache enabled");
-    assert_eq!(stats.bypasses, 6, "recorder lane bypasses the cache");
-    assert_eq!(stats.l1_hits + stats.l2_hits + stats.misses, 0);
+    assert_eq!(stats.bypasses, 0, "the recorder no longer bypasses the cache");
+    assert!(stats.l1_hits + stats.l2_hits >= 5, "repeats served from cache: {stats:?}");
 }
 
 #[test]

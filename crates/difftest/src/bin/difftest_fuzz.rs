@@ -12,8 +12,8 @@
 //! `--seconds` time-boxes the run (seeds keep incrementing from
 //! `--start-seed` until the budget is spent); otherwise exactly `--seeds`
 //! seeds run. With `--minimize`, every minimized counterexample also gets a
-//! diagnosis bundle (`div_<seed>.bundle.jsonl`, captured by a
-//! flight-recorder engine) written next to it, ready for `pmtest-explain`.
+//! diagnosis bundle (`div_<seed>.bundle.jsonl`, built by re-checking its
+//! trace) written next to it, ready for `pmtest-explain`.
 //!
 //! With `--explore`, each program additionally runs through the crash-point
 //! exploration engine (prefix-shared model-mode sweep, cross-validated
@@ -92,16 +92,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Writes the minimized program's diagnosis bundle next to its
-/// counterexample. Failures are reported but never abort the fuzz run — the
-/// counterexample itself is already on disk.
+/// counterexample. A failed write is reported but never aborts the fuzz run
+/// — the counterexample itself is already on disk.
 fn write_bundle(out: &std::path::Path, seed: u64, min: &Program) {
     let path = out.join(format!("div_{seed}.bundle.jsonl"));
-    match capture_diagnosis_bundle(min) {
-        Ok(contents) => match std::fs::write(&path, contents) {
-            Ok(()) => eprintln!("seed {seed}: diagnosis bundle -> {}", path.display()),
-            Err(e) => eprintln!("seed {seed}: failed to write bundle: {e}"),
-        },
-        Err(e) => eprintln!("seed {seed}: failed to capture bundle: {e}"),
+    match std::fs::write(&path, capture_diagnosis_bundle(min)) {
+        Ok(()) => eprintln!("seed {seed}: diagnosis bundle -> {}", path.display()),
+        Err(e) => eprintln!("seed {seed}: failed to write bundle: {e}"),
     }
 }
 

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use pmtest_core::{
-    Engine, EngineConfig, HopsModel, PersistencyModel, Report, SubmitError, TelemetryConfig,
-    VerdictCacheConfig, X86Model,
+    check_trace, BundleReason, DiagnosisBundle, Engine, EngineConfig, HopsModel, PersistencyModel,
+    Report, Severity, SubmitError, TelemetryConfig, VerdictCacheConfig, X86Model,
 };
 use pmtest_pmem::crash::CrashSim;
 use pmtest_trace::Trace;
@@ -205,34 +205,18 @@ pub fn run_matrix(program: &Program, matrix: &[EngineRun]) -> Result<MatrixOutco
     Ok(MatrixOutcome { reports })
 }
 
-/// Runs the program once through a flight-recorder-enabled single-worker
-/// engine and returns the serialized diagnosis bundle (JSON lines): the
-/// automatic ERROR capture if a checker failed, a manual window capture
-/// otherwise. Shared by `pmtest-explain --bundle-out` and
-/// `difftest-fuzz --minimize`.
-///
-/// # Errors
-///
-/// Returns a message if the engine rejected the trace or captured nothing.
-pub fn capture_diagnosis_bundle(program: &Program) -> Result<String, String> {
+/// The program's serialized diagnosis bundle (JSON lines), built by
+/// re-checking its trace the way an engine worker does: an ERROR bundle if
+/// a checker fails, a manual capture otherwise. Unlike an engine bundle it
+/// keeps every step, so `pmtest-explain` replays the whole program. Shared
+/// by `pmtest-explain --bundle-out` and `difftest-fuzz --minimize`.
+#[must_use]
+pub fn capture_diagnosis_bundle(program: &Program) -> String {
     let trace = program.trace(0);
-    let engine = Engine::new(EngineConfig {
-        model: model_for(program.dialect),
-        workers: 1,
-        telemetry: TelemetryConfig {
-            recorder_capacity: trace.len().max(1),
-            ..TelemetryConfig::recorder_only()
-        },
-        ..EngineConfig::default()
-    });
-    engine.submit(trace).map_err(|e| e.to_string())?;
-    engine.wait_idle();
-    let mut bundles = engine.take_bundles();
-    if bundles.is_empty() {
-        bundles = engine.capture_bundle();
-    }
-    let bundle = bundles.into_iter().next().ok_or("engine captured no bundle")?;
-    Ok(bundle.to_json_lines())
+    let model = model_for(program.dialect);
+    let fails = check_trace(&trace, model.as_ref()).iter().any(|d| d.severity() == Severity::Fail);
+    let reason = if fails { BundleReason::Error } else { BundleReason::Manual };
+    DiagnosisBundle::recheck(model.as_ref(), &trace, reason, trace.len()).to_json_lines()
 }
 
 /// Builds the crash-state oracle for the program: an all-zeros pool image
@@ -278,7 +262,7 @@ mod tests {
             dialect: Dialect::X86,
             ops: vec![Op::Write { addr: 0, len: 8 }, Op::CheckPersist { addr: 0, len: 8 }],
         };
-        let text = capture_diagnosis_bundle(&p).unwrap();
+        let text = capture_diagnosis_bundle(&p);
         let header = text.lines().next().unwrap();
         assert!(header.contains("\"bundle\":\"pmtest-diagnosis\""));
         assert!(header.contains("\"reason\":\"error\""));
@@ -295,7 +279,7 @@ mod tests {
                 Op::CheckPersist { addr: 0, len: 8 },
             ],
         };
-        let text = capture_diagnosis_bundle(&p).unwrap();
+        let text = capture_diagnosis_bundle(&p);
         assert!(text.lines().next().unwrap().contains("\"reason\":\"manual\""));
     }
 }

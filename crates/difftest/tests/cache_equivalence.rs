@@ -116,22 +116,19 @@ fn trace_stats_match_with_the_cache_on() {
     }
 }
 
-/// Diagnosis bundles: the flight recorder trips the bypass predicate, so a
-/// cache-on recorder engine must capture the identical bundle stream.
+/// Diagnosis bundles: a FAIL served from the cache still gets its bundle by
+/// re-check, so a cache-on recorder engine — whose replicas after the first
+/// hit the cache — must capture the identical bundle stream.
 fn bundle_lines(seed: u64, cached: bool) -> String {
     let program = generate(seed, &both_dialects());
-    let trace = program.trace(0);
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        telemetry: TelemetryConfig {
-            recorder_capacity: trace.len().max(1),
-            ..TelemetryConfig::recorder_only()
-        },
+        telemetry: TelemetryConfig::recorder_only(),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
         ..EngineConfig::default()
     });
-    engine.submit(trace).expect("submit");
+    submit_replicas(&engine, &program, 1, REPLICAS, 0).expect("submit replicas");
     engine.wait_idle();
     let mut bundles = engine.take_bundles();
     if bundles.is_empty() {

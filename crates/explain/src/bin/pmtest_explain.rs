@@ -11,10 +11,11 @@
 //! the `pmtest-advisor/v1` schema renders as the advisor's top-K
 //! suggestion table with per-site drill-down; anything else parses as a
 //! difftest program (`dialect x86` / `dialect hops` text). With
-//! `--bundle-out DIR`, every *program* input is additionally run through a
-//! flight-recorder-enabled engine and the captured diagnosis bundle is
-//! written to `DIR/<stem>.bundle.jsonl` (ERROR capture if a checker fails,
-//! manual capture otherwise) — CI validates these with `obs-check`.
+//! `--bundle-out DIR`, every *program* input's trace is additionally
+//! re-checked into a diagnosis bundle written to `DIR/<stem>.bundle.jsonl`
+//! (ERROR capture if a checker fails, manual capture otherwise), the same
+//! bundle an engine with the recorder on captures — CI validates these with
+//! `obs-check`.
 //!
 //! With `--advise`, program inputs are checked on a profiling-enabled
 //! engine and rendered as advisor reports instead of timelines (advisor
@@ -146,8 +147,7 @@ fn run(args: &Args) -> Result<(), String> {
                 None => print!("{}", explain_program(&program, &name)),
             }
             if let Some(dir) = &args.bundle_out {
-                let contents =
-                    capture_diagnosis_bundle(&program).map_err(|e| format!("{name}: {e}"))?;
+                let contents = capture_diagnosis_bundle(&program);
                 let written =
                     pmtest_obs::writer::write_lines(dir, &format!("{name}.bundle"), &contents)
                         .map_err(|e| format!("{name}: {e}"))?;

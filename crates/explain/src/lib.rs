@@ -10,8 +10,8 @@
 //! annotated pass/FAIL, and the culprit write highlighted.
 //!
 //! Input is either a difftest corpus program (`dialect x86` text, see
-//! `pmtest-difftest`) or a diagnosis bundle captured by the engine's flight
-//! recorder (JSON-lines, see the core crate's `DiagnosisBundle` and
+//! `pmtest-difftest`) or a diagnosis bundle captured by the engine's
+//! recorder layer (JSON-lines, see the core crate's `DiagnosisBundle` and
 //! DESIGN.md §11); both x86 and HOPS models are supported.
 //!
 //! ```

@@ -10,9 +10,11 @@
 
 use std::fmt::Write as _;
 
-use pmtest_core::{op_token, Diag, PersistencyModel, Severity, TraceChecker};
+use pmtest_core::{
+    check_trace_observed, op_token, Diag, PersistencyModel, ReplayObserver, Severity, ShadowMemory,
+};
 use pmtest_interval::ByteRange;
-use pmtest_trace::{Event, SourceLoc, Trace};
+use pmtest_trace::{Entry, Event, SourceLoc, Trace};
 
 /// Interval attribution for one write row, updated after every replayed
 /// step while the shadow memory still credits the row's source location.
@@ -25,6 +27,46 @@ struct WriteRow {
     /// Set once the shadow stops attributing any segment of `range` to this
     /// write (it was overwritten); the last observed interval is kept.
     frozen: bool,
+}
+
+/// The replay observer behind the timeline: the epoch after every entry,
+/// and each write row's interval, updated after every step.
+#[derive(Default)]
+struct Timeline {
+    rows: Vec<WriteRow>,
+    epochs_after: Vec<u64>,
+}
+
+impl ReplayObserver for Timeline {
+    fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory) {
+        if let Event::Write(range) = entry.event {
+            self.rows.push(WriteRow {
+                entry_index: index,
+                loc: entry.loc,
+                range,
+                interval: None,
+                frozen: false,
+            });
+        }
+        self.epochs_after.push(shadow.timestamp());
+        for row in self.rows.iter_mut().filter(|r| !r.frozen) {
+            let segs: Vec<_> = shadow
+                .persist_intervals(row.range)
+                .into_iter()
+                .filter(|(_, _, wl)| *wl == Some(row.loc))
+                .collect();
+            if segs.is_empty() {
+                row.frozen = row.interval.is_some();
+            } else {
+                let begin = segs.iter().map(|(_, iv, _)| iv.start()).min().unwrap_or(0);
+                let end = segs
+                    .iter()
+                    .map(|(_, iv, _)| iv.end())
+                    .try_fold(0u64, |acc, e| e.map(|e| acc.max(e)));
+                row.interval = Some((begin, end));
+            }
+        }
+    }
 }
 
 fn is_checker(event: &Event) -> bool {
@@ -45,41 +87,9 @@ fn fence_token(event: &Event) -> Option<&'static str> {
 #[must_use]
 pub fn render_trace(trace: &Trace, model: &dyn PersistencyModel, source: &str) -> String {
     // ---- replay, tracking per-write interval attribution ----------------
-    let mut checker = TraceChecker::new(model);
-    let mut rows: Vec<WriteRow> = Vec::new();
-    let mut epochs_after: Vec<u64> = Vec::with_capacity(trace.len());
-    for (i, entry) in trace.entries().iter().enumerate() {
-        if let Event::Write(range) = entry.event {
-            rows.push(WriteRow {
-                entry_index: i,
-                loc: entry.loc,
-                range,
-                interval: None,
-                frozen: false,
-            });
-        }
-        checker.process(entry);
-        let shadow = checker.shadow();
-        epochs_after.push(shadow.timestamp());
-        for row in rows.iter_mut().filter(|r| !r.frozen) {
-            let segs: Vec<_> = shadow
-                .persist_intervals(row.range)
-                .into_iter()
-                .filter(|(_, _, wl)| *wl == Some(row.loc))
-                .collect();
-            if segs.is_empty() {
-                row.frozen = row.interval.is_some();
-            } else {
-                let begin = segs.iter().map(|(_, iv, _)| iv.start()).min().unwrap_or(0);
-                let end = segs
-                    .iter()
-                    .map(|(_, iv, _)| iv.end())
-                    .try_fold(0u64, |acc, e| e.map(|e| acc.max(e)));
-                row.interval = Some((begin, end));
-            }
-        }
-    }
-    let diags = checker.finish();
+    let mut timeline = Timeline::default();
+    let diags = check_trace_observed(trace, model, &mut timeline);
+    let Timeline { rows, epochs_after } = timeline;
     let firing = diags.iter().find(|d| d.severity() == Severity::Fail);
     let culprit = firing.and_then(|d| d.culprit);
     let epochs = epochs_after.last().copied().unwrap_or(0) + 1;

@@ -1,15 +1,15 @@
-//! End-to-end: a failing corpus program runs through a flight-recorder
-//! engine, the emitted diagnosis bundle validates against the obs schema,
-//! matches its committed golden byte for byte, loads back, and renders the
-//! same culprit the direct program render highlights. Regenerate the
-//! goldens with `PMTEST_BLESS=1 cargo test -p pmtest-explain --test
-//! bundle_roundtrip`.
+//! End-to-end: a corpus program runs through an engine with the recorder
+//! on, the emitted diagnosis bundle validates against the obs schema,
+//! matches its committed golden byte for byte — as does the engine-free
+//! re-check of the same trace — loads back, and renders the same culprit
+//! the direct program render highlights. Regenerate the goldens with
+//! `PMTEST_BLESS=1 cargo test -p pmtest-explain --test bundle_roundtrip`.
 
 use std::path::PathBuf;
 
 use pmtest_core::{BundleReason, Engine, EngineConfig, TelemetryConfig};
 use pmtest_difftest::corpus::load_corpus;
-use pmtest_difftest::exec::model_for;
+use pmtest_difftest::exec::{capture_diagnosis_bundle, model_for};
 use pmtest_explain::{explain_bundle, explain_program, load_bundle};
 use pmtest_obs::bundle::{is_bundle, validate_bundle};
 
@@ -17,10 +17,7 @@ fn recorder_engine(program: &pmtest_difftest::program::Program) -> Engine {
     Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        telemetry: TelemetryConfig {
-            recorder_capacity: program.ops.len().max(1),
-            ..TelemetryConfig::recorder_only()
-        },
+        telemetry: TelemetryConfig::recorder_only(),
         ..EngineConfig::default()
     })
 }
@@ -61,10 +58,13 @@ fn corpus_bundles_validate_and_render_the_same_culprit() {
         let text = bundles[0].to_json_lines();
         assert!(is_bundle(&text), "{name}");
         validate_bundle(&text).unwrap_or_else(|e| panic!("{name}: emitted bundle invalid: {e}"));
-        check_golden(&format!("bundle_{}.jsonl", name.trim_end_matches(".txt")), &text);
+        let golden = format!("bundle_{}.jsonl", name.trim_end_matches(".txt"));
+        check_golden(&golden, &text);
+        // The engine-free re-check builds the same bundle.
+        assert_eq!(capture_diagnosis_bundle(&program), text, "{name}: re-check differs");
 
-        // The loaded window replays to the same number of entries (the
-        // recorder saw the whole trace: capacity >= ops).
+        // The loaded steps replay to the same number of entries (every
+        // corpus trace fits the bundle's step window).
         let loaded = load_bundle(&text).unwrap();
         assert_eq!(loaded.trace.len(), program.trace(0).len(), "{name}");
 

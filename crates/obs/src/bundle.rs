@@ -1,8 +1,8 @@
 //! Schema validation for diagnosis-bundle JSON-lines files.
 //!
-//! A diagnosis bundle (emitted by the engine's flight recorder, see the
-//! core crate and DESIGN.md §11) is a JSON-lines file whose first line is a
-//! header of the form
+//! A diagnosis bundle (built by re-checking a trace with the engine's
+//! recorder layer, see the core crate and DESIGN.md §11) is a JSON-lines
+//! file whose first line is a header of the form
 //!
 //! ```json
 //! {"kind":"header","bundle":"pmtest-diagnosis","version":1,"model":"x86",

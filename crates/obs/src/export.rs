@@ -3,7 +3,6 @@
 
 use std::fmt::Write as _;
 
-use crate::events::Field;
 use crate::json::{escape_into, number_into};
 use crate::snapshot::{HistogramSnapshot, Labels, TelemetrySnapshot};
 
@@ -18,16 +17,6 @@ fn labels_json(out: &mut String, labels: &Labels) {
         escape_into(out, v);
     }
     out.push('}');
-}
-
-fn field_json(out: &mut String, field: &Field) {
-    match field {
-        Field::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Field::F64(v) => number_into(out, *v),
-        Field::Str(s) => escape_into(out, s),
-    }
 }
 
 fn histogram_json(out: &mut String, h: &HistogramSnapshot) {
@@ -75,8 +64,8 @@ fn type_line(out: &mut String, seen: &mut Vec<String>, name: &str, kind: &str) {
 impl TelemetrySnapshot {
     /// Serializes the snapshot as JSON-lines: one self-contained JSON object
     /// per line, each carrying a `"type"` discriminator (`counter`, `gauge`,
-    /// `histogram`, `event`). This is the machine-triage format — it diffs,
-    /// greps, and streams.
+    /// `histogram`). This is the machine-triage format — it diffs, greps,
+    /// and streams.
     #[must_use]
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
@@ -100,28 +89,13 @@ impl TelemetrySnapshot {
             histogram_json(&mut out, h);
             out.push('\n');
         }
-        for e in &self.events {
-            let _ =
-                write!(out, "{{\"type\":\"event\",\"seq\":{},\"t_ns\":{},\"name\":", e.seq, e.t_ns);
-            escape_into(&mut out, &e.name);
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in e.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(&mut out, k);
-                out.push(':');
-                field_json(&mut out, v);
-            }
-            out.push_str("}}\n");
-        }
         out
     }
 
     /// Serializes the metrics in the Prometheus text exposition format
     /// (version 0.0.4): `# TYPE` comments, `name{labels} value` samples,
     /// histograms as cumulative `_bucket{le=…}` series plus `_sum` and
-    /// `_count`. Events have no Prometheus representation and are skipped.
+    /// `_count`.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -197,7 +171,7 @@ impl TelemetrySnapshot {
             histogram_json(&mut out, h);
             out.push_str(if i + 1 == self.histograms.len() { "\n" } else { ",\n" });
         }
-        let _ = write!(out, "  ],\n  \"events\": {}\n}}\n", self.events.len());
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -206,7 +180,7 @@ impl TelemetrySnapshot {
 mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
-    use crate::{EventLog, Field, MetricsRegistry};
+    use crate::MetricsRegistry;
 
     fn sample() -> TelemetrySnapshot {
         let reg = MetricsRegistry::new();
@@ -215,12 +189,7 @@ mod tests {
         let h = reg.histogram("check_latency_ns", &[("checker", "is_persist")]);
         h.record(100);
         h.record(100_000);
-        let log = EventLog::new();
-        log.set_enabled(true);
-        log.record("flush", &[("cause", Field::from("capacity")), ("fill", Field::U64(32))]);
-        let mut snap = reg.snapshot();
-        snap.events = log.snapshot();
-        snap
+        reg.snapshot()
     }
 
     #[test]
@@ -232,7 +201,7 @@ mod tests {
             let v = parse(line).unwrap_or_else(|e| panic!("line {line:?}: {e}"));
             types.push(v.get("type").unwrap().as_str().unwrap().to_owned());
         }
-        assert_eq!(types, ["counter", "gauge", "histogram", "event"]);
+        assert_eq!(types, ["counter", "gauge", "histogram"]);
     }
 
     #[test]
@@ -278,7 +247,7 @@ mod tests {
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("bench").unwrap().as_str(), Some("telemetry_demo"));
         assert!(matches!(v.get("counters"), Some(JsonValue::Array(_))));
-        assert_eq!(v.get("events").unwrap().as_f64(), Some(1.0));
+        assert!(matches!(v.get("histograms"), Some(JsonValue::Array(h)) if h.len() == 1));
     }
 
     #[test]

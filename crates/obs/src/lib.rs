@@ -8,9 +8,6 @@
 //! * a [`MetricsRegistry`] of named [`Counter`]s, [`Gauge`]s, and log-scale
 //!   latency [`Histogram`]s, all plain `Relaxed` atomics so an instrumented
 //!   hot path costs one uncontended atomic op per update;
-//! * a ring-buffered structured [`EventLog`] with [`span!`]-style scoped
-//!   timing, gated behind a runtime flag so it is a single atomic load when
-//!   off;
 //! * exporters over an immutable [`TelemetrySnapshot`]: JSON-lines
 //!   ([`TelemetrySnapshot::to_json_lines`]) for machine triage and
 //!   Prometheus text exposition ([`TelemetrySnapshot::to_prometheus`]) for
@@ -52,7 +49,6 @@
 
 pub mod advisor;
 pub mod bundle;
-mod events;
 mod export;
 pub mod json;
 mod metrics;
@@ -64,7 +60,6 @@ pub mod trace_event;
 pub mod writer;
 
 pub use advisor::{AdvisorReport, Suggestion, SuggestionKind};
-pub use events::{EventLog, EventRecord, Field, SpanGuard};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{ProfileSnapshot, ProfileStore, SiteDelta, SiteProfile};
 pub use scrape::{ScrapeServer, SnapshotSource};

@@ -1,8 +1,6 @@
 //! Immutable snapshot of a telemetry state, the unit every exporter
 //! consumes.
 
-use crate::events::EventRecord;
-
 /// Static metric labels, fixed at registration (`[("worker", "0")]`).
 pub type Labels = Vec<(String, String)>;
 
@@ -98,8 +96,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// Everything a telemetry source exposes at one instant: metric readings
-/// plus (optionally) the contents of its event-log ring.
+/// Everything a telemetry source exposes at one instant: its metric
+/// readings.
 ///
 /// Produced by [`MetricsRegistry::snapshot`](crate::MetricsRegistry::snapshot)
 /// and extended by pipeline stages with the `push_*` helpers; consumed by
@@ -114,8 +112,6 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<GaugeSnapshot>,
     /// Histogram readings.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Structured events drained from an [`EventLog`](crate::EventLog) ring.
-    pub events: Vec<EventRecord>,
 }
 
 impl TelemetrySnapshot {
@@ -168,7 +164,6 @@ impl TelemetrySnapshot {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
         self.histograms.extend(other.histograms);
-        self.events.extend(other.events);
     }
 }
 

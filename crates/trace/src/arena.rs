@@ -165,7 +165,7 @@ impl TraceArena {
     }
 
     /// Iterates the sealed traces as `(id, records, entry_count)`.
-    pub fn traces(&self) -> impl Iterator<Item = (u64, &[PackedEntry], u32)> {
+    pub fn traces(&self) -> impl DoubleEndedIterator<Item = (u64, &[PackedEntry], u32)> {
         self.spans.iter().map(|s| {
             let lo = s.start as usize;
             let hi = lo + s.records as usize;

@@ -41,7 +41,6 @@ mod event;
 mod loc;
 pub mod packed;
 mod pool;
-mod recorder;
 mod sink;
 mod stats;
 
@@ -53,6 +52,5 @@ pub use packed::{
     PACKED_ENTRY_BYTES,
 };
 pub use pool::{ArenaPool, PoolStats};
-pub use recorder::{FlightRecorder, IntervalNote, StepRecord};
 pub use sink::{CountingSink, MemorySink, NullSink, SharedSink, Sink};
 pub use stats::{TraceStats, TraceStatsBuilder};

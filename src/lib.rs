@@ -26,8 +26,8 @@
 //! * [`workloads`] — the WHISPER-like benchmarks of Figs. 10–12;
 //! * [`bugs`] — the Table 5 synthetic-bug catalog and runner;
 //! * [`baseline`] — the pmemcheck-like and Yat-like comparison tools;
-//! * [`obs`] — the telemetry core: metrics registry, structured event log,
-//!   and JSON-lines / Prometheus exporters behind
+//! * [`obs`] — the telemetry core: metrics registry, span buffers, and
+//!   JSON-lines / Prometheus exporters behind
 //!   [`core::Engine::telemetry_snapshot`] (see DESIGN.md §9);
 //! * [`interval`] / [`trace`] — the underlying containers and the trace
 //!   vocabulary.
