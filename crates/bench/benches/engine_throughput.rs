@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pmtest_core::{PmTestSession, TelemetryConfig, ThreadRecorder};
+use pmtest_core::{PmTestSession, Report, TelemetryConfig, ThreadRecorder};
 use pmtest_interval::ByteRange;
 use pmtest_trace::{Event, Sink};
 
@@ -106,8 +106,14 @@ fn run_round(session: &PmTestSession, traces: u64) {
             });
         }
     });
-    let report = session.take_report();
+    check_round(&session.take_report(), per_producer * PRODUCERS);
+}
+
+/// A round's report must be clean and hold exactly the round's traces: one
+/// that times fewer than it sent would report a rate it did not reach.
+fn check_round(report: &Report, traces: u64) {
     assert!(report.is_clean(), "bench traces must check clean");
+    assert_eq!(report.traces().len() as u64, traces, "the report must hold the round's traces");
 }
 
 /// Distinct 64-byte ranges per repetitive-workload trace. Well past the
@@ -145,8 +151,7 @@ fn run_round_repetitive(session: &PmTestSession, traces: u64) {
             });
         }
     });
-    let report = session.take_report();
-    assert!(report.is_clean(), "bench traces must check clean");
+    check_round(&session.take_report(), per_producer * PRODUCERS);
 }
 
 /// One round of short traces through an owned [`ThreadRecorder`], inline on
@@ -162,8 +167,7 @@ fn run_round_recorder(rec: &mut ThreadRecorder, session: &PmTestSession, traces:
         rec.send_trace();
     }
     rec.flush();
-    let report = session.take_report();
-    assert!(report.is_clean(), "bench traces must check clean");
+    check_round(&session.take_report(), traces);
 }
 
 struct Sample {

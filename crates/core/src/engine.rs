@@ -1,7 +1,6 @@
-use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -18,7 +17,9 @@ use crate::diag::{Diag, Report, Severity, TraceReport};
 use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
 use crate::model::{BuiltinModel, PersistencyModel, X86Model};
 use crate::shadow::ShadowMemory;
-use crate::telemetry::{EngineTelemetry, EntryTimer, SiteProfiler, Stage, TelemetryConfig};
+use crate::telemetry::{
+    EngineTelemetry, EntryTimer, FlushCause, SiteProfiler, Stage, TelemetryConfig,
+};
 
 /// Configuration of the checking engine.
 #[derive(Clone, Debug)]
@@ -62,7 +63,7 @@ impl Default for EngineConfig {
 /// batch dies — checked normally, abandoned mid-batch by a panicking
 /// checker, or discarded from a dead plane's rings after the last worker
 /// exits.
-struct BatchMsg {
+pub(crate) struct BatchMsg {
     arena: TraceArena,
     accounting: BatchAccounting,
     /// Send time, for the ring-wait stage histogram. `None` unless the
@@ -85,10 +86,9 @@ impl Drop for BatchAccounting {
     }
 }
 
-/// Error returned by [`Engine::submit`] / [`Engine::submit_batch`] /
-/// [`Engine::submit_arena`] when the worker pool is no longer accepting
-/// traces — its threads have terminated, either because the engine was shut
-/// down or because a worker panicked.
+/// Error returned by [`Engine::submit`] / [`Engine::submit_batch`] when the
+/// worker pool is no longer accepting traces — its threads have terminated,
+/// either because the engine was shut down or because a worker panicked.
 ///
 /// The submitted traces are dropped; results already collected remain
 /// available through [`Engine::report`] / [`Engine::take_report`]. Those
@@ -141,18 +141,20 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
 /// Four mechanisms keep the submission path cheap (Fig. 12's scalability
 /// depends on all of them):
 ///
-/// * **Per-producer SPSC rings** — each submitting thread registers its own
-///   bounded ring on first submit; a push is one uncontended slot write plus
-///   a tail store, with no cross-producer channel lock. Workers drain their
+/// * **Per-producer SPSC rings** — each recording producer (a session
+///   thread, a [`ThreadRecorder`](crate::ThreadRecorder)) registers its own
+///   bounded ring, and direct [`submit`](Self::submit) calls share one
+///   engine-owned ring; a push is one uncontended producer lock, slot write
+///   and tail store, with no cross-producer channel lock. Workers drain their
 ///   affinity rings first and *steal* from the rest when idle, so the active
 ///   worker set tracks the offered load. See `crate::ingest` and DESIGN.md
 ///   §13.
 /// * **Arena messages** — every submission travels as one [`TraceArena`] of
-///   compact packed records: a batched session records straight into one
-///   and [`submit_arena`](Self::submit_arena) moves the whole batch as one
-///   pointer handoff; [`submit`](Self::submit) wraps a lone trace's record
-///   buffer without copying it. Workers check the packed records in place
-///   without decoding them into `Entry` vectors.
+///   compact packed records: a batched session stages sealed traces in one
+///   and ships the whole batch as one pointer handoff;
+///   [`submit`](Self::submit) wraps a lone trace's record buffer without
+///   copying it. Workers check the packed records in place without decoding
+///   them into `Entry` vectors.
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
@@ -179,13 +181,17 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
 /// ```
 pub struct Engine {
     shared: Arc<Shared>,
+    /// The producer direct [`submit`](Self::submit) calls share, registered
+    /// on first use.
+    producer: OnceLock<Arc<Producer>>,
     workers: usize,
     queue_capacity: usize,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Live HTTP scrape endpoint, present when
-    /// [`TelemetryConfig::scrape_addr`] is set. Holds only a [`Weak`] back
-    /// to [`Shared`], so it never keeps a dropped engine's state alive; its
-    /// drop (after the workers join) stops the serving thread.
+    /// [`TelemetryConfig::scrape_addr`] is set. Holds only a
+    /// [`Weak`](std::sync::Weak) back to [`Shared`], so it never keeps a
+    /// dropped engine's state alive; its drop (after the workers join) stops
+    /// the serving thread.
     scrape: Option<ScrapeServer>,
 }
 
@@ -194,8 +200,8 @@ struct Shared {
     /// atomic (plus their own ring), keeping `submit` off the result shards.
     outstanding: AtomicU64,
     /// The sharded ingest plane: per-producer rings plus the worker
-    /// wake/steal protocol.
-    plane: Arc<IngestPlane<BatchMsg>>,
+    /// wake/steal protocol. Its ring list is the only producer registry.
+    plane: Arc<IngestPlane<BatchMsg, TraceArena>>,
     /// Per-worker result shards; worker `i` writes only `shards[i]`.
     shards: Vec<Mutex<Vec<TraceReport>>>,
     /// Results merged out of the shards so far, kept sorted by trace id.
@@ -208,8 +214,11 @@ struct Shared {
     /// Shared L2 of the content-addressed verdict cache; `None` unless
     /// [`VerdictCacheConfig::enabled`]. Workers keep their L1s privately.
     verdict_cache: Option<VerdictCache>,
+    /// `wait_idle` callers register in `idle_waiters` and wait on `idle`;
+    /// the last retire notifies only when one is registered.
     idle_lock: Mutex<()>,
     idle: Condvar,
+    idle_waiters: AtomicUsize,
     /// Typed metric handles (the engine's counters, histograms, per-kind
     /// diagnostic counters). Always present; whether clocks are read
     /// depends on [`TelemetryConfig::timing`].
@@ -233,41 +242,22 @@ struct Shared {
 /// iteration; the first failures are the interesting ones.
 const MAX_BUNDLES: usize = 16;
 
-/// One producer thread's registration with one engine's ingest plane. Lives
-/// in thread-local storage; the drop (thread exit) retires the ring so idle
-/// workers can prune it once drained.
-struct RingSlot {
-    plane_id: u64,
-    ring: Arc<ProducerRing<BatchMsg>>,
-    /// Weak so a thread's registry never keeps a dropped engine alive.
-    plane: Weak<IngestPlane<BatchMsg>>,
-}
-
-impl Drop for RingSlot {
-    fn drop(&mut self) {
-        self.ring.retire();
-        if let Some(plane) = self.plane.upgrade() {
-            // Wake parked workers so a retired-but-nonempty ring drains and
-            // the registry entry gets pruned.
-            plane.nudge_workers();
-        }
-    }
-}
-
-thread_local! {
-    /// This thread's producer rings, one per live engine it has submitted
-    /// to. Linear-scanned: a thread talks to one engine in practice.
-    static RINGS: RefCell<Vec<RingSlot>> = const { RefCell::new(Vec::new()) };
-}
+/// A recording producer: its ring on the ingest plane plus, behind the
+/// producer lock, its staged batch — traces sealed by `send_trace` but not
+/// yet shipped.
+pub(crate) type Producer = ProducerRing<BatchMsg, TraceArena>;
 
 impl Shared {
     /// Marks `n` traces as no longer outstanding, waking idle waiters when
     /// the count reaches zero. Runs from [`BatchAccounting`]'s drop — after
     /// a worker finishes a batch, or when an unchecked batch is discarded.
     fn retire(&self, n: u64) {
-        if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
-            // Last outstanding trace: wake any waiter. The brief lock pairs
-            // with the wait in `wait_idle`.
+        // Dekker handshake with `wait_idle` (SeqCst on both sides): either
+        // the waiter's re-check sees zero, or this load sees the waiter.
+        if self.outstanding.fetch_sub(n, Ordering::SeqCst) == n
+            && self.idle_waiters.load(Ordering::SeqCst) > 0
+        {
+            // The brief lock pairs with the wait in `wait_idle`.
             drop(self.idle_lock.lock());
             self.idle.notify_all();
         }
@@ -313,8 +303,9 @@ impl Shared {
 
     /// Snapshot assembly; see [`Engine::telemetry_snapshot`]. Lives on
     /// `Shared` so the scrape endpoint can serve live snapshots through a
-    /// [`Weak`] without holding the engine itself. The registry carries
-    /// every counter; what is added here is derived at snapshot time.
+    /// [`Weak`](std::sync::Weak) without holding the engine itself. The
+    /// registry carries every counter; what is added here is derived at
+    /// snapshot time.
     fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.telemetry.snapshot();
         snap.push_counter("engine_queue_highwater", &[], self.plane.occupancy_highwater());
@@ -383,9 +374,9 @@ pub struct EngineStats {
     /// Batches claimed by a worker outside its affinity pass — the
     /// work-stealing traffic between producers and non-preferred workers.
     pub steals: u64,
-    /// Producer rings ever registered with the ingest plane (one per
-    /// submitting thread, plus temporaries for submissions during TLS
-    /// teardown).
+    /// Producer rings ever registered with the ingest plane: one per session
+    /// recording thread and per [`ThreadRecorder`](crate::ThreadRecorder),
+    /// plus one shared by direct [`Engine::submit`] calls.
     pub rings_registered: u64,
     /// Batches claimed by a worker inside its affinity pass — the complement
     /// of `steals`.
@@ -438,6 +429,7 @@ impl Engine {
                 .then(|| VerdictCache::new(&config.verdict_cache)),
             idle_lock: Mutex::new(()),
             idle: Condvar::new(),
+            idle_waiters: AtomicUsize::new(0),
             telemetry,
             last_traces: if config.telemetry.recorder {
                 (0..config.workers).map(|_| Mutex::new(None)).collect()
@@ -470,6 +462,7 @@ impl Engine {
         });
         Self {
             shared,
+            producer: OnceLock::new(),
             workers: config.workers,
             queue_capacity: config.queue_capacity,
             handles: Mutex::new(handles),
@@ -644,27 +637,31 @@ impl Engine {
         self.dispatch(arena)
     }
 
-    /// Submits a sealed record arena — the batched session's zero-copy path.
-    /// Only sealed traces are checked; an arena with no seals is a no-op
-    /// (any open tail it carries is dropped). The arena returns to
-    /// [`arena_pool`](Self::arena_pool) once its traces are checked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError`] if the worker pool has terminated; the whole
-    /// arena is dropped.
-    pub fn submit_arena(&self, arena: TraceArena) -> Result<(), SubmitError> {
-        if arena.sealed() == 0 {
-            return Ok(());
-        }
-        self.dispatch(arena)
+    /// Pushes `arena` through the engine-owned producer.
+    fn dispatch(&self, arena: TraceArena) -> Result<(), SubmitError> {
+        let producer = self.producer.get_or_init(|| self.register_producer());
+        let _held = producer.staged.lock();
+        self.push(producer, arena)
     }
 
-    fn dispatch(&self, arena: TraceArena) -> Result<(), SubmitError> {
+    /// Registers a recording producer with the ingest plane.
+    pub(crate) fn register_producer(&self) -> Arc<Producer> {
+        self.shared.plane.register_ring()
+    }
+
+    /// Pushes a sealed batch onto `producer`'s ring, folding the
+    /// allocator/intern tallies its traces carry into the engine's counters.
+    /// Callers hold the producer lock, as every push onto a ring does.
+    pub(crate) fn push(
+        &self,
+        producer: &Producer,
+        mut arena: TraceArena,
+    ) -> Result<(), SubmitError> {
         let plane = &self.shared.plane;
         if plane.is_dead() {
             return Err(SubmitError);
         }
+        self.shared.telemetry.note_arena_stats(arena.take_stats());
         // Packed records the arena holds, for the ring's queued-record bound.
         let words = arena.traces().map(|(_, w, _)| w.len() as u64).sum();
         let n = arena.sealed() as u64;
@@ -678,21 +675,16 @@ impl Engine {
             accounting: BatchAccounting { shared: self.shared.clone(), n },
             submitted,
         };
-        let (ring, temporary) = self.producer_ring();
-        let depth = match plane.push(&ring, msg, n, words) {
+        let depth = match plane.push(producer, msg, n, words) {
             Ok(depth) => depth,
             Err(_) => return Err(SubmitError),
         };
-        if temporary {
-            ring.retire();
-            plane.nudge_workers();
-        }
         if plane.is_dead() {
             // The last worker may have died — and run its final ring drain —
             // between our push landing and now. Discard our own ring so the
             // message cannot linger unclaimed; its accounting settles on
             // drop either way.
-            plane.drain_discard(&ring);
+            plane.drain_discard(producer);
             return Err(SubmitError);
         }
         if let Some(sent) = submitted {
@@ -704,32 +696,25 @@ impl Engine {
         Ok(())
     }
 
-    /// This thread's producer ring for this engine, registering one on first
-    /// use. The `bool` is true for a *temporary* ring: during thread-local
-    /// teardown (a session slot flushing from its TLS destructor) the
-    /// registry may already be gone, so the submission gets a one-shot ring
-    /// that is retired immediately after the push.
-    fn producer_ring(&self) -> (Arc<ProducerRing<BatchMsg>>, bool) {
-        let plane = &self.shared.plane;
-        let id = plane.plane_id();
-        RINGS
-            .try_with(|slots| {
-                let mut slots = slots.borrow_mut();
-                if let Some(slot) = slots.iter().find(|s| s.plane_id == id) {
-                    return slot.ring.clone();
-                }
-                // Drop registrations whose engine is gone before adding one.
-                slots.retain(|s| s.plane.strong_count() > 0);
-                let ring = plane.register_ring();
-                slots.push(RingSlot {
-                    plane_id: id,
-                    ring: ring.clone(),
-                    plane: Arc::downgrade(plane),
-                });
-                ring
-            })
-            .map(|ring| (ring, false))
-            .unwrap_or_else(|_| (plane.register_ring(), true))
+    /// Ships every producer's staged batch — traces sealed by `send_trace`
+    /// but not yet shipped, whether their thread still runs or has exited.
+    /// Every result point calls this before it waits.
+    pub(crate) fn publish_staged(&self) {
+        // Publish invariant (b): walk a copy of the ring list, never pushing
+        // under the registry lock — std's `RwLock` queues new readers behind
+        // a waiting writer, so a push stalled under a read guard while a
+        // producer registers would block every worker's scan.
+        for producer in self.shared.plane.rings() {
+            // Publish invariant (a): the batch is taken and pushed under its
+            // producer's lock, and `push` raises `outstanding` before the
+            // lock is released, so a result point that finds the batch
+            // already gone still waits for it.
+            let mut staged = producer.staged.lock();
+            if let Some(batch) = staged.take() {
+                self.shared.telemetry.note_batch_shipped(FlushCause::ResultPoint, batch.sealed());
+                let _ = self.push(&producer, batch);
+            }
+        }
     }
 
     /// Records a successfully delivered batch: submission counters plus the
@@ -742,15 +727,23 @@ impl Engine {
     }
 
     /// Blocks until every submitted trace has been checked
-    /// (`PMTest_GET_RESULT`, §4.2).
+    /// (`PMTest_GET_RESULT`, §4.2). A trace a session sealed counts as
+    /// submitted once `send_trace` returns: the wait first ships every
+    /// producer's staged batch, from whichever thread sealed it.
     pub fn wait_idle(&self) {
-        if self.shared.outstanding.load(Ordering::Acquire) == 0 {
+        self.publish_staged();
+        let shared = &self.shared;
+        if shared.outstanding.load(Ordering::Acquire) == 0 {
             return;
         }
-        let mut guard = self.shared.idle_lock.lock();
-        while self.shared.outstanding.load(Ordering::Acquire) > 0 {
-            self.shared.idle.wait(&mut guard);
+        let mut guard = shared.idle_lock.lock();
+        // Registered before the re-check, under the lock the retire side
+        // notifies under (see `Shared::retire`).
+        shared.idle_waiters.fetch_add(1, Ordering::SeqCst);
+        while shared.outstanding.load(Ordering::SeqCst) > 0 {
+            shared.idle.wait(&mut guard);
         }
+        shared.idle_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Merges every worker shard into the accumulated, sorted [`Report`].
@@ -1289,20 +1282,22 @@ mod tests {
 
     #[test]
     fn each_producer_thread_registers_its_own_ring() {
-        let engine = Arc::new(Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() }));
+        let session = crate::PmTestSession::builder().workers(2).batch_capacity(4).build();
+        session.start();
         std::thread::scope(|s| {
-            for t in 0..3 {
-                let engine = engine.clone();
+            for _ in 0..3 {
+                let session = session.clone();
                 s.spawn(move || {
-                    for i in 0..5 {
-                        engine.submit(clean_trace(t * 5 + i)).unwrap();
+                    for _ in 0..5 {
+                        session.is_persist(ByteRange::with_len(0, 8));
+                        session.send_trace().unwrap();
                     }
                 });
             }
         });
-        engine.wait_idle();
-        let stats = engine.stats();
-        assert!(stats.rings_registered >= 3, "one ring per producer thread");
+        assert_eq!(session.report().traces().len(), 15);
+        let stats = session.stats();
+        assert_eq!(stats.rings_registered, 3, "one ring per recording thread");
         assert_eq!(stats.traces_checked, 15);
     }
 
@@ -1323,28 +1318,6 @@ mod tests {
         assert_eq!(report.fail_count(), 32);
         let ids: Vec<u64> = report.traces().iter().map(|t| t.trace_id).collect();
         assert_eq!(ids, (0..64).collect::<Vec<_>>(), "merge is ordered by trace id");
-    }
-
-    #[test]
-    fn arena_submission_checks_every_sealed_trace() {
-        let engine = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
-        engine.submit_arena(TraceArena::new()).unwrap(); // no seals: no-op
-        let mut arena = TraceArena::new();
-        let r = ByteRange::with_len(0, 8);
-        for id in 0..10 {
-            arena.push(Event::Write(r).here());
-            arena.push(Event::IsPersist(r).here());
-            arena.seal(id);
-        }
-        engine.submit_arena(arena).unwrap();
-        let report = engine.take_report();
-        assert_eq!(report.traces().len(), 10);
-        assert_eq!(report.fail_count(), 10);
-        let stats = engine.stats();
-        assert_eq!(stats.batches_submitted, 1, "empty arenas are not counted");
-        assert_eq!(stats.traces_submitted, 10);
-        // The checked arena went back to the pool.
-        assert_eq!(engine.arena_pool().stats().released, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The sharded ingest plane: one bounded SPSC ring per producer thread,
+//! The sharded ingest plane: one bounded SPSC ring per recording producer,
 //! drained by worker threads that prefer their affinity rings and steal
 //! from the others when idle.
 //!
@@ -11,6 +11,11 @@
 //! place a producer and a consumer can meet, and only when the ring wraps.
 //! A ring is bounded in slots and in the packed records it holds queued
 //! ([`MAX_QUEUED_WORDS`]); a producer pushing into a full ring waits.
+//!
+//! Each ring also holds its producer's staged state — for the engine, the
+//! traces it sealed but has not shipped — behind the producer lock, which
+//! every push onto the ring takes. The ring list is thus the only producer
+//! registry: a result point walks it and ships every staged batch.
 //!
 //! ## Steal protocol
 //!
@@ -26,8 +31,9 @@
 //!
 //! ## Lifecycle
 //!
-//! * A producer thread's rings retire when the thread exits (thread-local
-//!   destructor); retired, drained rings are pruned by idle workers.
+//! * A producer retires its ring when it is done (its thread's session
+//!   slot or its `ThreadRecorder` is dropped); idle workers prune a retired
+//!   ring once it is drained and nothing is staged on it.
 //! * The last worker to exit — normal shutdown or panic — marks the plane
 //!   *dead*, discards every queued message (their drop guards settle the
 //!   engine's `outstanding` accounting), and wakes stalled producers so a
@@ -47,13 +53,9 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 use pmtest_obs::Counter;
 
-/// Sequence numbers for plane identities, used to key producer thread-local
-/// ring registries (an address would alias after an engine is dropped).
-static PLANE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// How long a producer stalled on a full ring sleeps between re-checks.
-/// Backpressure is the slow regime by definition; a short poll keeps the
-/// wait loop free of a producer-side lost-wakeup protocol.
+/// Safety-net bound on a producer's wait for ring space. A consumer that
+/// frees space wakes a registered waiter; the timeout only covers protocol
+/// bugs.
 const FULL_RING_POLL: Duration = Duration::from_millis(1);
 
 /// Packed records one producer ring may hold queued, besides its slot
@@ -76,14 +78,15 @@ pub(crate) struct PlaneClosed;
 
 /// A ring slot: the message plus the trace and packed-record counts it
 /// carries, `Some` from the producer's write until a consumer's take.
-type RingSlot<T> = Mutex<Option<(T, u64, u64)>>;
+type MessageSlot<T> = Mutex<Option<(T, u64, u64)>>;
 
-/// One producer's bounded SPSC ring. `push` is called by exactly one thread
-/// (the owning producer); `try_pop` by any worker.
-pub(crate) struct ProducerRing<T> {
+/// One producer's bounded SPSC ring plus its staged state `S`. Pushes are
+/// made under the producer lock, so they are serialized even when several
+/// threads share the producer; `try_pop` is called by any worker.
+pub(crate) struct ProducerRing<T, S = ()> {
     /// Power-of-two slot array. The mutex is the producer/consumer
     /// rendezvous on wrap-around and is otherwise uncontended.
-    slots: Box<[RingSlot<T>]>,
+    slots: Box<[MessageSlot<T>]>,
     mask: u64,
     /// Next slot the producer fills. Published with `Release` *after* the
     /// slot is written, so a consumer that observes `head < tail` is
@@ -104,10 +107,14 @@ pub(crate) struct ProducerRing<T> {
     pushed: AtomicU64,
     /// Highest trace occupancy this ring has ever reached.
     highwater: AtomicU64,
-    /// Producers stalled on a full ring wait here; consumers notify after
-    /// every take.
+    /// A producer stalled on a full ring registers in `space_waiters` and
+    /// waits here; a take notifies only when a waiter is registered.
     space_lock: Mutex<()>,
     space: Condvar,
+    space_waiters: AtomicUsize,
+    /// The producer lock, guarding what the producer has staged (`None`:
+    /// nothing). Every push onto this ring is made under it.
+    pub(crate) staged: Mutex<Option<S>>,
 }
 
 /// One ring's observability sample, as exported by
@@ -126,7 +133,7 @@ pub(crate) struct RingStats {
     pub(crate) retired: bool,
 }
 
-impl<T> ProducerRing<T> {
+impl<T, S> ProducerRing<T, S> {
     fn new(capacity: usize, pref: usize) -> Self {
         let capacity = capacity.next_power_of_two().max(1);
         Self {
@@ -142,6 +149,8 @@ impl<T> ProducerRing<T> {
             highwater: AtomicU64::new(0),
             space_lock: Mutex::new(()),
             space: Condvar::new(),
+            space_waiters: AtomicUsize::new(0),
+            staged: Mutex::new(None),
         }
     }
 
@@ -156,10 +165,23 @@ impl<T> ProducerRing<T> {
         self.occupancy.load(Ordering::Relaxed)
     }
 
-    /// Retired and empty: nothing will ever appear here again.
+    /// Retired, empty, and nothing staged: nothing will ever appear here
+    /// again. Publish invariant (c): the staged state is read under the
+    /// producer lock, so no push is in flight while the ring is judged; a
+    /// held lock means a push may be, and the ring stays.
     fn is_drained(&self) -> bool {
         self.retired.load(Ordering::Acquire)
-            && self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
+            && self.staged.try_lock().is_some_and(|staged| {
+                staged.is_none()
+                    && self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
+            })
+    }
+
+    /// Whether a message of `words` packed records fits the queued-records
+    /// bound now.
+    fn has_room_for(&self, words: u64) -> bool {
+        let queued = self.words.load(Ordering::SeqCst);
+        queued == 0 || queued + words <= MAX_QUEUED_WORDS
     }
 }
 
@@ -187,13 +209,12 @@ pub(crate) struct IngestCounters {
 
 /// The plane: every registered ring plus the worker wake/stall protocol and
 /// the observability counters the engine exports.
-pub(crate) struct IngestPlane<T> {
-    id: u64,
+pub(crate) struct IngestPlane<T, S = ()> {
     /// Slots per ring (rounded up to a power of two from the engine's
     /// configured queue capacity).
     ring_capacity: usize,
     workers: usize,
-    rings: RwLock<Vec<Arc<ProducerRing<T>>>>,
+    rings: RwLock<Vec<Arc<ProducerRing<T, S>>>>,
     /// Batches queued across all rings. The Dekker-style handshake with the
     /// park path (worker: enlist in `parked` then re-check `pending`;
     /// producer: bump `pending` then check `sleepers`) makes the
@@ -224,10 +245,9 @@ pub(crate) struct IngestPlane<T> {
     occupancy_highwater: AtomicU64,
 }
 
-impl<T: Send> IngestPlane<T> {
+impl<T: Send, S> IngestPlane<T, S> {
     pub(crate) fn new(workers: usize, ring_capacity: usize, counters: IngestCounters) -> Self {
         Self {
-            id: PLANE_SEQ.fetch_add(1, Ordering::Relaxed),
             ring_capacity,
             workers: workers.max(1),
             rings: RwLock::new(Vec::new()),
@@ -243,14 +263,9 @@ impl<T: Send> IngestPlane<T> {
         }
     }
 
-    /// Identity for keying producer thread-local ring registries.
-    pub(crate) fn plane_id(&self) -> u64 {
-        self.id
-    }
-
     /// Registers a new producer ring, assigning its preferred worker
     /// round-robin so producers spread across the pool.
-    pub(crate) fn register_ring(&self) -> Arc<ProducerRing<T>> {
+    pub(crate) fn register_ring(&self) -> Arc<ProducerRing<T, S>> {
         let mut rings = self.rings.write();
         // Read and bumped under the registry lock, so every ring gets its
         // own sequence number.
@@ -262,7 +277,8 @@ impl<T: Send> IngestPlane<T> {
     }
 
     /// Pushes one message carrying `n` traces of `words` packed records in
-    /// all onto `ring` (producer side). Blocks while the ring is full, or
+    /// all onto `ring` (producer side, under the producer lock when the
+    /// producer is shared). Blocks while the ring is full, or
     /// holds a message and would exceed [`MAX_QUEUED_WORDS`] — the
     /// backpressure regime — and fails once the plane is closed or its
     /// workers are gone. Returns the ring's trace occupancy right after the
@@ -272,7 +288,7 @@ impl<T: Send> IngestPlane<T> {
     /// guard to settle any accounting.
     pub(crate) fn push(
         &self,
-        ring: &ProducerRing<T>,
+        ring: &ProducerRing<T, S>,
         payload: T,
         n: u64,
         words: u64,
@@ -289,8 +305,7 @@ impl<T: Send> IngestPlane<T> {
                 let mut guard = slot.lock();
                 // Takes only lower `words` and only this producer raises
                 // it, so a fit seen here still holds when the message lands.
-                let queued = ring.words.load(Ordering::Acquire);
-                if guard.is_none() && (queued == 0 || queued + words <= MAX_QUEUED_WORDS) {
+                if guard.is_none() && ring.has_room_for(words) {
                     // Re-checked under the slot mutex: `mark_dead` stores the
                     // flag before its drain takes this slot, so a producer
                     // that sees the slot freed *by the death drain* is
@@ -310,11 +325,20 @@ impl<T: Send> IngestPlane<T> {
                 stalled = true;
                 self.counters.backpressure_stalls.inc();
             }
-            if self.dead.load(Ordering::Acquire) {
+            // Register as a waiter, then re-check under `space_lock`: a take
+            // after the registration sees the waiter (SeqCst on both sides,
+            // the parker's Dekker handshake), and it and a death notify under
+            // this lock, which only the wait releases — no wakeup is lost.
+            let mut space = ring.space_lock.lock();
+            ring.space_waiters.fetch_add(1, Ordering::SeqCst);
+            let dead = self.dead.load(Ordering::SeqCst);
+            if !dead && (slot.lock().is_some() || !ring.has_room_for(words)) {
+                ring.space.wait_for(&mut space, FULL_RING_POLL);
+            }
+            ring.space_waiters.fetch_sub(1, Ordering::SeqCst);
+            if dead {
                 return Err(PlaneClosed);
             }
-            let mut guard = ring.space_lock.lock();
-            ring.space.wait_for(&mut guard, FULL_RING_POLL);
         }
         // Counted before the message is published, so a take never
         // subtracts records not yet added.
@@ -388,7 +412,7 @@ impl<T: Send> IngestPlane<T> {
     /// guarantees the slot was filled, the CAS makes this claim exclusive,
     /// and a producer wrapping onto the same physical slot blocks on the
     /// mutex until the take completes.
-    fn try_pop(&self, ring: &ProducerRing<T>) -> Option<(T, u64)> {
+    fn try_pop(&self, ring: &ProducerRing<T, S>) -> Option<(T, u64)> {
         loop {
             let h = ring.head.load(Ordering::Relaxed);
             let t = ring.tail.load(Ordering::Acquire);
@@ -405,9 +429,14 @@ impl<T: Send> IngestPlane<T> {
                     .take()
                     .expect("claimed ring slot must hold a message");
                 ring.occupancy.fetch_sub(n, Ordering::Relaxed);
-                ring.words.fetch_sub(words, Ordering::AcqRel);
+                ring.words.fetch_sub(words, Ordering::SeqCst);
                 self.pending.fetch_sub(1, Ordering::SeqCst);
-                ring.space.notify_all();
+                // Wake only a registered waiter: a notify costs a syscall
+                // whether or not anyone waits.
+                if ring.space_waiters.load(Ordering::SeqCst) > 0 {
+                    drop(ring.space_lock.lock());
+                    ring.space.notify_all();
+                }
                 return Some((payload, n));
             }
         }
@@ -483,7 +512,9 @@ impl<T: Send> IngestPlane<T> {
 
     /// Drops retired rings that can never hold a message again. Producers
     /// that come and go (one ring per thread per plane) would otherwise
-    /// accumulate dead rings on the scan path forever.
+    /// accumulate dead rings on the scan path forever. The producer-lock
+    /// probes in [`ProducerRing::is_drained`] never block, so holding the
+    /// registry's write lock over them cannot stall a push.
     fn prune_retired(&self) {
         if self.rings.read().iter().any(|r| r.is_drained()) {
             self.rings.write().retain(|r| !r.is_drained());
@@ -492,15 +523,14 @@ impl<T: Send> IngestPlane<T> {
 
     /// Discards everything queued on `ring`; each message's drop settles its
     /// own accounting. Used by a producer that raced a dying worker pool.
-    pub(crate) fn drain_discard(&self, ring: &ProducerRing<T>) {
+    pub(crate) fn drain_discard(&self, ring: &ProducerRing<T, S>) {
         while self.try_pop(ring).is_some() {}
     }
 
-    fn drain_all_discard(&self) {
-        let rings: Vec<_> = self.rings.read().clone();
-        for ring in rings {
-            self.drain_discard(&ring);
-        }
+    /// A copy of the ring list, for walks that may block (a result point's
+    /// pushes, the death drain) and so must not hold the registry lock.
+    pub(crate) fn rings(&self) -> Vec<Arc<ProducerRing<T, S>>> {
+        self.rings.read().clone()
     }
 
     /// Called by the last exiting worker (shutdown or panic): no message
@@ -508,9 +538,10 @@ impl<T: Send> IngestPlane<T> {
     /// accounting of every batch in flight) and wake stalled producers so
     /// their submits fail instead of hanging.
     fn mark_dead(&self) {
-        self.dead.store(true, Ordering::Release);
-        self.drain_all_discard();
-        for ring in self.rings.read().iter() {
+        self.dead.store(true, Ordering::SeqCst);
+        for ring in self.rings() {
+            self.drain_discard(&ring);
+            drop(ring.space_lock.lock());
             ring.space.notify_all();
         }
         self.nudge_workers();
@@ -576,17 +607,17 @@ impl<T: Send> IngestPlane<T> {
 /// RAII guard a worker thread holds for its whole life: the drop (normal
 /// exit or unwinding panic) decrements the live-worker count, and the last
 /// one out marks the plane dead.
-pub(crate) struct WorkerGuard<T: Send> {
-    plane: Arc<IngestPlane<T>>,
+pub(crate) struct WorkerGuard<T: Send, S = ()> {
+    plane: Arc<IngestPlane<T, S>>,
 }
 
-impl<T: Send> WorkerGuard<T> {
-    pub(crate) fn new(plane: Arc<IngestPlane<T>>) -> Self {
+impl<T: Send, S> WorkerGuard<T, S> {
+    pub(crate) fn new(plane: Arc<IngestPlane<T, S>>) -> Self {
         Self { plane }
     }
 }
 
-impl<T: Send> Drop for WorkerGuard<T> {
+impl<T: Send, S> Drop for WorkerGuard<T, S> {
     fn drop(&mut self) {
         if self.plane.workers_alive.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.plane.mark_dead();
@@ -792,6 +823,30 @@ mod tests {
         assert_eq!(v, 7);
         plane.prune_retired();
         assert_eq!(plane.rings_live(), 0, "drained retired ring is pruned");
+    }
+
+    /// Publish invariant (c): a retired ring with something staged, or with
+    /// its producer lock held (a push may be in flight), is never pruned.
+    #[test]
+    fn retired_rings_with_staged_state_survive_pruning() {
+        let plane: IngestPlane<u32, u32> = IngestPlane::new(1, 8, IngestCounters::default());
+        let ring = plane.register_ring();
+        *ring.staged.lock() = Some(7);
+        ring.retire();
+        plane.prune_retired();
+        assert_eq!(plane.rings_live(), 1, "a staged batch keeps its ring");
+        {
+            let mut staged = ring.staged.lock();
+            let v = staged.take().unwrap();
+            plane.prune_retired();
+            assert_eq!(plane.rings_live(), 1, "a held producer lock keeps its ring");
+            plane.push(&ring, v, 1, 1).unwrap();
+        }
+        plane.prune_retired();
+        assert_eq!(plane.rings_live(), 1, "the published message keeps its ring");
+        assert_eq!(plane.next_batch(0).expect("published message drains").0, 7);
+        plane.prune_retired();
+        assert_eq!(plane.rings_live(), 0, "drained with nothing staged: pruned");
     }
 
     /// Affinity: a lone preferred worker claims without steals; a foreign

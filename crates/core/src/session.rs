@@ -2,7 +2,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmtest_interval::ByteRange;
@@ -10,7 +10,7 @@ use pmtest_obs::SpanHandle;
 use pmtest_trace::{Entry, Event, SharedSink, Sink, TraceArena};
 
 use crate::diag::Report;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, Producer};
 use crate::model::PersistencyModel;
 use crate::telemetry::{FlushCause, TelemetryConfig};
 
@@ -25,34 +25,24 @@ static NEXT_PRODUCER_TID: AtomicU64 = AtomicU64::new(1000);
 /// threads").
 struct Slot {
     session: u64,
-    /// This thread's record arena: the open tail is the trace currently
-    /// being recorded (entries encode to packed records as they arrive);
-    /// sealed spans are traces completed by `send_trace` but not yet shipped
-    /// — the per-thread submission batch. Recycled through the engine's
-    /// [`pmtest_trace::ArenaPool`] so checked batches return their
-    /// allocation to us.
+    /// The trace this thread is recording: entries encode to packed records
+    /// as they arrive. `send_trace` moves the sealed trace to the
+    /// producer's staged batch, so no sealed trace waits here.
     arena: TraceArena,
+    /// This thread's producer on the engine's ingest plane; its staged
+    /// batch is reachable from every result point.
+    producer: Arc<Producer>,
     /// This thread's producer-side span buffer, present when the session's
     /// engine had the tracing layer on at slot creation; `ship` spans land
     /// here.
     span: Option<SpanHandle>,
-    /// Back-reference for the drop-flush; weak so a dead session does not
-    /// keep its engine alive through thread-local storage.
-    shared: Weak<SessionShared>,
 }
 
 impl Drop for Slot {
     fn drop(&mut self) {
-        // Thread exit with traces still batched: ship them so nothing a
-        // thread recorded is ever lost (`per_thread_buffers_do_not_mix`
-        // relies on this when batching is on). An open, un-`send_trace`d
-        // tail is dropped, as it always was.
-        if self.arena.sealed() == 0 {
-            return;
-        }
-        if let Some(shared) = self.shared.upgrade() {
-            shared.ship_from(&mut self.arena, self.span.as_ref(), FlushCause::ThreadExit);
-        }
+        // Thread exit drops the open, un-`send_trace`d tail; a staged batch
+        // stays with the producer for the next result point to ship.
+        self.producer.retire();
     }
 }
 
@@ -92,28 +82,19 @@ thread_local! {
         const { RefCell::new(ThreadSlots { last: (u64::MAX, usize::MAX), list: Vec::new() }) };
 }
 
-fn with_slot<R>(shared: &Arc<SessionShared>, f: impl FnOnce(&mut Slot) -> R) -> R {
+#[inline]
+fn with_slot<R>(shared: &SessionShared, f: impl FnOnce(&mut Slot) -> R) -> R {
     SLOTS.with(|s| {
         let slots = &mut *s.borrow_mut();
-        if let Some(pos) = slots.pos(shared.id) {
-            let slot = &mut slots.list[pos];
-            // The slot may have been created by `SessionShared::record`,
-            // which only has `&self` and therefore no back-reference to give
-            // it. Repair it here so the drop-flush can reach the engine.
-            if slot.shared.strong_count() == 0 {
-                slot.shared = Arc::downgrade(shared);
+        let pos = match slots.pos(shared.id) {
+            Some(pos) => pos,
+            None => {
+                slots.last = (shared.id, slots.list.len());
+                slots.list.push(shared.new_slot());
+                slots.list.len() - 1
             }
-            return f(slot);
-        }
-        slots.last = (shared.id, slots.list.len());
-        slots.list.push(Slot {
-            session: shared.id,
-            arena: shared.prewarmed_arena(),
-            span: shared.producer_span(),
-            shared: Arc::downgrade(shared),
-        });
-        let last = slots.list.len() - 1;
-        f(&mut slots.list[last])
+        };
+        f(&mut slots.list[pos])
     })
 }
 
@@ -141,21 +122,13 @@ fn with_slot<R>(shared: &Arc<SessionShared>, f: impl FnOnce(&mut Slot) -> R) -> 
 ///
 /// By default every `send_trace` goes straight to the engine (the paper's
 /// behaviour). With [`SessionBuilder::batch_capacity`] greater than one,
-/// completed traces collect in the thread's record arena and ship together
-/// once the batch fills — one ring operation and one dispatch for many
-/// traces, which is what lets short-trace workloads scale (Fig. 12b).
-/// Batches flush
-/// automatically on [`report`](Self::report), [`take_report`](Self::take_report),
-/// [`finish`](Self::finish), thread exit, and explicitly via
-/// [`flush`](Self::flush). Results are identical either way; only submission
-/// granularity changes.
-///
-/// The thread-exit flush runs in a thread-local destructor. Note that
-/// `std::thread::scope` unblocks when the spawned *closures* return, which
-/// is before TLS destructors run — so a report taken right after a bare
-/// `scope` can race a still-flushing exiting thread. Join the
-/// `ScopedJoinHandle`s explicitly (a real OS-thread join, which waits for
-/// destructors) or call [`flush`](Self::flush) at the end of the closure.
+/// completed traces collect in the thread's staged batch and ship together
+/// once it fills — one ring operation and one dispatch for many traces,
+/// which is what lets short-trace workloads scale (Fig. 12b). Every result
+/// point ([`report`](Self::report), [`take_report`](Self::take_report),
+/// [`finish`](Self::finish), [`flush`](Self::flush), …) first ships every
+/// thread's staged batch, whether that thread still runs or has exited, so
+/// results are identical either way; only submission granularity changes.
 ///
 /// # Examples
 ///
@@ -195,6 +168,18 @@ struct SessionShared {
 const PREWARM_MAX_ARENAS: u64 = 512;
 
 impl SessionShared {
+    /// A new recording thread's slot: a producer registered with the
+    /// engine, a pre-warmed arena and, with tracing on, a span buffer.
+    #[cold]
+    fn new_slot(&self) -> Slot {
+        Slot {
+            session: self.id,
+            arena: self.prewarmed_arena(),
+            producer: self.engine.register_producer(),
+            span: self.producer_span(),
+        }
+    }
+
     /// Pre-warms the engine's arena pool for one new producer thread and
     /// draws the thread's initial recording arena from it.
     ///
@@ -220,41 +205,39 @@ impl SessionShared {
         }
         pool.acquire()
     }
-    /// The full ship path for a recording-side arena: detach the sealed
-    /// batch onto a recycled arena, fold the allocator/intern tallies the
-    /// live arena kept through the detach into the engine's counters, and
-    /// submit — wrapped in a producer-side `ship` span when `span` is
-    /// recording. A no-op when nothing is sealed.
-    fn ship_from(&self, arena: &mut TraceArena, span: Option<&SpanHandle>, cause: FlushCause) {
-        if arena.sealed() == 0 {
-            return;
-        }
-        match span.filter(|h| h.enabled()) {
-            Some(h) => {
-                let start = h.now_ns();
-                self.ship_detached(arena, cause);
-                let name = self.engine.telemetry().span_names.ship;
-                h.record(name, start, h.now_ns().saturating_sub(start));
-            }
-            None => self.ship_detached(arena, cause),
+
+    /// Moves the trace just sealed in `arena` to `producer`'s staged batch
+    /// and ships the batch once it holds `batch_capacity` traces — at batch
+    /// 1 straight from the thread's arena — all under the producer lock
+    /// (publish invariant (a), see `Engine::publish_staged`).
+    fn stage(&self, producer: &Producer, arena: &mut TraceArena, span: Option<&SpanHandle>) {
+        let mut staged = producer.staged.lock();
+        staged.get_or_insert_with(|| self.engine.arena_pool().acquire()).append_sealed(arena);
+        if let Some(batch) = staged.take_if(|batch| batch.sealed() >= self.batch_capacity) {
+            self.ship(producer, batch, span, FlushCause::Capacity);
         }
     }
 
-    /// Detaches the sealed batch onto a recycled arena and submits it,
-    /// recording its fill level and why it flushed
-    /// (`session_flush_total{cause=…}`). With batching off (capacity 1)
-    /// every trace ships the moment it is sent, so there is no batch
-    /// telemetry to record.
-    fn ship_detached(&self, arena: &mut TraceArena, cause: FlushCause) {
-        let shipped = arena.detach_for_ship(self.engine.arena_pool().acquire());
-        // `detach_for_ship` keeps the tallies on the recording side; taking
-        // them here makes the fold exactly once per shipped batch.
+    /// Pushes `batch` onto `producer`'s ring — the caller holds the
+    /// producer lock — recording its fill level and why it shipped
+    /// (`session_flush_total{cause=…}`, batched sessions only), and wrapping
+    /// the push in a producer-side `ship` span when `span` is recording.
+    fn ship(
+        &self,
+        producer: &Producer,
+        batch: TraceArena,
+        span: Option<&SpanHandle>,
+        cause: FlushCause,
+    ) {
+        let span = span.filter(|h| h.enabled()).map(|h| (h, h.now_ns()));
         let telemetry = self.engine.telemetry();
-        telemetry.note_arena_stats(arena.take_stats());
         if self.batch_capacity > 1 {
-            telemetry.note_batch_shipped(cause, shipped.sealed());
+            telemetry.note_batch_shipped(cause, batch.sealed());
         }
-        let _ = self.engine.submit_arena(shipped);
+        let _ = self.engine.push(producer, batch);
+        if let Some((h, start)) = span {
+            h.record(telemetry.span_names.ship, start, h.now_ns().saturating_sub(start));
+        }
     }
 
     /// A producer-side span buffer for one recording thread, when the
@@ -416,6 +399,7 @@ impl PmTestSession {
     pub fn recorder(&self) -> ThreadRecorder {
         ThreadRecorder {
             arena: self.shared.engine.arena_pool().acquire(),
+            producer: self.shared.engine.register_producer(),
             span: self.shared.producer_span(),
             shared: self.shared.clone(),
         }
@@ -426,8 +410,8 @@ impl PmTestSession {
     /// skipped.
     ///
     /// With a [`batch_capacity`](SessionBuilder::batch_capacity) above one
-    /// the trace may sit in the thread's batch until the batch fills or a
-    /// flush point is reached.
+    /// the trace waits in the thread's staged batch until the batch fills or
+    /// any thread reaches a result point.
     ///
     /// Returns the trace id, if a trace was produced. If the engine's
     /// workers have terminated (it was shut down or a worker panicked) the
@@ -440,41 +424,32 @@ impl PmTestSession {
             }
             let trace_id = shared.next_trace.fetch_add(1, Ordering::Relaxed);
             slot.arena.seal(trace_id);
-            if slot.arena.sealed() >= shared.batch_capacity {
-                // Swap in a recycled arena from the engine's pool; the
-                // checked batch's arena flows back into the pool from the
-                // worker. Any open tail (none here — we just sealed) would
-                // carry over.
-                shared.ship_from(&mut slot.arena, slot.span.as_ref(), FlushCause::Capacity);
-            }
+            shared.stage(&slot.producer, &mut slot.arena, slot.span.as_ref());
             Some(trace_id)
         })
     }
 
-    /// Ships the calling thread's pending trace batch to the engine now.
+    /// Ships every thread's staged trace batch to the engine now, without
+    /// waiting for the checks. Every result point does this first.
     ///
-    /// A no-op when the batch is empty — in particular always, when
+    /// A no-op when nothing is staged — in particular always, when
     /// [`batch_capacity`](SessionBuilder::batch_capacity) is 1. Entries
     /// still being recorded (not yet `send_trace`d) are *not* flushed.
     pub fn flush(&self) {
-        with_slot(&self.shared, |slot| {
-            self.shared.ship_from(&mut slot.arena, slot.span.as_ref(), FlushCause::ResultPoint);
-        });
+        self.shared.engine.publish_staged();
     }
 
     /// Blocks until all submitted traces are checked and returns the
-    /// accumulated results (`PMTest_GET_RESULT`). Flushes the calling
-    /// thread's pending batch first.
+    /// accumulated results (`PMTest_GET_RESULT`). Ships every thread's
+    /// staged batch first.
     #[must_use]
     pub fn report(&self) -> Report {
-        self.flush();
         self.shared.engine.report()
     }
 
     /// Like [`report`](Self::report) but drains the accumulated results.
     #[must_use]
     pub fn take_report(&self) -> Report {
-        self.flush();
         self.shared.engine.take_report()
     }
 
@@ -508,21 +483,18 @@ impl PmTestSession {
     }
 
     /// Drains the diagnosis bundles captured on ERROR so far — see
-    /// [`Engine::take_bundles`]. Flushes the calling thread's pending batch
-    /// first so failures it contains are captured. Empty unless
+    /// [`Engine::take_bundles`]. Ships every thread's staged batch first so
+    /// failures it contains are captured. Empty unless
     /// [`crate::TelemetryConfig::recorder`] is on.
     #[must_use]
     pub fn take_bundles(&self) -> Vec<crate::DiagnosisBundle> {
-        self.flush();
         self.shared.engine.take_bundles()
     }
 
     /// On-demand capture of each worker's last trace — see
-    /// [`Engine::capture_bundle`]. Flushes the calling thread's pending
-    /// batch first.
+    /// [`Engine::capture_bundle`]. Ships every thread's staged batch first.
     #[must_use]
     pub fn capture_bundle(&self) -> Vec<crate::DiagnosisBundle> {
-        self.flush();
         self.shared.engine.capture_bundle()
     }
 
@@ -550,12 +522,11 @@ impl PmTestSession {
     }
 
     /// The cross-trace performance profile — see [`Engine::profile`].
-    /// Flushes the calling thread's pending batch and waits for the engine
-    /// so every recorded trace is aggregated. Empty unless
+    /// Waits for the engine, staged batches included, so every recorded
+    /// trace is aggregated. Empty unless
     /// [`crate::TelemetryConfig::profiling`] is on.
     #[must_use]
     pub fn profile(&self) -> pmtest_obs::ProfileSnapshot {
-        self.flush();
         self.shared.engine.wait_idle();
         self.shared.engine.profile()
     }
@@ -564,7 +535,6 @@ impl PmTestSession {
     /// [`profile`](Self::profile) — see [`Engine::advisor_report`].
     #[must_use]
     pub fn advisor_report(&self) -> pmtest_obs::AdvisorReport {
-        self.flush();
         self.shared.engine.wait_idle();
         self.shared.engine.advisor_report()
     }
@@ -678,29 +648,9 @@ impl Sink for PmTestSession {
 impl Sink for SessionShared {
     #[inline]
     fn record(&self, entry: Entry) {
-        if !self.enabled.load(Ordering::Acquire) {
-            return;
+        if self.enabled.load(Ordering::Acquire) {
+            with_slot(self, |slot| slot.arena.push(entry));
         }
-        // `record` only has `&self`, so a slot created here carries no weak
-        // back-reference for the drop-flush; `with_slot` repairs it on the
-        // next session call from this thread.
-        SLOTS.with(|s| {
-            let slots = &mut *s.borrow_mut();
-            if let Some(pos) = slots.pos(self.id) {
-                slots.list[pos].arena.push(entry);
-            } else {
-                // First event on this thread before any session call.
-                let mut slot = Slot {
-                    session: self.id,
-                    arena: TraceArena::new(),
-                    span: self.producer_span(),
-                    shared: Weak::new(),
-                };
-                slot.arena.push(entry);
-                slots.last = (self.id, slots.list.len());
-                slots.list.push(slot);
-            }
-        });
     }
 
     fn is_enabled(&self) -> bool {
@@ -721,14 +671,16 @@ impl Sink for SessionShared {
 /// writes into its own buffer with no indirection (§4.2).
 ///
 /// Traces recorded here are interleaved with `Sink`-path traces in the same
-/// session: ids come from the same counter, batches ship through the same
-/// per-producer ring, and results land in the same [`Report`].
+/// session: ids come from the same counter, batches ship through a producer
+/// ring of the recorder's own, and results land in the same [`Report`].
 ///
 /// Batching follows the session's
-/// [`batch_capacity`](SessionBuilder::batch_capacity). Sealed traces ship
-/// when the batch fills, on [`flush`](Self::flush), or when the recorder is
-/// dropped; entries recorded but never [`send_trace`](Self::send_trace)d are
-/// discarded on drop, exactly like the `Sink` path's thread slots.
+/// [`batch_capacity`](SessionBuilder::batch_capacity). The recorder owns its
+/// batch: sealed traces ship when the batch fills or on
+/// [`flush`](Self::flush), and dropping the recorder hands them to its
+/// producer's staged batch, which the next result point ships. Entries
+/// recorded but never [`send_trace`](Self::send_trace)d are discarded on
+/// drop, exactly like the `Sink` path's thread slots.
 ///
 /// # Examples
 ///
@@ -746,12 +698,15 @@ impl Sink for SessionShared {
 /// rec.record(Event::Fence.here());
 /// rec.is_persist(r);
 /// rec.send_trace();
-/// drop(rec); // ships the pending batch
+/// drop(rec); // stages the pending batch for the report below
 /// assert!(session.take_report().is_clean());
 /// ```
 pub struct ThreadRecorder {
     shared: Arc<SessionShared>,
+    /// The open trace plus this recorder's batch of sealed traces.
     arena: TraceArena,
+    /// This recorder's producer on the engine's ingest plane.
+    producer: Arc<Producer>,
     /// This recorder's producer-side span buffer (tracing layer).
     span: Option<SpanHandle>,
 }
@@ -792,7 +747,7 @@ impl ThreadRecorder {
         let trace_id = self.shared.next_trace.fetch_add(1, Ordering::Relaxed);
         self.arena.seal(trace_id);
         if self.arena.sealed() >= self.shared.batch_capacity {
-            self.shared.ship_from(&mut self.arena, self.span.as_ref(), FlushCause::Capacity);
+            self.ship(FlushCause::Capacity);
         }
         Some(trace_id)
     }
@@ -800,7 +755,17 @@ impl ThreadRecorder {
     /// Ships the pending batch now, regardless of fill level. Entries still
     /// being recorded (not yet sealed) stay in the recorder.
     pub fn flush(&mut self) {
-        self.shared.ship_from(&mut self.arena, self.span.as_ref(), FlushCause::ResultPoint);
+        self.ship(FlushCause::ResultPoint);
+    }
+
+    fn ship(&mut self, cause: FlushCause) {
+        if self.arena.sealed() == 0 {
+            return;
+        }
+        let _held = self.producer.staged.lock();
+        let mut batch = self.shared.engine.arena_pool().acquire();
+        batch.append_sealed(&mut self.arena);
+        self.shared.ship(&self.producer, batch, self.span.as_ref(), cause);
     }
 
     /// The session this recorder feeds.
@@ -812,8 +777,13 @@ impl ThreadRecorder {
 
 impl Drop for ThreadRecorder {
     fn drop(&mut self) {
-        // Sealed traces were promised to the report; the open tail was not.
-        self.shared.ship_from(&mut self.arena, self.span.as_ref(), FlushCause::ThreadExit);
+        // Sealed traces were promised to the report, so they are staged for
+        // the next result point; the open tail was not.
+        if self.arena.sealed() > 0 {
+            let mut staged = self.producer.staged.lock();
+            staged.get_or_insert_with(TraceArena::new).append_sealed(&mut self.arena);
+        }
+        self.producer.retire();
     }
 }
 
@@ -1034,24 +1004,15 @@ mod tests {
         let session = PmTestSession::builder().batch_capacity(64).workers(2).build();
         session.start();
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let session = session.clone();
-                    s.spawn(move || {
-                        session.thread_init();
-                        for _ in 0..10 {
-                            record_clean_trace(&session);
-                        }
-                        // Batch (10 < 64) still pending here; the thread-local
-                        // slot's Drop must ship it on thread exit.
-                    })
-                })
-                .collect();
-            // Join each handle explicitly: the scope exit itself only waits
-            // for the closures to return, which happens *before* TLS
-            // destructors — and the drop-flush under test runs in one.
-            for h in handles {
-                h.join().unwrap();
+            for _ in 0..4 {
+                let session = session.clone();
+                s.spawn(move || {
+                    session.thread_init();
+                    for _ in 0..10 {
+                        record_clean_trace(&session);
+                    }
+                    // Batch (10 < 64) still staged here.
+                });
             }
         });
         let report = session.finish();
@@ -1062,10 +1023,9 @@ mod tests {
     #[test]
     fn sink_only_thread_flushes_pending_batch_on_exit() {
         // A thread whose *first* session interaction is `record` through the
-        // shared sink (the normal instrumented-pool path) gets its slot from
-        // `SessionShared::record`, which cannot attach the drop-flush
-        // back-reference. `with_slot` must repair it, or the thread's whole
-        // pending batch vanishes on exit.
+        // shared sink (the normal instrumented-pool path) gets its slot, and
+        // its producer, from `SessionShared::record`; its staged batch must
+        // reach the report like any other thread's.
         let session = PmTestSession::builder().batch_capacity(64).build();
         session.start();
         let handle = {
@@ -1085,7 +1045,7 @@ mod tests {
         };
         handle.join().unwrap();
         let report = session.report();
-        assert_eq!(report.traces().len(), 10, "drop-flush shipped the batch");
+        assert_eq!(report.traces().len(), 10, "the report shipped the staged batch");
         assert!(report.is_clean());
     }
 
@@ -1113,7 +1073,6 @@ mod tests {
         let snap = session.telemetry_snapshot();
         assert_eq!(flush_cause_count(&snap, "capacity"), 2);
         assert_eq!(flush_cause_count(&snap, "result_point"), 1);
-        assert_eq!(flush_cause_count(&snap, "thread_exit"), 0);
         let fill = snap.histogram("session_batch_fill").expect("registered");
         assert_eq!(fill.count, 3);
         assert_eq!(fill.sum, 9, "4 + 4 + 1 traces across the three batches");
@@ -1133,10 +1092,11 @@ mod tests {
             })
         };
         handle.join().unwrap();
+        assert_eq!(session.stats().traces_submitted, 0, "an exited thread ships nothing itself");
         let report = session.report();
         assert_eq!(report.traces().len(), 5);
         let snap = session.telemetry_snapshot();
-        assert_eq!(flush_cause_count(&snap, "thread_exit"), 1);
+        assert_eq!(flush_cause_count(&snap, "result_point"), 1, "the report shipped the batch");
         assert_eq!(flush_cause_count(&snap, "capacity"), 0);
     }
 
@@ -1192,6 +1152,8 @@ mod tests {
     fn buffers_recycle_between_traces() {
         let session = PmTestSession::builder().build();
         session.start();
+        session.thread_init(); // this thread's slot pre-warms the pool
+        let warm = session.pool_stats().released;
         for _ in 0..10 {
             record_clean_trace(&session);
         }
@@ -1203,7 +1165,11 @@ mod tests {
         }
         assert!(session.report().is_clean());
         let pool = session.pool_stats();
-        assert_eq!(pool.released, 20, "workers return every arena (one per trace at capacity 1)");
+        assert_eq!(
+            pool.released - warm,
+            20,
+            "workers return every arena (one per trace at capacity 1)"
+        );
         assert!(pool.recycled > 0, "later traces reuse returned arenas");
     }
 
@@ -1232,12 +1198,17 @@ mod tests {
     fn arena_tallies_fold_into_the_snapshot_at_ship_time() {
         let session = PmTestSession::builder().batch_capacity(8).build();
         session.start();
-        for _ in 0..32 {
+        // One trace longer than a pre-warmed arena holds, so it must grow.
+        for _ in 0..100 {
+            session.record(Event::Fence.here());
+        }
+        session.send_trace();
+        for _ in 0..31 {
             record_clean_trace(&session);
         }
         assert!(session.report().is_clean());
         let snap = session.telemetry_snapshot();
-        // Growing the first arena from empty reallocates at least once.
+        // Growing past the pre-warmed capacity reallocates at least once.
         assert!(snap.counter("engine_arena_slab_allocs").unwrap_or(0) >= 1);
         // Every recorded entry resolves its source location through some
         // intern tier; repeats within a batch hit the arena cache.

@@ -232,16 +232,15 @@ impl CheckerCategory {
     }
 }
 
-/// Why a session shipped a pending trace batch to the engine
+/// Why a session shipped a trace batch to the engine
 /// (`session_flush_total{cause=…}`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushCause {
-    /// The per-thread batch reached `batch_capacity`.
+    /// The producer's batch reached `batch_capacity`.
     Capacity,
-    /// A result point — `flush`, `report`, `take_report`, or `finish`.
+    /// A result point — `flush`, `report`, `take_report`, `finish`, … —
+    /// or a `ThreadRecorder::flush`.
     ResultPoint,
-    /// The recording thread exited with traces still batched.
-    ThreadExit,
 }
 
 impl FlushCause {
@@ -251,7 +250,6 @@ impl FlushCause {
         match self {
             FlushCause::Capacity => "capacity",
             FlushCause::ResultPoint => "result_point",
-            FlushCause::ThreadExit => "thread_exit",
         }
     }
 }
@@ -303,7 +301,7 @@ pub(crate) struct EngineTelemetry {
     pub(crate) worker_stats: Vec<Mutex<TraceStats>>,
     /// Traces per shipped session batch.
     pub(crate) batch_fill: Histogram,
-    flush_causes: [Counter; 3],
+    flush_causes: [Counter; 2],
     /// Per-stage pipeline latency, ns (timing only); indexed like
     /// [`Stage::ALL`]. Registered unconditionally so a snapshot always
     /// exposes all five stages (count 0 with timing off).
@@ -401,13 +399,8 @@ impl EngineTelemetry {
             worker_busy,
             worker_stats: (0..workers).map(|_| Mutex::new(TraceStats::default())).collect(),
             batch_fill: registry.histogram("session_batch_fill", &[]),
-            flush_causes: [
-                registry.counter("session_flush_total", &[("cause", FlushCause::Capacity.label())]),
-                registry
-                    .counter("session_flush_total", &[("cause", FlushCause::ResultPoint.label())]),
-                registry
-                    .counter("session_flush_total", &[("cause", FlushCause::ThreadExit.label())]),
-            ],
+            flush_causes: [FlushCause::Capacity, FlushCause::ResultPoint]
+                .map(|c| registry.counter("session_flush_total", &[("cause", c.label())])),
             stages,
             profile,
             spans,

@@ -152,6 +152,10 @@ pub fn explain_crash_point(
 /// Loads a diagnosis bundle from its JSON-lines text, re-runs interval
 /// inference over the recorded window, and renders the timeline.
 ///
+/// A window that starts mid-trace replays from empty state, so its checker
+/// annotations and culprit come from the diagnostics the bundle recorded,
+/// and the header names the steps the window holds.
+///
 /// # Errors
 ///
 /// Returns a description of the first schema or parse problem (unknown
@@ -160,5 +164,6 @@ pub fn explain_bundle(text: &str, source: &str) -> Result<String, String> {
     let bundle = load_bundle(text)?;
     let model = model_from_name(&bundle.model)?;
     let header = format!("{source} (bundle: reason {}, trace {})", bundle.reason, bundle.trace_id);
-    Ok(render_trace(&bundle.trace, model.as_ref(), &header))
+    let window = (bundle.first_step > 0).then_some((bundle.first_step, bundle.diags.as_slice()));
+    Ok(render::render_window(&bundle.trace, model.as_ref(), &header, window))
 }

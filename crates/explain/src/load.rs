@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pmtest_core::{HopsModel, PersistencyModel, X86Model};
+use pmtest_core::{Diag, DiagKind, HopsModel, PersistencyModel, X86Model};
 use pmtest_interval::ByteRange;
 use pmtest_obs::bundle::validate_bundle;
 use pmtest_obs::json::{self, JsonValue};
@@ -25,6 +25,11 @@ pub struct LoadedBundle {
     pub trace_id: u64,
     /// The recorded window, rebuilt as a replayable trace.
     pub trace: Trace,
+    /// Trace index of the window's first step: above 0 when the trace was
+    /// longer than the bundle's step window.
+    pub first_step: u64,
+    /// The diagnostics the bundle recorded for the whole trace.
+    pub diags: Vec<Diag>,
 }
 
 /// The checking model for a bundle header's model name.
@@ -124,6 +129,8 @@ pub fn load_bundle(text: &str) -> Result<LoadedBundle, String> {
     let mut model = String::new();
     let mut reason = String::new();
     let mut trace_id = 0u64;
+    let mut first_step = None;
+    let mut diags = Vec::new();
     let mut steps: Vec<(Event, SourceLoc)> = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let doc = json::parse(line).map_err(|e| format!("{e}"))?;
@@ -133,7 +140,9 @@ pub fn load_bundle(text: &str) -> Result<LoadedBundle, String> {
                 reason = doc.get("reason").and_then(JsonValue::as_str).unwrap_or("").to_owned();
                 trace_id = doc.get("trace_id").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
             }
+            Some("diag") => diags.push(parse_diag(&doc)?),
             Some("step") => {
+                first_step = first_step.or(doc.get("index").and_then(JsonValue::as_f64));
                 let op = doc.get("op").and_then(JsonValue::as_str).ok_or("step without op")?;
                 let loc = doc.get("loc").and_then(JsonValue::as_str).ok_or("step without loc")?;
                 steps.push((parse_op(op)?, parse_loc(loc)?));
@@ -145,7 +154,32 @@ pub fn load_bundle(text: &str) -> Result<LoadedBundle, String> {
     for (event, loc) in steps {
         trace.push(event.at(loc));
     }
-    Ok(LoadedBundle { model, reason, trace_id, trace })
+    let first_step = first_step.unwrap_or(0.0) as u64;
+    Ok(LoadedBundle { model, reason, trace_id, trace, first_step, diags })
+}
+
+/// Parses one `diag` line back into a [`Diag`].
+fn parse_diag(doc: &JsonValue) -> Result<Diag, String> {
+    let text = |key: &str| doc.get(key).and_then(JsonValue::as_str);
+    let code = text("code").ok_or("diag without code")?;
+    let kind = DiagKind::from_code(code).ok_or_else(|| format!("unknown diag code {code:?}"))?;
+    let range = match doc.get("range") {
+        Some(JsonValue::Array(ends)) => match ends.as_slice() {
+            [start, end] => Some(ByteRange::new(
+                start.as_f64().ok_or("diag range start is not a number")? as u64,
+                end.as_f64().ok_or("diag range end is not a number")? as u64,
+            )),
+            _ => return Err("diag range must hold two numbers".to_owned()),
+        },
+        _ => None,
+    };
+    Ok(Diag {
+        kind,
+        loc: parse_loc(text("loc").ok_or("diag without loc")?)?,
+        range,
+        culprit: text("culprit").map(parse_loc).transpose()?,
+        message: text("message").unwrap_or_default().to_owned(),
+    })
 }
 
 #[cfg(test)]

@@ -86,9 +86,24 @@ fn fence_token(event: &Event) -> Option<&'static str> {
 /// `source` names the input in the first output line.
 #[must_use]
 pub fn render_trace(trace: &Trace, model: &dyn PersistencyModel, source: &str) -> String {
+    render_window(trace, model, source, None)
+}
+
+/// [`render_trace`] for a window of a longer trace: `window` holds the
+/// trace index of the window's first entry and the diagnostics recorded
+/// for the whole trace, which annotate the checkers and name the culprit
+/// in place of the window's own replay (that replay starts from empty
+/// state, so it cannot see writes before the window).
+pub(crate) fn render_window(
+    trace: &Trace,
+    model: &dyn PersistencyModel,
+    source: &str,
+    window: Option<(u64, &[Diag])>,
+) -> String {
     // ---- replay, tracking per-write interval attribution ----------------
     let mut timeline = Timeline::default();
-    let diags = check_trace_observed(trace, model, &mut timeline);
+    let replayed = check_trace_observed(trace, model, &mut timeline);
+    let diags = window.map_or(replayed, |(_, recorded)| recorded.to_vec());
     let Timeline { rows, epochs_after } = timeline;
     let firing = diags.iter().find(|d| d.severity() == Severity::Fail);
     let culprit = firing.and_then(|d| d.culprit);
@@ -110,6 +125,13 @@ pub fn render_trace(trace: &Trace, model: &dyn PersistencyModel, source: &str) -
         entries.len(),
         epochs - 1
     );
+    if let Some((first, _)) = window {
+        let last = first + entries.len() as u64 - 1;
+        let _ = writeln!(
+            out,
+            "window: steps {first}..={last} of the trace; annotations from the recorded diagnostics"
+        );
+    }
     if let (Some(d), Some(c)) = (firing, culprit) {
         let _ = writeln!(out, "culprit: {c} ({} @ {})", d.kind.code(), d.loc);
     }
@@ -125,18 +147,20 @@ pub fn render_trace(trace: &Trace, model: &dyn PersistencyModel, source: &str) -
     out.push('\n');
 
     // ---- rows -----------------------------------------------------------
+    let first = window.map_or(0, |(first, _)| first);
     for (i, entry) in entries.iter().enumerate() {
+        let step = first + i as u64;
         if let Some(tok) = fence_token(&entry.event) {
             let before = if i == 0 { 0 } else { epochs_after[i - 1] };
             let after = epochs_after[i];
-            let label = format!(" -- [{i}] {tok} @ {}: epoch {before} -> {after} ", entry.loc);
+            let label = format!(" -- [{step}] {tok} @ {}: epoch {before} -> {after} ", entry.loc);
             let width = prefixw + epochs as usize * (cellw + 1) + 1;
             let _ = writeln!(out, "{label:-<width$}");
             continue;
         }
 
         let op = op_token(&entry.event);
-        let mut line = format!("{:>4}  {:<opw$}  {:<locw$}  ", format!("[{i}]"), op, entry.loc);
+        let mut line = format!("{:>4}  {:<opw$}  {:<locw$}  ", format!("[{step}]"), op, entry.loc);
         let row = rows.iter().find(|r| r.entry_index == i);
         for c in 0..epochs {
             line.push('|');

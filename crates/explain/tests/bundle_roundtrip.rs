@@ -81,3 +81,24 @@ fn corpus_bundles_validate_and_render_the_same_culprit() {
         assert_eq!(culprit_of(&direct), culprit_of(&via_bundle), "{name}");
     }
 }
+
+/// A trace longer than the engine's bundle window: the write a failing
+/// check needs lies before the window, whose replay starts from empty
+/// state. The render still marks the check FAIL, from the diagnostics the
+/// bundle recorded, and says which steps the window holds.
+#[test]
+fn windowed_bundle_renders_the_recorded_verdict() {
+    let text = format!("dialect x86\nwrite 0 8\n{}check_persist 0 8\n", "fence\n".repeat(68));
+    let program = pmtest_difftest::program::Program::from_text(&text).unwrap();
+    let engine = recorder_engine(&program);
+    engine.submit(program.trace(0)).unwrap();
+    let bundles = engine.take_bundles();
+    assert_eq!(bundles.len(), 1);
+    assert_eq!(bundles[0].steps.first().map(|s| s.index), Some(6), "the write left the window");
+    let render = explain_bundle(&bundles[0].to_json_lines(), "long").unwrap();
+    let check = render.lines().find(|l| l.contains("check_persist 0 8")).unwrap();
+    assert!(check.starts_with("[69]"), "{check}");
+    assert!(check.ends_with("<- FAIL not_persisted"), "{check}");
+    assert!(render.contains("window: steps 6..=69 of the trace"), "{render}");
+    assert!(render.contains("culprit: difftest:0 (not_persisted @ difftest:69)"), "{render}");
+}

@@ -198,6 +198,38 @@ impl TraceArena {
         shipped
     }
 
+    /// Moves the sealed traces of `src` onto the end of this arena, leaving
+    /// `src` with only its open tail. An arena that holds nothing takes
+    /// `src`'s buffers by [`detach_for_ship`](Self::detach_for_ship) instead
+    /// of copying (the location cache stays with `src`, the recording
+    /// side); otherwise the records are copied in. `src`'s allocator/intern
+    /// tallies move here with the traces, so whoever ships this arena folds
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if this arena has an open (unsealed) region.
+    pub fn append_sealed(&mut self, src: &mut TraceArena) {
+        debug_assert_eq!(self.open_start, self.words.len(), "append onto an open region");
+        if src.sealed() == 0 {
+            return;
+        }
+        if self.is_empty() {
+            *self = src.detach_for_ship(std::mem::take(self));
+        } else {
+            let base = u32::try_from(self.words.len()).expect("arena exceeds u32 records");
+            self.words.extend_from_slice(&src.words[..src.open_start]);
+            let spans = src.spans.drain(..).map(|s| TraceSpan { start: s.start + base, ..s });
+            self.spans.extend(spans);
+            self.open_start = self.words.len();
+            src.words.drain(..src.open_start);
+            src.open_start = 0;
+        }
+        let stats = src.take_stats();
+        self.slab_allocs += stats.slab_allocs;
+        self.interner.stats.merge(stats.interns);
+    }
+
     /// Forgets all records and spans while keeping the backing allocations,
     /// upholding the pool's cleared-on-release invariant.
     pub fn clear(&mut self) {
@@ -337,6 +369,34 @@ mod tests {
         arena.push_trace(tail);
         let spans: Vec<_> = arena.traces().map(|(id, w, n)| (id, w.len(), n)).collect();
         assert_eq!(spans, vec![(4, 3, 2), (5, 0, 0), (6, 1, 1)]);
+    }
+
+    #[test]
+    fn append_sealed_moves_traces_and_keeps_the_open_tail() {
+        let mut staged = TraceArena::new();
+        let mut rec = TraceArena::new();
+        rec.push(Event::Write(r(0, 8)).at(loc(1)));
+        rec.seal(1);
+        staged.append_sealed(&mut rec); // empty: buffers trade places
+        rec.push(Event::Fence.at(loc(2)));
+        rec.push(Event::Write(r(8, 16)).at(loc(3)));
+        rec.seal(2);
+        rec.push(Event::Fence.at(loc(4))); // open, not sealed
+        staged.append_sealed(&mut rec); // copied behind trace 1
+        let spans: Vec<_> = staged.traces().map(|(id, w, n)| (id, w.len(), n)).collect();
+        assert_eq!(spans, vec![(1, 1, 1), (2, 2, 2)]);
+        assert_eq!(staged.traces().nth(1).unwrap().1[1].op(), crate::packed::PackedOp::Write);
+        assert_eq!((rec.sealed(), rec.open_entries()), (0, 1));
+        assert_eq!(rec.take_stats(), ArenaStats::default(), "tallies moved with the traces");
+        let moved = staged.take_stats().interns;
+        assert_eq!(
+            moved.tls_hits + moved.global,
+            4,
+            "four sites' first touches moved to the batch"
+        );
+        rec.seal(3);
+        let (id, words, _) = rec.traces().next().unwrap();
+        assert_eq!((id, words[0].op()), (3, crate::packed::PackedOp::Fence));
     }
 
     #[test]

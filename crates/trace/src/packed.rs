@@ -245,7 +245,7 @@ pub struct LocInterner {
     next: usize,
     /// Tier-hit tallies (plain counters: the interner is single-owner, and
     /// the cold fold into shared telemetry happens at batch-ship time).
-    stats: InternStats,
+    pub(crate) stats: InternStats,
 }
 
 /// Sites held by a [`LocInterner`] — enough for the instrumentation macros
