@@ -3,11 +3,13 @@
 //! on synthetic persist-block programs and on a recorded queue workload
 //! with its real recovery procedure.
 //!
-//! The number this bench guards is the prefix-share win: an ascending
+//! The numbers this bench guards are the prefix-share win: an ascending
 //! model-mode sweep must serve (nearly) every crash point off the live
 //! cursor — the committed results assert a prefix-share hit rate of at
-//! least 0.9 (skipped under `PMTEST_BENCH_NO_ASSERT=1` for noisy CI
-//! runners, like the engine bench's budget assertion).
+//! least 0.9 — and, on the queue rows, a lower per-point floor (the best
+//! sample batch) shared than fresh. Both assertions are skipped under
+//! `PMTEST_BENCH_NO_ASSERT=1` for noisy CI runners, like the engine
+//! bench's budget assertion.
 //!
 //! Results are written to `bench_results/BENCH_explore.json`.
 //!
@@ -28,8 +30,9 @@ use pmtest_workloads::{CheckMode, FaultSet, PmQueue, QueueRecovery};
 /// disjoint cache lines, so every block adds one fence boundary.
 const SYNTH_OPS: [usize; 3] = [24, 96, 384];
 
-/// Queue enqueues recorded per workload sweep.
-const QUEUE_ENQUEUES: [usize; 2] = [4, 16];
+/// Queue enqueues recorded per workload sweep; 96 on the 16 KiB pool is
+/// `perfbench`'s explore-queue shape.
+const QUEUE_ENQUEUES: [usize; 3] = [4, 16, 96];
 
 const ROOT: u64 = 4096;
 const QUEUE_VAL: usize = 48; // 16-byte node header + 48 = one cache line
@@ -87,6 +90,7 @@ struct Sample {
     images: u64,
     hit_rate: f64,
     ns_per_point: f64,
+    floor_ns_per_point: f64,
 }
 
 fn config(fresh: bool) -> ExploreConfig {
@@ -122,6 +126,7 @@ fn bench_case(
             b.iter(|| run_sweep(sim, proc, fresh))
         });
         let ns = group.last_estimate_ns().expect("benchmark just ran");
+        let floor = group.last_best_ns().expect("benchmark just ran");
         samples.push(Sample {
             workload: workload.to_owned(),
             ops,
@@ -130,11 +135,13 @@ fn bench_case(
             images: report.stats.images_checked,
             hit_rate: report.stats.prefix_share_hit_rate(),
             ns_per_point: ns / report.stats.crash_points_enumerated as f64,
+            floor_ns_per_point: floor / report.stats.crash_points_enumerated as f64,
         });
     }
 }
 
 fn write_json(samples: &[Sample]) {
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut rows = String::new();
     for (i, s) in samples.iter().enumerate() {
         let _ = writeln!(
@@ -142,7 +149,8 @@ fn write_json(samples: &[Sample]) {
             "    {{\"workload\": \"{}\", \"ops\": {}, \"mode\": \"{}\", \
              \"crash_points\": {}, \"images_checked\": {}, \
              \"prefix_share_hit_rate\": {:.3}, \"ns_per_point\": {:.1}, \
-             \"points_per_sec\": {:.0}}}{}",
+             \"floor_ns_per_point\": {:.1}, \"points_per_sec\": {:.0}, \
+             \"host_parallelism\": {}}}{}",
             s.workload,
             s.ops,
             s.mode,
@@ -150,7 +158,9 @@ fn write_json(samples: &[Sample]) {
             s.images,
             s.hit_rate,
             s.ns_per_point,
+            s.floor_ns_per_point,
             1e9 / s.ns_per_point,
+            parallelism,
             if i + 1 == samples.len() { "" } else { "," },
         );
     }
@@ -158,16 +168,20 @@ fn write_json(samples: &[Sample]) {
         concat!(
             "{{\n",
             "  \"bench\": \"explore_throughput\",\n",
-            "  \"workload\": \"model-mode crash-point sweeps: synthetic write+flush+fence \
-             blocks over 64B-strided lines (accept-all recovery) and recorded PmQueue \
-             enqueues (real list-walk recovery)\",\n",
+            "  \"host_parallelism\": {},\n",
+            "  \"workload\": \"model-mode crash-point sweeps on one thread: synthetic \
+             write+flush+fence blocks over 64B-strided lines (accept-all recovery) and \
+             recorded PmQueue enqueues of one cache line each on a 16 KiB pool (real \
+             list-walk recovery; 96 enqueues is perfbench's explore-queue shape)\",\n",
             "  \"modes\": \"shared = incremental cursor prefix-shares shadow state across \
              adjacent crash points; fresh = from-scratch rescan at every point (the \
              quadratic reference)\",\n",
+            "  \"columns\": \"ns_per_point = median sample batch, floor_ns_per_point = best \
+             sample batch, points_per_sec = 1e9 / ns_per_point\",\n",
             "  \"results\": [\n{}  ]\n",
             "}}\n"
         ),
-        rows,
+        parallelism, rows,
     );
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_results");
     std::fs::create_dir_all(dir).expect("create bench_results/");
@@ -187,15 +201,27 @@ fn explore_throughput(c: &mut Criterion) {
     for &n in &QUEUE_ENQUEUES {
         let (sim, proc) = queue_sim(n);
         bench_case(&mut group, &mut samples, "queue", sim.op_count(), &sim, &proc);
+        let [shared, fresh] = &samples[samples.len() - 2..] else { unreachable!("two modes") };
+        if std::env::var("PMTEST_BENCH_NO_ASSERT").is_err() {
+            assert!(
+                shared.floor_ns_per_point < fresh.floor_ns_per_point,
+                "queue/{}: shared floor {:.1} ns/point does not beat fresh floor {:.1}",
+                shared.ops,
+                shared.floor_ns_per_point,
+                fresh.floor_ns_per_point
+            );
+        }
     }
     group.finish();
     for s in &samples {
         println!(
-            "{:<10} ops={:>3} {:>7}: {:>8.1} ns/point ({:>10.0} points/s), hit rate {:.3}",
+            "{:<10} ops={:>4} {:>7}: {:>8.1} ns/point (floor {:>8.1}, {:>10.0} points/s), \
+             hit rate {:.3}",
             s.workload,
             s.ops,
             s.mode,
             s.ns_per_point,
+            s.floor_ns_per_point,
             1e9 / s.ns_per_point,
             s.hit_rate
         );

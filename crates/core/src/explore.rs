@@ -29,10 +29,21 @@
 //! served off the live cursor is a `prefix_share_hit`; a point that forced a
 //! rebuild from operation 0 (backward seek, or a fresh-replay reference run)
 //! is a miss.
+//!
+//! # Images
+//!
+//! A point's images come from one working image: the cursor's durable image
+//! (the base plus every forced write) with, per dirty cache line, a chosen
+//! prefix of that line's pending writes. Model mode steps it through the
+//! odometer ([`CrashChoices::step`]), random mode redraws it
+//! ([`CrashSampler::sample`]), and either rewrites only the lines whose
+//! choice changed. Each image is copied into one recovery buffer reused
+//! across the whole sweep, and the raw image is copied out only for a
+//! violation, so checking an image allocates nothing.
 
 use std::fmt;
 
-use pmtest_pmem::crash::{CrashSim, CrashState};
+use pmtest_pmem::crash::{CrashChoices, CrashSampler, CrashSim};
 use pmtest_trace::SourceLoc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -313,6 +324,8 @@ pub fn explore(sim: &CrashSim, proc: &dyn RecoveryProc, cfg: &ExploreConfig) -> 
         stats: ExploreStats::default(),
     };
     let mut cursor = sim.cursor();
+    // The one buffer every image of the sweep is recovered in.
+    let mut recovered: Vec<u8> = Vec::new();
     'sweep: for point in points {
         let rebuilt = if cfg.fresh_replay {
             // Reference mode: throw the shared state away so every point
@@ -339,27 +352,28 @@ pub fn explore(sim: &CrashSim, proc: &dyn RecoveryProc, cfg: &ExploreConfig) -> 
             capped: false,
             violations: 0,
         };
-        let states: Vec<CrashState> = match samples_per_point {
+        let mut states = match samples_per_point {
             None => {
                 outcome.capped = state_count > cfg.max_states_per_point as u128;
-                analysis.enumerate().take(cfg.max_states_per_point).collect()
+                PointStates::All(analysis.enumerate(), cfg.max_states_per_point)
             }
-            Some(n) => (0..n).map(|_| analysis.sample_with_choice(&mut sample_rng)).collect(),
+            Some(n) => PointStates::Sampled(analysis.sampler(), n),
         };
-        for state in states {
+        while let Some((image, prefixes)) = states.next(&mut sample_rng) {
             outcome.images_checked += 1;
             report.stats.images_checked += 1;
-            let mut image = state.image.clone();
-            let failed = match proc.recover(&mut image) {
+            recovered.clear();
+            recovered.extend_from_slice(image);
+            let failed = match proc.recover(&mut recovered) {
                 Err(reason) => Some((ExplorePhase::Recover, reason)),
-                Ok(()) => match proc.check(point, &image) {
+                Ok(()) => match proc.check(point, &recovered) {
                     Err(reason) => Some((ExplorePhase::Invariant, reason)),
                     Ok(()) => None,
                 },
             };
             if let Some((phase, reason)) = failed {
                 outcome.violations += 1;
-                let culprit_op = analysis.culprit_op(&state.prefixes);
+                let culprit_op = analysis.culprit_op(prefixes);
                 let culprit_site = culprit_op.and_then(|op| sim.site(op));
                 report.violations.push(ExploreViolation {
                     point,
@@ -367,7 +381,7 @@ pub fn explore(sim: &CrashSim, proc: &dyn RecoveryProc, cfg: &ExploreConfig) -> 
                     reason,
                     culprit_op,
                     culprit_site,
-                    image: state.image,
+                    image: image.to_vec(),
                 });
                 if report.violations.len() >= cfg.max_violations {
                     report.points.push(outcome);
@@ -378,6 +392,31 @@ pub fn explore(sim: &CrashSim, proc: &dyn RecoveryProc, cfg: &ExploreConfig) -> 
         report.points.push(outcome);
     }
     report
+}
+
+/// The images one crash point visits, with how many are left: the
+/// odometer's states up to the cap (model mode), or seeded draws (random
+/// mode).
+enum PointStates<'a> {
+    All(CrashChoices<'a>, usize),
+    Sampled(CrashSampler<'a>, usize),
+}
+
+impl PointStates<'_> {
+    /// The next image and its per-line prefix choice, borrowed from the
+    /// point's working image.
+    fn next(&mut self, rng: &mut SmallRng) -> Option<(&[u8], &[usize])> {
+        match self {
+            Self::All(choices, left) => {
+                *left = left.checked_sub(1)?;
+                choices.step()
+            }
+            Self::Sampled(sampler, left) => {
+                *left = left.checked_sub(1)?;
+                Some(sampler.sample(rng))
+            }
+        }
+    }
 }
 
 #[cfg(test)]

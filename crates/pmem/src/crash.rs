@@ -24,8 +24,22 @@
 //! constrains cross-line ordering and is conservatively ignored here (it can
 //! only *remove* states, so ignoring it over-approximates reachability; see
 //! DESIGN.md).
+//!
+//! # The crash log and the images built from it
+//!
+//! A [`CrashSim`] keeps its operations as a compact log: one small record
+//! per op, with every write's bytes appended to a single payload slab, so
+//! recording a write (see [`PmPool::begin_crash_recording`]) allocates
+//! nothing of its own. A crash image is the *durable image* (the base plus
+//! every forced piece) plus, per dirty cache line, a chosen prefix of that
+//! line's pending pieces. Pieces never cross a line, so a state is built
+//! line by line, and moving from one state to the next rewrites only the
+//! lines whose choice changed ([`CrashChoices::step`],
+//! [`CrashSampler::sample`]).
 
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use pmtest_interval::ByteRange;
@@ -35,11 +49,11 @@ use rand::Rng;
 use crate::cacheline::{align_to_lines, line_base, CACHE_LINE};
 use crate::PmPool;
 
-/// A PM operation with the data needed to materialize crash images.
+/// A PM operation with the data needed to materialize crash images: the
+/// input of [`CrashSim::new`] and [`CrashSim::with_sites`].
 ///
 /// The PMTest trace (deliberately, like the paper's) carries no store values;
-/// the crash simulator records this richer form via
-/// [`PmPool::begin_crash_recording`].
+/// the crash simulator keeps them in its log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValuedOp {
     /// A store of `data` at `range`.
@@ -57,11 +71,23 @@ pub enum ValuedOp {
     DFence,
 }
 
-/// A crash-state simulator over a recorded valued-operation log.
+/// One record of a crash log. A write's bytes sit in the log's payload
+/// slab, starting at `at`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LogOp {
+    Write { range: ByteRange, at: usize },
+    Flush(ByteRange),
+    Fence,
+    DFence,
+}
+
+/// A crash-state simulator over a recorded operation log.
 #[derive(Clone)]
 pub struct CrashSim {
     base: Vec<u8>,
-    ops: Vec<ValuedOp>,
+    ops: Vec<LogOp>,
+    /// Every write's bytes, in op order.
+    payload: Vec<u8>,
     /// Source sites parallel to `ops`; empty when the recording carries no
     /// location information.
     sites: Vec<SourceLoc>,
@@ -103,9 +129,13 @@ pub struct Violation {
 impl CrashSim {
     /// Creates a simulator from a pre-trace durable image and an operation
     /// log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a write's `data` is not as long as its range.
     #[must_use]
     pub fn new(base: Vec<u8>, ops: Vec<ValuedOp>) -> Self {
-        Self { base, ops, sites: Vec::new() }
+        Self::with_sites(base, ops, Vec::new())
     }
 
     /// Like [`new`](Self::new), additionally attaching the source site of
@@ -113,21 +143,54 @@ impl CrashSim {
     ///
     /// # Panics
     ///
-    /// Panics if `sites` is non-empty and its length differs from `ops`.
+    /// Panics if `sites` is non-empty and its length differs from `ops`, or
+    /// if a write's `data` is not as long as its range.
     #[must_use]
     pub fn with_sites(base: Vec<u8>, ops: Vec<ValuedOp>, sites: Vec<SourceLoc>) -> Self {
         assert!(
             sites.is_empty() || sites.len() == ops.len(),
             "sites must be empty or parallel to ops"
         );
-        Self { base, ops, sites }
+        let mut sim = Self { base, ops: Vec::with_capacity(ops.len()), payload: Vec::new(), sites };
+        for op in ops {
+            let op = match op {
+                ValuedOp::Write { range, data } => {
+                    assert_eq!(data.len() as u64, range.len(), "write data must fill its range");
+                    sim.push_write(range, &data);
+                    continue;
+                }
+                ValuedOp::Flush(range) => LogOp::Flush(range),
+                ValuedOp::Fence => LogOp::Fence,
+                ValuedOp::DFence => LogOp::DFence,
+            };
+            sim.ops.push(op);
+        }
+        sim
     }
 
-    /// Drains the crash recording of `pool`, if one was started.
+    /// Appends a write recorded at `loc`, its bytes to the payload slab.
+    pub(crate) fn record_write(&mut self, range: ByteRange, data: &[u8], loc: SourceLoc) {
+        self.push_write(range, data);
+        self.sites.push(loc);
+    }
+
+    /// Appends a flush or fence recorded at `loc`.
+    pub(crate) fn record(&mut self, op: LogOp, loc: SourceLoc) {
+        debug_assert!(!matches!(op, LogOp::Write { .. }), "writes go through record_write");
+        self.ops.push(op);
+        self.sites.push(loc);
+    }
+
+    fn push_write(&mut self, range: ByteRange, data: &[u8]) {
+        self.ops.push(LogOp::Write { range, at: self.payload.len() });
+        self.payload.extend_from_slice(data);
+    }
+
+    /// Drains the crash recording of `pool`, if one was started; the pool
+    /// stops recording.
     #[must_use]
     pub fn from_pool(pool: &PmPool) -> Option<Self> {
-        pool.take_crash_recording_sited()
-            .map(|(base, ops, sites)| Self::with_sites(base, ops, sites))
+        pool.take_crash_log()
     }
 
     /// Number of recorded operations; crash points range over `0..=op_count`.
@@ -159,7 +222,7 @@ impl CrashSim {
             .ops
             .iter()
             .enumerate()
-            .filter(|(_, op)| matches!(op, ValuedOp::Fence | ValuedOp::DFence))
+            .filter(|(_, op)| matches!(op, LogOp::Fence | LogOp::DFence))
             .map(|(idx, _)| idx)
             .collect();
         points.push(self.ops.len());
@@ -174,6 +237,9 @@ impl CrashSim {
             point: 0,
             lines: Vec::new(),
             aux: Vec::new(),
+            index: BTreeMap::new(),
+            flushed: Vec::new(),
+            durable: self.base.clone(),
             last_dfence: None,
             advanced_ops: 0,
             rebuilds: 0,
@@ -185,8 +251,8 @@ impl CrashSim {
     pub fn final_image(&self) -> Vec<u8> {
         let mut image = self.base.clone();
         for op in &self.ops {
-            if let ValuedOp::Write { range, data } = op {
-                apply(&mut image, *range, data);
+            if let LogOp::Write { range, at } = *op {
+                apply(&mut image, range, &self.payload[at..at + range.len() as usize]);
             }
         }
         image
@@ -211,13 +277,10 @@ impl CrashSim {
             }
         };
         for (idx, op) in self.ops[..point].iter().enumerate() {
-            if let ValuedOp::Write { range, .. } = op {
-                for line in crate::cacheline::lines(*range) {
-                    let clip = range
-                        .intersection(&ByteRange::new(line, line + CACHE_LINE))
-                        .expect("line touched implies overlap");
+            if let LogOp::Write { range, .. } = *op {
+                for line in crate::cacheline::lines(range) {
                     let li = find_line(line, &mut lines);
-                    lines[li].pieces.push(Piece { op_idx: idx, range: clip });
+                    lines[li].pieces.push(Piece { op_idx: idx, range: clip(range, line) });
                 }
             }
         }
@@ -225,18 +288,18 @@ impl CrashSim {
         // (clwb followed by a fence before the crash) or dfence.
         let mut last_dfence: Option<usize> = None;
         for (idx, op) in self.ops[..point].iter().enumerate() {
-            if matches!(op, ValuedOp::DFence) {
+            if matches!(op, LogOp::DFence) {
                 last_dfence = Some(idx);
             }
         }
         for lp in &mut lines {
             let mut boundary: Option<usize> = last_dfence;
             for (idx, op) in self.ops[..point].iter().enumerate() {
-                if let ValuedOp::Flush(r) = op {
-                    let covers = align_to_lines(*r).contains_addr(lp.line);
+                if let LogOp::Flush(r) = *op {
+                    let covers = align_to_lines(r).contains_addr(lp.line);
                     let fenced = self.ops[idx + 1..point]
                         .iter()
-                        .any(|o| matches!(o, ValuedOp::Fence | ValuedOp::DFence));
+                        .any(|o| matches!(o, LogOp::Fence | LogOp::DFence));
                     if covers && fenced {
                         boundary = Some(boundary.map_or(idx, |b| b.max(idx)));
                     }
@@ -248,7 +311,22 @@ impl CrashSim {
             };
         }
         lines.retain(|l| !l.pieces.is_empty());
-        CrashAnalysis { sim: self, lines: Cow::Owned(lines) }
+        let mut durable = self.base.clone();
+        for lp in &lines {
+            for p in &lp.pieces[..lp.forced] {
+                self.apply_piece(&mut durable, p);
+            }
+        }
+        CrashAnalysis { sim: self, lines: Cow::Owned(lines), durable: Cow::Owned(durable) }
+    }
+
+    /// Stores `piece`'s bytes (its clip of the write's data) into `image`.
+    fn apply_piece(&self, image: &mut [u8], piece: &Piece) {
+        let LogOp::Write { range, at } = self.ops[piece.op_idx] else {
+            unreachable!("pieces index writes")
+        };
+        let from = at + (piece.range.start() - range.start()) as usize;
+        apply(image, piece.range, &self.payload[from..from + piece.range.len() as usize]);
     }
 
     /// Searches for a reachable crash state that fails `check`, visiting at
@@ -261,9 +339,11 @@ impl CrashSim {
     ) -> Option<Violation> {
         for point in 0..=self.ops.len() {
             let analysis = self.analyze(point);
-            for image in analysis.states().take(max_states_per_point) {
-                if let Err(reason) = check.check(&image) {
-                    return Some(Violation { point, reason, image });
+            let mut choices = analysis.enumerate();
+            for _ in 0..max_states_per_point {
+                let Some((image, _)) = choices.step() else { break };
+                if let Err(reason) = check.check(image) {
+                    return Some(Violation { point, reason, image: image.to_vec() });
                 }
             }
         }
@@ -280,10 +360,11 @@ impl CrashSim {
     ) -> Option<Violation> {
         for point in 0..=self.ops.len() {
             let analysis = self.analyze(point);
+            let mut sampler = analysis.sampler();
             for _ in 0..samples_per_point {
-                let image = analysis.sample(rng);
-                if let Err(reason) = check.check(&image) {
-                    return Some(Violation { point, reason, image });
+                let (image, _) = sampler.sample(rng);
+                if let Err(reason) = check.check(image) {
+                    return Some(Violation { point, reason, image: image.to_vec() });
                 }
             }
         }
@@ -337,6 +418,12 @@ struct LineAux {
 /// rebuilds from scratch (counted in [`rebuilds`](Self::rebuilds)); callers
 /// that sort their crash points never pay it.
 ///
+/// The cursor also owns the *durable image*: the base plus every forced
+/// piece, applied when the piece becomes forced, so a crash image is the
+/// durable image plus each line's chosen pending pieces. Lines are indexed
+/// by address: a write or a flush touches only its own lines, and a fence
+/// visits only the lines with a pending flush.
+///
 /// The cursor's [`analysis`](Self::analysis) borrows the live state instead
 /// of cloning it, and is bit-for-bit equivalent to `analyze(point)` — the
 /// equivalence is asserted across this module's tests and fuzzed by the
@@ -346,6 +433,12 @@ pub struct CrashCursor<'a> {
     point: usize,
     lines: Vec<LinePending>,
     aux: Vec<LineAux>,
+    /// Line base address -> position in `lines` (first-write order).
+    index: BTreeMap<u64, usize>,
+    /// Positions of the lines whose `pending_flush` is set.
+    flushed: Vec<usize>,
+    /// The base plus every forced piece.
+    durable: Vec<u8>,
     last_dfence: Option<usize>,
     advanced_ops: u64,
     rebuilds: u64,
@@ -385,6 +478,9 @@ impl<'a> CrashCursor<'a> {
             self.point = 0;
             self.lines.clear();
             self.aux.clear();
+            self.index.clear();
+            self.flushed.clear();
+            self.durable.copy_from_slice(&self.sim.base);
             self.last_dfence = None;
             self.rebuilds += 1;
         }
@@ -401,50 +497,52 @@ impl<'a> CrashCursor<'a> {
     /// Panics if the cursor is already at the end of the trace.
     pub fn advance(&mut self) {
         let idx = self.point;
-        match &self.sim.ops[idx] {
-            ValuedOp::Write { range, .. } => {
-                for line in crate::cacheline::lines(*range) {
-                    let clip = range
-                        .intersection(&ByteRange::new(line, line + CACHE_LINE))
-                        .expect("line touched implies overlap");
-                    let li = if let Some(i) = self.lines.iter().position(|l| l.line == line) {
-                        i
-                    } else {
-                        self.lines.push(LinePending { line, pieces: Vec::new(), forced: 0 });
-                        // A line first written here starts at the last dfence
-                        // boundary; it forces nothing (every piece is later)
-                        // but mirrors the from-scratch scan exactly.
-                        self.aux.push(LineAux { boundary: self.last_dfence, pending_flush: None });
-                        self.lines.len() - 1
+        let sim = self.sim;
+        match sim.ops[idx] {
+            LogOp::Write { range, .. } => {
+                for line in crate::cacheline::lines(range) {
+                    let li = match self.index.entry(line) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            self.lines.push(LinePending { line, pieces: Vec::new(), forced: 0 });
+                            // A line first written here starts at the last
+                            // dfence boundary; it forces nothing (every piece
+                            // is later) but mirrors the from-scratch scan.
+                            self.aux
+                                .push(LineAux { boundary: self.last_dfence, pending_flush: None });
+                            *e.insert(self.lines.len() - 1)
+                        }
                     };
-                    self.lines[li].pieces.push(Piece { op_idx: idx, range: clip });
+                    self.lines[li].pieces.push(Piece { op_idx: idx, range: clip(range, line) });
                 }
             }
-            ValuedOp::Flush(r) => {
+            LogOp::Flush(r) => {
                 // Flushes of lines never written need no bookkeeping: a
                 // boundary at this index would force nothing, since every
                 // later piece has a larger op index.
-                let flushed = align_to_lines(*r);
-                for (l, aux) in self.lines.iter().zip(&mut self.aux) {
-                    if flushed.contains_addr(l.line) {
-                        aux.pending_flush = Some(aux.pending_flush.map_or(idx, |p| p.max(idx)));
+                let flushed = align_to_lines(r);
+                for &li in self.index.range(flushed.start()..flushed.end()).map(|(_, li)| li) {
+                    if self.aux[li].pending_flush.replace(idx).is_none() {
+                        self.flushed.push(li);
                     }
                 }
             }
-            ValuedOp::Fence => {
-                for (l, aux) in self.lines.iter_mut().zip(&mut self.aux) {
-                    if let Some(f) = aux.pending_flush.take() {
-                        aux.boundary = Some(aux.boundary.map_or(f, |b| b.max(f)));
-                        refresh_forced(l, aux.boundary);
-                    }
+            LogOp::Fence => {
+                for li in self.flushed.drain(..) {
+                    let aux = &mut self.aux[li];
+                    let f = aux.pending_flush.take().expect("listed lines have a pending flush");
+                    aux.boundary = Some(aux.boundary.map_or(f, |b| b.max(f)));
+                    refresh_forced(sim, &mut self.lines[li], aux.boundary, &mut self.durable);
                 }
             }
-            ValuedOp::DFence => {
+            LogOp::DFence => {
                 self.last_dfence = Some(idx);
+                self.flushed.clear();
                 for (l, aux) in self.lines.iter_mut().zip(&mut self.aux) {
-                    aux.boundary = Some(aux.boundary.map_or(idx, |b| b.max(idx)));
+                    // Every earlier boundary lies below `idx`.
+                    aux.boundary = Some(idx);
                     aux.pending_flush = None;
-                    refresh_forced(l, aux.boundary);
+                    refresh_forced(sim, l, aux.boundary, &mut self.durable);
                 }
             }
         }
@@ -453,10 +551,14 @@ impl<'a> CrashCursor<'a> {
     }
 
     /// The crash analysis at the cursor's current point, borrowing the live
-    /// shadow state (no per-point clone).
+    /// shadow state and durable image (no per-point clone).
     #[must_use]
     pub fn analysis(&self) -> CrashAnalysis<'_> {
-        CrashAnalysis { sim: self.sim, lines: Cow::Borrowed(&self.lines) }
+        CrashAnalysis {
+            sim: self.sim,
+            lines: Cow::Borrowed(&self.lines),
+            durable: Cow::Borrowed(&self.durable),
+        }
     }
 }
 
@@ -471,12 +573,25 @@ impl fmt::Debug for CrashCursor<'_> {
     }
 }
 
-/// Advances `forced` past every piece below `boundary`. `forced` is
-/// monotone: boundaries only grow and pieces only append, so resuming from
-/// the previous value is exact.
-fn refresh_forced(l: &mut LinePending, boundary: Option<usize>) {
+/// The part of `range` inside the cache line at `line`.
+fn clip(range: ByteRange, line: u64) -> ByteRange {
+    range
+        .intersection(&ByteRange::new(line, line + CACHE_LINE))
+        .expect("line touched implies overlap")
+}
+
+/// Advances `forced` past every piece below `boundary`, applying each newly
+/// forced piece to `durable`. `forced` is monotone: boundaries only grow and
+/// pieces only append, so resuming from the previous value is exact.
+fn refresh_forced(
+    sim: &CrashSim,
+    l: &mut LinePending,
+    boundary: Option<usize>,
+    durable: &mut [u8],
+) {
     let Some(b) = boundary else { return };
     while l.forced < l.pieces.len() && l.pieces[l.forced].op_idx < b {
+        sim.apply_piece(durable, &l.pieces[l.forced]);
         l.forced += 1;
     }
 }
@@ -485,6 +600,8 @@ fn refresh_forced(l: &mut LinePending, boundary: Option<usize>) {
 pub struct CrashAnalysis<'a> {
     sim: &'a CrashSim,
     lines: Cow<'a, [LinePending]>,
+    /// The base plus every forced piece: the minimal image.
+    durable: Cow<'a, [u8]>,
 }
 
 impl CrashAnalysis<'_> {
@@ -529,32 +646,11 @@ impl CrashAnalysis<'_> {
         true
     }
 
-    /// Materializes the image for one choice of per-line persist prefixes.
-    fn image_for(&self, prefixes: &[usize]) -> Vec<u8> {
-        debug_assert_eq!(prefixes.len(), self.lines.len());
-        let mut selected: Vec<&Piece> = Vec::new();
-        for (l, &k) in self.lines.iter().zip(prefixes) {
-            selected.extend(&l.pieces[..k]);
-        }
-        selected.sort_by_key(|p| p.op_idx);
-        let mut image = self.sim.base.clone();
-        for p in selected {
-            let ValuedOp::Write { range, data } = &self.sim.ops[p.op_idx] else {
-                unreachable!("pieces index writes")
-            };
-            let off = (p.range.start() - range.start()) as usize;
-            let len = p.range.len() as usize;
-            apply(&mut image, p.range, &data[off..off + len]);
-        }
-        image
-    }
-
     /// The image with only guaranteed-durable writes applied (the adversarial
     /// minimum).
     #[must_use]
     pub fn minimal_image(&self) -> Vec<u8> {
-        let prefixes: Vec<usize> = self.lines.iter().map(|l| l.forced).collect();
-        self.image_for(&prefixes)
+        self.durable.to_vec()
     }
 
     /// Iterates over all reachable crash images (odometer over per-line
@@ -563,29 +659,25 @@ impl CrashAnalysis<'_> {
         CrashStates(self.enumerate())
     }
 
-    /// Like [`states`](Self::states), but each item also carries the
-    /// per-line prefix choice that produced the image, for culprit
-    /// attribution via [`culprit_op`](Self::culprit_op).
+    /// Walks the same states as [`states`](Self::states), in the same order,
+    /// lending each image with the per-line prefix choice that produced it
+    /// (for culprit attribution via [`culprit_op`](Self::culprit_op)) instead
+    /// of copying it out.
     pub fn enumerate(&self) -> CrashChoices<'_> {
+        let open =
+            (0..self.lines.len()).filter(|&i| self.lines[i].forced < self.lines[i].pieces.len());
         CrashChoices {
-            analysis: self,
-            odometer: self.lines.iter().map(|l| l.forced).collect(),
+            work: WorkingImage::new(self),
+            open: open.collect(),
+            started: false,
             done: false,
         }
     }
 
-    /// Draws one reachable crash image uniformly over per-line prefix
-    /// choices.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Vec<u8> {
-        self.sample_with_choice(rng).image
-    }
-
-    /// Like [`sample`](Self::sample), but also carries the prefix choice.
-    pub fn sample_with_choice<R: Rng>(&self, rng: &mut R) -> CrashState {
-        let prefixes: Vec<usize> =
-            self.lines.iter().map(|l| rng.gen_range(l.forced..=l.pieces.len())).collect();
-        let image = self.image_for(&prefixes);
-        CrashState { image, prefixes }
+    /// A sampler drawing reachable states uniformly over per-line prefix
+    /// choices, into one working image.
+    pub fn sampler(&self) -> CrashSampler<'_> {
+        CrashSampler { work: WorkingImage::new(self) }
     }
 
     /// The earliest write excluded from the image produced by `prefixes` —
@@ -600,17 +692,25 @@ impl CrashAnalysis<'_> {
             .filter_map(|(l, &k)| l.pieces.get(k).map(|p| p.op_idx))
             .min()
     }
-}
 
-/// One reachable crash image together with the per-line persist-prefix
-/// choice that produced it.
-#[derive(Clone, Debug)]
-pub struct CrashState {
-    /// The materialized memory image.
-    pub image: Vec<u8>,
-    /// Chosen persisted-piece count per dirty line (parallel to the
-    /// analysis's lines, in first-write order).
-    pub prefixes: Vec<usize>,
+    /// Materializes the image for one choice of per-line persist prefixes
+    /// from scratch: clone the base, sort every selected piece since op 0 by
+    /// op index, and apply them in that order. The reference the per-line
+    /// rewrites are tested against.
+    #[cfg(test)]
+    fn image_for(&self, prefixes: &[usize]) -> Vec<u8> {
+        debug_assert_eq!(prefixes.len(), self.lines.len());
+        let mut selected: Vec<&Piece> = Vec::new();
+        for (l, &k) in self.lines.iter().zip(prefixes) {
+            selected.extend(&l.pieces[..k]);
+        }
+        selected.sort_by_key(|p| p.op_idx);
+        let mut image = self.sim.base.clone();
+        for p in selected {
+            self.sim.apply_piece(&mut image, p);
+        }
+        image
+    }
 }
 
 impl fmt::Debug for CrashAnalysis<'_> {
@@ -622,6 +722,42 @@ impl fmt::Debug for CrashAnalysis<'_> {
     }
 }
 
+/// One crash image moved between the states of a point: the durable image
+/// plus, per dirty line, that line's first `prefixes[i]` pieces.
+struct WorkingImage<'a> {
+    analysis: &'a CrashAnalysis<'a>,
+    image: Vec<u8>,
+    prefixes: Vec<usize>,
+}
+
+impl<'a> WorkingImage<'a> {
+    /// The minimal image: every line at its forced prefix.
+    fn new(analysis: &'a CrashAnalysis<'a>) -> Self {
+        let prefixes = analysis.lines.iter().map(|l| l.forced).collect();
+        Self { analysis, image: analysis.durable.to_vec(), prefixes }
+    }
+
+    /// Moves line `i` to its first `k` pieces, rewriting that line only. A
+    /// longer prefix applies just the added pieces; a shorter one copies
+    /// the line back from the durable image and re-applies its pending
+    /// pieces up to `k`.
+    fn set(&mut self, i: usize, k: usize) {
+        let a = self.analysis;
+        let l = &a.lines[i];
+        let mut from = self.prefixes[i];
+        if k < from {
+            let start = l.line as usize;
+            let end = (start + CACHE_LINE as usize).min(self.image.len());
+            self.image[start..end].copy_from_slice(&a.durable[start..end]);
+            from = l.forced;
+        }
+        for p in &l.pieces[from..k] {
+            a.sim.apply_piece(&mut self.image, p);
+        }
+        self.prefixes[i] = k;
+    }
+}
+
 /// Iterator over the reachable crash images of a [`CrashAnalysis`].
 pub struct CrashStates<'a>(CrashChoices<'a>);
 
@@ -629,43 +765,79 @@ impl Iterator for CrashStates<'_> {
     type Item = Vec<u8>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|s| s.image)
+        self.0.step().map(|(image, _)| image.to_vec())
     }
 }
 
-/// Iterator over reachable crash states with their prefix choices
+/// Enumeration of reachable crash states with their prefix choices
 /// ([`CrashAnalysis::enumerate`]).
+///
+/// The enumeration keeps one working image. Each [`step`](Self::step)
+/// moves the odometer over per-line prefixes (first-written line fastest)
+/// and rewrites only the lines whose digit changed: an advanced digit
+/// applies its line's next pending piece, a digit that wraps copies its
+/// line back from the durable image.
 pub struct CrashChoices<'a> {
-    analysis: &'a CrashAnalysis<'a>,
-    odometer: Vec<usize>,
+    work: WorkingImage<'a>,
+    /// Lines with at least one pending piece, ascending: the only digits
+    /// that ever move (a fully forced line always carries).
+    open: Vec<usize>,
+    started: bool,
     done: bool,
 }
 
-impl Iterator for CrashChoices<'_> {
-    type Item = CrashState;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl CrashChoices<'_> {
+    /// Moves to the next reachable state and borrows its image and per-line
+    /// prefix choice (one persisted-piece count per dirty line, in
+    /// first-write order); `None` once every state has been visited. The
+    /// first state is the minimal image.
+    pub fn step(&mut self) -> Option<(&[u8], &[usize])> {
         if self.done {
             return None;
         }
-        let image = self.analysis.image_for(&self.odometer);
-        let prefixes = self.odometer.clone();
-        // Advance the odometer.
-        let lines = &self.analysis.lines;
-        let mut i = 0;
-        loop {
-            if i == self.odometer.len() {
+        if self.started {
+            let a = self.work.analysis;
+            let lines = &a.lines;
+            let mut carried = true;
+            for &i in &self.open {
+                let k = self.work.prefixes[i];
+                if k < lines[i].pieces.len() {
+                    self.work.set(i, k + 1);
+                    carried = false;
+                    break;
+                }
+                self.work.set(i, lines[i].forced);
+            }
+            if carried {
                 self.done = true;
-                break;
+                return None;
             }
-            if self.odometer[i] < lines[i].pieces.len() {
-                self.odometer[i] += 1;
-                break;
-            }
-            self.odometer[i] = lines[i].forced;
-            i += 1;
         }
-        Some(CrashState { image, prefixes })
+        self.started = true;
+        Some((&self.work.image, &self.work.prefixes))
+    }
+}
+
+/// Random draws of reachable crash states ([`CrashAnalysis::sampler`]),
+/// kept in one working image.
+pub struct CrashSampler<'a> {
+    work: WorkingImage<'a>,
+}
+
+impl CrashSampler<'_> {
+    /// Draws the next state — for each dirty line in first-write order, a
+    /// prefix uniform over `forced..=pieces` — and borrows its image and
+    /// prefix choice. Only the lines whose choice changed since the last
+    /// draw are rewritten.
+    pub fn sample<R: Rng>(&mut self, rng: &mut R) -> (&[u8], &[usize]) {
+        let a = self.work.analysis;
+        for (i, l) in a.lines.iter().enumerate() {
+            let k = rng.gen_range(l.forced..=l.pieces.len());
+            if k != self.work.prefixes[i] {
+                self.work.set(i, k);
+            }
+        }
+        (&self.work.image, &self.work.prefixes)
     }
 }
 
@@ -853,9 +1025,10 @@ mod tests {
         let a = sim.analyze(2);
         let reachable: Vec<Vec<u8>> = a.states().collect();
         let mut rng = SmallRng::seed_from_u64(7);
+        let mut sampler = a.sampler();
         for _ in 0..50 {
-            let s = a.sample(&mut rng);
-            assert!(reachable.contains(&s));
+            let (image, _) = sampler.sample(&mut rng);
+            assert!(reachable.iter().any(|s| s == image));
         }
     }
 
@@ -978,25 +1151,241 @@ mod tests {
         // the first write; excluding only the second blames the second.
         let sim = CrashSim::new(vec![0; 64], vec![w(0, &[1]), w(1, &[2])]);
         let a = sim.analyze(2);
-        let states: Vec<CrashState> = a.enumerate().collect();
-        assert_eq!(states.len(), 3);
-        assert_eq!(a.culprit_op(&states[0].prefixes), Some(0), "all-lost blames op 0");
-        assert_eq!(a.culprit_op(&states[1].prefixes), Some(1), "second-lost blames op 1");
-        assert_eq!(a.culprit_op(&states[2].prefixes), None, "complete image has no culprit");
-        for s in &states {
-            assert_eq!(s.image, a.image_for(&s.prefixes));
+        let mut choices = a.enumerate();
+        let mut culprits = Vec::new();
+        while let Some((image, prefixes)) = choices.step() {
+            assert_eq!(image, a.image_for(prefixes));
+            culprits.push(a.culprit_op(prefixes));
+        }
+        // All lost blames op 0, the second lost blames op 1, and the
+        // complete image has no culprit.
+        assert_eq!(culprits, [Some(0), Some(1), None]);
+    }
+
+    #[test]
+    fn sampled_choices_reproduce_their_images() {
+        let sim = CrashSim::new(vec![0; 128], vec![w(0, &[1]), w(64, &[2]), w(1, &[3])]);
+        let a = sim.analyze(3);
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut sampler = a.sampler();
+        for _ in 0..32 {
+            let (image, prefixes) = sampler.sample(&mut rng);
+            assert_eq!(image, a.image_for(prefixes));
+        }
+    }
+
+    /// The first `limit` prefix choices in reference order: an odometer over
+    /// every line in first-write order, lowest line fastest.
+    fn reference_choices(a: &CrashAnalysis<'_>, limit: usize) -> Vec<Vec<usize>> {
+        let mut odometer: Vec<usize> = a.lines.iter().map(|l| l.forced).collect();
+        let mut out = Vec::new();
+        while out.len() < limit {
+            out.push(odometer.clone());
+            let mut i = 0;
+            loop {
+                if i == odometer.len() {
+                    return out;
+                }
+                if odometer[i] < a.lines[i].pieces.len() {
+                    odometer[i] += 1;
+                    break;
+                }
+                odometer[i] = a.lines[i].forced;
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// States compared per crash point.
+    const STATE_LIMIT: usize = 96;
+
+    /// Asserts that every state of `a`, from `step` and from `states()`, is
+    /// the reference image of its prefixes, in reference order; that a
+    /// per-point state cap keeps exactly the
+    /// reference's first states; and that seeded draws pick the reference's
+    /// prefixes and images.
+    fn assert_matches_reference(a: &CrashAnalysis<'_>, at: &str) {
+        let want = reference_choices(a, STATE_LIMIT);
+        assert_eq!(want.len() as u128, a.state_count().min(STATE_LIMIT as u128), "{at}");
+        assert_eq!(a.minimal_image(), a.image_for(&want[0]), "{at}: minimal image");
+        let mut choices = a.enumerate();
+        for (n, prefixes) in want.iter().enumerate() {
+            let (image, got) = choices.step().unwrap_or_else(|| panic!("{at}: ended at {n}"));
+            assert_eq!(got, &prefixes[..], "{at}: state {n} out of order");
+            assert_eq!(image, &a.image_for(prefixes)[..], "{at}: state {n} image");
+        }
+        if want.len() < STATE_LIMIT {
+            assert!(choices.step().is_none(), "{at}: extra state");
+            assert!(choices.step().is_none(), "{at}: enumeration restarted");
+        }
+        let owned: Vec<Vec<u8>> = a.states().take(STATE_LIMIT).collect();
+        assert_eq!(owned.len(), want.len(), "{at}");
+        for (image, prefixes) in owned.iter().zip(&want) {
+            assert_eq!(image, &a.image_for(prefixes), "{at}");
+        }
+        for cap in [1, 2, 3, 7] {
+            let mut choices = a.enumerate();
+            let mut kept = Vec::new();
+            while kept.len() < cap {
+                let Some((_, prefixes)) = choices.step() else { break };
+                kept.push(prefixes.to_vec());
+            }
+            assert_eq!(kept[..], want[..cap.min(want.len())], "{at}: cap {cap}");
+        }
+        // The draws the sampler replaced: per line, in first-write order,
+        // a prefix in `forced..=pieces` from the same generator.
+        let (mut rng, mut reference_rng) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        let mut sampler = a.sampler();
+        for n in 0..16 {
+            let want: Vec<usize> = a
+                .lines
+                .iter()
+                .map(|l| reference_rng.gen_range(l.forced..=l.pieces.len()))
+                .collect();
+            let (image, got) = sampler.sample(&mut rng);
+            assert_eq!(got, &want[..], "{at}: draw {n}");
+            assert_eq!(image, &a.image_for(&want)[..], "{at}: draw {n} image");
+        }
+    }
+
+    /// Checks `analyze(point)` and a cursor against the reference at every
+    /// point: ascending seeks, then one backward seek.
+    fn assert_sim_matches_reference(sim: &CrashSim) {
+        let mut cursor = sim.cursor();
+        for point in 0..=sim.op_count() {
+            let fresh = sim.analyze(point);
+            assert_matches_reference(&fresh, &format!("analyze({point})"));
+            assert!(!cursor.seek(point));
+            assert_eq!(cursor.analysis().line_summaries(), fresh.line_summaries(), "at {point}");
+            assert_matches_reference(&cursor.analysis(), &format!("cursor at {point}"));
+        }
+        let back = sim.op_count() / 2;
+        if back < sim.op_count() {
+            assert!(cursor.seek(back), "backward seek rebuilds");
+            let fresh = sim.analyze(back);
+            assert_eq!(cursor.analysis().line_summaries(), fresh.line_summaries(), "at {back}");
+            assert_matches_reference(&cursor.analysis(), &format!("cursor back at {back}"));
+        }
+    }
+
+    /// Builds a program over a `base_len`-byte base from raw draws. Writes
+    /// carry a fill unique to their op, so every image is distinguishable.
+    fn generated_sim(base_len: usize, raw: &[(u8, u16, u8)]) -> CrashSim {
+        let len = base_len as u64;
+        let mut ops = Vec::new();
+        let mut last_write: Option<ByteRange> = None;
+        for (i, &(kind, at, size)) in raw.iter().enumerate() {
+            let addr = u64::from(at) % len;
+            let fill = |r: ByteRange| ValuedOp::Write {
+                range: r,
+                data: (0..r.len())
+                    .map(|b| (i as u8).wrapping_mul(31).wrapping_add(b as u8) | 1)
+                    .collect(),
+            };
+            let op = match (kind % 12, last_write) {
+                (0..=3, _) => {
+                    fill(ByteRange::with_len(addr, 1 + u64::from(size) % (len - addr).min(16)))
+                }
+                // Straddles the line boundary nearest above `addr`, clipped
+                // to the base.
+                (4, _) if len > CACHE_LINE => {
+                    let edge = (line_base(addr) + CACHE_LINE).min(line_base(len - 1));
+                    let edge = edge.max(CACHE_LINE);
+                    fill(ByteRange::new(
+                        edge - 1 - u64::from(size) % 8,
+                        (edge + 1 + u64::from(size) % 8).min(len),
+                    ))
+                }
+                // Overwrites the previous write's bytes.
+                (5, Some(prev)) => fill(prev),
+                (4..=7, _) => ValuedOp::Flush(ByteRange::with_len(addr, 1 + u64::from(size) % 128)),
+                (8 | 9, _) => ValuedOp::Fence,
+                _ => ValuedOp::DFence,
+            };
+            if let ValuedOp::Write { range, .. } = &op {
+                last_write = Some(*range);
+            }
+            ops.push(op);
+        }
+        CrashSim::new(vec![0xee; base_len], ops)
+    }
+
+    #[test]
+    fn every_state_matches_the_reference_on_fixtures() {
+        for sim in cursor_fixtures() {
+            assert_sim_matches_reference(&sim);
+        }
+        // Every transition on one program over a 200-byte base, whose last
+        // line (192..200) is clipped: straddling writes (60..68, 190..196),
+        // same-line overwrites, flush before write, a flush with no fence, a
+        // fence with no pending flush, and a dfence.
+        let data: Vec<u8> = (1..=8).collect();
+        let sim = CrashSim::new(
+            vec![0xee; 200],
+            vec![
+                fl(0, 1),
+                w(0, &[1]),
+                w(60, &data),
+                w(0, &[2]),
+                fl(0, 64),
+                ValuedOp::Fence,
+                ValuedOp::Fence,
+                w(190, &data[..6]),
+                w(199, &[3]),
+                w(130, &[4]),
+                fl(128, 72),
+                w(64, &[5]),
+                ValuedOp::Fence,
+                w(199, &[6]),
+                fl(192, 8),
+                ValuedOp::DFence,
+                w(195, &[7]),
+                w(1, &[8]),
+                fl(0, 200),
+            ],
+        );
+        assert_sim_matches_reference(&sim);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Generated op logs over bases of one to four lines plus 0..64
+        /// bytes: every state of every point, from `analyze` and from a
+        /// cursor, is the reference image in reference order, and every
+        /// seeded draw is the reference's draw.
+        #[test]
+        fn every_state_matches_the_reference_on_generated_logs(
+            lines in 1..5usize,
+            extra in 0..64usize,
+            raw in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u8>()),
+                0..20,
+            ),
+        ) {
+            let base_len = lines * CACHE_LINE as usize + extra;
+            assert_sim_matches_reference(&generated_sim(base_len, &raw));
         }
     }
 
     #[test]
-    fn sample_with_choice_reproduces_image() {
-        let sim = CrashSim::new(vec![0; 128], vec![w(0, &[1]), w(64, &[2]), w(1, &[3])]);
-        let a = sim.analyze(3);
-        let mut rng = SmallRng::seed_from_u64(11);
-        for _ in 0..32 {
-            let s = a.sample_with_choice(&mut rng);
-            assert_eq!(s.image, a.image_for(&s.prefixes));
-        }
+    fn the_log_keeps_every_write_in_one_payload_slab() {
+        let sim = CrashSim::new(
+            vec![0; 128],
+            vec![w(0, &[1, 2]), fl(0, 2), ValuedOp::Fence, w(70, &[3, 4, 5]), ValuedOp::DFence],
+        );
+        assert_eq!(sim.payload, [1, 2, 3, 4, 5]);
+        assert!(matches!(sim.ops[3], LogOp::Write { at: 2, .. }));
+        let image = sim.final_image();
+        assert_eq!((image[..2].to_vec(), image[70..73].to_vec()), (vec![1, 2], vec![3, 4, 5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "write data must fill its range")]
+    fn a_write_whose_data_misses_its_range_is_refused() {
+        let op = ValuedOp::Write { range: ByteRange::with_len(0, 4), data: vec![1] };
+        let _ = CrashSim::new(vec![0; 64], vec![op]);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl PmHeap {
         }
         Self {
             pool,
-            root: ByteRange::new(0, root_size),
+            root: Self::root_area(root_size),
             state: Mutex::new(HeapState { free, live: BTreeMap::new() }),
         }
     }
@@ -84,6 +84,14 @@ impl PmHeap {
     #[must_use]
     pub fn root(&self) -> ByteRange {
         self.root
+    }
+
+    /// The root area a heap created with `root_size` reserves: the first
+    /// `root_size` bytes of its pool. Recovery code that reads a raw crash
+    /// image finds the durable entry points here without building a heap.
+    #[must_use]
+    pub fn root_area(root_size: u64) -> ByteRange {
+        ByteRange::new(0, root_size)
     }
 
     /// Allocates `size` bytes aligned to `align`, returning the offset.

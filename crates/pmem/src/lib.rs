@@ -19,6 +19,9 @@
 //!   paper's `clwb; sfence` idiom (§2.1);
 //! * [`PmHeap`] — a first-fit free-list allocator carving objects out of a
 //!   pool, with a reserved root area for durable entry points;
+//! * [`PmRead`] — bounds-checked reads shared by a live pool and a raw
+//!   crash image (`[u8]`), so recovery code reads and repairs an image in
+//!   place;
 //! * [`cacheline`] — cache-line geometry helpers;
 //! * [`crash`] — the crash-state generator and the [`crash::RecoveryCheck`]
 //!   trait that workloads implement so crash states can be validated.
@@ -50,8 +53,10 @@ mod error;
 mod heap;
 mod mode;
 mod pool;
+mod read;
 
 pub use error::PmError;
 pub use heap::PmHeap;
 pub use mode::PersistMode;
 pub use pool::PmPool;
+pub use read::PmRead;

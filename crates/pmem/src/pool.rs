@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmtest_interval::ByteRange;
-use pmtest_trace::{Event, NullSink, SharedSink, Sink, SourceLoc};
+use pmtest_trace::{Event, NullSink, SharedSink, Sink};
 
-use crate::crash::ValuedOp;
+use crate::crash::{CrashSim, LogOp};
 use crate::PmError;
 
 /// A simulated persistent-memory pool.
@@ -45,15 +45,9 @@ pub struct PmPool {
     /// behave like racing stores on real hardware: bytes, not locks.
     mem: Vec<AtomicU8>,
     sink: SharedSink,
-    value_log: Mutex<Option<ValueLog>>,
-}
-
-struct ValueLog {
-    base: Vec<u8>,
-    ops: Vec<ValuedOp>,
-    /// Call site of each op (parallel to `ops`), for culprit attribution in
-    /// exploration reports.
-    sites: Vec<SourceLoc>,
+    /// The crash log being recorded, with each op's call site for culprit
+    /// attribution; `None` when no crash recording is active.
+    crash_log: Mutex<Option<CrashSim>>,
 }
 
 impl PmPool {
@@ -63,7 +57,7 @@ impl PmPool {
     pub fn new(size: usize, sink: SharedSink) -> Self {
         let mut mem = Vec::with_capacity(size);
         mem.resize_with(size, || AtomicU8::new(0));
-        Self { mem, sink, value_log: Mutex::new(None) }
+        Self { mem, sink, crash_log: Mutex::new(None) }
     }
 
     /// Creates an uninstrumented pool (events are discarded) — the "native"
@@ -178,9 +172,8 @@ impl PmPool {
         if !range.is_empty() {
             let entry = Event::Write(range).here();
             self.sink.record(entry);
-            if let Some(log) = self.value_log.lock().as_mut() {
-                log.ops.push(ValuedOp::Write { range, data: data.to_vec() });
-                log.sites.push(entry.loc);
+            if let Some(log) = self.crash_log.lock().as_mut() {
+                log.record_write(range, data, entry.loc);
             }
         }
         Ok(range)
@@ -224,9 +217,8 @@ impl PmPool {
         }
         let entry = Event::Flush(range).here();
         self.sink.record(entry);
-        if let Some(log) = self.value_log.lock().as_mut() {
-            log.ops.push(ValuedOp::Flush(range));
-            log.sites.push(entry.loc);
+        if let Some(log) = self.crash_log.lock().as_mut() {
+            log.record(LogOp::Flush(range), entry.loc);
         }
     }
 
@@ -235,9 +227,8 @@ impl PmPool {
     pub fn fence(&self) {
         let entry = Event::Fence.here();
         self.sink.record(entry);
-        if let Some(log) = self.value_log.lock().as_mut() {
-            log.ops.push(ValuedOp::Fence);
-            log.sites.push(entry.loc);
+        if let Some(log) = self.crash_log.lock().as_mut() {
+            log.record(LogOp::Fence, entry.loc);
         }
     }
 
@@ -259,9 +250,8 @@ impl PmPool {
     pub fn dfence(&self) {
         let entry = Event::DFence.here();
         self.sink.record(entry);
-        if let Some(log) = self.value_log.lock().as_mut() {
-            log.ops.push(ValuedOp::DFence);
-            log.sites.push(entry.loc);
+        if let Some(log) = self.crash_log.lock().as_mut() {
+            log.record(LogOp::DFence, entry.loc);
         }
     }
 
@@ -276,31 +266,23 @@ impl PmPool {
     // Crash simulation support
     // ------------------------------------------------------------------
 
-    /// Starts recording a *valued* operation log for crash simulation,
-    /// snapshotting the current contents as the pre-trace durable image.
+    /// Starts recording a crash log for crash simulation, snapshotting the
+    /// current contents as the pre-trace durable image.
     ///
     /// The regular trace (what PMTest sees) carries no data values; the crash
     /// simulator needs them to materialize post-crash memory images, so the
-    /// pool keeps this side log only when asked.
+    /// pool keeps this side log only when asked. Each write's bytes go to
+    /// the log's one payload slab, so recording allocates only as the log
+    /// grows. [`CrashSim::from_pool`] drains the recording.
     pub fn begin_crash_recording(&self) {
-        let base = self.snapshot();
-        *self.value_log.lock() = Some(ValueLog { base, ops: Vec::new(), sites: Vec::new() });
+        *self.crash_log.lock() = Some(CrashSim::new(self.snapshot(), Vec::new()));
     }
 
-    /// Stops recording and returns the pre-trace image plus the valued
-    /// operations recorded since [`begin_crash_recording`]; `None` if
+    /// Stops recording and returns the log recorded since
+    /// [`begin_crash_recording`](Self::begin_crash_recording); `None` if
     /// recording was never started.
-    ///
-    /// [`begin_crash_recording`]: Self::begin_crash_recording
-    pub fn take_crash_recording(&self) -> Option<(Vec<u8>, Vec<ValuedOp>)> {
-        self.value_log.lock().take().map(|log| (log.base, log.ops))
-    }
-
-    /// Like [`take_crash_recording`](Self::take_crash_recording), but also
-    /// returns the call site of each recorded operation (parallel to the op
-    /// vector), for culprit attribution in exploration reports.
-    pub fn take_crash_recording_sited(&self) -> Option<(Vec<u8>, Vec<ValuedOp>, Vec<SourceLoc>)> {
-        self.value_log.lock().take().map(|log| (log.base, log.ops, log.sites))
+    pub(crate) fn take_crash_log(&self) -> Option<CrashSim> {
+        self.crash_log.lock().take()
     }
 
     /// Copies the full pool contents (the volatile image).
@@ -441,11 +423,17 @@ mod tests {
         pool.write(1, &[8]).unwrap();
         pool.flush(ByteRange::new(0, 2));
         pool.fence();
-        let (base, ops) = pool.take_crash_recording().unwrap();
-        assert_eq!(base[0], 7, "base image taken at recording start");
-        assert_eq!(ops.len(), 3);
-        assert!(matches!(&ops[0], ValuedOp::Write { data, .. } if data == &vec![8]));
-        assert!(pool.take_crash_recording().is_none(), "take drains");
+        pool.write(3, &[9, 10]).unwrap();
+        let sim = CrashSim::from_pool(&pool).unwrap();
+        assert_eq!(sim.op_count(), 4);
+        let start = sim.analyze(0).minimal_image();
+        assert_eq!(start[..4], [7, 0, 0, 0], "base image taken at recording start");
+        assert_eq!(sim.final_image()[..5], [7, 8, 0, 9, 10]);
+        assert_eq!(sim.analyze(3).minimal_image()[..4], [7, 8, 0, 0], "flushed and fenced");
+        assert!(sim.site(3).is_some_and(|loc| loc.file().ends_with("pool.rs")));
+        assert!(CrashSim::from_pool(&pool).is_none(), "from_pool drains");
+        pool.write(0, &[1]).unwrap();
+        assert!(CrashSim::from_pool(&pool).is_none(), "draining stops the recording");
     }
 
     #[test]

@@ -3,12 +3,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmtest_interval::ByteRange;
-use pmtest_pmem::{PersistMode, PmError, PmHeap, PmPool};
+use pmtest_pmem::{PersistMode, PmError, PmHeap, PmPool, PmRead};
 use pmtest_trace::Event;
 
 use crate::fault::{Fault, FaultSet};
 use crate::hashmap_tx::hash64;
 use crate::kv::{CheckMode, KvError, KvMap};
+use crate::queue::WALK_LIMIT;
 
 const NODE_HDR: u64 = 24; // key, next, vlen
 
@@ -56,10 +57,7 @@ impl HashMapLl {
         faults: FaultSet,
     ) -> Result<Self, KvError> {
         let root = heap.root();
-        let needed = 8 + nbuckets * 8;
-        if root.len() < needed {
-            return Err(KvError::Pm(PmError::OutOfMemory { requested: needed }));
-        }
+        let needed = Self::root_fits(root.len(), nbuckets)?;
         let pm = heap.pool().clone();
         let mode = PersistMode::X86;
         // count at base, buckets after.
@@ -79,8 +77,8 @@ impl HashMapLl {
     }
 
     /// Attaches to an existing map (same `nbuckets` it was created with) at
-    /// the start of `heap`'s root area without reinitializing it — the
-    /// post-crash mount path used by recovery procedures.
+    /// the start of `heap`'s root area without reinitializing it (e.g. on a
+    /// pool restored from a crash image).
     ///
     /// # Errors
     ///
@@ -93,10 +91,7 @@ impl HashMapLl {
         faults: FaultSet,
     ) -> Result<Self, KvError> {
         let root = heap.root();
-        let needed = 8 + nbuckets * 8;
-        if root.len() < needed {
-            return Err(KvError::Pm(PmError::OutOfMemory { requested: needed }));
-        }
+        Self::root_fits(root.len(), nbuckets)?;
         let pm = heap.pool().clone();
         Ok(Self {
             pm,
@@ -118,16 +113,48 @@ impl HashMapLl {
     /// Returns [`KvError`] on a corrupt image.
     pub fn entries(&self) -> Result<Vec<(u64, Vec<u8>)>, KvError> {
         let mut out = Vec::new();
-        for b in 0..self.nbuckets {
-            let mut cur = self.pm.read_u64(self.base + 8 + b * 8)?;
-            while cur != 0 && out.len() <= 1_000_000 {
-                let key = self.node_key(cur)?;
-                let vlen = self.pm.read_u64(cur + 16)?;
-                out.push((key, self.pm.read_vec(ByteRange::with_len(cur + NODE_HDR, vlen))?));
-                cur = self.node_next(cur)?;
+        Self::walk(&*self.pm, self.base, self.nbuckets, |key, value| {
+            out.push((key, value.to_vec()));
+        })?;
+        Ok(out)
+    }
+
+    /// The walk behind [`entries`](Self::entries), over any image — the
+    /// live pool, or a raw crash image that [`HashMapRecovery`] reads in
+    /// place: hands each reachable `(key, value)` to `visit`, in bucket
+    /// order, and stops after [`WALK_LIMIT`] + 1 entries in all (a torn
+    /// pointer can form a cycle). `base` is the root's address.
+    ///
+    /// [`HashMapRecovery`]: crate::HashMapRecovery
+    pub(crate) fn walk<M: PmRead + ?Sized>(
+        pm: &M,
+        base: u64,
+        nbuckets: u64,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> Result<(), KvError> {
+        let mut scratch = Vec::new();
+        let mut walked = 0;
+        for b in 0..nbuckets {
+            let mut cur = pm.read_u64(base + 8 + b * 8)?;
+            while cur != 0 && walked <= WALK_LIMIT {
+                let key = pm.read_u64(cur)?;
+                let vlen = pm.read_u64(cur + 16)?;
+                visit(key, pm.read_bytes(ByteRange::with_len(cur + NODE_HDR, vlen), &mut scratch)?);
+                walked += 1;
+                cur = pm.read_u64(cur + 8)?;
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Fails unless a root area of `root_len` bytes holds the count plus
+    /// `nbuckets` bucket slots; returns the bytes they need.
+    pub(crate) fn root_fits(root_len: u64, nbuckets: u64) -> Result<u64, KvError> {
+        let needed = 8 + nbuckets * 8;
+        if root_len < needed {
+            return Err(KvError::Pm(PmError::OutOfMemory { requested: needed }));
+        }
+        Ok(needed)
     }
 
     /// The underlying pool.

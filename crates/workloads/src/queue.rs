@@ -3,13 +3,17 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmtest_interval::ByteRange;
-use pmtest_pmem::{PersistMode, PmError, PmHeap, PmPool};
+use pmtest_pmem::{PersistMode, PmError, PmHeap, PmPool, PmRead};
 use pmtest_trace::Event;
 
 use crate::fault::{Fault, FaultSet};
 use crate::kv::{CheckMode, KvError};
 
 const NODE_HDR: u64 = 16; // next, vlen
+
+/// Chain walks stop after visiting `WALK_LIMIT` + 1 nodes: a torn next
+/// pointer can close a cycle.
+pub(crate) const WALK_LIMIT: usize = 1_000_000;
 
 /// A durable FIFO queue on low-level primitives, modelled on the persistent
 /// lock-free queue the paper cites (Friedman et al., PPoPP 2018) — another
@@ -47,9 +51,7 @@ impl PmQueue {
     /// Returns [`KvError`] if the root area is too small.
     pub fn create(heap: Arc<PmHeap>, check: CheckMode, faults: FaultSet) -> Result<Self, KvError> {
         let root = heap.root();
-        if root.len() < 24 {
-            return Err(KvError::Pm(PmError::OutOfMemory { requested: 24 }));
-        }
+        Self::root_fits(root.len())?;
         let pm = heap.pool().clone();
         let mode = PersistMode::X86;
         pm.write(root.start(), &[0u8; 24])?;
@@ -58,17 +60,15 @@ impl PmQueue {
     }
 
     /// Attaches to an existing queue at the start of `heap`'s root area
-    /// without reinitializing it — the post-crash mount path used by
-    /// recovery procedures.
+    /// without reinitializing it (e.g. on a pool restored from a crash
+    /// image).
     ///
     /// # Errors
     ///
     /// Returns [`KvError`] if the root area is too small.
     pub fn open(heap: Arc<PmHeap>, check: CheckMode, faults: FaultSet) -> Result<Self, KvError> {
         let root = heap.root();
-        if root.len() < 24 {
-            return Err(KvError::Pm(PmError::OutOfMemory { requested: 24 }));
-        }
+        Self::root_fits(root.len())?;
         let pm = heap.pool().clone();
         Ok(Self {
             pm,
@@ -85,6 +85,15 @@ impl PmQueue {
     #[must_use]
     pub fn pool(&self) -> &Arc<PmPool> {
         &self.pm
+    }
+
+    /// Fails unless a root area of `root_len` bytes holds the queue's
+    /// `{head, tail, count}` root.
+    pub(crate) fn root_fits(root_len: u64) -> Result<(), KvError> {
+        if root_len < 24 {
+            return Err(KvError::Pm(PmError::OutOfMemory { requested: 24 }));
+        }
+        Ok(())
     }
 
     fn head_slot(&self) -> u64 {
@@ -224,13 +233,32 @@ impl PmQueue {
     /// Returns [`KvError`] on a corrupt image.
     pub fn items(&self) -> Result<Vec<Vec<u8>>, KvError> {
         let mut out = Vec::new();
-        let mut cur = self.pm.read_u64(self.head_slot())?;
-        while cur != 0 && out.len() <= 1_000_000 {
-            let vlen = self.pm.read_u64(cur + 8)?;
-            out.push(self.pm.read_vec(ByteRange::with_len(cur + NODE_HDR, vlen))?);
-            cur = self.pm.read_u64(cur)?;
-        }
+        Self::walk(&*self.pm, self.head_slot(), |_, value| out.push(value.to_vec()))?;
         Ok(out)
+    }
+
+    /// The walk behind [`items`](Self::items), over any image — the live
+    /// pool, or a raw crash image that [`QueueRecovery`] reads in place:
+    /// hands each reachable node's address and value to `visit`, in chain
+    /// order, and stops after [`WALK_LIMIT`] + 1 nodes (a torn pointer can
+    /// form a cycle). `base` is the root's address.
+    ///
+    /// [`QueueRecovery`]: crate::QueueRecovery
+    pub(crate) fn walk<M: PmRead + ?Sized>(
+        pm: &M,
+        base: u64,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> Result<(), KvError> {
+        let mut scratch = Vec::new();
+        let mut walked = 0;
+        let mut cur = pm.read_u64(base)?;
+        while cur != 0 && walked <= WALK_LIMIT {
+            let vlen = pm.read_u64(cur + 8)?;
+            visit(cur, pm.read_bytes(ByteRange::with_len(cur + NODE_HDR, vlen), &mut scratch)?);
+            walked += 1;
+            cur = pm.read_u64(cur)?;
+        }
+        Ok(())
     }
 }
 

@@ -2,10 +2,16 @@
 //!
 //! [`pmtest_core::explore()`] enumerates reachable post-crash images; the
 //! procs here say what "recovers correctly" means for each workload, in the
-//! recovery-invariant discipline of persistent data structures: mount the
-//! raw image, run the structure's recovery (refusing images that provably
+//! recovery-invariant discipline of persistent data structures: run the
+//! structure's recovery on the raw image (refusing images that provably
 //! lost acknowledged data), then check the structure's invariants on the
 //! recovered state.
+//!
+//! The queue and hashmap procs read and repair the image in place through
+//! [`PmRead`], with the same walks the live structures use
+//! ([`PmQueue::items`], [`HashMapLl::entries`]), and find the root where a
+//! [`PmHeap`] puts it ([`PmHeap::root_area`]). Only PMFS mounts its image,
+//! because its invariant callback takes a mounted [`Pmfs`].
 //!
 //! The queue and hashmap procs assume an *insert-only* recorded window
 //! (`begin_crash_recording` after any dequeues/removes): their
@@ -13,25 +19,19 @@
 //! after the publishing link's fence, which removal paths do not preserve
 //! in the same direction.
 
-use std::sync::Arc;
-
 use pmtest_core::explore::RecoveryProc;
-use pmtest_pmem::{PmHeap, PmPool};
+use pmtest_pmem::{PmHeap, PmRead};
 use pmtest_pmfs::{Pmfs, PmfsOptions};
 
-use crate::fault::FaultSet;
 use crate::hashmap_ll::HashMapLl;
-use crate::kv::{CheckMode, KvMap};
-use crate::queue::PmQueue;
+use crate::kv::KvError;
+use crate::queue::{PmQueue, WALK_LIMIT};
 
-/// Walk bound shared by the raw chain walks (a torn pointer can form a
-/// cycle; the mounted structures carry their own bound too).
-const WALK_LIMIT: usize = 1_000_000;
-
-fn mount_pool(image: &[u8]) -> Arc<PmPool> {
-    let pool = Arc::new(PmPool::untracked(image.len()));
-    pool.restore(image);
-    pool
+/// Stores `value` little-endian at `addr` of `image`. The slot must be in
+/// bounds: callers write only slots they have just read.
+fn put_u64(image: &mut [u8], addr: u64, value: u64) {
+    let at = addr as usize;
+    image[at..at + 8].copy_from_slice(&value.to_le_bytes());
 }
 
 /// Recovery for [`PmQueue`] over an enqueue-only recorded window.
@@ -60,27 +60,20 @@ impl QueueRecovery {
         Self { root_size, expected, prior }
     }
 
-    fn mount(&self, image: &[u8]) -> Result<(PmQueue, Arc<PmPool>, u64), String> {
-        let pool = mount_pool(image);
-        let heap = Arc::new(PmHeap::new(pool.clone(), self.root_size));
-        let base = heap.root().start();
-        let q = PmQueue::open(heap, CheckMode::None, FaultSet::none())
-            .map_err(|e| format!("open queue: {e}"))?;
-        Ok((q, pool, base))
+    /// The root's address, once the root area is known to hold it.
+    fn base(&self) -> Result<u64, String> {
+        let root = PmHeap::root_area(self.root_size);
+        PmQueue::root_fits(root.len()).map_err(|e| format!("open queue: {e}"))?;
+        Ok(root.start())
     }
 
-    /// Raw walk from `head`, returning the node addresses in order.
-    fn chain(pool: &PmPool, base: u64) -> Result<Vec<u64>, String> {
-        let mut nodes = Vec::new();
-        let mut cur = pool.read_u64(base).map_err(|e| format!("read head: {e}"))?;
-        while cur != 0 {
-            if nodes.len() >= WALK_LIMIT {
-                return Err("queue chain cycles (torn next pointer)".to_owned());
-            }
-            nodes.push(cur);
-            cur = pool.read_u64(cur).map_err(|e| format!("torn next pointer: {e}"))?;
+    /// Refuses a chain the walk stopped on: more than [`WALK_LIMIT`] nodes
+    /// means a torn next pointer closed a cycle.
+    fn acyclic(reachable: usize) -> Result<(), String> {
+        if reachable > WALK_LIMIT {
+            return Err("queue chain cycles (torn next pointer)".to_owned());
         }
-        Ok(nodes)
+        Ok(())
     }
 }
 
@@ -90,54 +83,63 @@ impl RecoveryProc for QueueRecovery {
     }
 
     fn recover(&self, image: &mut [u8]) -> Result<(), String> {
-        let (q, pool, base) = self.mount(image)?;
-        let items = q.items().map_err(|e| format!("unwalkable chain: {e}"))?;
-        let count = pool.read_u64(base + 16).map_err(|e| format!("read count: {e}"))?;
-        if count as usize > items.len() {
+        let base = self.base()?;
+        let (mut reachable, mut last) = (0, 0);
+        PmQueue::walk(&*image, base, |node, _| {
+            reachable += 1;
+            last = node;
+        })
+        .map_err(|e| format!("unwalkable chain: {e}"))?;
+        let count = image.read_u64(base + 16).map_err(|e| format!("read count: {e}"))?;
+        if count as usize > reachable {
             return Err(format!(
-                "acknowledged enqueue lost: durable count {count} exceeds {} reachable item(s)",
-                items.len()
+                "acknowledged enqueue lost: durable count {count} exceeds {reachable} reachable \
+                 item(s)"
             ));
         }
+        Self::acyclic(reachable)?;
         // Repair the derived fields from the walk: tail = last reachable
         // node, count = reachable items.
-        let nodes = Self::chain(&pool, base)?;
-        let last = nodes.last().copied().unwrap_or(0);
-        pool.write_u64(base + 8, last).map_err(|e| format!("repair tail: {e}"))?;
-        pool.write_u64(base + 16, items.len() as u64).map_err(|e| format!("repair count: {e}"))?;
-        image.copy_from_slice(&pool.snapshot());
+        put_u64(image, base + 8, last);
+        put_u64(image, base + 16, reachable as u64);
         Ok(())
     }
 
     fn check(&self, _point: usize, image: &[u8]) -> Result<(), String> {
-        let (q, pool, base) = self.mount(image)?;
-        let items = q.items().map_err(|e| format!("unwalkable chain after recovery: {e}"))?;
-        if items.len() < self.prior {
+        let base = self.base()?;
+        // The walk runs to its end before any item is judged, so a torn
+        // pointer further down still reports as an unwalkable chain.
+        let (mut reachable, mut last, mut torn) = (0, 0, None);
+        PmQueue::walk(image, base, |node, got| {
+            if torn.is_none() && self.expected.get(reachable).is_some_and(|want| got != want) {
+                torn = Some((reachable, got.to_vec()));
+            }
+            reachable += 1;
+            last = node;
+        })
+        .map_err(|e| format!("unwalkable chain after recovery: {e}"))?;
+        if reachable < self.prior {
             return Err(format!(
-                "previously durable item lost: {} reachable, {} were durable at start",
-                items.len(),
+                "previously durable item lost: {reachable} reachable, {} were durable at start",
                 self.prior
             ));
         }
-        if items.len() > self.expected.len() {
+        if reachable > self.expected.len() {
             return Err(format!(
-                "{} reachable items but only {} were enqueued",
-                items.len(),
+                "{reachable} reachable items but only {} were enqueued",
                 self.expected.len()
             ));
         }
-        for (i, (got, want)) in items.iter().zip(&self.expected).enumerate() {
-            if got != want {
-                return Err(format!("item {i} torn: got {got:?}, want {want:?}"));
-            }
+        if let Some((i, got)) = torn {
+            return Err(format!("item {i} torn: got {got:?}, want {:?}", self.expected[i]));
         }
-        let count = pool.read_u64(base + 16).map_err(|e| format!("read count: {e}"))?;
-        if count as usize != items.len() {
-            return Err(format!("count {count} disagrees with {} reachable items", items.len()));
+        let count = image.read_u64(base + 16).map_err(|e| format!("read count: {e}"))?;
+        if count as usize != reachable {
+            return Err(format!("count {count} disagrees with {reachable} reachable items"));
         }
-        let nodes = Self::chain(&pool, base)?;
-        let tail = pool.read_u64(base + 8).map_err(|e| format!("read tail: {e}"))?;
-        if tail != nodes.last().copied().unwrap_or(0) {
+        Self::acyclic(reachable)?;
+        let tail = image.read_u64(base + 8).map_err(|e| format!("read tail: {e}"))?;
+        if tail != last {
             return Err(format!("tail {tail:#x} is not the last reachable node"));
         }
         Ok(())
@@ -174,13 +176,27 @@ impl HashMapRecovery {
         Self { root_size, nbuckets, expected, prior_keys }
     }
 
-    fn mount(&self, image: &[u8]) -> Result<(HashMapLl, Arc<PmPool>, u64), String> {
-        let pool = mount_pool(image);
-        let heap = Arc::new(PmHeap::new(pool.clone(), self.root_size));
-        let base = heap.root().start();
-        let m = HashMapLl::open(heap, self.nbuckets, CheckMode::None, FaultSet::none())
+    /// The root's address, once the root area is known to hold it.
+    fn base(&self) -> Result<u64, String> {
+        let root = PmHeap::root_area(self.root_size);
+        HashMapLl::root_fits(root.len(), self.nbuckets)
             .map_err(|e| format!("open hashmap: {e}"))?;
-        Ok((m, pool, base))
+        Ok(root.start())
+    }
+
+    /// What is wrong with a reachable entry, given the keys `seen` before
+    /// it: a duplicate key, a key never inserted, or a torn value.
+    fn entry_error(&self, seen: &[u64], key: u64, value: &[u8]) -> Option<String> {
+        if seen.contains(&key) {
+            return Some(format!("key {key} reachable twice"));
+        }
+        match self.expected.iter().find(|(k, _)| *k == key) {
+            None => Some(format!("reachable key {key} was never inserted (torn node)")),
+            Some((_, want)) if want != value => {
+                Some(format!("key {key} torn: got {value:?}, want {want:?}"))
+            }
+            Some(_) => None,
+        }
     }
 }
 
@@ -190,43 +206,45 @@ impl RecoveryProc for HashMapRecovery {
     }
 
     fn recover(&self, image: &mut [u8]) -> Result<(), String> {
-        let (m, pool, base) = self.mount(image)?;
-        let entries = m.entries().map_err(|e| format!("unwalkable bucket chain: {e}"))?;
-        let count = pool.read_u64(base).map_err(|e| format!("read count: {e}"))?;
-        if count as usize > entries.len() {
+        let base = self.base()?;
+        let mut reachable = 0;
+        HashMapLl::walk(&*image, base, self.nbuckets, |_, _| reachable += 1)
+            .map_err(|e| format!("unwalkable bucket chain: {e}"))?;
+        let count = image.read_u64(base).map_err(|e| format!("read count: {e}"))?;
+        if count as usize > reachable {
             return Err(format!(
-                "acknowledged insert lost: durable count {count} exceeds {} reachable entries",
-                entries.len()
+                "acknowledged insert lost: durable count {count} exceeds {reachable} reachable \
+                 entries"
             ));
         }
-        pool.write_u64(base, entries.len() as u64).map_err(|e| format!("repair count: {e}"))?;
-        image.copy_from_slice(&pool.snapshot());
+        put_u64(image, base, reachable as u64);
         Ok(())
     }
 
     fn check(&self, _point: usize, image: &[u8]) -> Result<(), String> {
-        let (m, _pool, _base) = self.mount(image)?;
-        let entries = m.entries().map_err(|e| format!("unwalkable chain after recovery: {e}"))?;
+        let base = self.base()?;
+        // The walk runs to its end before the first bad entry is reported,
+        // so a torn pointer further down still reports as an unwalkable
+        // chain.
         let mut seen = Vec::new();
-        for (key, value) in &entries {
-            if seen.contains(key) {
-                return Err(format!("key {key} reachable twice"));
+        let mut bad = None;
+        HashMapLl::walk(image, base, self.nbuckets, |key, value| {
+            if bad.is_none() {
+                bad = self.entry_error(&seen, key, value);
             }
-            seen.push(*key);
-            match self.expected.iter().find(|(k, _)| k == key) {
-                None => return Err(format!("reachable key {key} was never inserted (torn node)")),
-                Some((_, want)) if want != value => {
-                    return Err(format!("key {key} torn: got {value:?}, want {want:?}"));
-                }
-                Some(_) => {}
-            }
+            seen.push(key);
+        })
+        .map_err(|e| format!("unwalkable chain after recovery: {e}"))?;
+        if let Some(reason) = bad {
+            return Err(reason);
         }
         for key in &self.prior_keys {
             if !seen.contains(key) {
                 return Err(format!("previously durable key {key} lost"));
             }
         }
-        if m.len().map_err(|e| format!("read count: {e}"))? as usize != entries.len() {
+        let count = image.read_u64(base).map_err(|e| format!("read count: {}", KvError::Pm(e)))?;
+        if count as usize != seen.len() {
             return Err("count disagrees with reachable entries after recovery".to_owned());
         }
         Ok(())

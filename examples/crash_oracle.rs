@@ -10,7 +10,7 @@
 //! each reachable image, and pins the violation to a crash point and a
 //! culprit store.
 //!
-//! Run with: `cargo run --example crash_oracle`
+//! Run with: `cargo run --release --example crash_oracle`
 
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ------------------------------------------------------------------
     // 2. The oracle's view: replay the same workload on an untracked pool,
-    //    record valued operations, crash everywhere, and run recovery.
+    //    record a crash log, crash everywhere, and run recovery.
     // ------------------------------------------------------------------
     let pm = Arc::new(PmPool::untracked(1 << 17));
     let tree =
@@ -96,12 +96,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ExploreConfig { max_states_per_point: 256, ..ExploreConfig::default() };
     let report = explore(&sim, &TreeRecovery, &config);
     println!("{}", report.render());
-    match report.violations.first() {
-        Some(v) => println!(
-            "  reachable inconsistency at crash point {} (culprit op {:?}): {}",
-            v.point, v.culprit_op, v.reason
-        ),
-        None => println!("  (no inconsistency within the per-point image budget)"),
-    }
+    let v = report.violations.first().expect("the sweep reaches the split's inconsistent image");
+    println!(
+        "  reachable inconsistency at crash point {} (culprit op {:?}): {}",
+        v.point, v.culprit_op, v.reason
+    );
+    let site = v.culprit_site.expect("the culprit store has a recorded site");
+    assert!(site.file().ends_with("btree.rs"), "culprit {site} is not a B-Tree store");
     Ok(())
 }
