@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pmtest_core::{PmTestSession, Report, TelemetryConfig, ThreadRecorder};
+use pmtest_core::{PmTestSession, Report, TelemetryConfig, TelemetryLevel, ThreadRecorder};
 use pmtest_interval::ByteRange;
 use pmtest_trace::{Event, Sink};
 
@@ -78,8 +78,8 @@ const CACHED_PROBE_BUDGET_NS: f64 = 40.0;
 /// from the cache's own counters — not a timing number).
 const REP_HIT_RATE_MIN: f64 = 0.95;
 
-/// Telemetry-off budget against the *committed* baseline: with every
-/// telemetry layer disabled (the default), the w4/b32 session row's floor
+/// Telemetry-off budget against the *committed* baseline: at
+/// `TelemetryLevel::Off` (the default), the w4/b32 session row's floor
 /// sample may not run more than this factor above the ns/trace recorded in
 /// the committed `bench_results/BENCH_engine.json` (its floor field when
 /// present, else its median). This is the guard that keeps the
@@ -227,26 +227,30 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             });
         }
     }
-    // A/B rows: the reference w4/b32 configuration with telemetry layers
-    // on. Not part of the scaling assertion — they exist so the overhead of
-    // the observability plane is measured in every run, next to the off row
-    // they are compared against:
-    // * `session-telemetry` — every layer (stage timing, recorder, span
-    //   tracing, profiler);
-    // * `session-recorder` — the recorder alone, which re-checks only
-    //   failing traces, so the clean traces here keep the clean lane;
-    // * `session-profiling` — the cross-trace profiler alone. It observes
-    //   the replay walk (profiled traces skip the clean lane), so this row
-    //   prices the advisor's data collection; the profiling-*off* guard is
-    //   the plain w4/b32 row above, whose floor assertion keeps the
-    //   disabled-path cost (one relaxed load) from regressing.
-    for (path, id, telemetry) in [
-        ("session-telemetry", "telemetry_w4", TelemetryConfig::enabled()),
-        ("session-recorder", "recorder_w4", TelemetryConfig::recorder_only()),
-        ("session-profiling", "profiling_w4", TelemetryConfig::profiling_only()),
+    // A/B rows: the reference w4/b32 configuration at each telemetry level
+    // above `Off`. Not part of the scaling assertion — they exist so the
+    // overhead of the observability plane is measured in every run, next to
+    // the off row they are compared against. The row names predate the
+    // levels and stay, because CI's structural guard reads them:
+    // * `session-recorder` — `Bundles`, which re-checks only failing
+    //   traces, so the clean traces here keep the clean lane;
+    // * `session-profiling` — `Profile`. It observes the replay walk
+    //   (profiled traces skip the clean lane and the cache), so this row
+    //   prices the advisor's data collection;
+    // * `session-telemetry` — `Full`: the profile plus stage timing and
+    //   span tracing.
+    // The `Off` guard is the plain w4/b32 row above, whose floor assertion
+    // keeps the unobserved path from regressing.
+    for (path, id, level) in [
+        ("session-telemetry", "telemetry_w4", TelemetryLevel::Full),
+        ("session-recorder", "recorder_w4", TelemetryLevel::Bundles),
+        ("session-profiling", "profiling_w4", TelemetryLevel::Profile),
     ] {
-        let session =
-            PmTestSession::builder().workers(4).batch_capacity(32).telemetry(telemetry).build();
+        let session = PmTestSession::builder()
+            .workers(4)
+            .batch_capacity(32)
+            .telemetry(TelemetryConfig::at(level))
+            .build();
         session.start();
         run_round(&session, traces); // warm the arena pool
         group.bench_with_input(BenchmarkId::new(id, "b32"), &traces, |b, &traces| {
@@ -301,11 +305,11 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         let cache = VerdictCache::new(&VerdictCacheConfig::default());
         let mut wc = WorkerCache::new();
         let fp = wc.fingerprint(&words);
-        wc.install(&cache, fp, CachedVerdict::new(Vec::new(), None));
+        wc.install(&cache, fp, CachedVerdict::new(Vec::new()));
         group.bench_with_input(BenchmarkId::new("cached_probe", "b1"), &traces, |b, _| {
             b.iter(|| {
                 let fp = wc.fingerprint(criterion::black_box(&words));
-                criterion::black_box(wc.lookup(&cache, fp, false).is_some())
+                criterion::black_box(wc.lookup(&cache, fp).is_some())
             })
         });
         let per_iter_ns = group.last_estimate_ns().expect("benchmark just ran");
@@ -488,7 +492,7 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
             "  \"traces_per_round\": {},\n",
             "  \"entries_per_trace\": {},\n",
             "  \"workload\": \"short traces: write+flush+fence+isPersist; session rows: 4 producer threads via the Sink path; session-rep/session-cached rows: one 62-record repetitive shape (30 distinct write+flush ranges) with the verdict cache off/on; cached-probe row: fingerprint + L1 lookup only, no engine; recorder rows: 1 inline producer via the owned ThreadRecorder handle; ring capacity derived (256/batch, min 32)\",\n",
-            "  \"telemetry\": \"all layers off (default) except the session-telemetry A/B row (timing + recorder + tracing + profiling on), the session-recorder A/B row (recorder only: failing traces re-checked into bundles) and the session-profiling A/B row (cross-trace profiler only); per-producer SPSC rings with work-stealing workers; producers record packed records into recycled arenas; clean traces take the packed DFA lane, the rest the fused replay on each worker's own CheckerScratch state; session-cached serves repeats from the content-addressed verdict cache\",\n",
+            "  \"telemetry\": \"level Off (default) except the session-recorder A/B row (level Bundles: failing traces re-checked into bundles), the session-profiling A/B row (level Profile: the cross-trace profiler observes every replay) and the session-telemetry A/B row (level Full: Profile plus timing histograms and span tracing); per-producer SPSC rings with work-stealing workers; producers record packed records into recycled arenas; clean traces take the packed DFA lane, the rest the fused replay on each worker's own CheckerScratch state; session-cached serves repeats from the content-addressed verdict cache\",\n",
             "  \"results\": [\n{}  ],\n",
             "  \"peak\": {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"traces_per_sec\": {:.0}}},\n",
             "  \"speedup_batch32_over_batch1_by_workers\": {{\n{}  }},\n",
@@ -653,8 +657,9 @@ fn committed_baseline_w4_b32() -> Option<f64> {
 }
 
 /// The telemetry-off A/B guard: the default-config w4/b32 row must stay
-/// within [`BASELINE_SLACK`] of the committed baseline, and the all-layers-on
-/// row is reported next to it so the overhead is visible in every run. The
+/// within [`BASELINE_SLACK`] of the committed baseline, and the rows of the
+/// higher levels are reported next to it so the overhead is visible in
+/// every run. The
 /// guarded number is the *floor* sample (see [`Sample`]): a 5% tolerance is
 /// tighter than this shared host's run-to-run median swing, and only the
 /// floor separates real added cost from a noisy neighbor.
@@ -664,8 +669,7 @@ fn assert_telemetry_budget(samples: &[Sample], baseline: Option<f64>) {
     let Some(off) = at("session") else { return };
     if let Some(on) = at("session-telemetry") {
         println!(
-            "telemetry A/B at w4/b32: off {:.1} ns/trace, all layers on {:.1} ns/trace \
-             ({:+.1}%)",
+            "telemetry A/B at w4/b32: off {:.1} ns/trace, Full {:.1} ns/trace ({:+.1}%)",
             off.ns_per_trace,
             on.ns_per_trace,
             (on.ns_per_trace / off.ns_per_trace - 1.0) * 100.0,
@@ -673,7 +677,7 @@ fn assert_telemetry_budget(samples: &[Sample], baseline: Option<f64>) {
     }
     if let Some(on) = at("session-recorder") {
         println!(
-            "recorder A/B at w4/b32: off {:.1} ns/trace (floor {:.1}), recorder on {:.1} \
+            "recorder A/B at w4/b32: off {:.1} ns/trace (floor {:.1}), Bundles {:.1} \
              ns/trace (floor {:.1}, {:.2}x)",
             off.ns_per_trace,
             off.floor_ns_per_trace,
@@ -684,8 +688,7 @@ fn assert_telemetry_budget(samples: &[Sample], baseline: Option<f64>) {
     }
     if let Some(on) = at("session-profiling") {
         println!(
-            "profiling A/B at w4/b32: off {:.1} ns/trace, profiler on {:.1} ns/trace \
-             ({:+.1}%)",
+            "profiling A/B at w4/b32: off {:.1} ns/trace, Profile {:.1} ns/trace ({:+.1}%)",
             off.ns_per_trace,
             on.ns_per_trace,
             (on.ns_per_trace / off.ns_per_trace - 1.0) * 100.0,

@@ -1,6 +1,6 @@
 //! Component timing probe for the ingest path. Not a benchmark of record —
 //! a diagnostic for where the per-trace nanoseconds go, ending with the
-//! telemetry layer's own five-stage latency decomposition
+//! `Full` telemetry level's own five-stage latency decomposition
 //! (record→ring-push, ring-wait, claim/steal→replay, replay, report-merge)
 //! from an instrumented w4/b32 round. Run with:
 //! `cargo run --release -p pmtest-bench --example ingest_probe [traces]`
@@ -171,7 +171,7 @@ fn main() {
     }
 
     // Stage-latency decomposition: the same w4/b32 short-trace round with
-    // the timing layer on, broken into the five per-batch pipeline stages
+    // the `Full` telemetry level, broken into the five per-batch pipeline stages
     // (record→ring-push, ring-wait, claim/steal→replay, replay,
     // report-merge). Per-*batch* numbers — divide by the batch size for the
     // per-trace share.
@@ -180,7 +180,7 @@ fn main() {
         let session = PmTestSession::builder()
             .workers(4)
             .batch_capacity(32)
-            .telemetry(pmtest_core::TelemetryConfig::timing_only())
+            .telemetry(pmtest_core::TelemetryConfig::at(pmtest_core::TelemetryLevel::Full))
             .build();
         session.start();
         std::thread::scope(|s| {

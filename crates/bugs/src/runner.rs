@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use pmtest_core::{PmTestSession, Report, TelemetryConfig};
+use pmtest_core::{PmTestSession, Report, TelemetryConfig, TelemetryLevel};
 use pmtest_mnemosyne::MnPool;
 use pmtest_obs::AdvisorReport;
 use pmtest_pmem::{PersistMode, PmHeap, PmPool};
@@ -52,7 +52,7 @@ pub fn run_case(case: &BugCase) -> CaseOutcome {
 /// the planted-fault catalog to `pmtest-explain --advise`.
 #[must_use]
 pub fn run_case_profiled(case: &BugCase) -> ProfiledOutcome {
-    let session = session(TelemetryConfig::profiling_only());
+    let session = session(TelemetryConfig::at(TelemetryLevel::Profile));
     let report = run_scenario(&session, &case.scenario);
     let detected = report.iter().any(|d| d.kind == case.expect);
     let advisor = session.advisor_report();

@@ -4,17 +4,16 @@
 //! A verdict is a pure function of a trace's packed words and the model, so
 //! a bundle is built by re-checking the trace once more with a
 //! [`ReplayObserver`] that records each step: the entry plus the interval
-//! state the model assigned. With the recorder layer on
-//! ([`crate::TelemetryConfig::recorder`]), a worker re-checks every trace
-//! whose verdict carries a FAIL; [`crate::Engine::capture_bundle`]
-//! re-checks the last trace each worker checked; both keep the trace's last
-//! [`BUNDLE_STEPS`] steps. A [`DiagnosisBundle`] holds the firing checker,
-//! the full diagnostics, the captured steps with source locations, the
-//! epoch boundaries, and the culprit write's interval history. Bundles
+//! state the model assigned. At [`crate::TelemetryLevel::Bundles`] and
+//! above, a worker re-checks every trace whose verdict carries a FAIL and
+//! keeps the trace's last [`BUNDLE_STEPS`] steps. A [`DiagnosisBundle`]
+//! holds the firing checker, the full diagnostics, the captured steps with
+//! source locations, the epoch boundaries, and the culprit write's interval
+//! history; a window that starts mid-trace also holds the epoch and the
+//! persist intervals still open before its first step. Bundles
 //! serialize to JSON-lines (validated by `obs-check`) and replay in
 //! `pmtest-explain`.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use pmtest_interval::ByteRange;
@@ -36,7 +35,8 @@ pub const BUNDLE_STEPS: usize = 64;
 pub enum BundleReason {
     /// A checker fired a FAIL-severity diagnostic.
     Error,
-    /// An explicit [`crate::Engine::capture_bundle`] request.
+    /// A capture of a passing trace, requested outside the engine (the
+    /// difftest's `capture_diagnosis_bundle`).
     Manual,
 }
 
@@ -80,6 +80,49 @@ pub struct StepRecord {
     pub intervals: Vec<IntervalNote>,
 }
 
+/// A persist interval still open where a bundle window starts mid-trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenInterval {
+    /// The byte range the interval covers.
+    pub range: ByteRange,
+    /// Epoch in which the interval began (the write's epoch).
+    pub begin: u64,
+    /// Source location of the write that opened the interval, if known.
+    pub write_loc: Option<SourceLoc>,
+    /// Whether a writeback of the range is in flight, so that the next
+    /// fence closes the interval.
+    pub flushed: bool,
+}
+
+/// The checker state a window that starts mid-trace opens on: the epoch and
+/// the persist intervals still open before its first step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowStart {
+    /// The model's epoch counter before the window's first step.
+    pub epoch: u64,
+    /// The open persist intervals, in address order.
+    pub open: Vec<OpenInterval>,
+}
+
+impl WindowStart {
+    /// The epoch and the open persist intervals of `shadow`.
+    fn of(shadow: &ShadowMemory) -> Self {
+        let open = shadow
+            .states_in(ByteRange::new(0, u64::MAX))
+            .filter_map(|(range, st)| {
+                let persist = st.persist.filter(|p| !p.is_closed())?;
+                Some(OpenInterval {
+                    range,
+                    begin: persist.start(),
+                    write_loc: st.write_loc.map(|id| shadow.resolve_loc(id)),
+                    flushed: st.flush.is_some_and(|f| !f.is_closed()),
+                })
+            })
+            .collect();
+        Self { epoch: shadow.timestamp(), open }
+    }
+}
+
 /// One trace's re-checked steps plus the diagnostics that triggered the
 /// capture.
 #[derive(Debug, Clone)]
@@ -97,18 +140,29 @@ pub struct DiagnosisBundle {
     pub firing: Option<usize>,
     /// The trace's last captured steps, oldest first.
     pub steps: Vec<StepRecord>,
+    /// The state before the first captured step, when the steps start
+    /// above step 0.
+    pub start: Option<WindowStart>,
 }
 
-/// The step-recording replay observer: every replayed entry becomes a step
-/// record — the model's epoch counter plus the persist intervals touching
-/// the entry's own ranges — and only the last `keep` are kept.
+/// The step-recording replay observer: every replayed entry from `first` on
+/// becomes a step record — the model's epoch counter plus the persist
+/// intervals touching the entry's own ranges — and the state the window
+/// opens on is taken just before step `first`.
 struct StepCapture {
-    steps: VecDeque<StepRecord>,
-    keep: usize,
+    first: usize,
+    steps: Vec<StepRecord>,
+    start: Option<WindowStart>,
 }
 
 impl ReplayObserver for StepCapture {
     fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory) {
+        if index + 1 == self.first {
+            self.start = Some(WindowStart::of(shadow));
+        }
+        if index < self.first {
+            return;
+        }
         let mut intervals = Vec::new();
         let mut note = |range| {
             for (sub, iv, write_loc) in shadow.persist_intervals(range) {
@@ -139,15 +193,7 @@ impl ReplayObserver for StepCapture {
             | Event::TxCheckerStart
             | Event::TxCheckerEnd => {}
         }
-        self.steps.push_back(StepRecord {
-            index,
-            entry: *entry,
-            epoch: shadow.timestamp(),
-            intervals,
-        });
-        if self.steps.len() > self.keep {
-            self.steps.pop_front();
-        }
+        self.steps.push(StepRecord { index, entry: *entry, epoch: shadow.timestamp(), intervals });
     }
 }
 
@@ -199,10 +245,12 @@ impl DiagnosisBundle {
         reason: BundleReason,
         steps: usize,
     ) -> Self {
-        let mut capture = StepCapture { steps: VecDeque::new(), keep: steps };
+        let first = trace.len().saturating_sub(steps);
+        let mut capture = StepCapture { first, steps: Vec::new(), start: None };
         let diags = check_trace_observed(trace, model, &mut capture);
         let diags = if reason == BundleReason::Manual { Vec::new() } else { diags };
-        Self::from_steps(model.name(), reason, trace.id(), diags, capture.steps.into())
+        let bundle = Self::from_steps(model.name(), reason, trace.id(), diags, capture.steps);
+        Self { start: capture.start, ..bundle }
     }
 
     /// Assembles a bundle from one trace's steps and diagnostics.
@@ -214,12 +262,13 @@ impl DiagnosisBundle {
         steps: Vec<StepRecord>,
     ) -> Self {
         let firing = diags.iter().position(|d| d.severity() == Severity::Fail);
-        Self { model: model.to_owned(), reason, trace_id, diags, firing, steps }
+        Self { model: model.to_owned(), reason, trace_id, diags, firing, steps, start: None }
     }
 
     /// Serialize as JSON-lines: one `header` line, one `diag` line per
-    /// diagnostic, one `step` line per recorded entry (with an `epoch` line
-    /// after every fence step), and a trailing `culprit` line when the
+    /// diagnostic, a `window` line with the [`WindowStart`] when the steps
+    /// start mid-trace, one `step` line per recorded entry (with an `epoch`
+    /// line after every fence step), and a trailing `culprit` line when the
     /// firing diagnostic names one. Every line parses on its own with
     /// `pmtest_obs::json::parse`; `obs-check` validates the whole file.
     #[must_use]
@@ -268,6 +317,23 @@ impl DiagnosisBundle {
             out.push_str(",\"message\":");
             escape_into(&mut out, &d.message);
             out.push_str("}\n");
+        }
+
+        if let Some(start) = &self.start {
+            let _ = write!(out, "{{\"kind\":\"window\",\"epoch\":{},\"open\":[", start.epoch);
+            for (j, iv) in start.open.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let (a, b) = (iv.range.start(), iv.range.end());
+                let _ = write!(out, "{{\"range\":[{a},{b}],\"begin\":{},\"write_loc\":", iv.begin);
+                match iv.write_loc {
+                    Some(loc) => escape_into(&mut out, &loc.to_string()),
+                    None => out.push_str("null"),
+                }
+                let _ = write!(out, ",\"flushed\":{}}}", iv.flushed);
+            }
+            out.push_str("]}\n");
         }
 
         for step in &self.steps {
@@ -437,10 +503,61 @@ mod tests {
             manual.diags.is_empty() && manual.firing.is_none(),
             "a manual capture is steps only"
         );
-        assert_eq!(manual.to_json_lines().lines().count(), 1 + BUNDLE_STEPS);
+        // Header, the window's start state, the steps.
+        assert_eq!(manual.to_json_lines().lines().count(), 2 + BUNDLE_STEPS);
         let whole = DiagnosisBundle::recheck(&model, &trace, BundleReason::Error, trace.len());
         assert_eq!(whole.steps.len(), trace.len(), "a trace-length window keeps every step");
         assert_eq!(whole.steps[0].index, 0);
+        assert_eq!(whole.start, None, "a window from step 0 records no start state");
+    }
+
+    #[test]
+    fn a_mid_trace_window_records_the_state_it_opens_on() {
+        let (a, b) = (ByteRange::with_len(0, 8), ByteRange::with_len(64, 8));
+        let mut trace = Trace::new(4);
+        let write_a = SourceLoc::new("app.rs", 1);
+        trace.push(Event::Write(a).at(write_a));
+        trace.push(Event::Write(b).here());
+        trace.push(Event::Flush(b).here());
+        trace.push(Event::Fence.here());
+        trace.push(Event::Fence.here());
+        trace.push(Event::Write(b).at(SourceLoc::new("app.rs", 6)));
+        trace.push(Event::Flush(b).here());
+        trace.push(Event::IsPersist(a).here());
+        let model = X86Model::new();
+        let bundle = DiagnosisBundle::recheck(&model, &trace, BundleReason::Error, 2);
+        assert_eq!(bundle.steps[0].index, 6);
+        let start = bundle.start.as_ref().expect("the window starts at step 6");
+        assert_eq!(start.epoch, 2, "two fences before the window");
+        // `a` is still open from step 0; `b` was rewritten at step 5 and its
+        // writeback is in flight.
+        assert_eq!(
+            start.open,
+            [
+                OpenInterval { range: a, begin: 0, write_loc: Some(write_a), flushed: false },
+                OpenInterval {
+                    range: b,
+                    begin: 2,
+                    write_loc: Some(SourceLoc::new("app.rs", 6)),
+                    flushed: false,
+                },
+            ]
+        );
+        let text = bundle.to_json_lines();
+        let window: Vec<&str> =
+            text.lines().filter(|l| l.contains("\"kind\":\"window\"")).collect();
+        assert_eq!(
+            window,
+            [concat!(
+                "{\"kind\":\"window\",\"epoch\":2,\"open\":[",
+                "{\"range\":[0,8],\"begin\":0,\"write_loc\":\"app.rs:1\",\"flushed\":false},",
+                "{\"range\":[64,72],\"begin\":2,\"write_loc\":\"app.rs:6\",\"flushed\":false}]}"
+            )]
+        );
+        // Closing the window one step later catches `b`'s writeback in flight.
+        let bundle = DiagnosisBundle::recheck(&model, &trace, BundleReason::Error, 1);
+        let start = bundle.start.expect("the window starts at step 7");
+        assert!(start.open[1].flushed, "{start:?}");
     }
 
     #[test]

@@ -16,30 +16,25 @@
 //!   ([`WorkerCache`]) probed without touching any shared state;
 //! * L1 misses fall through to a sharded shared L2 ([`VerdictCache`]) with
 //!   a hard memory bound and CLOCK-style second-chance eviction;
-//! * a cache entry ([`CachedVerdict`]) carries the *full verdict*: the exact
-//!   diagnostic list (interned sites included — `Report` output is
-//!   byte-identical to a cold check) and, when the profiling layer is on,
-//!   the per-site [`SiteDelta`]s the §16 profiler observed, so the cross-trace
-//!   profile stays exact under hits.
+//! * a cache entry ([`CachedVerdict`]) carries the exact diagnostic list
+//!   (interned sites included — `Report` output is byte-identical to a
+//!   cold check).
 //!
 //! **Bypass predicate.** A trace bypasses the cache (checked cold, nothing
-//! cached) when the telemetry *timing* layer is on: its per-entry checker
-//! histograms and per-worker `TraceStats` must observe every occurrence,
-//! and wall-clock time is the one answer that depends on more than (words,
-//! model). Everything else is served from the cache — the profiling layer,
-//! whose per-site deltas are themselves a pure function of the words, and
-//! the recorder, whose ERROR bundles are re-derived from the words after
-//! the verdict is known, whether it came from a check or a hit. The
-//! predicate is fixed at [`TelemetryConfig`](crate::TelemetryConfig) time,
-//! tested in `crates/core/tests/verdict_cache.rs`, and documented in
-//! DESIGN.md §17.
+//! cached) at [`TelemetryLevel::Profile`](crate::TelemetryLevel::Profile)
+//! and above: the site profiler, and at `Full` the per-entry checker
+//! histograms and per-worker `TraceStats`, must observe every occurrence.
+//! At `Bundles` every trace is served from the cache — its ERROR bundles
+//! are re-derived from the words after the verdict is known, whether it
+//! came from a check or a hit. The predicate is fixed by the engine's
+//! telemetry level, tested in `crates/core/tests/verdict_cache.rs`, and
+//! documented in DESIGN.md §17.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pmtest_obs::SiteDelta;
 use pmtest_trace::{Fingerprinter, PackedEntry, TraceFingerprint};
 
 use crate::diag::Diag;
@@ -69,33 +64,18 @@ impl Default for VerdictCacheConfig {
 pub struct CachedVerdict {
     /// The exact diagnostics a cold check produces, interned sites and all.
     pub diags: Vec<Diag>,
-    /// The §16 profile-walk deltas, captured when the profiling layer was
-    /// on at insert time. `None` entries are treated as misses while
-    /// profiling is enabled, so a runtime `ProfileStore::set_enabled(true)`
-    /// never replays an entry that skipped the walk.
-    pub profile: Option<ProfileDeltas>,
     /// Approximate resident size, for the L2 memory bound.
     pub bytes: usize,
 }
 
-/// The profiling layer's per-trace output: per-site operation/waste deltas
-/// plus `(site, code)` WARN attributions. Keys are `'static`, so the pair is
-/// storable and replayable verbatim via `ProfileStore::record_trace`.
-pub type ProfileDeltas =
-    (Vec<((&'static str, u32), SiteDelta)>, Vec<((&'static str, u32), &'static str)>);
-
 impl CachedVerdict {
     /// Builds a verdict, computing its resident-size estimate.
     #[must_use]
-    pub fn new(diags: Vec<Diag>, profile: Option<ProfileDeltas>) -> Self {
+    pub fn new(diags: Vec<Diag>) -> Self {
         let mut bytes = std::mem::size_of::<Self>();
         bytes += diags.capacity() * std::mem::size_of::<Diag>();
         bytes += diags.iter().map(|d| d.message.capacity()).sum::<usize>();
-        if let Some((ops, warns)) = &profile {
-            bytes += ops.capacity() * std::mem::size_of::<((&'static str, u32), SiteDelta)>();
-            bytes += warns.capacity() * std::mem::size_of::<((&'static str, u32), &'static str)>();
-        }
-        Self { diags, profile, bytes }
+        Self { diags, bytes }
     }
 }
 
@@ -152,7 +132,7 @@ pub struct VerdictCacheStats {
     /// Lookups answered by neither tier — the trace paid a cold check.
     pub misses: u64,
     /// Traces that skipped the cache entirely under the bypass predicate
-    /// (the timing layer observing the replay).
+    /// (a telemetry level that observes every replay).
     pub bypasses: u64,
     /// Verdicts inserted into the L2.
     pub inserts: u64,
@@ -223,20 +203,6 @@ impl VerdictCache {
         let key = fp.as_u128();
         if let Some(slot) = shard.map.get_mut(&key) {
             slot.referenced = true;
-            if slot.verdict.profile.is_none() && verdict.profile.is_some() {
-                // Upgrade: the resident copy was cached while profiling was
-                // off and cannot serve profiling lookups; swap in the
-                // complete verdict (byte accounting follows the swap).
-                let old_bytes = slot.verdict.bytes;
-                slot.verdict = verdict.clone();
-                shard.bytes = shard.bytes - old_bytes + bytes;
-                drop(shard);
-                if bytes >= old_bytes {
-                    self.bytes_resident.fetch_add((bytes - old_bytes) as u64, Ordering::Relaxed);
-                } else {
-                    self.bytes_resident.fetch_sub((old_bytes - bytes) as u64, Ordering::Relaxed);
-                }
-            }
             return;
         }
         let mut evicted = 0u64;
@@ -371,8 +337,8 @@ impl WorkerCache {
     }
 
     /// Installs a verdict in the L1, returning its slot: an existing slot
-    /// with the same fingerprint is overwritten (so upgrades replace rather
-    /// than shadow), else the first free slot in the probe window, else the
+    /// with the same fingerprint is overwritten, else the first free slot in
+    /// the probe window, else the
     /// window's base slot is displaced (plain clobbering keeps the probe
     /// invariant — a resident key is always within `L1_PROBES` of its base).
     fn l1_put(&mut self, fp: TraceFingerprint, verdict: Arc<CachedVerdict>) -> usize {
@@ -398,42 +364,25 @@ impl WorkerCache {
         target
     }
 
-    /// Two-tier lookup. `want_profile` is whether the profiling layer needs
-    /// replayable deltas right now: an entry cached while profiling was off
-    /// carries none and is treated as a miss (then re-inserted complete),
-    /// so a runtime profiling toggle can never replay a skipped walk.
-    ///
-    /// A hit borrows the verdict out of the L1 — no `Arc` clone, no shared
-    /// traffic; only the L1-miss path touches the L2 (lock + clone).
-    pub fn lookup(
-        &mut self,
-        cache: &VerdictCache,
-        fp: TraceFingerprint,
-        want_profile: bool,
-    ) -> Option<&CachedVerdict> {
-        if let Some(i) = self.l1_find(fp) {
-            let complete = {
-                let (_, v) = self.l1[i].as_ref().expect("found slot is occupied");
-                !want_profile || v.profile.is_some()
-            };
-            if complete {
+    /// Two-tier lookup. A hit borrows the verdict out of the L1 — no `Arc`
+    /// clone, no shared traffic; only the L1-miss path touches the L2
+    /// (lock + clone).
+    pub fn lookup(&mut self, cache: &VerdictCache, fp: TraceFingerprint) -> Option<&CachedVerdict> {
+        let slot = match self.l1_find(fp) {
+            Some(i) => {
                 self.tally.l1_hits += 1;
-                let (_, v) = self.l1[i].as_ref().expect("found slot is occupied");
-                return Some(v);
+                i
             }
-            self.tally.misses += 1;
-            return None;
-        }
-        if let Some(v) = cache.get(fp) {
-            if !want_profile || v.profile.is_some() {
+            None => {
+                let Some(v) = cache.get(fp) else {
+                    self.tally.misses += 1;
+                    return None;
+                };
                 self.tally.l2_hits += 1;
-                let i = self.l1_put(fp, v);
-                let (_, v) = self.l1[i].as_ref().expect("just-installed slot is occupied");
-                return Some(v);
+                self.l1_put(fp, v)
             }
-        }
-        self.tally.misses += 1;
-        None
+        };
+        self.l1[slot].as_ref().map(|(_, v)| &**v)
     }
 
     /// Installs a freshly computed verdict in both tiers (L2 first, so
@@ -463,16 +412,13 @@ mod tests {
     }
 
     fn verdict(msg: &str) -> CachedVerdict {
-        CachedVerdict::new(
-            vec![Diag {
-                kind: DiagKind::NotPersisted,
-                loc: SourceLoc::new("cache_unit.rs", 1),
-                range: None,
-                culprit: None,
-                message: msg.to_owned(),
-            }],
-            None,
-        )
+        CachedVerdict::new(vec![Diag {
+            kind: DiagKind::NotPersisted,
+            loc: SourceLoc::new("cache_unit.rs", 1),
+            range: None,
+            culprit: None,
+            message: msg.to_owned(),
+        }])
     }
 
     #[test]
@@ -480,16 +426,16 @@ mod tests {
         let cache = VerdictCache::new(&VerdictCacheConfig::default());
         let mut wc = WorkerCache::new();
         let fp = wc.fingerprint(&words(1));
-        assert!(wc.lookup(&cache, fp, false).is_none());
+        assert!(wc.lookup(&cache, fp).is_none());
         wc.install(&cache, fp, verdict("v"));
-        assert_eq!(wc.lookup(&cache, fp, false).unwrap().diags.len(), 1);
+        assert_eq!(wc.lookup(&cache, fp).unwrap().diags.len(), 1);
         assert_eq!((wc.tally.misses, wc.tally.l1_hits), (1, 1));
         // A second worker misses its L1 but hits the shared L2.
         let mut other = WorkerCache::new();
-        assert!(other.lookup(&cache, fp, false).is_some());
+        assert!(other.lookup(&cache, fp).is_some());
         assert_eq!(other.tally.l2_hits, 1);
         // And now holds it in its own L1.
-        assert!(other.lookup(&cache, fp, false).is_some());
+        assert!(other.lookup(&cache, fp).is_some());
         assert_eq!(other.tally.l1_hits, 1);
         cache.flush_tally(&mut wc.tally);
         cache.flush_tally(&mut other.tally);
@@ -504,20 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_incomplete_entries_read_as_misses() {
-        let cache = VerdictCache::new(&VerdictCacheConfig::default());
-        let mut wc = WorkerCache::new();
-        let fp = wc.fingerprint(&words(2));
-        wc.install(&cache, fp, verdict("no-profile"));
-        // Profiling now wants deltas the entry never captured: miss.
-        assert!(wc.lookup(&cache, fp, true).is_none());
-        // Re-inserted complete, it serves both modes.
-        wc.install(&cache, fp, CachedVerdict::new(Vec::new(), Some((Vec::new(), Vec::new()))));
-        assert!(wc.lookup(&cache, fp, true).is_some());
-        assert!(wc.lookup(&cache, fp, false).is_some());
-    }
-
-    #[test]
     fn l2_eviction_respects_the_byte_bound() {
         // A tiny budget: every shard holds at most a few verdicts.
         let cache = VerdictCache::new(&VerdictCacheConfig { enabled: true, max_bytes: 16 << 10 });
@@ -527,7 +459,7 @@ mod tests {
             let w = words(tag);
             let fp = wc.fingerprint(&w);
             fps.push(fp);
-            if wc.lookup(&cache, fp, false).is_none() {
+            if wc.lookup(&cache, fp).is_none() {
                 wc.install(&cache, fp, verdict(&format!("verdict {tag}")));
             }
         }
@@ -546,7 +478,7 @@ mod tests {
         // Survivors still answer correctly.
         let mut live = 0;
         for (tag, fp) in fps.iter().enumerate() {
-            if let Some(v) = wc.lookup(&cache, *fp, false) {
+            if let Some(v) = wc.lookup(&cache, *fp) {
                 if v.diags[0].message == format!("verdict {tag}") {
                     live += 1;
                 } else {
@@ -566,7 +498,7 @@ mod tests {
         assert_eq!(cache.stats().inserts, 0);
         assert_eq!(cache.stats().bytes_resident, 0);
         // The L1 still holds it: correctness is unaffected, only sharing.
-        assert!(wc.lookup(&cache, fp, false).is_some());
+        assert!(wc.lookup(&cache, fp).is_some());
     }
 
     #[test]

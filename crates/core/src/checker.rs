@@ -149,7 +149,7 @@ fn do_check_ordered_before(
 
 /// A per-entry hook on the replay walk: called once per entry, in program
 /// order, right after the checker applied it, with the shadow state it left
-/// behind. The engine's timing and profiling layers, the diagnosis-bundle
+/// behind. The engine's entry timer and site profiler, the diagnosis-bundle
 /// step capture, and `pmtest-explain`'s timeline are observers; the plain
 /// replay passes `()`, which compiles to the bare loop. Run one with
 /// [`check_trace_observed`].

@@ -18,7 +18,7 @@ use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
 use crate::model::{BuiltinModel, PersistencyModel, X86Model};
 use crate::shadow::ShadowMemory;
 use crate::telemetry::{
-    EngineTelemetry, EntryTimer, FlushCause, SiteProfiler, Stage, TelemetryConfig,
+    EngineTelemetry, EntryTimer, FlushCause, SiteProfiler, Stage, TelemetryConfig, TelemetryLevel,
 };
 
 /// Configuration of the checking engine.
@@ -34,9 +34,9 @@ pub struct EngineConfig {
     /// the paper's behaviour that a saturated checking pipeline
     /// backpressures the program (Fig. 12a).
     pub queue_capacity: usize,
-    /// What the engine records beyond its always-on counters (latency
-    /// histograms, diagnosis bundles, spans, the profile). Defaults to
-    /// everything off.
+    /// What the engine records beyond its always-on counters: one
+    /// [`TelemetryLevel`] (diagnosis bundles, the profile, latency
+    /// histograms and spans). Defaults to [`TelemetryLevel::Off`].
     pub telemetry: TelemetryConfig,
     /// The content-addressed verdict cache (see [`crate::cache`]). Off by
     /// default: the default configuration keeps measuring — and the golden
@@ -66,8 +66,8 @@ impl Default for EngineConfig {
 pub(crate) struct BatchMsg {
     arena: TraceArena,
     accounting: BatchAccounting,
-    /// Send time, for the ring-wait stage histogram. `None` unless the
-    /// telemetry timing layer is on — reading the clock per submit would
+    /// Send time, for the ring-wait stage histogram. `None` below
+    /// [`TelemetryLevel::Full`] — reading the clock per submit would
     /// otherwise dominate short traces.
     submitted: Option<Instant>,
 }
@@ -220,13 +220,9 @@ struct Shared {
     idle: Condvar,
     idle_waiters: AtomicUsize,
     /// Typed metric handles (the engine's counters, histograms, per-kind
-    /// diagnostic counters). Always present; whether clocks are read
-    /// depends on [`TelemetryConfig::timing`].
+    /// diagnostic counters). Always present; what is recorded beyond the
+    /// counters depends on [`TelemetryConfig::level`].
     telemetry: EngineTelemetry,
-    /// The last trace each worker checked, re-checked by
-    /// [`Engine::capture_bundle`]. Empty unless [`TelemetryConfig::recorder`]
-    /// is on, which is how workers tell that the recorder is on.
-    last_traces: Vec<Mutex<Option<Trace>>>,
     /// Diagnosis bundles captured on ERROR, drained by
     /// [`Engine::take_bundles`]. Bounded at [`MAX_BUNDLES`]; captures past
     /// the bound increment `bundles_dropped` instead of growing the queue.
@@ -263,15 +259,17 @@ impl Shared {
         }
     }
 
-    /// Files the ERROR bundle of a failing `trace`, built by re-checking it,
-    /// or counts it dropped once the bundle queue is full.
-    fn file_error_bundle(&self, trace: &Trace) {
+    /// Files the ERROR bundle of a failing trace, built by re-checking its
+    /// packed records, or counts it dropped once the bundle queue is full —
+    /// checked before the records are copied.
+    fn file_error_bundle(&self, trace_id: u64, words: &[PackedEntry], entries: u32) {
         let mut bundles = self.bundles.lock();
         if bundles.len() < MAX_BUNDLES {
+            let trace = Trace::from_packed(trace_id, words.to_vec(), entries);
             let reason = BundleReason::Error;
             bundles.push(DiagnosisBundle::recheck(
                 self.model.as_ref(),
-                trace,
+                &trace,
                 reason,
                 BUNDLE_STEPS,
             ));
@@ -338,13 +336,6 @@ impl Shared {
             snap.push_gauge("verdict_cache_entries", &[], stats.entries as f64);
             snap.push_gauge("verdict_cache_hit_rate", &[], stats.hit_rate());
         }
-        let hits = self.telemetry.counters.prefix_share_hits.get();
-        let misses = self.telemetry.counters.prefix_share_misses.get();
-        snap.push_gauge(
-            "prefix_share_hit_rate",
-            &[],
-            if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 },
-        );
         snap
     }
 }
@@ -431,11 +422,6 @@ impl Engine {
             idle: Condvar::new(),
             idle_waiters: AtomicUsize::new(0),
             telemetry,
-            last_traces: if config.telemetry.recorder {
-                (0..config.workers).map(|_| Mutex::new(None)).collect()
-            } else {
-                Vec::new()
-            },
             bundles: Mutex::new(Vec::new()),
             bundles_dropped: AtomicU64::new(0),
             model: config.model,
@@ -536,34 +522,10 @@ impl Engine {
         self.scrape.as_ref().map(ScrapeServer::local_addr)
     }
 
-    /// Folds one exploration sweep's counters into the engine's telemetry
-    /// (`crash_points_enumerated`, `images_checked`, `prefix_share_hits`,
-    /// `prefix_share_misses` in [`telemetry_snapshot`](Self::telemetry_snapshot)).
-    pub fn record_exploration(&self, stats: &crate::explore::ExploreStats) {
-        let c = &self.shared.telemetry.counters;
-        c.crash_points.add(stats.crash_points_enumerated);
-        c.images_checked.add(stats.images_checked);
-        c.prefix_share_hits.add(stats.prefix_share_hits);
-        c.prefix_share_misses.add(stats.prefix_share_misses);
-    }
-
-    /// Runs a crash-point exploration sweep ([`crate::explore::explore`])
-    /// and records its counters on this engine's telemetry.
-    pub fn explore(
-        &self,
-        sim: &pmtest_pmem::crash::CrashSim,
-        proc: &dyn crate::explore::RecoveryProc,
-        config: &crate::explore::ExploreConfig,
-    ) -> crate::explore::ExploreReport {
-        let report = crate::explore::explore(sim, proc, config);
-        self.record_exploration(&report.stats);
-        report
-    }
-
     /// Exports the span buffers as Chrome trace-event JSON — load the string
     /// (saved as `*.trace.json`) in Perfetto or `chrome://tracing` to see
     /// the ship/claim/replay/merge timeline per thread. Empty (but valid)
-    /// unless [`TelemetryConfig::tracing`] is on.
+    /// below [`TelemetryLevel::Full`].
     #[must_use]
     pub fn chrome_trace(&self) -> String {
         pmtest_obs::trace_event::to_chrome_trace(&self.shared.telemetry.spans.snapshot())
@@ -578,8 +540,8 @@ impl Engine {
     }
 
     /// Aggregated [`TraceStats`] per worker — how checker-dense and
-    /// epoch-dense each worker's share of the workload was. All zeros unless
-    /// [`TelemetryConfig::timing`] is on.
+    /// epoch-dense each worker's share of the workload was. All zeros below
+    /// [`TelemetryLevel::Full`].
     #[must_use]
     pub fn worker_trace_stats(&self) -> Vec<TraceStats> {
         self.shared.telemetry.worker_stats.iter().map(|s| *s.lock()).collect()
@@ -587,7 +549,7 @@ impl Engine {
 
     /// The cross-trace performance profile aggregated so far — per-site
     /// flush/fence/log counts, wasted-persist bytes, and WARN occurrences.
-    /// Empty unless [`TelemetryConfig::profiling`] is on. Call after the
+    /// Empty below [`TelemetryLevel::Profile`]. Call after the
     /// traces of interest have been checked (e.g. after
     /// [`wait_idle`](Self::wait_idle) or a session flush).
     #[must_use]
@@ -666,7 +628,7 @@ impl Engine {
         let words = arena.traces().map(|(_, w, _)| w.len() as u64).sum();
         let n = arena.sealed() as u64;
         self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
-        let submitted = self.shared.telemetry.timing.then(Instant::now);
+        let submitted = self.shared.telemetry.timed().then(Instant::now);
         // From here the accounting settles when `msg` drops — whether a
         // worker finishes it, a panicking checker abandons it, or a dead
         // plane discards it. No explicit rollback.
@@ -784,10 +746,10 @@ impl Engine {
     }
 
     /// Drains the diagnosis bundles captured so far (one per trace whose
-    /// verdict carries a FAIL while [`TelemetryConfig::recorder`] is on,
+    /// verdict carries a FAIL at [`TelemetryLevel::Bundles`] or above,
     /// whether the verdict came from a check or the verdict cache, bounded
     /// at 16 between drains — the counterexamples that matter are the first
-    /// ones). Returns an empty vec when the recorder is off.
+    /// ones). Returns an empty vec at [`TelemetryLevel::Off`].
     #[must_use]
     pub fn take_bundles(&self) -> Vec<DiagnosisBundle> {
         self.wait_idle();
@@ -799,27 +761,6 @@ impl Engine {
     #[must_use]
     pub fn bundles_dropped(&self) -> u64 {
         self.shared.bundles_dropped.load(Ordering::Relaxed)
-    }
-
-    /// On-demand capture: waits for the pipeline to drain, then re-checks
-    /// the last trace each worker checked into a [`BundleReason::Manual`]
-    /// bundle (one per worker that has checked anything). Unlike the
-    /// automatic ERROR path this does not require a failing checker — use
-    /// it to inspect the interval state of a passing run. Empty when the
-    /// recorder is off.
-    #[must_use]
-    pub fn capture_bundle(&self) -> Vec<DiagnosisBundle> {
-        self.wait_idle();
-        let model = self.shared.model.as_ref();
-        self.shared
-            .last_traces
-            .iter()
-            .filter_map(|last| {
-                let last = last.lock();
-                let reason = BundleReason::Manual;
-                Some(DiagnosisBundle::recheck(model, last.as_ref()?, reason, BUNDLE_STEPS))
-            })
-            .collect()
     }
 
     /// Shuts the worker pool down, returning everything checked so far
@@ -857,8 +798,8 @@ struct WorkerState {
     /// This worker's verdict-cache front end (fingerprinter + private L1),
     /// present only when the engine carries the shared L2.
     wcache: Option<WorkerCache>,
-    /// The profiling layer's observer, holding the batch's profile until
-    /// the batch ends.
+    /// The site profiler (`Profile` and up), holding the batch's profile
+    /// until the batch ends.
     profiler: SiteProfiler,
     /// Results of the batch being checked, appended to the shard at its end.
     reports: Vec<TraceReport>,
@@ -882,7 +823,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
         tally: BatchTally::default(),
     };
     // One span buffer per worker (tid = worker index). Registration is the
-    // only allocation; with the tracing layer off the sink defers even that,
+    // only allocation; below the `Full` level the sink defers even that,
     // and every record below is one relaxed load and a taken-branch.
     let span: SpanHandle = shared.telemetry.spans.register(idx as u64);
     while let Some((msg, _n)) = shared.plane.next_batch(idx) {
@@ -901,7 +842,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
             now
         });
         let span_claim = tracing.then(|| span.now_ns());
-        let replay_start = shared.telemetry.timing.then(Instant::now);
+        let replay_start = shared.telemetry.timed().then(Instant::now);
         if let (Some(from), Some(to)) = (dequeued, replay_start) {
             shared
                 .telemetry
@@ -913,14 +854,8 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
             check_span(shared, &mut state, id, words, entries);
         }
         state.profiler.flush(&shared.telemetry.profile);
-        if let Some(last) = shared.last_traces.get(idx) {
-            // The recorder keeps the batch's last trace for a manual capture.
-            if let Some((id, words, entries)) = arena.traces().next_back() {
-                *last.lock() = Some(Trace::from_packed(id, words.to_vec(), entries));
-            }
-        }
         shared.arena_pool.release(arena);
-        let replay_done = shared.telemetry.timing.then(Instant::now);
+        let replay_done = shared.telemetry.timed().then(Instant::now);
         if let (Some(from), Some(to)) = (replay_start, replay_done) {
             shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
         }
@@ -955,9 +890,9 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
 }
 
 /// Checks one trace's packed records on the worker owning `state` and files
-/// its verdict. With the recorder on, a verdict carrying a FAIL — from any
-/// lane, the verdict cache included — also files an ERROR bundle, built by
-/// re-checking the trace's words.
+/// its verdict. At [`TelemetryLevel::Bundles`] and above, a verdict carrying
+/// a FAIL — from any lane, the verdict cache included — also files an ERROR
+/// bundle, built by re-checking the trace's words.
 fn check_span(
     shared: &Shared,
     state: &mut WorkerState,
@@ -966,88 +901,76 @@ fn check_span(
     entries: u32,
 ) {
     let diags = verdict(shared, state, words);
-    if !shared.last_traces.is_empty() && diags.iter().any(|d| d.severity() == Severity::Fail) {
-        shared.file_error_bundle(&Trace::from_packed(trace_id, words.to_vec(), entries));
+    if shared.telemetry.level >= TelemetryLevel::Bundles
+        && diags.iter().any(|d| d.severity() == Severity::Fail)
+    {
+        shared.file_error_bundle(trace_id, words, entries);
     }
     file_report(shared, state, trace_id, entries, diags);
 }
 
-/// One trace's diagnostics. Two lanes, fastest first:
+/// One trace's diagnostics, by one rule on the telemetry level:
 ///
-/// * **Clean lane** — for built-in models with every observing telemetry
-///   layer off, a conservative DFA sweep over the raw records
-///   ([`packed_clean`]) proves the common all-clean trace diagnostic-free
-///   without decoding entries or touching the shadow memory.
-/// * **Packed replay** — otherwise the one replay walk decodes one entry at a
-///   time on the stack ([`check_packed_with`]). The timing layer (per-entry
-///   [`CheckerCategory`] histograms and [`TraceStats`]) and the profiler
-///   (per-site deltas) ride that walk as observers.
+/// * **Observed** — at [`TelemetryLevel::Profile`] and above, the one
+///   packed replay ([`replay`]) decodes one entry at a time on the stack
+///   with the site profiler watching, and at `Full` the entry timer
+///   ([`CheckerCategory`] histograms and [`TraceStats`]) too. Every trace
+///   is checked cold, so the observers see every occurrence; the verdict
+///   cache counts it as a bypass.
+/// * **Unobserved** — at `Off` and `Bundles`, a trace first probes the
+///   verdict cache when it is on: a hit replays the memoized diagnostics
+///   without touching the checker. Otherwise, for built-in models, a
+///   conservative DFA sweep over the raw records ([`packed_clean`]) proves
+///   the common all-clean trace diagnostic-free without decoding entries
+///   or touching the shadow memory, and the rest take the packed replay
+///   ([`check_packed_with`]). A cache miss memoizes the outcome.
 ///
-/// Both produce identical diagnostics (the clean lane only ever proves
-/// "none").
-///
-/// With the verdict cache on (and the timing layer off — see the bypass
-/// predicate in [`crate::cache`]), the trace is fingerprinted first: a hit
-/// replays the memoized verdict — identical diagnostics, identical profile
-/// deltas — without touching the checker at all, and a miss runs the normal
-/// lanes and memoizes their outcome.
+/// Every path produces identical diagnostics (the clean lane only ever
+/// proves "none").
 ///
 /// [`CheckerCategory`]: crate::telemetry::CheckerCategory
 fn verdict(shared: &Shared, state: &mut WorkerState, words: &[PackedEntry]) -> Vec<Diag> {
     let model = shared.model.as_ref();
-    let timing = shared.telemetry.timing;
-    let profiling = shared.telemetry.profile.is_enabled();
-    // Verdict-cache probe. Per-entry timing must observe every occurrence,
-    // so timed traces are checked cold and never cached.
-    let mut cache_slot: Option<(&VerdictCache, pmtest_trace::TraceFingerprint)> = None;
-    if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), state.wcache.as_mut()) {
-        if timing {
+    let telemetry = &shared.telemetry;
+    if telemetry.observes() {
+        if let Some(wc) = state.wcache.as_mut() {
             wc.tally.bypasses += 1;
-        } else {
-            let fp = wc.fingerprint(words);
-            if let Some(verdict) = wc.lookup(cache, fp, profiling) {
-                if profiling {
-                    if let Some((ops, warns)) = &verdict.profile {
-                        state.profiler.add(ops, warns);
-                    }
-                }
-                return verdict.diags.clone();
-            }
-            cache_slot = Some((cache, fp));
         }
-    }
-    let mut profile = None;
-    let diags = if timing || profiling {
         let mut observers = Observers {
-            timer: timing.then(|| EntryTimer::start(&shared.telemetry)),
-            profiler: profiling.then_some(&mut state.profiler),
+            timer: telemetry.timed().then(|| EntryTimer::start(telemetry)),
+            profiler: &mut state.profiler,
         };
         let diags = replay(words, model, &mut state.scratch, &mut state.resolver, &mut observers);
         if let Some(timer) = observers.timer {
             timer.finish(state.idx);
         }
-        if profiling {
-            profile = state.profiler.end_trace(&diags, cache_slot.is_some());
+        state.profiler.end_trace(&diags);
+        return diags;
+    }
+    let mut cache_slot = None;
+    if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), state.wcache.as_mut()) {
+        let fp = wc.fingerprint(words);
+        if let Some(verdict) = wc.lookup(cache, fp) {
+            return verdict.diags.clone();
         }
-        diags
-    } else if state.fast.is_some_and(|f| packed_clean(f, words)) {
+        cache_slot = Some((cache, fp));
+    }
+    let diags = if state.fast.is_some_and(|f| packed_clean(f, words)) {
         Vec::new()
     } else {
         check_packed_with(words, model, &mut state.scratch, &mut state.resolver)
     };
     if let (Some((cache, fp)), Some(wc)) = (cache_slot, state.wcache.as_mut()) {
-        // Cache miss: memoize the cold check's full verdict, profile deltas
-        // included, so a later hit folds exactly what this walk folded.
-        wc.install(cache, fp, CachedVerdict::new(diags.clone(), profile));
+        wc.install(cache, fp, CachedVerdict::new(diags.clone()));
     }
     diags
 }
 
-/// The telemetry layers observing one trace's replay, each present only
-/// when its layer is on.
+/// The observers of one trace's replay: the site profiler always, the entry
+/// timer at `Full`.
 struct Observers<'a> {
     timer: Option<EntryTimer<'a>>,
-    profiler: Option<&'a mut SiteProfiler>,
+    profiler: &'a mut SiteProfiler,
 }
 
 impl ReplayObserver for Observers<'_> {
@@ -1055,9 +978,7 @@ impl ReplayObserver for Observers<'_> {
         if let Some(timer) = &mut self.timer {
             timer.on_entry(index, entry, shadow);
         }
-        if let Some(profiler) = &mut self.profiler {
-            profiler.on_entry(index, entry, shadow);
-        }
+        self.profiler.on_entry(index, entry, shadow);
     }
 }
 
@@ -1124,12 +1045,16 @@ mod tests {
         t
     }
 
-    #[test]
-    fn recorder_captures_a_bundle_on_error() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::recorder_only(),
+    fn engine_at(level: TelemetryLevel) -> Engine {
+        Engine::new(EngineConfig {
+            telemetry: TelemetryConfig::at(level),
             ..EngineConfig::default()
-        });
+        })
+    }
+
+    #[test]
+    fn bundles_level_captures_a_bundle_on_error() {
+        let engine = engine_at(TelemetryLevel::Bundles);
         engine.submit(clean_trace(0)).unwrap();
         engine.submit(failing_trace(1)).unwrap();
         let bundles = engine.take_bundles();
@@ -1149,10 +1074,7 @@ mod tests {
 
     #[test]
     fn bundle_queue_is_bounded() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::recorder_only(),
-            ..EngineConfig::default()
-        });
+        let engine = engine_at(TelemetryLevel::Bundles);
         for id in 0..20 {
             engine.submit(failing_trace(id)).unwrap();
         }
@@ -1162,32 +1084,12 @@ mod tests {
     }
 
     #[test]
-    fn capture_bundle_rechecks_the_last_trace_on_demand() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::recorder_only(),
-            ..EngineConfig::default()
-        });
-        engine.submit(clean_trace(3)).unwrap();
-        let bundles = engine.capture_bundle();
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].reason, crate::BundleReason::Manual);
-        assert_eq!(bundles[0].trace_id, 3);
-        assert_eq!(bundles[0].steps.len(), 4);
-        assert!(bundles[0].diags.is_empty());
-        // No ERROR fired, so nothing landed in the automatic queue.
-        assert!(engine.take_bundles().is_empty());
-    }
-
-    #[test]
-    fn manual_capture_holds_only_the_last_trace() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::recorder_only(),
-            ..EngineConfig::default()
-        });
+    fn bundles_hold_only_their_own_trace() {
+        let engine = engine_at(TelemetryLevel::Bundles);
         // Four entries, then two: a window spanning both would hold six.
         engine.submit_batch(vec![clean_trace(5), failing_trace(6)]).unwrap();
-        let bundles = engine.capture_bundle();
-        assert_eq!(bundles.len(), 1, "one worker, one bundle");
+        let bundles = engine.take_bundles();
+        assert_eq!(bundles.len(), 1, "only the failing trace bundles");
         assert_eq!(bundles[0].trace_id, 6);
         assert_eq!(bundles[0].steps.iter().map(|s| s.index).collect::<Vec<_>>(), [0, 1]);
         let ops: Vec<_> = bundles[0].steps.iter().map(|s| s.entry.event).collect();
@@ -1195,27 +1097,47 @@ mod tests {
     }
 
     #[test]
-    fn recorder_off_captures_nothing() {
+    fn off_level_captures_nothing() {
         let engine = Engine::new(EngineConfig::default());
         engine.submit(failing_trace(0)).unwrap();
         assert!(engine.take_bundles().is_empty());
-        assert!(engine.capture_bundle().is_empty());
         assert_eq!(engine.take_report().fail_count(), 1);
     }
 
     #[test]
-    fn recorder_does_not_change_the_report() {
+    fn no_level_changes_the_report() {
         let plain = Engine::new(EngineConfig::default());
-        let recorded = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::recorder_only(),
-            ..EngineConfig::default()
-        });
-        for id in 0..8 {
-            let mk = if id % 2 == 0 { failing_trace } else { clean_trace };
-            plain.submit(mk(id)).unwrap();
-            recorded.submit(mk(id)).unwrap();
+        for level in [TelemetryLevel::Bundles, TelemetryLevel::Profile, TelemetryLevel::Full] {
+            let observed = engine_at(level);
+            for id in 0..8 {
+                let mk = if id % 2 == 0 { failing_trace } else { clean_trace };
+                plain.submit(mk(id)).unwrap();
+                observed.submit(mk(id)).unwrap();
+            }
+            assert_eq!(plain.take_report(), observed.take_report(), "{level:?}");
         }
-        assert_eq!(plain.take_report(), recorded.take_report());
+    }
+
+    #[test]
+    fn each_level_adds_to_the_one_below() {
+        for level in [
+            TelemetryLevel::Off,
+            TelemetryLevel::Bundles,
+            TelemetryLevel::Profile,
+            TelemetryLevel::Full,
+        ] {
+            let engine = engine_at(level);
+            engine.submit(failing_trace(0)).unwrap();
+            engine.submit(clean_trace(1)).unwrap();
+            engine.wait_idle();
+            let bundles = engine.take_bundles().len();
+            let profiled = engine.profile().traces;
+            let snap = engine.telemetry_snapshot();
+            let timed = snap.histogram("engine_check_latency_ns").unwrap().count;
+            assert_eq!(bundles, usize::from(level >= TelemetryLevel::Bundles), "{level:?}");
+            assert_eq!(profiled, if level >= TelemetryLevel::Profile { 2 } else { 0 }, "{level:?}");
+            assert_eq!(timed, if level == TelemetryLevel::Full { 2 } else { 0 }, "{level:?}");
+        }
     }
 
     #[test]
@@ -1395,7 +1317,7 @@ mod tests {
         assert!(snap.counter("engine_ring_steals").is_some(), "ingest counters exported");
         assert!(snap.counter("engine_rings_registered").unwrap() >= 1);
         assert!(snap.gauge("engine_ring_occupancy").is_some());
-        // Timing layer off: histograms exist but hold no observations, and
+        // Below the Full level: histograms exist but hold no observations, and
         // the per-worker trace stats stay zero.
         assert_eq!(snap.histogram("engine_check_latency_ns").unwrap().count, 0);
         assert_eq!(engine.worker_trace_stats(), vec![TraceStats::default()]);
@@ -1433,11 +1355,8 @@ mod tests {
     }
 
     #[test]
-    fn timing_layer_populates_latency_histograms_and_worker_stats() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::enabled(),
-            ..EngineConfig::default()
-        });
+    fn full_level_populates_latency_histograms_and_worker_stats() {
+        let engine = engine_at(TelemetryLevel::Full);
         for id in 0..8 {
             engine.submit(clean_trace(id)).unwrap();
         }
@@ -1520,11 +1439,8 @@ mod tests {
     }
 
     #[test]
-    fn timing_layer_populates_all_five_stage_histograms() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::timing_only(),
-            ..EngineConfig::default()
-        });
+    fn full_level_populates_all_five_stage_histograms() {
+        let engine = engine_at(TelemetryLevel::Full);
         for id in 0..8 {
             engine.submit(clean_trace(id)).unwrap();
         }
@@ -1566,11 +1482,8 @@ mod tests {
     }
 
     #[test]
-    fn tracing_layer_yields_a_loadable_chrome_trace() {
-        let engine = Engine::new(EngineConfig {
-            telemetry: TelemetryConfig::tracing_only(),
-            ..EngineConfig::default()
-        });
+    fn full_level_yields_a_loadable_chrome_trace() {
+        let engine = engine_at(TelemetryLevel::Full);
         for id in 0..6 {
             engine.submit(clean_trace(id)).unwrap();
         }
@@ -1581,13 +1494,13 @@ mod tests {
         for name in ["claim", "replay", "merge"] {
             assert!(trace.contains(name), "span {name} missing from {trace}");
         }
-        // Tracing off: still a valid (empty) document.
+        // Below `Full`: still a valid (empty) document.
         let engine = Engine::new(EngineConfig::default());
         engine.submit(clean_trace(0)).unwrap();
         engine.wait_idle();
         let trace = engine.chrome_trace();
         let stats = pmtest_obs::trace_event::validate_str(&trace).unwrap();
-        assert_eq!(stats.events, 0, "tracing off records nothing");
+        assert_eq!(stats.events, 0, "no spans below Full");
     }
 
     #[test]
@@ -1710,61 +1623,5 @@ mod tests {
         let report = engine.report();
         assert!(report.traces().is_empty(), "no trace survives a panicking checker");
         assert!(engine.take_report().is_clean());
-    }
-
-    #[test]
-    fn telemetry_snapshot_exports_exploration_counters() {
-        use crate::explore::{ExploreConfig, RecoveryProc};
-        use pmtest_pmem::crash::{CrashSim, ValuedOp};
-
-        struct NoopProc;
-        impl RecoveryProc for NoopProc {
-            fn name(&self) -> &str {
-                "noop"
-            }
-
-            fn check(&self, _point: usize, _image: &[u8]) -> Result<(), String> {
-                Ok(())
-            }
-        }
-
-        let engine = Engine::new(EngineConfig::default());
-        let snap = engine.telemetry_snapshot();
-        assert_eq!(snap.counter("crash_points_enumerated"), Some(0));
-        assert_eq!(snap.gauge("prefix_share_hit_rate"), Some(0.0), "no sweeps yet");
-
-        let sim = CrashSim::new(
-            vec![0; 128],
-            vec![
-                ValuedOp::Write { range: ByteRange::with_len(0, 1), data: vec![0xAA] },
-                ValuedOp::Flush(ByteRange::with_len(0, 1)),
-                ValuedOp::Fence,
-                ValuedOp::Write { range: ByteRange::with_len(64, 1), data: vec![1] },
-                ValuedOp::Flush(ByteRange::with_len(64, 1)),
-                ValuedOp::Fence,
-            ],
-        );
-        let report = engine.explore(&sim, &NoopProc, &ExploreConfig::default());
-        assert!(report.is_clean());
-        assert!(report.stats.images_checked > 0);
-
-        let snap = engine.telemetry_snapshot();
-        assert_eq!(
-            snap.counter("crash_points_enumerated"),
-            Some(report.stats.crash_points_enumerated)
-        );
-        assert_eq!(snap.counter("images_checked"), Some(report.stats.images_checked));
-        assert_eq!(snap.counter("prefix_share_hits"), Some(report.stats.prefix_share_hits));
-        assert_eq!(snap.counter("prefix_share_misses"), Some(0), "model-mode ascending sweep");
-        assert_eq!(snap.gauge("prefix_share_hit_rate"), Some(1.0));
-
-        // A second sweep accumulates rather than resets.
-        engine.explore(&sim, &NoopProc, &ExploreConfig::default());
-        let snap = engine.telemetry_snapshot();
-        assert_eq!(
-            snap.counter("crash_points_enumerated"),
-            Some(2 * report.stats.crash_points_enumerated)
-        );
-        assert_eq!(snap.counter("images_checked"), Some(2 * report.stats.images_checked));
     }
 }

@@ -185,9 +185,7 @@ pub struct PointOutcome {
     pub violations: usize,
 }
 
-/// Exploration counters, also exported through
-/// [`telemetry_snapshot`](crate::Engine::telemetry_snapshot) after
-/// [`Engine::record_exploration`](crate::Engine::record_exploration).
+/// Exploration counters of one sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Crash points visited.
@@ -293,11 +291,8 @@ impl ExploreReport {
     }
 }
 
-/// Runs one exploration sweep of `sim` against `proc`.
-///
-/// Standalone so tests and tools can explore without an engine;
-/// [`Engine::explore`](crate::Engine::explore) wraps this and folds the
-/// counters into the engine's telemetry.
+/// Runs one exploration sweep of `sim` against `proc`. Exploration needs no
+/// engine: the sweep's counters come back in [`ExploreReport::stats`].
 #[must_use]
 pub fn explore(sim: &CrashSim, proc: &dyn RecoveryProc, cfg: &ExploreConfig) -> ExploreReport {
     let (points, samples_per_point): (Vec<usize>, Option<usize>) = match cfg.mode {

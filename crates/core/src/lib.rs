@@ -80,7 +80,10 @@ mod session;
 mod shadow;
 pub mod telemetry;
 
-pub use bundle::{op_token, BundleReason, DiagnosisBundle, IntervalNote, StepRecord, BUNDLE_STEPS};
+pub use bundle::{
+    op_token, BundleReason, DiagnosisBundle, IntervalNote, OpenInterval, StepRecord, WindowStart,
+    BUNDLE_STEPS,
+};
 pub use cache::{VerdictCacheConfig, VerdictCacheStats};
 pub use checker::{
     check_packed_with, check_trace, check_trace_observed, check_trace_with, packed_clean,
@@ -97,4 +100,4 @@ pub use fifo::{FifoStats, KernelFifo};
 pub use model::{BuiltinModel, HopsModel, PersistencyModel, X86Model};
 pub use session::{PmTestSession, SessionBuilder, ThreadRecorder};
 pub use shadow::{SegState, ShadowMemory};
-pub use telemetry::{CheckerCategory, TelemetryConfig};
+pub use telemetry::{CheckerCategory, TelemetryConfig, TelemetryLevel};

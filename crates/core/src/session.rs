@@ -33,8 +33,8 @@ struct Slot {
     /// batch is reachable from every result point.
     producer: Arc<Producer>,
     /// This thread's producer-side span buffer, present when the session's
-    /// engine had the tracing layer on at slot creation; `ship` spans land
-    /// here.
+    /// engine recorded spans (`TelemetryLevel::Full`) at slot creation;
+    /// `ship` spans land here.
     span: Option<SpanHandle>,
 }
 
@@ -169,7 +169,8 @@ const PREWARM_MAX_ARENAS: u64 = 512;
 
 impl SessionShared {
     /// A new recording thread's slot: a producer registered with the
-    /// engine, a pre-warmed arena and, with tracing on, a span buffer.
+    /// engine, a pre-warmed arena and, at `TelemetryLevel::Full`, a span
+    /// buffer.
     #[cold]
     fn new_slot(&self) -> Slot {
         Slot {
@@ -241,7 +242,7 @@ impl SessionShared {
     }
 
     /// A producer-side span buffer for one recording thread, when the
-    /// engine's tracing layer is on.
+    /// engine records spans (`TelemetryLevel::Full`).
     fn producer_span(&self) -> Option<SpanHandle> {
         let spans = &self.engine.telemetry().spans;
         spans
@@ -484,18 +485,11 @@ impl PmTestSession {
 
     /// Drains the diagnosis bundles captured on ERROR so far — see
     /// [`Engine::take_bundles`]. Ships every thread's staged batch first so
-    /// failures it contains are captured. Empty unless
-    /// [`crate::TelemetryConfig::recorder`] is on.
+    /// failures it contains are captured. Empty at
+    /// [`crate::TelemetryLevel::Off`].
     #[must_use]
     pub fn take_bundles(&self) -> Vec<crate::DiagnosisBundle> {
         self.shared.engine.take_bundles()
-    }
-
-    /// On-demand capture of each worker's last trace — see
-    /// [`Engine::capture_bundle`]. Ships every thread's staged batch first.
-    #[must_use]
-    pub fn capture_bundle(&self) -> Vec<crate::DiagnosisBundle> {
-        self.shared.engine.capture_bundle()
     }
 
     /// A machine-readable snapshot of the engine's telemetry — see
@@ -515,7 +509,7 @@ impl PmTestSession {
 
     /// Exports the captured ingest-plane spans as Chrome trace-event JSON —
     /// see [`Engine::chrome_trace`]. Empty (`{"traceEvents":[]}`-shaped)
-    /// unless [`crate::TelemetryConfig::tracing`] is on.
+    /// below [`crate::TelemetryLevel::Full`].
     #[must_use]
     pub fn chrome_trace(&self) -> String {
         self.shared.engine.chrome_trace()
@@ -523,8 +517,8 @@ impl PmTestSession {
 
     /// The cross-trace performance profile — see [`Engine::profile`].
     /// Waits for the engine, staged batches included, so every recorded
-    /// trace is aggregated. Empty unless
-    /// [`crate::TelemetryConfig::profiling`] is on.
+    /// trace is aggregated. Empty below
+    /// [`crate::TelemetryLevel::Profile`].
     #[must_use]
     pub fn profile(&self) -> pmtest_obs::ProfileSnapshot {
         self.shared.engine.wait_idle();
@@ -707,7 +701,7 @@ pub struct ThreadRecorder {
     arena: TraceArena,
     /// This recorder's producer on the engine's ingest plane.
     producer: Arc<Producer>,
-    /// This recorder's producer-side span buffer (tracing layer).
+    /// This recorder's producer-side span buffer (`TelemetryLevel::Full`).
     span: Option<SpanHandle>,
 }
 
@@ -1177,7 +1171,7 @@ mod tests {
     fn ship_spans_appear_in_the_chrome_trace() {
         let session = PmTestSession::builder()
             .batch_capacity(2)
-            .telemetry(TelemetryConfig::tracing_only())
+            .telemetry(TelemetryConfig::at(crate::TelemetryLevel::Full))
             .build();
         session.start();
         for _ in 0..4 {

@@ -3,10 +3,9 @@
 //!
 //! The engine's counters are always on — each is one `Relaxed` atomic op on
 //! an already-atomic-heavy path, which is why telemetry-off overhead is
-//! within noise (see DESIGN.md §9 for the budget). The *timing* layer
-//! (per-checker and per-stage latency histograms, worker utilization,
-//! per-worker [`TraceStats`] aggregation) costs `Instant` reads per entry
-//! and is opt-in via [`TelemetryConfig::timing`].
+//! within noise (see DESIGN.md §9 for the budget). Everything else is one
+//! ordered [`TelemetryLevel`]: bundles on ERROR, then the site profile,
+//! then timing histograms and span tracing.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,42 +19,45 @@ use pmtest_obs::{
 };
 use pmtest_trace::{ArenaStats, Entry, Event, TraceStats, TraceStatsBuilder};
 
-use crate::cache::ProfileDeltas;
 use crate::checker::ReplayObserver;
 use crate::diag::{Diag, DiagKind, Severity};
 use crate::ingest::IngestCounters;
 use crate::shadow::ShadowMemory;
 
-/// What the engine records beyond its always-on counters.
-///
-/// The default is everything off: counters and the queue-depth gauge still
-/// update (they are single relaxed atomics), but no clocks are read on the
-/// hot path and the span buffers are never even allocated.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Record latency histograms (per-checker, per-trace, the five pipeline
-    /// stages), worker busy time / utilization, and per-worker
-    /// [`TraceStats`] aggregation. Costs two `Instant` reads per trace entry
-    /// on the worker side, and sends every trace past the verdict cache.
-    pub timing: bool,
-    /// Emit a diagnosis bundle for every trace whose verdict carries a FAIL,
+/// How much the engine records beyond its always-on counters. The levels
+/// are ordered, and each adds to the one below it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TelemetryLevel {
+    /// Counters and the queue-depth gauge only: no clocks are read on the
+    /// hot path and the span buffers are never allocated.
+    #[default]
+    Off,
+    /// Adds a diagnosis bundle for every trace whose verdict carries a FAIL,
     /// built by re-checking that trace's packed records with a step
-    /// recorder watching (see DESIGN.md §11), and keep each worker's last
-    /// trace for [`Engine::capture_bundle`](crate::Engine::capture_bundle).
-    /// Passing traces cost one copy of a batch's last trace; traces still
-    /// take the clean lane and the verdict cache.
-    pub recorder: bool,
-    /// Record per-thread ingest spans (ship/claim/replay/merge) into
-    /// lock-free span buffers of [`DEFAULT_SPAN_CAPACITY`] spans each,
-    /// exportable as Perfetto-loadable Chrome trace-event JSON (see
-    /// DESIGN.md §14). When off — the default — the record path is one
-    /// relaxed atomic load and a branch.
-    pub tracing: bool,
-    /// Aggregate a cross-trace performance profile: per-`SourceLoc`
-    /// flush/fence/log counts, wasted-persist bytes, and WARN diagnostics,
-    /// feeding the optimization advisor (see DESIGN.md §16). When off — the
-    /// default — the per-trace cost is one relaxed atomic load and a branch.
-    pub profiling: bool,
+    /// recorder watching (see DESIGN.md §11). Passing traces cost nothing:
+    /// they keep the clean lane and the verdict cache.
+    Bundles,
+    /// Adds the cross-trace performance profile: per-`SourceLoc`
+    /// flush/fence/log counts, wasted-persist bytes and WARN diagnostics,
+    /// feeding the optimization advisor (see DESIGN.md §16). Every trace is
+    /// observed by the packed replay, so none takes the clean lane or the
+    /// verdict cache.
+    Profile,
+    /// Adds latency histograms (per-checker, per-trace, the five pipeline
+    /// stages), worker busy time and utilization, per-worker
+    /// [`TraceStats`], and per-thread ingest spans exportable as
+    /// Perfetto-loadable Chrome trace-event JSON (see DESIGN.md §14). Costs
+    /// two `Instant` reads per trace entry on the worker side.
+    Full,
+}
+
+/// What the engine records beyond its always-on counters: one
+/// [`TelemetryLevel`], plus an optional live scrape endpoint. The default is
+/// [`TelemetryLevel::Off`] without an endpoint.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TelemetryConfig {
+    /// What the engine records; see [`TelemetryLevel`].
+    pub level: TelemetryLevel,
     /// When set (e.g. `"127.0.0.1:9184"`), the engine serves its live
     /// telemetry over HTTP from this address: `GET /metrics` (Prometheus
     /// text exposition) and `GET /snapshot.json`. Port `0` binds an
@@ -63,65 +65,18 @@ pub struct TelemetryConfig {
     pub scrape_addr: Option<String>,
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self::off()
-    }
-}
-
 impl TelemetryConfig {
     /// Counters only — the zero-cost default.
     #[must_use]
     pub const fn off() -> Self {
-        Self { timing: false, recorder: false, tracing: false, profiling: false, scrape_addr: None }
+        Self::at(TelemetryLevel::Off)
     }
 
-    /// Everything on: timing histograms, the recorder (diagnosis bundles on
-    /// ERROR), span tracing, and the cross-trace performance profile. The
-    /// scrape endpoint stays off — opt in with
+    /// Records at `level`, without a scrape endpoint — opt in with
     /// [`with_scrape`](Self::with_scrape).
     #[must_use]
-    pub fn enabled() -> Self {
-        Self { timing: true, recorder: true, tracing: true, profiling: true, ..Self::off() }
-    }
-
-    /// Timing histograms only.
-    #[must_use]
-    pub fn timing_only() -> Self {
-        Self { timing: true, ..Self::off() }
-    }
-
-    /// Recorder only: bundles on ERROR, no timing.
-    #[must_use]
-    pub fn recorder_only() -> Self {
-        Self { recorder: true, ..Self::off() }
-    }
-
-    /// Span tracing only: per-thread ingest spans, no timing histograms.
-    #[must_use]
-    pub fn tracing_only() -> Self {
-        Self { tracing: true, ..Self::off() }
-    }
-
-    /// Cross-trace performance profiling only: the advisor's site-keyed
-    /// profile store, no timing histograms, no span buffers.
-    #[must_use]
-    pub fn profiling_only() -> Self {
-        Self { profiling: true, ..Self::off() }
-    }
-
-    /// Turns span tracing on.
-    #[must_use]
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
-
-    /// Turns cross-trace performance profiling on.
-    #[must_use]
-    pub fn with_profiling(mut self) -> Self {
-        self.profiling = true;
-        self
+    pub const fn at(level: TelemetryLevel) -> Self {
+        Self { level, scrape_addr: None }
     }
 
     /// Serves live telemetry over HTTP from `addr` (see
@@ -263,14 +218,6 @@ pub(crate) struct EngineCounters {
     pub(crate) diagnostics: Counter,
     pub(crate) batches_submitted: Counter,
     pub(crate) traces_submitted: Counter,
-    /// Crash points visited by exploration sweeps recorded on the engine.
-    pub(crate) crash_points: Counter,
-    /// Crash images run through a recovery procedure.
-    pub(crate) images_checked: Counter,
-    /// Crash points served off shared (incrementally advanced) prefix state.
-    pub(crate) prefix_share_hits: Counter,
-    /// Crash points that paid a from-scratch rescan.
-    pub(crate) prefix_share_misses: Counter,
 }
 
 /// The engine's typed metric handles, shared with its workers.
@@ -279,14 +226,14 @@ pub(crate) struct EngineTelemetry {
     pub(crate) counters: EngineCounters,
     /// The ingest plane's counters, registered here and handed to the plane.
     pub(crate) ingest: IngestCounters,
-    /// Whether the timing layer is on (checked by workers and dispatch).
-    pub(crate) timing: bool,
+    /// What the engine records (checked by workers and dispatch).
+    pub(crate) level: TelemetryLevel,
     started: Instant,
     /// Queue depth of the chosen worker, sampled on every submit.
     pub(crate) queue_depth: Gauge,
-    /// Whole-trace check latency, ns (timing only).
+    /// Whole-trace check latency, ns (`Full` only).
     pub(crate) check_latency: Histogram,
-    /// Per-category entry-processing time, ns (timing only); indexed like
+    /// Per-category entry-processing time, ns (`Full` only); indexed like
     /// [`CheckerCategory::ALL`].
     pub(crate) checker_ns: [Histogram; CheckerCategory::ALL.len()],
     /// Flat→BTree representation switches across the workers' recycled
@@ -295,21 +242,21 @@ pub(crate) struct EngineTelemetry {
     pub(crate) segmap_repr_switches: Counter,
     /// FAIL/WARN production per [`DiagKind`]; indexed like [`DiagKind::ALL`].
     diag_kinds: [Counter; DiagKind::ALL.len()],
-    /// Busy nanoseconds per worker (timing only).
+    /// Busy nanoseconds per worker (`Full` only).
     pub(crate) worker_busy: Vec<Counter>,
-    /// Aggregated [`TraceStats`] per worker (timing only).
+    /// Aggregated [`TraceStats`] per worker (`Full` only).
     pub(crate) worker_stats: Vec<Mutex<TraceStats>>,
     /// Traces per shipped session batch.
     pub(crate) batch_fill: Histogram,
     flush_causes: [Counter; 2],
-    /// Per-stage pipeline latency, ns (timing only); indexed like
+    /// Per-stage pipeline latency, ns (`Full` only); indexed like
     /// [`Stage::ALL`]. Registered unconditionally so a snapshot always
-    /// exposes all five stages (count 0 with timing off).
+    /// exposes all five stages (count 0 below `Full`).
     pub(crate) stages: [Histogram; Stage::ALL.len()],
     /// Cross-trace, site-keyed performance profile feeding the advisor
-    /// (profiling layer; see DESIGN.md §16). One relaxed load when off.
+    /// (`Profile` and up; see DESIGN.md §16).
     pub(crate) profile: ProfileStore,
-    /// Lock-free per-thread span buffers (tracing layer; see DESIGN.md §14).
+    /// Lock-free per-thread span buffers (`Full` only; see DESIGN.md §14).
     pub(crate) spans: Arc<SpanSink>,
     /// Pre-interned span names for the ingest pipeline's recording sites.
     pub(crate) span_names: SpanNames,
@@ -337,10 +284,9 @@ pub(crate) struct SpanNames {
 impl EngineTelemetry {
     pub(crate) fn new(workers: usize, config: &TelemetryConfig) -> Self {
         let registry = MetricsRegistry::new();
+        let level = config.level;
         let spans = Arc::new(SpanSink::new(DEFAULT_SPAN_CAPACITY));
-        spans.set_enabled(config.tracing);
-        let profile = ProfileStore::new();
-        profile.set_enabled(config.profiling);
+        spans.set_enabled(level == TelemetryLevel::Full);
         let span_names = SpanNames {
             ship: spans.intern("ship"),
             claim: spans.intern("claim"),
@@ -372,10 +318,6 @@ impl EngineTelemetry {
             diagnostics: counter("engine_diagnostics"),
             batches_submitted: counter("engine_batches_submitted"),
             traces_submitted: counter("engine_traces_submitted"),
-            crash_points: counter("crash_points_enumerated"),
-            images_checked: counter("images_checked"),
-            prefix_share_hits: counter("prefix_share_hits"),
-            prefix_share_misses: counter("prefix_share_misses"),
         };
         let ingest = IngestCounters {
             backpressure_stalls: counter("engine_backpressure_stalls"),
@@ -389,7 +331,7 @@ impl EngineTelemetry {
         Self {
             counters,
             ingest,
-            timing: config.timing,
+            level,
             started: Instant::now(),
             queue_depth: registry.gauge("engine_queue_depth", &[]),
             check_latency: registry.histogram("engine_check_latency_ns", &[]),
@@ -402,13 +344,24 @@ impl EngineTelemetry {
             flush_causes: [FlushCause::Capacity, FlushCause::ResultPoint]
                 .map(|c| registry.counter("session_flush_total", &[("cause", c.label())])),
             stages,
-            profile,
+            profile: ProfileStore::new(),
             spans,
             span_names,
             arena_slab_allocs: registry.counter("engine_arena_slab_allocs", &[]),
             intern_tiers,
             registry,
         }
+    }
+
+    /// Whether every trace's replay is observed (profiled, and timed at
+    /// `Full`): such traces skip the clean lane and the verdict cache.
+    pub(crate) fn observes(&self) -> bool {
+        self.level >= TelemetryLevel::Profile
+    }
+
+    /// Whether clocks are read: latency histograms, busy time, trace stats.
+    pub(crate) fn timed(&self) -> bool {
+        self.level == TelemetryLevel::Full
     }
 
     /// The latency histogram of one pipeline stage.
@@ -463,7 +416,7 @@ impl EngineTelemetry {
                 busy.get() as f64 / uptime_ns.max(1.0),
             );
         }
-        if self.timing {
+        if self.timed() {
             for (i, stats) in self.worker_stats.iter().enumerate() {
                 let stats = *stats.lock();
                 let worker = i.to_string();
@@ -487,7 +440,7 @@ impl EngineTelemetry {
             }
         }
         snap.push_counter("engine_spans_dropped", &[], self.spans.dropped());
-        if self.profile.is_enabled() {
+        if self.observes() {
             let profile = self.profile.snapshot();
             profile.fold_into(&mut snap);
             AdvisorReport::from_profile(&profile).fold_into(&mut snap);
@@ -496,7 +449,7 @@ impl EngineTelemetry {
     }
 }
 
-/// The timing layer's replay observer: charges each entry's wall time to
+/// The `Full` level's replay observer: charges each entry's wall time to
 /// its [`CheckerCategory`] histogram and accumulates the trace's
 /// [`TraceStats`] on the same walk.
 pub(crate) struct EntryTimer<'a> {
@@ -535,7 +488,7 @@ impl ReplayObserver for EntryTimer<'_> {
 /// One source site, as the profile store keys it: `(file, line)`.
 type Site = (&'static str, u32);
 
-/// The profiling layer's replay observer: re-detects the wasteful
+/// The `Profile` level's replay observer: re-detects the wasteful
 /// persistency patterns — duplicate and unnecessary flushes, duplicate
 /// undo-log appends, fences ordering no new work — per source site,
 /// dialect-independently (under HOPS the checkers demote flush/fence to
@@ -544,8 +497,7 @@ type Site = (&'static str, u32);
 /// traces of a whole batch into the profile store under one lock.
 #[derive(Default)]
 pub(crate) struct SiteProfiler {
-    /// Per-site deltas of the observed trace, in first-touch order until
-    /// [`end_trace`](Self::end_trace) sorts them.
+    /// Per-site deltas of the observed trace, in first-touch order.
     sites: Vec<(Site, SiteDelta)>,
     // Shadow sets mirroring the checker's redundancy view: what has been
     // written (and not yet re-dirtied), what is clean-flushed, and what the
@@ -580,37 +532,24 @@ fn covered_bytes(map: &SegmentMap<()>, r: ByteRange) -> u64 {
 }
 
 impl SiteProfiler {
-    /// Ends the observed trace: its per-site deltas, sorted by site, and the
-    /// WARN attributions of `diags` join the batch, and the per-trace state
-    /// resets. With `capture` the trace's own deltas are returned too, for
-    /// the verdict cache: every key is `'static`, so they store verbatim.
-    pub(crate) fn end_trace(&mut self, diags: &[Diag], capture: bool) -> Option<ProfileDeltas> {
-        let mut sites = std::mem::take(&mut self.sites);
-        sites.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let warns: Vec<_> = diags
-            .iter()
-            .filter(|d| d.severity() == Severity::Warn)
-            .map(|d| ((d.loc.file(), d.loc.line()), d.kind.code()))
-            .collect();
-        self.add(&sites, &warns);
-        let deltas = capture.then(|| (sites.clone(), warns));
-        sites.clear();
-        self.sites = sites;
+    /// Ends the observed trace: its per-site deltas and the WARN
+    /// attributions of `diags` join the batch, and the per-trace state
+    /// resets.
+    pub(crate) fn end_trace(&mut self, diags: &[Diag]) {
+        self.batch_traces += 1;
+        for (site, delta) in self.sites.drain(..) {
+            site_delta(&mut self.batch_ops, site).merge(&delta);
+        }
+        self.batch_warns.extend(
+            diags
+                .iter()
+                .filter(|d| d.severity() == Severity::Warn)
+                .map(|d| ((d.loc.file(), d.loc.line()), d.kind.code())),
+        );
         self.written.clear();
         self.flushed.clear();
         self.logged.clear();
         self.work_since_fence = false;
-        deltas
-    }
-
-    /// Adds one ended trace's deltas to the batch: an observed trace's, or
-    /// the stored ones of a trace the verdict cache answered.
-    pub(crate) fn add(&mut self, ops: &[(Site, SiteDelta)], warns: &[(Site, &'static str)]) {
-        self.batch_traces += 1;
-        for (site, delta) in ops {
-            site_delta(&mut self.batch_ops, *site).merge(delta);
-        }
-        self.batch_warns.extend_from_slice(warns);
     }
 
     /// Folds the batch into `store`, under one lock for all its traces.
@@ -794,7 +733,7 @@ mod tests {
         let tel = EngineTelemetry::new(1, &TelemetryConfig::off());
         let s = summary_line(&tel.snapshot());
         assert!(s.contains("timing off"), "{s}");
-        let tel = EngineTelemetry::new(1, &TelemetryConfig::enabled());
+        let tel = EngineTelemetry::new(1, &TelemetryConfig::at(TelemetryLevel::Full));
         tel.check_latency.record(1_500);
         tel.counters.traces_checked.inc();
         let s = summary_line(&tel.snapshot());
@@ -849,10 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn tracing_layer_gates_span_recording() {
-        let tel = EngineTelemetry::new(1, &TelemetryConfig::off());
-        assert!(!tel.spans.is_enabled(), "tracing is off by default");
-        let tel = EngineTelemetry::new(1, &TelemetryConfig::tracing_only());
+    fn only_the_full_level_records_spans() {
+        for level in [TelemetryLevel::Off, TelemetryLevel::Bundles, TelemetryLevel::Profile] {
+            let tel = EngineTelemetry::new(1, &TelemetryConfig::at(level));
+            assert!(!tel.spans.is_enabled(), "{level:?} records no spans");
+        }
+        let tel = EngineTelemetry::new(1, &TelemetryConfig::at(TelemetryLevel::Full));
         assert!(tel.spans.is_enabled());
         let h = tel.spans.register(0);
         h.record(tel.span_names.replay, 10, 5);

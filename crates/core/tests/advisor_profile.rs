@@ -1,4 +1,4 @@
-//! Cross-trace profiling + advisor integration: the profiling layer's
+//! Cross-trace profiling + advisor integration: the `Profile` level's
 //! engine-side behavior, WARN perf-checker parity between the x86 and HOPS
 //! dialects, and the telemetry-snapshot/summary wiring.
 //!
@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use pmtest_core::{DiagKind, Engine, EngineConfig, HopsModel, TelemetryConfig, X86Model};
+use pmtest_core::{
+    DiagKind, Engine, EngineConfig, HopsModel, TelemetryConfig, TelemetryLevel, X86Model,
+};
 use pmtest_interval::ByteRange;
 use pmtest_obs::advisor::SuggestionKind;
 use pmtest_trace::{Event, SourceLoc, Trace};
@@ -20,7 +22,7 @@ fn profiling_engine(model: Arc<dyn pmtest_core::PersistencyModel>) -> Engine {
     Engine::new(EngineConfig {
         model,
         workers: 1,
-        telemetry: TelemetryConfig::profiling_only(),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Profile),
         ..EngineConfig::default()
     })
 }
@@ -133,7 +135,7 @@ fn profiling_is_off_by_default_and_absent_from_snapshots() {
     let engine = Engine::new(EngineConfig::default());
     engine.submit(wasteful_trace(0, false)).unwrap();
     engine.wait_idle();
-    assert_eq!(engine.profile().traces, 0, "no profiling without the layer");
+    assert_eq!(engine.profile().traces, 0, "no profiling below the Profile level");
     assert!(engine.advisor_report().suggestions.is_empty());
     let snap = engine.telemetry_snapshot();
     assert_eq!(snap.counter("profile_traces_profiled"), None, "no profile counters when off");

@@ -2,11 +2,11 @@
 //!
 //! The cache's one obligation is invisibility: with it on, every observable
 //! output — `Report` rendering, diagnosis bundles, profile snapshots — must
-//! be identical to a cache-off run, while the bypass predicate keeps the one
-//! replay observer that must see every occurrence (the timing layer)
-//! checking every occurrence cold.
+//! be identical to a cache-off run, while the bypass predicate keeps the
+//! telemetry levels whose replay observers must see every occurrence
+//! (`Profile` and `Full`) checking every occurrence cold.
 
-use pmtest_core::{HopsModel, PmTestSession, SessionBuilder, TelemetryConfig};
+use pmtest_core::{HopsModel, PmTestSession, SessionBuilder, TelemetryConfig, TelemetryLevel};
 use pmtest_interval::ByteRange;
 use pmtest_trace::{Event, Sink};
 
@@ -121,11 +121,11 @@ fn cache_off_exposes_no_stats() {
 }
 
 #[test]
-fn timing_layer_bypasses_the_cache() {
+fn full_level_bypasses_the_cache() {
     let session = run_workload(
         PmTestSession::builder()
             .workers(1)
-            .telemetry(TelemetryConfig::timing_only())
+            .telemetry(TelemetryConfig::at(TelemetryLevel::Full))
             .verdict_cache(true),
         false,
     );
@@ -137,11 +137,11 @@ fn timing_layer_bypasses_the_cache() {
 }
 
 #[test]
-fn recorder_takes_the_cache_and_still_captures_bundles_per_repeat() {
+fn bundles_level_takes_the_cache_and_still_captures_bundles_per_repeat() {
     let run = |cache: bool| {
         let builder = PmTestSession::builder()
             .workers(1)
-            .telemetry(TelemetryConfig::recorder_only())
+            .telemetry(TelemetryConfig::at(TelemetryLevel::Bundles))
             .verdict_cache(cache);
         let session = builder.build();
         session.start();
@@ -160,17 +160,17 @@ fn recorder_takes_the_cache_and_still_captures_bundles_per_repeat() {
     assert_eq!(bundles_on.len(), 6, "a FAIL served from the cache still gets its bundle");
     assert_eq!(bundles_on, bundles_off, "bundles must be byte-identical under cache hits");
     let stats = stats.expect("cache enabled");
-    assert_eq!(stats.bypasses, 0, "the recorder no longer bypasses the cache");
+    assert_eq!(stats.bypasses, 0, "the Bundles level does not bypass the cache");
     assert!(stats.l1_hits + stats.l2_hits >= 5, "repeats served from cache: {stats:?}");
 }
 
 #[test]
-fn profile_stays_exact_under_hits() {
+fn profile_level_bypasses_the_cache_and_stays_exact() {
     let run = |cache: bool| {
         let session = run_workload(
             PmTestSession::builder()
                 .workers(1)
-                .telemetry(TelemetryConfig::profiling_only())
+                .telemetry(TelemetryConfig::at(TelemetryLevel::Profile))
                 .verdict_cache(cache),
             false,
         );
@@ -181,10 +181,11 @@ fn profile_stays_exact_under_hits() {
     };
     let (profile_off, advisor_off, _) = run(false);
     let (profile_on, advisor_on, stats) = run(true);
-    assert_eq!(profile_on, profile_off, "profile must be exact under cache hits");
+    assert_eq!(profile_on, profile_off, "profile must be exact with the cache on");
     assert_eq!(advisor_on, advisor_off);
     let stats = stats.expect("cache enabled");
-    assert!(stats.l1_hits > 0, "profiling does not bypass the cache: {stats:?}");
+    assert_eq!(stats.bypasses, 100, "the profiler observes every occurrence cold: {stats:?}");
+    assert_eq!(stats.l1_hits + stats.l2_hits + stats.misses, 0);
 }
 
 #[test]

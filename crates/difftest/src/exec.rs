@@ -20,13 +20,13 @@ pub struct EngineRun {
     pub workers: usize,
     /// Traces per submitted batch.
     pub batch_capacity: usize,
-    /// Telemetry layers the engine runs with; none of them may change a
+    /// The telemetry level the engine runs at; no level may change a
     /// report.
     pub telemetry: TelemetryConfig,
 }
 
 impl EngineRun {
-    /// A matrix cell with every telemetry layer off.
+    /// A matrix cell at telemetry level `Off`.
     #[must_use]
     pub const fn new(workers: usize, batch_capacity: usize) -> Self {
         Self { workers, batch_capacity, telemetry: TelemetryConfig::off() }

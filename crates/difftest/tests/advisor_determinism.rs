@@ -1,4 +1,4 @@
-//! Advisor determinism regression: the profiling layer aggregates into a
+//! Advisor determinism regression: the `Profile` level aggregates into a
 //! site-keyed global store, so the emitted `pmtest-advisor/v1` document must
 //! be *byte-identical* across every worker count and batch size — otherwise
 //! run-over-run advisor diffs (`pmtest-explain --advise-diff`) would report
@@ -8,7 +8,7 @@
 //! is *intentionally* changed) with:
 //! `PMTEST_BLESS=1 cargo test -p pmtest-difftest --test advisor_determinism`
 
-use pmtest_core::{Engine, EngineConfig, TelemetryConfig};
+use pmtest_core::{Engine, EngineConfig, TelemetryConfig, TelemetryLevel};
 use pmtest_difftest::exec::{model_for, submit_replicas, REPLICAS};
 use pmtest_difftest::gen::{generate, GenConfig};
 use pmtest_difftest::program::{Dialect, Op, Program};
@@ -25,7 +25,7 @@ fn advisor_json(program: &Program, workers: usize, batch_capacity: usize) -> Str
         model: model_for(program.dialect),
         workers,
         queue_capacity: 64,
-        telemetry: TelemetryConfig::profiling_only(),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Profile),
         ..EngineConfig::default()
     });
     submit_replicas(&engine, program, batch_capacity, REPLICAS, 0).expect("submit replicas");

@@ -10,7 +10,7 @@
 //! The `#[ignore]`d case is the 10k-seed acceptance sweep CI's difftest job
 //! runs in full.
 
-use pmtest_core::{Engine, EngineConfig, TelemetryConfig, VerdictCacheConfig};
+use pmtest_core::{Engine, EngineConfig, TelemetryConfig, TelemetryLevel, VerdictCacheConfig};
 use pmtest_difftest::exec::{
     model_for, run_engine, run_engine_cached, submit_replicas, EngineRun, DEFAULT_MATRIX, REPLICAS,
 };
@@ -57,15 +57,15 @@ proptest! {
     }
 }
 
-/// One profiling engine run; returns the advisor document plus the merged
-/// per-worker [`TraceStats`].
+/// One engine run at the `Profile` level, which bypasses the cache; returns
+/// the advisor document plus the merged per-worker [`TraceStats`].
 fn profiled_run(seed: u64, cached: bool) -> (String, TraceStats) {
     let program = generate(seed, &both_dialects());
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 2,
         queue_capacity: 64,
-        telemetry: TelemetryConfig::profiling_only(),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Profile),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
     submit_replicas(&engine, &program, 8, REPLICAS, 0).expect("submit replicas");
@@ -86,15 +86,15 @@ fn advisor_documents_match_with_the_cache_on() {
     }
 }
 
-/// One timing-instrumented run; the timing layer trips the bypass predicate,
-/// so per-worker `TraceStats` must be complete either way.
+/// One run at the `Full` level; it trips the bypass predicate, so per-worker
+/// `TraceStats` must be complete either way.
 fn timed_stats(seed: u64, cached: bool) -> TraceStats {
     let program = generate(seed, &both_dialects());
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 2,
         queue_capacity: 64,
-        telemetry: TelemetryConfig::timing_only(),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Full),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
     submit_replicas(&engine, &program, 8, REPLICAS, 0).expect("submit replicas");
@@ -112,29 +112,25 @@ fn trace_stats_match_with_the_cache_on() {
         let off = timed_stats(seed, false);
         let on = timed_stats(seed, true);
         assert_eq!(on, off, "seed {seed}: instrumented TraceStats diverged under the cache");
-        assert!(on.entries > 0, "seed {seed}: timing layer observed no entries");
+        assert!(on.entries > 0, "seed {seed}: the Full level observed no entries");
     }
 }
 
 /// Diagnosis bundles: a FAIL served from the cache still gets its bundle by
-/// re-check, so a cache-on recorder engine — whose replicas after the first
-/// hit the cache — must capture the identical bundle stream.
+/// re-check, so a cache-on engine at the `Bundles` level — whose replicas
+/// after the first hit the cache — must capture the identical bundle stream.
 fn bundle_lines(seed: u64, cached: bool) -> String {
     let program = generate(seed, &both_dialects());
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        telemetry: TelemetryConfig::recorder_only(),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Bundles),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
         ..EngineConfig::default()
     });
     submit_replicas(&engine, &program, 1, REPLICAS, 0).expect("submit replicas");
     engine.wait_idle();
-    let mut bundles = engine.take_bundles();
-    if bundles.is_empty() {
-        bundles = engine.capture_bundle();
-    }
-    bundles.iter().map(pmtest_core::DiagnosisBundle::to_json_lines).collect()
+    engine.take_bundles().iter().map(pmtest_core::DiagnosisBundle::to_json_lines).collect()
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Determinism regression: the same seed + program must yield
 //! byte-identical sorted reports across every worker count, batch size and
-//! telemetry layer. Anything weaker means a replayed corpus entry might not
+//! telemetry level. Anything weaker means a replayed corpus entry might not
 //! reproduce.
 
-use pmtest_core::TelemetryConfig;
+use pmtest_core::{TelemetryConfig, TelemetryLevel};
 use pmtest_difftest::exec::{
     build_engine, model_for, run_engine, submit_replicas, EngineRun, REPLICAS,
 };
@@ -12,17 +12,9 @@ use pmtest_difftest::gen::{generate, GenConfig};
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCH_CAPACITIES: [usize; 2] = [1, 32];
 
-/// Every telemetry layer the engine's replay can be observed by, alone and
-/// all together.
-fn telemetry_layers() -> [(&'static str, TelemetryConfig); 5] {
-    [
-        ("off", TelemetryConfig::off()),
-        ("timing_only", TelemetryConfig::timing_only()),
-        ("recorder_only", TelemetryConfig::recorder_only()),
-        ("profiling_only", TelemetryConfig::profiling_only()),
-        ("enabled", TelemetryConfig::enabled()),
-    ]
-}
+/// Every telemetry level, in order.
+const LEVELS: [TelemetryLevel; 4] =
+    [TelemetryLevel::Off, TelemetryLevel::Bundles, TelemetryLevel::Profile, TelemetryLevel::Full];
 
 #[test]
 fn reports_are_byte_identical_across_workers_and_batching() {
@@ -33,8 +25,12 @@ fn reports_are_byte_identical_across_workers_and_batching() {
         for workers in WORKER_COUNTS {
             for batch_capacity in BATCH_CAPACITIES {
                 let mut profiles = Vec::new();
-                for (layer, telemetry) in telemetry_layers() {
-                    let run = EngineRun { workers, batch_capacity, telemetry };
+                for level in LEVELS {
+                    let run = EngineRun {
+                        workers,
+                        batch_capacity,
+                        telemetry: TelemetryConfig::at(level),
+                    };
                     let engine = build_engine(model_for(program.dialect), &run);
                     submit_replicas(&engine, &program, batch_capacity, REPLICAS, 0)
                         .expect("matrix run");
@@ -42,20 +38,20 @@ fn reports_are_byte_identical_across_workers_and_batching() {
                         engine.take_report(),
                         baseline,
                         "seed {seed}: {workers} workers / batch {batch_capacity} / telemetry \
-                         {layer} diverged from 1/1/off"
+                         {level:?} diverged from 1/1/off"
                     );
-                    if run.telemetry.profiling {
-                        profiles.push((layer, engine.profile()));
+                    if level >= TelemetryLevel::Profile {
+                        profiles.push(engine.profile());
                     }
                 }
-                let [(_, alone), (_, all)] = &profiles[..] else {
-                    panic!("two profiling layers expected")
+                let [profile, full] = &profiles[..] else {
+                    panic!("two profiling levels expected")
                 };
-                assert_eq!(alone.traces, REPLICAS, "seed {seed}: every replica profiled");
+                assert_eq!(profile.traces, REPLICAS, "seed {seed}: every replica profiled");
                 assert_eq!(
-                    alone, all,
-                    "seed {seed}: {workers} workers / batch {batch_capacity}: profile under \
-                     profiling_only differs from enabled()"
+                    profile, full,
+                    "seed {seed}: {workers} workers / batch {batch_capacity}: profile at \
+                     Profile differs from Full"
                 );
             }
         }

@@ -11,19 +11,20 @@
 
 use std::fmt::Write as _;
 
-use pmtest_core::{Engine, EngineConfig, TelemetryConfig};
+use pmtest_core::{Engine, EngineConfig, TelemetryConfig, TelemetryLevel};
 use pmtest_difftest::exec::model_for;
 use pmtest_difftest::program::Program;
 use pmtest_obs::advisor::{diff, AdvisorReport};
 
-/// Checks a difftest program on a single-worker, profiling-only engine and
+/// Checks a difftest program on a single-worker engine at the `Profile`
+/// telemetry level and
 /// returns the advisor's report for it.
 #[must_use]
 pub fn profile_program(program: &Program) -> AdvisorReport {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        telemetry: TelemetryConfig::profiling_only(),
+        telemetry: TelemetryConfig::at(TelemetryLevel::Profile),
         ..EngineConfig::default()
     });
     engine.submit(program.trace(0)).expect("engine accepts one trace");

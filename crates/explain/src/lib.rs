@@ -10,9 +10,10 @@
 //! annotated pass/FAIL, and the culprit write highlighted.
 //!
 //! Input is either a difftest corpus program (`dialect x86` text, see
-//! `pmtest-difftest`) or a diagnosis bundle captured by the engine's
-//! recorder layer (JSON-lines, see the core crate's `DiagnosisBundle` and
-//! DESIGN.md §11); both x86 and HOPS models are supported.
+//! `pmtest-difftest`) or a diagnosis bundle captured by the engine at its
+//! `Bundles` telemetry level (JSON-lines, see the core crate's
+//! `DiagnosisBundle` and DESIGN.md §11); both x86 and HOPS models are
+//! supported.
 //!
 //! ```
 //! use pmtest_difftest::program::Program;
@@ -152,9 +153,11 @@ pub fn explain_crash_point(
 /// Loads a diagnosis bundle from its JSON-lines text, re-runs interval
 /// inference over the recorded window, and renders the timeline.
 ///
-/// A window that starts mid-trace replays from empty state, so its checker
-/// annotations and culprit come from the diagnostics the bundle recorded,
-/// and the header names the steps the window holds.
+/// A window that starts mid-trace takes its checker annotations and culprit
+/// from the diagnostics the bundle recorded, and its timeline opens on the
+/// recorded start state: the epoch before the window's first step and the
+/// persist intervals still open there. The header names the steps the
+/// window holds.
 ///
 /// # Errors
 ///
@@ -164,6 +167,10 @@ pub fn explain_bundle(text: &str, source: &str) -> Result<String, String> {
     let bundle = load_bundle(text)?;
     let model = model_from_name(&bundle.model)?;
     let header = format!("{source} (bundle: reason {}, trace {})", bundle.reason, bundle.trace_id);
-    let window = (bundle.first_step > 0).then_some((bundle.first_step, bundle.diags.as_slice()));
+    let window = (bundle.first_step > 0).then(|| render::Window {
+        first: bundle.first_step,
+        diags: &bundle.diags,
+        start: bundle.start.as_ref(),
+    });
     Ok(render::render_window(&bundle.trace, model.as_ref(), &header, window))
 }

@@ -8,7 +8,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pmtest_core::{Diag, DiagKind, HopsModel, PersistencyModel, X86Model};
+use pmtest_core::{
+    Diag, DiagKind, HopsModel, OpenInterval, PersistencyModel, WindowStart, X86Model,
+};
 use pmtest_interval::ByteRange;
 use pmtest_obs::bundle::validate_bundle;
 use pmtest_obs::json::{self, JsonValue};
@@ -30,6 +32,8 @@ pub struct LoadedBundle {
     pub first_step: u64,
     /// The diagnostics the bundle recorded for the whole trace.
     pub diags: Vec<Diag>,
+    /// The state the window opens on, recorded when it starts mid-trace.
+    pub start: Option<WindowStart>,
 }
 
 /// The checking model for a bundle header's model name.
@@ -131,6 +135,7 @@ pub fn load_bundle(text: &str) -> Result<LoadedBundle, String> {
     let mut trace_id = 0u64;
     let mut first_step = None;
     let mut diags = Vec::new();
+    let mut start = None;
     let mut steps: Vec<(Event, SourceLoc)> = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let doc = json::parse(line).map_err(|e| format!("{e}"))?;
@@ -141,6 +146,7 @@ pub fn load_bundle(text: &str) -> Result<LoadedBundle, String> {
                 trace_id = doc.get("trace_id").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
             }
             Some("diag") => diags.push(parse_diag(&doc)?),
+            Some("window") => start = Some(parse_window(&doc)?),
             Some("step") => {
                 first_step = first_step.or(doc.get("index").and_then(JsonValue::as_f64));
                 let op = doc.get("op").and_then(JsonValue::as_str).ok_or("step without op")?;
@@ -155,7 +161,48 @@ pub fn load_bundle(text: &str) -> Result<LoadedBundle, String> {
         trace.push(event.at(loc));
     }
     let first_step = first_step.unwrap_or(0.0) as u64;
-    Ok(LoadedBundle { model, reason, trace_id, trace, first_step, diags })
+    Ok(LoadedBundle { model, reason, trace_id, trace, first_step, diags, start })
+}
+
+/// A `[start, end]` array of two numbers.
+fn parse_range(value: Option<&JsonValue>, what: &str) -> Result<ByteRange, String> {
+    match value {
+        Some(JsonValue::Array(ends)) => match ends.as_slice() {
+            [start, end] => Ok(ByteRange::new(
+                start.as_f64().ok_or_else(|| format!("{what} range start is not a number"))? as u64,
+                end.as_f64().ok_or_else(|| format!("{what} range end is not a number"))? as u64,
+            )),
+            _ => Err(format!("{what} range must hold two numbers")),
+        },
+        _ => Err(format!("{what} range missing")),
+    }
+}
+
+/// Parses the `window` line back into a [`WindowStart`].
+fn parse_window(doc: &JsonValue) -> Result<WindowStart, String> {
+    let epoch = doc.get("epoch").and_then(JsonValue::as_f64).ok_or("window without epoch")?;
+    let Some(JsonValue::Array(open)) = doc.get("open") else {
+        return Err("window without open intervals".to_owned());
+    };
+    let open = open
+        .iter()
+        .map(|iv| {
+            Ok(OpenInterval {
+                range: parse_range(iv.get("range"), "open interval")?,
+                begin: iv
+                    .get("begin")
+                    .and_then(JsonValue::as_f64)
+                    .ok_or("interval without begin")? as u64,
+                write_loc: iv
+                    .get("write_loc")
+                    .and_then(JsonValue::as_str)
+                    .map(parse_loc)
+                    .transpose()?,
+                flushed: matches!(iv.get("flushed"), Some(JsonValue::Bool(true))),
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(WindowStart { epoch: epoch as u64, open })
 }
 
 /// Parses one `diag` line back into a [`Diag`].
@@ -164,14 +211,8 @@ fn parse_diag(doc: &JsonValue) -> Result<Diag, String> {
     let code = text("code").ok_or("diag without code")?;
     let kind = DiagKind::from_code(code).ok_or_else(|| format!("unknown diag code {code:?}"))?;
     let range = match doc.get("range") {
-        Some(JsonValue::Array(ends)) => match ends.as_slice() {
-            [start, end] => Some(ByteRange::new(
-                start.as_f64().ok_or("diag range start is not a number")? as u64,
-                end.as_f64().ok_or("diag range end is not a number")? as u64,
-            )),
-            _ => return Err("diag range must hold two numbers".to_owned()),
-        },
-        _ => None,
+        Some(JsonValue::Null) | None => None,
+        value => Some(parse_range(value, "diag")?),
     };
     Ok(Diag {
         kind,

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 
 use pmtest_core::{
     check_trace_observed, op_token, Diag, PersistencyModel, ReplayObserver, Severity, ShadowMemory,
+    WindowStart,
 };
 use pmtest_interval::ByteRange;
 use pmtest_trace::{Entry, Event, SourceLoc, Trace};
@@ -89,48 +90,116 @@ pub fn render_trace(trace: &Trace, model: &dyn PersistencyModel, source: &str) -
     render_window(trace, model, source, None)
 }
 
-/// [`render_trace`] for a window of a longer trace: `window` holds the
-/// trace index of the window's first entry and the diagnostics recorded
-/// for the whole trace, which annotate the checkers and name the culprit
-/// in place of the window's own replay (that replay starts from empty
-/// state, so it cannot see writes before the window).
+/// A window of a longer trace, as a bundle records it.
+pub(crate) struct Window<'a> {
+    /// Trace index of the window's first entry.
+    pub(crate) first: u64,
+    /// The diagnostics recorded for the whole trace. They annotate the
+    /// checkers and name the culprit in place of the window's own replay.
+    pub(crate) diags: &'a [Diag],
+    /// The state the window opens on; without it the window replays from
+    /// empty state and cannot see writes before it.
+    pub(crate) start: Option<&'a WindowStart>,
+}
+
+/// The entries that rebuild `start` in a fresh shadow memory: each open
+/// interval's write at its epoch (and its in-flight writeback), with
+/// `ofence`s advancing the epoch. Both built-in models advance the epoch on
+/// an `ofence` without closing any interval.
+fn seed_entries(start: &WindowStart) -> Vec<Entry> {
+    let mut open = start.open.clone();
+    open.sort_by_key(|iv| iv.begin);
+    let mut entries = Vec::new();
+    let mut epoch = 0;
+    let mut advance_to = |entries: &mut Vec<Entry>, to: u64| {
+        while epoch < to {
+            entries.push(Event::OFence.at(SourceLoc::new("window", 0)));
+            epoch += 1;
+        }
+    };
+    for iv in &open {
+        advance_to(&mut entries, iv.begin);
+        let loc = iv.write_loc.unwrap_or(SourceLoc::new("window", 0));
+        entries.push(Event::Write(iv.range).at(loc));
+        if iv.flushed {
+            entries.push(Event::Flush(iv.range).at(loc));
+        }
+    }
+    advance_to(&mut entries, start.epoch);
+    entries
+}
+
+/// [`render_trace`] for a window of a longer trace: the checkers take
+/// their annotations and the culprit from the recorded diagnostics, and
+/// with a recorded start state the timeline opens on it — its epochs, and a
+/// `[<first]` row for each persist interval still open from before the
+/// window.
 pub(crate) fn render_window(
     trace: &Trace,
     model: &dyn PersistencyModel,
     source: &str,
-    window: Option<(u64, &[Diag])>,
+    window: Option<Window<'_>>,
 ) -> String {
     // ---- replay, tracking per-write interval attribution ----------------
+    // A recorded start state is rebuilt by replaying seed entries first;
+    // only their writes are drawn.
+    let seed = window.as_ref().and_then(|w| w.start).map_or_else(Vec::new, seed_entries);
+    let mut seeded = Trace::new(trace.id());
+    for entry in seed.iter().copied().chain(trace.entries()) {
+        seeded.push(entry);
+    }
     let mut timeline = Timeline::default();
-    let replayed = check_trace_observed(trace, model, &mut timeline);
-    let diags = window.map_or(replayed, |(_, recorded)| recorded.to_vec());
+    let replayed = check_trace_observed(&seeded, model, &mut timeline);
+    let diags = window.as_ref().map_or(replayed, |w| w.diags.to_vec());
     let Timeline { rows, epochs_after } = timeline;
     let firing = diags.iter().find(|d| d.severity() == Severity::Fail);
     let culprit = firing.and_then(|d| d.culprit);
-    let epochs = epochs_after.last().copied().unwrap_or(0) + 1;
+    let first_epoch = window.as_ref().and_then(|w| w.start).map_or(0, |s| s.epoch);
+    let last_epoch = epochs_after.last().copied().unwrap_or(first_epoch);
+    let columns = first_epoch..=last_epoch;
 
     // ---- layout ---------------------------------------------------------
-    let entries = trace.entries();
-    let opw = entries.iter().map(|e| op_token(&e.event).len()).max().unwrap_or(0).max("op".len());
-    let locw = entries.iter().map(|e| e.loc.to_string().len()).max().unwrap_or(0).max("loc".len());
-    let cellw = format!("epoch {}", epochs - 1).len() + 2;
+    // Seed writes carried into the window, then the window's own entries.
+    let first = window.as_ref().map_or(0, |w| w.first);
+    let entries = seeded.entries();
+    let shown: Vec<(usize, String)> = entries
+        .iter()
+        .enumerate()
+        .filter_map(|(at, e)| match at.checked_sub(seed.len()) {
+            Some(i) => Some((at, format!("[{}]", first + i as u64))),
+            None => matches!(e.event, Event::Write(_)).then(|| (at, format!("[<{first}]"))),
+        })
+        .collect();
+    let ops = || shown.iter().map(|&(at, _)| &entries[at]);
+    let opw = ops().map(|e| op_token(&e.event).len()).max().unwrap_or(0).max("op".len());
+    let locw = ops().map(|e| e.loc.to_string().len()).max().unwrap_or(0).max("loc".len());
+    let cellw = format!("epoch {last_epoch}").len() + 2;
     let prefixw = 4 + 2 + opw + 2 + locw + 2;
 
     let mut out = String::new();
     let _ = writeln!(out, "pmtest-explain: {source}");
     let _ = writeln!(
         out,
-        "model {}, {} entries, epochs 0..{}",
+        "model {}, {} entries, epochs {first_epoch}..{last_epoch}",
         model.name(),
-        entries.len(),
-        epochs - 1
+        trace.len(),
     );
-    if let Some((first, _)) = window {
-        let last = first + entries.len() as u64 - 1;
+    if let Some(w) = &window {
+        let last = w.first + trace.len() as u64 - 1;
         let _ = writeln!(
             out,
-            "window: steps {first}..={last} of the trace; annotations from the recorded diagnostics"
+            "window: steps {}..={last} of the trace; annotations from the recorded diagnostics",
+            w.first
         );
+        if let Some(start) = w.start {
+            let _ = writeln!(
+                out,
+                "window start: epoch {}, {} persist interval(s) open before step {}",
+                start.epoch,
+                start.open.len(),
+                w.first
+            );
+        }
     }
     if let (Some(d), Some(c)) = (firing, culprit) {
         let _ = writeln!(out, "culprit: {c} ({} @ {})", d.kind.code(), d.loc);
@@ -139,7 +208,7 @@ pub(crate) fn render_window(
 
     // Grid header: epoch columns.
     let mut header = format!("{:prefixw$}", "");
-    for c in 0..epochs {
+    for c in columns.clone() {
         let _ = write!(header, "|{:^cellw$}", format!("epoch {c}"));
     }
     header.push('|');
@@ -147,24 +216,23 @@ pub(crate) fn render_window(
     out.push('\n');
 
     // ---- rows -----------------------------------------------------------
-    let first = window.map_or(0, |(first, _)| first);
-    for (i, entry) in entries.iter().enumerate() {
-        let step = first + i as u64;
+    for (at, label) in &shown {
+        let entry = &entries[*at];
         if let Some(tok) = fence_token(&entry.event) {
-            let before = if i == 0 { 0 } else { epochs_after[i - 1] };
-            let after = epochs_after[i];
-            let label = format!(" -- [{step}] {tok} @ {}: epoch {before} -> {after} ", entry.loc);
-            let width = prefixw + epochs as usize * (cellw + 1) + 1;
+            let before = at.checked_sub(1).map_or(first_epoch, |j| epochs_after[j]);
+            let after = epochs_after[*at];
+            let label = format!(" -- {label} {tok} @ {}: epoch {before} -> {after} ", entry.loc);
+            let width = prefixw + columns.clone().count() * (cellw + 1) + 1;
             let _ = writeln!(out, "{label:-<width$}");
             continue;
         }
 
         let op = op_token(&entry.event);
-        let mut line = format!("{:>4}  {:<opw$}  {:<locw$}  ", format!("[{step}]"), op, entry.loc);
-        let row = rows.iter().find(|r| r.entry_index == i);
-        for c in 0..epochs {
+        let mut line = format!("{label:>4}  {op:<opw$}  {:<locw$}  ", entry.loc.to_string());
+        let row = rows.iter().find(|r| r.entry_index == *at);
+        for c in columns.clone() {
             line.push('|');
-            let cell = cell_text(row, entry, c, epochs, epochs_after[i], cellw);
+            let cell = cell_text(row, entry, c, last_epoch, epochs_after[*at], cellw);
             line.push_str(&cell);
         }
         line.push('|');
@@ -213,12 +281,13 @@ fn severity_label(d: &Diag) -> &'static str {
 }
 
 /// One epoch cell of a row: the interval bar for writes, a `?` marker at
-/// the executing epoch for checkers, spaces otherwise.
+/// the executing epoch for checkers, spaces otherwise. `last` is the last
+/// epoch column, where a still-open bar ends in `>`.
 fn cell_text(
     row: Option<&WriteRow>,
-    entry: &pmtest_trace::Entry,
+    entry: &Entry,
     c: u64,
-    epochs: u64,
+    last: u64,
     entry_epoch: u64,
     cellw: usize,
 ) -> String {
@@ -234,7 +303,7 @@ fn cell_text(
             }
             match end {
                 Some(e) if c == *e => cell[cellw - 1] = ']',
-                None if c == epochs - 1 => cell[cellw - 1] = '>',
+                None if c == last => cell[cellw - 1] = '>',
                 _ => {}
             }
             return cell.into_iter().collect();

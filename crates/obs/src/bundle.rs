@@ -1,15 +1,17 @@
 //! Schema validation for diagnosis-bundle JSON-lines files.
 //!
-//! A diagnosis bundle (built by re-checking a trace with the engine's
-//! recorder layer, see the core crate and DESIGN.md §11) is a JSON-lines
-//! file whose first line is a header of the form
+//! A diagnosis bundle (built by re-checking a failing trace at the engine's
+//! `Bundles` telemetry level, see the core crate and DESIGN.md §11) is a
+//! JSON-lines file whose first line is a header of the form
 //!
 //! ```json
 //! {"kind":"header","bundle":"pmtest-diagnosis","version":1,"model":"x86",
 //!  "reason":"error","trace_id":7,"steps":2,"diags":1}
 //! ```
 //!
-//! followed by `diag`, `step`, `epoch`, and `culprit` lines. This module
+//! followed by `diag`, `step`, `epoch`, and `culprit` lines, and one
+//! `window` line when the steps start mid-trace: the epoch and the persist
+//! intervals still open before the first step. This module
 //! checks the whole file against that schema — typed fields, known kinds,
 //! line counts consistent with the header, and an escape round-trip on
 //! every string — using the crate's own minimal JSON reader, so `obs-check`
@@ -106,17 +108,39 @@ fn check_step_line(doc: &JsonValue) -> Result<(), String> {
         return Err("field \"intervals\" missing or not an array".to_owned());
     };
     for iv in intervals {
-        match iv.get("range") {
-            Some(JsonValue::Array(items))
-                if items.len() == 2 && items.iter().all(|v| v.as_f64().is_some()) => {}
-            _ => return Err("interval \"range\" must be [start, end]".to_owned()),
-        }
+        want_range(iv, "range")?;
         want_num(iv, "begin")?;
         match iv.get("end") {
             Some(JsonValue::Null) | Some(JsonValue::Number(_)) => {}
             _ => return Err("interval \"end\" must be null or a number".to_owned()),
         }
         want_opt_str(iv, "write_loc")?;
+    }
+    Ok(())
+}
+
+/// A two-element `[start, end]` number array.
+fn want_range(doc: &JsonValue, key: &str) -> Result<(), String> {
+    match doc.get(key) {
+        Some(JsonValue::Array(items))
+            if items.len() == 2 && items.iter().all(|v| v.as_f64().is_some()) =>
+        {
+            Ok(())
+        }
+        _ => Err(format!("field {key:?} must be [start, end]")),
+    }
+}
+
+fn check_window_line(doc: &JsonValue) -> Result<(), String> {
+    want_num(doc, "epoch")?;
+    let Some(JsonValue::Array(open)) = doc.get("open") else {
+        return Err("field \"open\" missing or not an array".to_owned());
+    };
+    for iv in open {
+        want_range(iv, "range")?;
+        want_num(iv, "begin")?;
+        want_opt_str(iv, "write_loc")?;
+        want_bool(iv, "flushed")?;
     }
     Ok(())
 }
@@ -145,8 +169,9 @@ fn check_culprit_line(doc: &JsonValue) -> Result<(), String> {
 ///
 /// Returns a description (with the 1-based line number) of the first schema
 /// violation: an unparseable line, a missing or mistyped field, an unknown
-/// `kind`, a string that does not survive an escape round-trip, or `step` /
-/// `diag` line counts inconsistent with the header.
+/// `kind`, a string that does not survive an escape round-trip, `step` /
+/// `diag` line counts inconsistent with the header, or a `window` line that
+/// is repeated or follows a step.
 pub fn validate_bundle(text: &str) -> Result<usize, String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).map(|(i, l)| {
         json::parse(l).map(|doc| (i + 1, doc)).map_err(|e| format!("line {}: {e}", i + 1))
@@ -173,7 +198,7 @@ pub fn validate_bundle(text: &str) -> Result<usize, String> {
     let want_diags = want_num(&header, "diags").map_err(|e| format!("line 1: {e}"))?;
 
     let mut checked = 1usize;
-    let (mut steps, mut diags) = (0u64, 0u64);
+    let (mut steps, mut diags, mut window) = (0u64, 0u64, false);
     for item in lines {
         let (lineno, doc) = item?;
         let kind = doc
@@ -190,6 +215,12 @@ pub fn validate_bundle(text: &str) -> Result<usize, String> {
             "step" => {
                 steps += 1;
                 check_step_line(&doc)
+            }
+            "window" if window => Err("unexpected second window".to_owned()),
+            "window" if steps > 0 => Err("window after a step".to_owned()),
+            "window" => {
+                window = true;
+                check_window_line(&doc)
             }
             "epoch" => check_epoch_line(&doc),
             "culprit" => check_culprit_line(&doc),
@@ -246,6 +277,23 @@ mod tests {
         assert!(validate_bundle(&unknown).unwrap_err().contains("unknown line kind"));
         let bad = GOOD.replace("\"severity\":\"FAIL\"", "\"severity\":\"BAD\"");
         assert!(validate_bundle(&bad).unwrap_err().contains("not FAIL or WARN"));
+    }
+
+    #[test]
+    fn accepts_one_window_line_before_the_steps() {
+        let window = concat!(
+            "{\"kind\":\"window\",\"epoch\":5,\"open\":[{\"range\":[0,8],\"begin\":0,",
+            "\"write_loc\":\"app.rs:3\",\"flushed\":false}]}\n"
+        );
+        let at = GOOD.find("{\"kind\":\"step\"").unwrap();
+        let good = format!("{}{window}{}", &GOOD[..at], &GOOD[at..]);
+        assert_eq!(validate_bundle(&good).unwrap(), 7);
+        let twice = format!("{}{window}{window}{}", &GOOD[..at], &GOOD[at..]);
+        assert!(validate_bundle(&twice).unwrap_err().contains("second window"));
+        let late = format!("{GOOD}{window}");
+        assert!(validate_bundle(&late).unwrap_err().contains("window after a step"));
+        let bad = good.replace("\"flushed\":false", "\"flushed\":0");
+        assert!(validate_bundle(&bad).unwrap_err().contains("\"flushed\""));
     }
 
     #[test]

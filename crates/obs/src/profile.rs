@@ -12,15 +12,13 @@
 //! site. The [`advisor`](crate::advisor) module ranks this store into
 //! source-located optimization suggestions.
 //!
-//! The store is engine-side state behind the `TelemetryConfig::profiling`
-//! layer: disabled (the default) it costs the replay path one `Relaxed`
-//! atomic load and a branch; enabled, workers fold one small per-trace tally
-//! into the shared map under a mutex — once per trace, far off the per-entry
-//! hot path. Aggregation is keyed by site, so the result is independent of
-//! worker count, batch size, and shard merge order.
+//! The store is engine-side state fed at the `Profile` telemetry level and
+//! above: workers fold one small per-batch tally into the shared map under
+//! a mutex — far off the per-entry hot path. Below that level nothing feeds
+//! it. Aggregation is keyed by site, so the result is independent of worker
+//! count, batch size, and shard merge order.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::TelemetrySnapshot;
@@ -101,42 +99,25 @@ struct Inner {
 
 /// The shared cross-trace profile store.
 ///
-/// Construct one per engine, [`set_enabled`](Self::set_enabled) from the
-/// telemetry config, feed it per-trace tallies with
+/// Construct one per engine, feed it per-trace tallies with
 /// [`record_trace`](Self::record_trace), and read it back with
 /// [`snapshot`](Self::snapshot).
 #[derive(Default)]
 pub struct ProfileStore {
-    enabled: AtomicBool,
     inner: Mutex<Inner>,
 }
 
 impl ProfileStore {
-    /// Creates an empty, disabled store.
+    /// Creates an empty store.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Turns profiling on or off at runtime. The store keeps whatever it
-    /// has already aggregated.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the store is accepting tallies — the one relaxed load the
-    /// replay path pays when profiling is off.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Folds one checked trace's tallies into the store: `ops` carries the
     /// per-site operation/waste deltas the profiler observed, `warns` one
-    /// `(site, code)` pair per WARN diagnostic the checkers produced.
-    ///
-    /// Callers gate on [`is_enabled`](Self::is_enabled); this method always
-    /// records. One mutex acquisition per trace.
+    /// `(site, code)` pair per WARN diagnostic the checkers produced. One
+    /// mutex acquisition per trace.
     pub fn record_trace(
         &self,
         ops: &[((&'static str, u32), SiteDelta)],
@@ -274,14 +255,6 @@ mod tests {
             dup_flush_bytes: bytes,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn disabled_by_default_and_toggleable() {
-        let store = ProfileStore::new();
-        assert!(!store.is_enabled());
-        store.set_enabled(true);
-        assert!(store.is_enabled());
     }
 
     #[test]

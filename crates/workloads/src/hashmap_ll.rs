@@ -9,7 +9,6 @@ use pmtest_trace::Event;
 use crate::fault::{Fault, FaultSet};
 use crate::hashmap_tx::hash64;
 use crate::kv::{CheckMode, KvError, KvMap};
-use crate::queue::WALK_LIMIT;
 
 const NODE_HDR: u64 = 24; // key, next, vlen
 
@@ -122,8 +121,9 @@ impl HashMapLl {
     /// The walk behind [`entries`](Self::entries), over any image — the
     /// live pool, or a raw crash image that [`HashMapRecovery`] reads in
     /// place: hands each reachable `(key, value)` to `visit`, in bucket
-    /// order, and stops after [`WALK_LIMIT`] + 1 entries in all (a torn
-    /// pointer can form a cycle). `base` is the root's address.
+    /// order. `base` is the root's address. The walk stops after one entry
+    /// more in all than the image has bytes: that many entries must revisit
+    /// an address, so a torn pointer closed a cycle.
     ///
     /// [`HashMapRecovery`]: crate::HashMapRecovery
     pub(crate) fn walk<M: PmRead + ?Sized>(
@@ -133,10 +133,11 @@ impl HashMapLl {
         mut visit: impl FnMut(u64, &[u8]),
     ) -> Result<(), KvError> {
         let mut scratch = Vec::new();
+        let limit = pm.size();
         let mut walked = 0;
         for b in 0..nbuckets {
             let mut cur = pm.read_u64(base + 8 + b * 8)?;
-            while cur != 0 && walked <= WALK_LIMIT {
+            while cur != 0 && walked <= limit {
                 let key = pm.read_u64(cur)?;
                 let vlen = pm.read_u64(cur + 16)?;
                 visit(key, pm.read_bytes(ByteRange::with_len(cur + NODE_HDR, vlen), &mut scratch)?);

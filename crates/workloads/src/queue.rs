@@ -11,10 +11,6 @@ use crate::kv::{CheckMode, KvError};
 
 const NODE_HDR: u64 = 16; // next, vlen
 
-/// Chain walks stop after visiting `WALK_LIMIT` + 1 nodes: a torn next
-/// pointer can close a cycle.
-pub(crate) const WALK_LIMIT: usize = 1_000_000;
-
 /// A durable FIFO queue on low-level primitives, modelled on the persistent
 /// lock-free queue the paper cites (Friedman et al., PPoPP 2018) — another
 /// "custom CCS" beyond the WHISPER set.
@@ -240,8 +236,10 @@ impl PmQueue {
     /// The walk behind [`items`](Self::items), over any image — the live
     /// pool, or a raw crash image that [`QueueRecovery`] reads in place:
     /// hands each reachable node's address and value to `visit`, in chain
-    /// order, and stops after [`WALK_LIMIT`] + 1 nodes (a torn pointer can
-    /// form a cycle). `base` is the root's address.
+    /// order. `base` is the root's address. The walk stops after one node
+    /// more than the image has bytes: a chain of distinct nodes in an
+    /// N-byte image has at most N of them, so a longer walk has revisited an
+    /// address — a torn next pointer closed a cycle.
     ///
     /// [`QueueRecovery`]: crate::QueueRecovery
     pub(crate) fn walk<M: PmRead + ?Sized>(
@@ -250,9 +248,10 @@ impl PmQueue {
         mut visit: impl FnMut(u64, &[u8]),
     ) -> Result<(), KvError> {
         let mut scratch = Vec::new();
+        let limit = pm.size();
         let mut walked = 0;
         let mut cur = pm.read_u64(base)?;
-        while cur != 0 && walked <= WALK_LIMIT {
+        while cur != 0 && walked <= limit {
             let vlen = pm.read_u64(cur + 8)?;
             visit(cur, pm.read_bytes(ByteRange::with_len(cur + NODE_HDR, vlen), &mut scratch)?);
             walked += 1;

@@ -25,7 +25,7 @@ use pmtest_pmfs::{Pmfs, PmfsOptions};
 
 use crate::hashmap_ll::HashMapLl;
 use crate::kv::KvError;
-use crate::queue::{PmQueue, WALK_LIMIT};
+use crate::queue::PmQueue;
 
 /// Stores `value` little-endian at `addr` of `image`. The slot must be in
 /// bounds: callers write only slots they have just read.
@@ -67,10 +67,10 @@ impl QueueRecovery {
         Ok(root.start())
     }
 
-    /// Refuses a chain the walk stopped on: more than [`WALK_LIMIT`] nodes
-    /// means a torn next pointer closed a cycle.
-    fn acyclic(reachable: usize) -> Result<(), String> {
-        if reachable > WALK_LIMIT {
+    /// Refuses a chain the walk stopped on: more nodes than `image` has
+    /// bytes means a torn next pointer closed a cycle.
+    fn acyclic(reachable: usize, image: &[u8]) -> Result<(), String> {
+        if reachable > image.len() {
             return Err("queue chain cycles (torn next pointer)".to_owned());
         }
         Ok(())
@@ -97,7 +97,7 @@ impl RecoveryProc for QueueRecovery {
                  item(s)"
             ));
         }
-        Self::acyclic(reachable)?;
+        Self::acyclic(reachable, image)?;
         // Repair the derived fields from the walk: tail = last reachable
         // node, count = reachable items.
         put_u64(image, base + 8, last);
@@ -137,7 +137,7 @@ impl RecoveryProc for QueueRecovery {
         if count as usize != reachable {
             return Err(format!("count {count} disagrees with {reachable} reachable items"));
         }
-        Self::acyclic(reachable)?;
+        Self::acyclic(reachable, image)?;
         let tail = image.read_u64(base + 8).map_err(|e| format!("read tail: {e}"))?;
         if tail != last {
             return Err(format!("tail {tail:#x} is not the last reachable node"));

@@ -231,7 +231,8 @@ impl MountedQueueRecovery {
         let mut nodes = Vec::new();
         let mut cur = pool.read_u64(base).map_err(|e| format!("read head: {e}"))?;
         while cur != 0 {
-            if nodes.len() >= 1_000_000 {
+            // A chain longer than the pool has bytes revisits an address.
+            if nodes.len() as u64 >= pool.size() {
                 return Err("queue chain cycles (torn next pointer)".to_owned());
             }
             nodes.push(cur);

@@ -22,13 +22,13 @@ const TRACES_PER_THREAD: u64 = 51;
 const TX_TRACES: u64 = 10;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Profiling only: the timing/event/recorder layers stay off, the
-    // replay hot path additionally decodes each checked trace into the
-    // site-keyed profile store.
+    // The Profile level, which includes Bundles but not the timing
+    // histograms or spans: every checked trace's replay additionally feeds
+    // the site-keyed profile store.
     let session = PmTestSession::builder()
         .workers(2)
         .batch_capacity(8)
-        .telemetry(TelemetryConfig::profiling_only())
+        .telemetry(TelemetryConfig::at(TelemetryLevel::Profile))
         .build();
     session.start();
 

@@ -17,10 +17,12 @@ const KEY_SPACE: u64 = 1_000;
 const VALUE_SIZE: usize = 64;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Two PMTest workers, as in the Fig. 12b sweet spot; timing telemetry
-    // on, so the run ends with check-latency quantiles.
-    let session =
-        PmTestSession::builder().workers(2).telemetry(TelemetryConfig::timing_only()).build();
+    // Two PMTest workers, as in the Fig. 12b sweet spot; the Full telemetry
+    // level, so the run ends with check-latency quantiles.
+    let session = PmTestSession::builder()
+        .workers(2)
+        .telemetry(TelemetryConfig::at(TelemetryLevel::Full))
+        .build();
     session.start();
 
     let pm = Arc::new(PmPool::new(1 << 24, session.sink()));

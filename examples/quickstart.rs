@@ -65,10 +65,10 @@ fn array_update_fixed(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // PMTest_INIT + PMTest_START (timing telemetry on, for the summary line)
+    // PMTest_INIT + PMTest_START (Full telemetry, for the summary line)
     let session = PmTestSession::builder()
         .model(X86Model::new())
-        .telemetry(TelemetryConfig::timing_only())
+        .telemetry(TelemetryConfig::at(TelemetryLevel::Full))
         .build();
     session.start();
     let pool = PmPool::new(4096, session.sink());

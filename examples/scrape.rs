@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = PmTestSession::builder()
         .workers(2)
         .batch_capacity(8)
-        .telemetry(TelemetryConfig::timing_only().with_scrape("127.0.0.1:0"))
+        .telemetry(TelemetryConfig::at(TelemetryLevel::Full).with_scrape("127.0.0.1:0"))
         .build();
     let addr = session.scrape_addr().expect("scrape endpoint configured");
     println!("scrape endpoint live at http://{addr}/metrics");

@@ -1,5 +1,5 @@
-//! Engine telemetry end to end: drive a mixed multi-threaded workload with
-//! every telemetry layer on, then export what the engine observed in all
+//! Engine telemetry end to end: drive a mixed multi-threaded workload at
+//! the `Full` telemetry level, then export what the engine observed in all
 //! three machine-readable formats (JSON-lines, Prometheus text exposition,
 //! single-document JSON), the diagnostics as JSON-lines, and the ingest
 //! spans as a Perfetto-loadable Chrome trace-event file.
@@ -18,15 +18,15 @@ const THREADS: u64 = 4;
 const TRACES_PER_THREAD: u64 = 100;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Everything on: timing histograms, the recorder (diagnosis bundles by
-    // re-check), the profiler, AND the per-thread span buffers. The verdict
-    // cache is on too — with the timing layer observing every replay it must
-    // bypass every trace, so the exported counters demonstrate the bypass
-    // predicate.
+    // The Full telemetry level: diagnosis bundles by re-check, the
+    // profiler, timing histograms AND the per-thread span buffers. The
+    // verdict cache is on too — with the Full level observing every replay
+    // it must bypass every trace, so the exported counters demonstrate the
+    // bypass predicate.
     let session = PmTestSession::builder()
         .workers(2)
         .batch_capacity(8)
-        .telemetry(TelemetryConfig::enabled().with_tracing())
+        .telemetry(TelemetryConfig::at(TelemetryLevel::Full))
         .verdict_cache(true)
         .build();
     session.start();
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let jsonl = writer::write_json_lines(dir, "telemetry_demo", &snap)?;
     let diags = format!("{dir}/telemetry_diags.jsonl");
     std::fs::write(&diags, report.to_json_lines())?;
-    // The recorder re-checked each failing trace into a diagnosis bundle
+    // Each failing trace was re-checked into a diagnosis bundle
     // (bounded); dump the first one for `pmtest-explain` / `obs-check`.
     let bundle = writer::write_lines(dir, "EXPLAIN_demo", &bundles[0].to_json_lines())?;
     // The ingest spans as Chrome trace-event JSON — load this file in the
@@ -124,11 +124,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = pmtest::obs::trace_event::validate_str(&chrome)
         .map_err(|e| format!("invalid trace-event JSON: {e}"))?;
-    assert!(stats.pairs > 0, "tracing layer captured no spans");
+    assert!(stats.pairs > 0, "the Full level captured no spans");
     assert!(stats.threads >= 2, "producer and worker tracks expected, got {stats:?}");
     assert_eq!(snap.counter_sum("engine_spans_dropped"), 0, "span buffers must not overflow here");
-    // The verdict cache saw every trace and bypassed all of them: the timing
-    // layer is on, and its replay observer must see every occurrence cold.
+    // The verdict cache saw every trace and bypassed all of them: at the
+    // Full level the replay observers must see every occurrence cold.
     assert_eq!(snap.counter("verdict_cache_bypasses"), Some(expected as u64));
     assert_eq!(snap.counter("verdict_cache_l1_hits"), Some(0));
     assert_eq!(snap.counter("verdict_cache_l2_hits"), Some(0));

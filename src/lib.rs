@@ -89,7 +89,7 @@ pub mod prelude {
     pub use pmtest_core::{
         check_trace, Diag, DiagKind, Engine, EngineConfig, EngineStats, FifoStats, HopsModel,
         KernelFifo, PersistencyModel, PmTestSession, Report, Severity, SubmitError,
-        TelemetryConfig, ThreadRecorder, X86Model,
+        TelemetryConfig, TelemetryLevel, ThreadRecorder, X86Model,
     };
     pub use pmtest_interval::ByteRange;
     pub use pmtest_obs::TelemetrySnapshot;
