@@ -1,15 +1,16 @@
 //! Per-entry cost of the fused trace replay, without the engine around it:
 //! ns/entry as a function of trace length and live-segment count, for both
 //! built-in models, on recycled vs fresh checker state — plus the real
-//! PMFS Filebench client traces the end-to-end benchmark checks.
+//! traces the end-to-end benchmark checks: the kv store's YCSB set traces
+//! and the PMFS Filebench client traces.
 //!
 //! This isolates the per-trace checking floor the engine benchmark can only
-//! see through the dispatch pipeline. The `recycled` rows replay through
-//! [`check_trace_with`] on one persistent [`CheckerScratch`] — the engine
-//! worker's steady state, where the shadow memory, interner, and segment
-//! maps retain their allocations across traces. The `fresh` rows pay the
-//! construction cost every trace ([`check_trace`]), which is what every
-//! check cost before the shadow pool existed.
+//! see through the dispatch pipeline. The `recycled` rows replay the packed
+//! records through [`check_packed_with`] on one persistent
+//! [`CheckerScratch`] and one kept [`LocResolver`] — the engine worker's
+//! path and steady state, where the shadow memory, the transaction scope
+//! and the segment maps retain their allocations across traces. The
+//! `fresh` rows pay the construction cost every trace ([`check_trace`]).
 //!
 //! The live-segment sweep spans both sides of the segment map's flat→BTree
 //! crossover (DESIGN.md §12): the rows at and below it replay on the flat
@@ -28,13 +29,15 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pmtest_core::{
-    check_trace, check_trace_with, CheckerScratch, HopsModel, PersistencyModel, X86Model,
+    check_packed_with, check_trace, CheckerScratch, HopsModel, PersistencyModel, X86Model,
 };
 use pmtest_interval::ByteRange;
-use pmtest_pmem::PmPool;
+use pmtest_mnemosyne::MnPool;
+use pmtest_pmem::{PersistMode, PmPool};
 use pmtest_pmfs::{Pmfs, PmfsOptions};
-use pmtest_trace::{Event, MemorySink, Trace};
+use pmtest_trace::{Event, LocResolver, MemorySink, Trace};
 use pmtest_workloads::fsbench::{filebench, FilebenchConfig};
+use pmtest_workloads::{gen, CheckMode, FaultSet, KvStore};
 
 /// Entries per trace: spans the engine bench's 4-entry short traces up to
 /// replays long enough for per-trace setup, and the one-time insertion of
@@ -62,6 +65,14 @@ const SCATTER: usize = 0x9E37;
 /// end-to-end benchmark's `pmfs-filebench` workload (8 clients, 10k ops).
 const PMFS_CLIENTS: usize = 8;
 const PMFS_OPS_PER_CLIENT: usize = 1250;
+
+/// The end-to-end benchmark's `kv-ycsb` shape: YCSB update-heavy ops (50%
+/// set, zipfian) over 1000 keys with 64-B values, on a `KvStore` over the
+/// Mnemosyne redo-log pool with its transaction checkers, seed 1 — here
+/// 8000 ops, so about 4000 set traces.
+const KV_OPS: usize = 8000;
+const KV_KEYS: u64 = 1000;
+const KV_VALUE_BYTES: usize = 64;
 
 fn build_trace(model: &str, entries: usize, live: usize) -> Trace {
     let mut trace = Trace::new(0);
@@ -99,6 +110,29 @@ fn pmfs_traces() -> Vec<Trace> {
             sink.take_trace(client as u64)
         })
         .collect()
+}
+
+/// One trace per set of the YCSB stream, captured from the store's sink.
+fn kv_traces() -> Vec<Trace> {
+    let sink = Arc::new(MemorySink::new());
+    let pm = Arc::new(PmPool::new(4 << 20, sink.clone()));
+    let pool = Arc::new(MnPool::create(pm, 16 << 10, PersistMode::X86).expect("mn pool"));
+    let store =
+        KvStore::create(pool, 1024, 8, CheckMode::Checkers, FaultSet::none()).expect("kv store");
+    let _ = sink.take_trace(0); // store creation is set-up, not a set
+    let mut traces = Vec::new();
+    for op in gen::ycsb_update_heavy(KV_OPS, KV_KEYS, 1) {
+        match op {
+            gen::Op::Get(k) => {
+                let _ = store.get(k).expect("get");
+            }
+            gen::Op::Set(k) => {
+                store.set(k, &gen::value_for(k, KV_VALUE_BYTES)).expect("set");
+                traces.push(sink.take_trace(traces.len() as u64));
+            }
+        }
+    }
+    traces
 }
 
 /// Segments in the shadow memory `scratch` was left with.
@@ -143,10 +177,16 @@ fn bench_traces(
     let entries: usize = traces.iter().map(Trace::len).sum();
     group.throughput(Throughput::Elements(entries as u64));
     let mut scratch = CheckerScratch::new();
+    let mut resolver = LocResolver::new();
     group.bench_with_input(BenchmarkId::new("recycled", id), &traces, |b, traces| {
         b.iter(|| {
             for t in *traces {
-                criterion::black_box(check_trace_with(t, model, &mut scratch));
+                criterion::black_box(check_packed_with(
+                    t.packed(),
+                    model,
+                    &mut scratch,
+                    &mut resolver,
+                ));
             }
         })
     });
@@ -185,7 +225,8 @@ fn bench_model(
             let trace = build_trace(name, entries, live);
             let mut scratch = CheckerScratch::new();
             assert!(
-                check_trace_with(&trace, model, &mut scratch).is_empty(),
+                check_packed_with(trace.packed(), model, &mut scratch, &mut LocResolver::new())
+                    .is_empty(),
                 "{name} bench trace (len {entries}, live {live}) must check clean"
             );
             assert_eq!(live_segments(&scratch), live, "{name} trace must reach {live} segments");
@@ -197,19 +238,27 @@ fn bench_model(
     group.finish();
 }
 
-fn bench_pmfs(c: &mut Criterion, samples: &mut Vec<Sample>) {
-    let traces = pmfs_traces();
+/// Benchmarks one set of captured workload traces under x86, which must
+/// check clean.
+fn bench_workload(
+    c: &mut Criterion,
+    samples: &mut Vec<Sample>,
+    trace: &'static str,
+    id: &str,
+    traces: &[Trace],
+) {
     let model = X86Model::new();
     let mut scratch = CheckerScratch::new();
+    let mut resolver = LocResolver::new();
     let mut live = 0;
-    for t in &traces {
-        assert!(check_trace_with(t, &model, &mut scratch).is_empty(), "pmfs traces check clean");
+    for t in traces {
+        let diags = check_packed_with(t.packed(), &model, &mut scratch, &mut resolver);
+        assert!(diags.is_empty(), "{trace} traces check clean: {diags:?}");
         live = live.max(live_segments(&scratch));
     }
     let repr = repr(&scratch);
-    let mut group = c.benchmark_group("checker_replay_pmfs");
-    let id = "8clients";
-    bench_traces(&mut group, samples, "pmfs-filebench", "x86", &model, id, &traces, live, repr);
+    let mut group = c.benchmark_group(&format!("checker_replay_{trace}"));
+    bench_traces(&mut group, samples, trace, "x86", &model, id, traces, live, repr);
     group.finish();
 }
 
@@ -240,12 +289,15 @@ fn write_json(samples: &[Sample]) {
             "  \"bench\": \"checker_replay\",\n",
             "  \"host_parallelism\": {},\n",
             "  \"workload\": \"blocks = write + make-durable + isPersist blocks cycling over N \
-             disjoint 64B-strided segments in scattered order, clean traces; pmfs-filebench = \
-             one trace per Filebench client (8 x 1250 ops) on PMFS with journal checkers, \
-             entries and live_segments per trace (live_segments = the largest); single thread, \
-             no engine\",\n",
-            "  \"modes\": \"recycled = check_trace_with on one persistent CheckerScratch \
-             (engine steady state); fresh = checker state constructed per trace\",\n",
+             disjoint 64B-strided segments in scattered order, clean traces; kv-ycsb = one \
+             trace per set of 8000 YCSB update-heavy ops (50% set, zipfian, 1000 keys, 64-B \
+             values, seed 1) on the KvStore over the Mnemosyne redo log with its checkers; \
+             pmfs-filebench = one trace per Filebench client (8 x 1250 ops) on PMFS with \
+             journal checkers; entries and live_segments per trace (live_segments = the \
+             largest); single thread, no engine\",\n",
+            "  \"modes\": \"recycled = check_packed_with on one persistent CheckerScratch and \
+             one kept LocResolver (the engine worker's path and steady state); fresh = \
+             check_trace, checker state and resolver constructed per trace\",\n",
             "  \"statistics\": \"ns_per_entry = median of 10 batches; ns_per_entry_floor = \
              fastest batch\",\n",
             "  \"repr\": \"segment-map representation the replay ends in: flat vector, or BTree \
@@ -267,7 +319,8 @@ fn checker_replay(c: &mut Criterion) {
     let mut samples = Vec::new();
     bench_model(c, &mut samples, "x86", &X86Model::new());
     bench_model(c, &mut samples, "hops", &HopsModel::new());
-    bench_pmfs(c, &mut samples);
+    bench_workload(c, &mut samples, "kv-ycsb", "sets", &kv_traces());
+    bench_workload(c, &mut samples, "pmfs-filebench", "8clients", &pmfs_traces());
     for s in &samples {
         println!(
             "{:<14} {:<4} len={:>5} live={:>4} {:<5} {:>8}: {:>6.1} ns/entry (floor {:>6.1})",

@@ -116,9 +116,9 @@ fn check_round(report: &Report, traces: u64) {
     assert_eq!(report.traces().len() as u64, traces, "the report must hold the round's traces");
 }
 
-/// Distinct 64-byte ranges per repetitive-workload trace. Well past the
-/// clean-lane DFA's exact-match slots, so the uncached run pays the full
-/// fused replay — the production-shaped cost the verdict cache memoizes.
+/// Distinct 64-byte ranges per repetitive-workload trace, so the uncached
+/// run pays a long fused replay — the production-shaped cost the verdict
+/// cache memoizes.
 const REP_RANGES: u64 = 30;
 
 /// Records one repetitive-workload trace: [`REP_RANGES`] write+flush pairs
@@ -185,9 +185,34 @@ struct Sample {
     /// but cannot lower the floor, while a real code-cost increase raises
     /// both.
     floor_ns_per_trace: f64,
+    /// First and third quartiles over the sample batches: the row's spread.
+    q1_ns_per_trace: f64,
+    q3_ns_per_trace: f64,
 }
 
 impl Sample {
+    /// The row of the benchmark `group` ran last, whose iterations each
+    /// handled `traces` traces.
+    fn of_last(
+        group: &criterion::BenchmarkGroup<'_>,
+        path: &'static str,
+        workers: usize,
+        batch: usize,
+        traces: u64,
+    ) -> Self {
+        let per = |ns: Option<f64>| ns.expect("benchmark just ran") / traces as f64;
+        let (q1, q3) = group.last_quartiles_ns().expect("benchmark just ran");
+        Self {
+            path,
+            workers,
+            batch,
+            ns_per_trace: per(group.last_estimate_ns()),
+            floor_ns_per_trace: per(group.last_best_ns()),
+            q1_ns_per_trace: per(Some(q1)),
+            q3_ns_per_trace: per(Some(q3)),
+        }
+    }
+
     fn traces_per_sec(&self) -> f64 {
         1e9 / self.ns_per_trace
     }
@@ -216,15 +241,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
                 &traces,
                 |b, &traces| b.iter(|| run_round(&session, traces)),
             );
-            let per_round_ns = group.last_estimate_ns().expect("benchmark just ran");
-            let floor_ns = group.last_best_ns().expect("benchmark just ran");
-            samples.push(Sample {
-                path: "session",
-                workers,
-                batch,
-                ns_per_trace: per_round_ns / traces as f64,
-                floor_ns_per_trace: floor_ns / traces as f64,
-            });
+            samples.push(Sample::of_last(&group, "session", workers, batch, traces));
         }
     }
     // A/B rows: the reference w4/b32 configuration at each telemetry level
@@ -233,10 +250,10 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
     // the off row they are compared against. The row names predate the
     // levels and stay, because CI's structural guard reads them:
     // * `session-recorder` — `Bundles`, which re-checks only failing
-    //   traces, so the clean traces here keep the clean lane;
+    //   traces, so the clean traces here cost what they cost at `Off`;
     // * `session-profiling` — `Profile`. It observes the replay walk
-    //   (profiled traces skip the clean lane and the cache), so this row
-    //   prices the advisor's data collection;
+    //   (profiled traces skip the verdict cache), so this row prices the
+    //   advisor's data collection;
     // * `session-telemetry` — `Full`: the profile plus stage timing and
     //   span tracing.
     // The `Off` guard is the plain w4/b32 row above, whose floor assertion
@@ -256,15 +273,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         group.bench_with_input(BenchmarkId::new(id, "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });
-        let per_round_ns = group.last_estimate_ns().expect("benchmark just ran");
-        let floor_ns = group.last_best_ns().expect("benchmark just ran");
-        samples.push(Sample {
-            path,
-            workers: 4,
-            batch: 32,
-            ns_per_trace: per_round_ns / traces as f64,
-            floor_ns_per_trace: floor_ns / traces as f64,
-        });
+        samples.push(Sample::of_last(&group, path, 4, 32, traces));
     }
     // Repetitive-workload A/B rows: one 62-record trace shape repeated for
     // the whole round, checked with the verdict cache off (`session-rep`,
@@ -280,15 +289,8 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         group.bench_with_input(BenchmarkId::new(id, "b32"), &traces, |b, &traces| {
             b.iter(|| run_round_repetitive(&session, traces))
         });
-        let per_round_ns = group.last_estimate_ns().expect("benchmark just ran");
-        let floor_ns = group.last_best_ns().expect("benchmark just ran");
-        samples.push(Sample {
-            path: if cached { "session-cached" } else { "session-rep" },
-            workers: 4,
-            batch: 32,
-            ns_per_trace: per_round_ns / traces as f64,
-            floor_ns_per_trace: floor_ns / traces as f64,
-        });
+        let path = if cached { "session-cached" } else { "session-rep" };
+        samples.push(Sample::of_last(&group, path, 4, 32, traces));
     }
     // Cached-probe microbench row: the marginal cost of the cached path in
     // isolation — fingerprint the short 4-entry trace shape and probe a
@@ -312,15 +314,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
                 criterion::black_box(wc.lookup(&cache, fp).is_some())
             })
         });
-        let per_iter_ns = group.last_estimate_ns().expect("benchmark just ran");
-        let floor_ns = group.last_best_ns().expect("benchmark just ran");
-        samples.push(Sample {
-            path: "cached-probe",
-            workers: 1,
-            batch: 1,
-            ns_per_trace: per_iter_ns,
-            floor_ns_per_trace: floor_ns,
-        });
+        samples.push(Sample::of_last(&group, "cached-probe", 1, 1, 1));
     }
     // Peak-ingest rows: one producer recording through the owned handle.
     for &(workers, batch) in &[(1usize, 256usize), (1, 1024), (2, 1024)] {
@@ -333,15 +327,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             &traces,
             |b, &traces| b.iter(|| run_round_recorder(&mut rec, &session, traces)),
         );
-        let per_round_ns = group.last_estimate_ns().expect("benchmark just ran");
-        let floor_ns = group.last_best_ns().expect("benchmark just ran");
-        samples.push(Sample {
-            path: "recorder",
-            workers,
-            batch,
-            ns_per_trace: per_round_ns / traces as f64,
-            floor_ns_per_trace: floor_ns / traces as f64,
-        });
+        samples.push(Sample::of_last(&group, "recorder", workers, batch, traces));
     }
     group.finish();
     samples
@@ -453,12 +439,14 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
     for (i, s) in samples.iter().enumerate() {
         let _ = writeln!(
             rows,
-            "    {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"ns_per_trace_floor\": {:.1}, \"traces_per_sec\": {:.0}, \"host_parallelism\": {}, \"oversubscribed\": {}}}{}",
+            "    {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"ns_per_trace_floor\": {:.1}, \"ns_per_trace_q1\": {:.1}, \"ns_per_trace_q3\": {:.1}, \"traces_per_sec\": {:.0}, \"host_parallelism\": {}, \"oversubscribed\": {}}}{}",
             s.path,
             s.workers,
             s.batch,
             s.ns_per_trace,
             s.floor_ns_per_trace,
+            s.q1_ns_per_trace,
+            s.q3_ns_per_trace,
             s.traces_per_sec(),
             parallelism,
             s.workers > parallelism,
@@ -492,7 +480,7 @@ fn write_json(samples: &[Sample], traces: u64, verdict_cache: &str) {
             "  \"traces_per_round\": {},\n",
             "  \"entries_per_trace\": {},\n",
             "  \"workload\": \"short traces: write+flush+fence+isPersist; session rows: 4 producer threads via the Sink path; session-rep/session-cached rows: one 62-record repetitive shape (30 distinct write+flush ranges) with the verdict cache off/on; cached-probe row: fingerprint + L1 lookup only, no engine; recorder rows: 1 inline producer via the owned ThreadRecorder handle; ring capacity derived (256/batch, min 32)\",\n",
-            "  \"telemetry\": \"level Off (default) except the session-recorder A/B row (level Bundles: failing traces re-checked into bundles), the session-profiling A/B row (level Profile: the cross-trace profiler observes every replay) and the session-telemetry A/B row (level Full: Profile plus timing histograms and span tracing); per-producer SPSC rings with work-stealing workers; producers record packed records into recycled arenas; clean traces take the packed DFA lane, the rest the fused replay on each worker's own CheckerScratch state; session-cached serves repeats from the content-addressed verdict cache\",\n",
+            "  \"telemetry\": \"level Off (default) except the session-recorder A/B row (level Bundles: failing traces re-checked into bundles), the session-profiling A/B row (level Profile: the cross-trace profiler observes every replay) and the session-telemetry A/B row (level Full: Profile plus timing histograms and span tracing); per-producer SPSC rings with work-stealing workers; producers record packed records into recycled arenas; every trace takes the fused replay on its worker's own CheckerScratch state; session-cached serves repeats from the content-addressed verdict cache\",\n",
             "  \"results\": [\n{}  ],\n",
             "  \"peak\": {{\"path\": \"{}\", \"workers\": {}, \"batch\": {}, \"ns_per_trace\": {:.1}, \"traces_per_sec\": {:.0}}},\n",
             "  \"speedup_batch32_over_batch1_by_workers\": {{\n{}  }},\n",

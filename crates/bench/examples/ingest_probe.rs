@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use pmtest_core::{PersistencyModel, PmTestSession};
+use pmtest_core::PmTestSession;
 use pmtest_interval::ByteRange;
 use pmtest_trace::{Event, Sink, TraceArena};
 
@@ -34,21 +34,6 @@ fn main() {
             if arena.sealed() >= 32 {
                 arena.clear();
             }
-        }
-    });
-
-    // Clean-lane DFA over the canonical packed trace.
-    let mut probe = TraceArena::new();
-    probe.push(Event::Write(r).here());
-    probe.push(Event::Flush(r).here());
-    probe.push(Event::Fence.here());
-    probe.push(Event::IsPersist(r).here());
-    probe.seal(0);
-    let words: Vec<_> = probe.traces().next().map(|(_, w, _)| w.to_vec()).unwrap();
-    let fast = pmtest_core::X86Model::new().builtin().unwrap();
-    time("packed_clean DFA only", traces, || {
-        for _ in 0..traces {
-            assert!(pmtest_core::packed_clean(fast, std::hint::black_box(&words)));
         }
     });
 
@@ -215,9 +200,9 @@ fn main() {
     }
 
     // Verdict-cache decomposition: a repetitive workload (one 62-record
-    // shape, 30 distinct ranges — past the clean-lane DFA's slots, so the
-    // uncached run pays the full fused replay) checked cache-off then
-    // cache-on, with the hit-rate breakdown by tier.
+    // shape over 30 distinct ranges, so the uncached run pays a long fused
+    // replay) checked cache-off then cache-on, with the hit-rate breakdown
+    // by tier.
     {
         let round = traces.min(100_000);
         let record_rep = |session: &PmTestSession| {

@@ -1,5 +1,5 @@
-use pmtest_interval::{ByteRange, IntervalTree, SegmentMap};
-use pmtest_trace::packed::decode_next;
+use pmtest_interval::{ByteRange, IntervalTree};
+use pmtest_trace::packed::decode_event;
 use pmtest_trace::{Entry, Event, LocResolver, PackedEntry, PackedOp, SourceLoc, Trace};
 
 use crate::diag::{Diag, DiagKind};
@@ -13,7 +13,7 @@ use crate::shadow::ShadowMemory;
 /// transaction-checker scope, and the scratch buffers the replay loop needs.
 ///
 /// Every trace is checked against logically fresh state, but the state's
-/// *allocations* (segment vectors, interval-tree arena, interner) are
+/// *allocations* (segment vectors, interval-tree arena, range lists) are
 /// expensive to rebuild per trace. A `CheckerScratch` is `reset()` between
 /// traces instead, and the replay rewrites that state in place, so a worker
 /// replaying through [`check_packed_with`] with a kept [`LocResolver`]
@@ -26,13 +26,11 @@ use crate::shadow::ShadowMemory;
 pub struct CheckerScratch {
     shadow: ShadowMemory,
     tx: TxScope,
-    /// Locations of the currently open `TX_BEGIN`s, innermost last (the
+    /// Location ids of the currently open `TX_BEGIN`s, innermost last (the
     /// stack's length is the transaction nesting depth). Kept so an
     /// unterminated-transaction diagnostic can name the begin that was
     /// never closed as its culprit.
-    tx_begins: Vec<SourceLoc>,
-    /// Reused buffer for the modified-object sweep at `TX_CHECKER_END`.
-    modified_ranges: Vec<ByteRange>,
+    tx_begins: Vec<u32>,
     /// Segment-map representation switches already handed to telemetry;
     /// see [`take_repr_switch_delta`](Self::take_repr_switch_delta).
     reported_repr_switches: u64,
@@ -54,7 +52,6 @@ impl CheckerScratch {
         self.tx.log.clear();
         self.tx.modified.clear();
         self.tx_begins.clear();
-        self.modified_ranges.clear();
         // reported_repr_switches intentionally survives: the underlying
         // counters are cumulative across resets.
     }
@@ -66,10 +63,10 @@ impl CheckerScratch {
     }
 
     /// Cumulative flat→BTree representation switches across this scratch's
-    /// segment maps (shadow memory plus the transaction modified-set).
+    /// segment maps (the shadow memory's).
     #[must_use]
     pub fn repr_switches(&self) -> u64 {
-        self.shadow.repr_switches() + self.tx.modified.repr_switches()
+        self.shadow.repr_switches()
     }
 
     /// Representation switches since the last call (for feeding a telemetry
@@ -86,64 +83,66 @@ impl CheckerScratch {
 #[derive(Default)]
 struct TxScope {
     active: bool,
-    start_loc: Option<SourceLoc>,
+    start_loc: Option<u32>,
     /// Ranges backed up by `TX_ADD`, attributed to the call that logged them.
-    log: IntervalTree<SourceLoc>,
-    /// Ranges modified inside the scope, attributed to the last write.
-    modified: SegmentMap<SourceLoc>,
+    log: IntervalTree<u32>,
+    /// Every range written inside the scope, in write order. Only their
+    /// union is read, by `TX_CHECKER_END`, which sorts and merges the list
+    /// once (see [`on_tx_checker_end`]).
+    modified: Vec<ByteRange>,
 }
 
-/// Applies one *operation* event. For the built-in models the rules are
-/// called directly — no dynamic dispatch, no per-event [`Entry`]
-/// reconstruction; custom models take the object-safe path. Both run the
-/// same rule code (`x86_op`/`hops_op`), so diagnostics are identical.
-#[inline]
-fn apply_op(
+/// What applying a rule needs beside the checker state: the model
+/// (devirtualized when it is built in), the resolver of location ids, and
+/// the diagnostics found so far. Locations travel as the packed records'
+/// ids and are resolved only for a diagnostic or a custom model.
+struct Rules<'a, L> {
+    model: &'a dyn PersistencyModel,
     fast: Option<BuiltinModel>,
-    model: &dyn PersistencyModel,
-    shadow: &mut ShadowMemory,
-    event: Event,
-    loc: SourceLoc,
-    diags: &mut Vec<Diag>,
-) {
-    match fast {
-        Some(BuiltinModel::X86 { warn_performance }) => {
-            x86_op(warn_performance, shadow, event, loc, diags);
+    locs: L,
+    diags: Vec<Diag>,
+}
+
+impl<L: FnMut(u32) -> SourceLoc> Rules<'_, L> {
+    /// Applies one *operation* event. For the built-in models the rules are
+    /// called directly — no dynamic dispatch, no [`Entry`] reconstruction;
+    /// custom models take the object-safe path. Both run the same rule code
+    /// (`x86_op`/`hops_op`), so diagnostics are identical.
+    #[inline]
+    fn op(&mut self, shadow: &mut ShadowMemory, event: Event, at: u32) {
+        match self.fast {
+            Some(BuiltinModel::X86 { warn_performance }) => {
+                x86_op(warn_performance, shadow, event, at, &mut self.locs, &mut self.diags);
+            }
+            Some(BuiltinModel::Hops) => hops_op(shadow, event, at, &mut self.locs, &mut self.diags),
+            None => self.model.apply(shadow, &event.at((self.locs)(at)), &mut self.diags),
         }
-        Some(BuiltinModel::Hops) => hops_op(shadow, event, loc, diags),
-        None => model.apply(shadow, &event.at(loc), diags),
     }
-}
 
-#[inline]
-fn do_check_persist(
-    fast: Option<BuiltinModel>,
-    model: &dyn PersistencyModel,
-    shadow: &ShadowMemory,
-    range: ByteRange,
-    loc: SourceLoc,
-    diags: &mut Vec<Diag>,
-) {
-    match fast {
-        Some(_) => persist_failure(shadow, range, loc, diags),
-        None => model.check_persist(shadow, range, loc, diags),
+    #[inline]
+    fn check_persist(&mut self, shadow: &ShadowMemory, range: ByteRange, at: u32) {
+        match self.fast {
+            Some(_) => persist_failure(shadow, range, at, &mut self.locs, &mut self.diags),
+            None => self.model.check_persist(shadow, range, (self.locs)(at), &mut self.diags),
+        }
     }
-}
 
-#[inline]
-fn do_check_ordered_before(
-    fast: Option<BuiltinModel>,
-    model: &dyn PersistencyModel,
-    shadow: &ShadowMemory,
-    first: ByteRange,
-    second: ByteRange,
-    loc: SourceLoc,
-    diags: &mut Vec<Diag>,
-) {
-    match fast {
-        Some(BuiltinModel::X86 { .. }) => x86_ordered_before(shadow, first, second, loc, diags),
-        Some(BuiltinModel::Hops) => hops_ordered_before(shadow, first, second, loc, diags),
-        None => model.check_ordered_before(shadow, first, second, loc, diags),
+    #[inline]
+    fn check_ordered_before(
+        &mut self,
+        shadow: &ShadowMemory,
+        first: ByteRange,
+        second: ByteRange,
+        at: u32,
+    ) {
+        let (locs, diags) = (&mut self.locs, &mut self.diags);
+        match self.fast {
+            Some(BuiltinModel::X86 { .. }) => {
+                x86_ordered_before(shadow, first, second, at, locs, diags);
+            }
+            Some(BuiltinModel::Hops) => hops_ordered_before(shadow, first, second, at, locs, diags),
+            None => self.model.check_ordered_before(shadow, first, second, locs(at), diags),
+        }
     }
 }
 
@@ -154,11 +153,17 @@ fn do_check_ordered_before(
 /// replay passes `()`, which compiles to the bare loop. Run one with
 /// [`check_trace_observed`].
 pub trait ReplayObserver {
+    /// Whether [`on_entry`](Self::on_entry) looks at anything; when it does
+    /// not, the walk never builds the entry it would be handed.
+    const OBSERVES: bool = true;
+
     /// Observes entry `index` of the trace.
     fn on_entry(&mut self, index: usize, entry: &Entry, shadow: &ShadowMemory);
 }
 
 impl ReplayObserver for () {
+    const OBSERVES: bool = false;
+
     #[inline(always)]
     fn on_entry(&mut self, _: usize, _: &Entry, _: &ShadowMemory) {}
 }
@@ -167,13 +172,16 @@ impl ReplayObserver for () {
 /// and the high-level transaction checkers (§5.1) — the one replay walk
 /// every check runs.
 ///
-/// The walk decodes the packed records one entry at a time on the stack
+/// The walk decodes the packed records one event at a time on the stack
 /// (no `Vec<Entry>` is built) and applies each in a single fused pass:
 /// operations update the [`ShadowMemory`] (for the built-in models the
 /// rules are inlined, bypassing dynamic dispatch), checkers are validated
 /// against it in place, and the transaction checker maintains the *log
-/// tree* of `TX_ADD`ed ranges plus the set of objects modified inside the
-/// checked scope. `obs` sees each entry right after it is applied.
+/// tree* of `TX_ADD`ed ranges plus the ranges modified inside the checked
+/// scope. Locations stay the records' interned ids from record to report:
+/// `resolver` turns one into a [`SourceLoc`] only for a diagnostic, a
+/// custom model or an observer. `obs` sees each entry right after it is
+/// applied.
 pub(crate) fn replay<O: ReplayObserver>(
     words: &[PackedEntry],
     model: &dyn PersistencyModel,
@@ -183,68 +191,72 @@ pub(crate) fn replay<O: ReplayObserver>(
 ) -> Vec<Diag> {
     scratch.reset();
     let fast = model.builtin();
-    let mut diags = Vec::new();
+    // Only a dfence reads the shadow's open writes. A built-in model runs
+    // one only for a DFence record; a custom model may run one anywhere.
+    scratch.shadow.set_open_write_tracking(
+        fast.is_none() || words.iter().any(|w| w.op() == PackedOp::DFence),
+    );
+    let mut rules = Rules { model, fast, locs: |id| resolver.resolve(id), diags: Vec::new() };
     let mut i = 0;
     let mut index = 0;
-    while let Some((entry, next)) = decode_next(words, i, resolver) {
-        process(model, fast, scratch, &mut diags, &entry);
-        obs.on_entry(index, &entry, &scratch.shadow);
+    while let Some((event, at, next)) = decode_event(words, i) {
+        process(&mut rules, scratch, event, at);
+        if O::OBSERVES {
+            obs.on_entry(index, &event.at((rules.locs)(at)), &scratch.shadow);
+        }
         i = next;
         index += 1;
     }
-    diags
+    rules.diags
 }
 
-/// Applies one entry.
-fn process(
-    model: &dyn PersistencyModel,
-    fast: Option<BuiltinModel>,
+/// Applies one event issued at location id `at`.
+fn process<L: FnMut(u32) -> SourceLoc>(
+    rules: &mut Rules<'_, L>,
     scratch: &mut CheckerScratch,
-    diags: &mut Vec<Diag>,
-    entry: &Entry,
+    event: Event,
+    at: u32,
 ) {
     // Fast path: no exclusions active (the overwhelmingly common case), so
     // no range clipping and no per-event allocation is needed.
     if !scratch.shadow.has_exclusions() {
-        return process_unclipped(model, fast, scratch, diags, entry);
+        return process_unclipped(rules, scratch, event, at);
     }
-    match entry.event {
+    match event {
         Event::Write(range) => {
             for sub in scratch.shadow.in_scope(range) {
-                write_sub(model, fast, scratch, diags, sub, entry.loc);
+                write_sub(rules, scratch, sub, at);
             }
         }
         Event::Flush(range) => {
             for sub in scratch.shadow.in_scope(range) {
-                apply_op(fast, model, &mut scratch.shadow, Event::Flush(sub), entry.loc, diags);
+                rules.op(&mut scratch.shadow, Event::Flush(sub), at);
             }
         }
-        Event::Fence | Event::OFence | Event::DFence => {
-            apply_op(fast, model, &mut scratch.shadow, entry.event, entry.loc, diags);
-        }
-        Event::TxBegin => scratch.tx_begins.push(entry.loc),
-        Event::TxEnd => on_tx_end(scratch, diags, entry.loc),
+        Event::Fence | Event::OFence | Event::DFence => rules.op(&mut scratch.shadow, event, at),
+        Event::TxBegin => scratch.tx_begins.push(at),
+        Event::TxEnd => on_tx_end(rules, scratch, at),
         Event::TxAdd(range) => {
             if scratch.tx.active {
                 for sub in scratch.shadow.in_scope(range) {
-                    tx_add_sub(scratch, diags, sub, entry.loc);
+                    tx_add_sub(rules, scratch, sub, at);
                 }
             }
         }
         Event::IsPersist(range) => {
             for sub in scratch.shadow.in_scope(range) {
-                do_check_persist(fast, model, &scratch.shadow, sub, entry.loc, diags);
+                rules.check_persist(&scratch.shadow, sub, at);
             }
         }
         Event::IsOrderedBefore(first, second) => {
             for a in scratch.shadow.in_scope(first) {
                 for b in scratch.shadow.in_scope(second) {
-                    do_check_ordered_before(fast, model, &scratch.shadow, a, b, entry.loc, diags);
+                    rules.check_ordered_before(&scratch.shadow, a, b, at);
                 }
             }
         }
-        Event::TxCheckerStart => on_tx_checker_start(scratch, entry.loc),
-        Event::TxCheckerEnd => on_tx_checker_end(model, fast, scratch, diags, entry.loc),
+        Event::TxCheckerStart => on_tx_checker_start(scratch, at),
+        Event::TxCheckerEnd => on_tx_checker_end(rules, scratch, at),
         Event::Exclude(range) => scratch.shadow.exclude(range),
         Event::Include(range) => scratch.shadow.include(range),
     }
@@ -252,39 +264,40 @@ fn process(
 
 /// The no-exclusions fast path of [`process`]: identical
 /// semantics with every range passed through whole.
-fn process_unclipped(
-    model: &dyn PersistencyModel,
-    fast: Option<BuiltinModel>,
+fn process_unclipped<L: FnMut(u32) -> SourceLoc>(
+    rules: &mut Rules<'_, L>,
     scratch: &mut CheckerScratch,
-    diags: &mut Vec<Diag>,
-    entry: &Entry,
+    event: Event,
+    at: u32,
 ) {
-    match entry.event {
-        Event::Write(range) => write_sub(model, fast, scratch, diags, range, entry.loc),
+    match event {
+        Event::Write(range) => write_sub(rules, scratch, range, at),
         Event::Flush(_) | Event::Fence | Event::OFence | Event::DFence => {
-            apply_op(fast, model, &mut scratch.shadow, entry.event, entry.loc, diags);
+            rules.op(&mut scratch.shadow, event, at);
         }
-        Event::IsPersist(range) => {
-            do_check_persist(fast, model, &scratch.shadow, range, entry.loc, diags);
-        }
+        Event::IsPersist(range) => rules.check_persist(&scratch.shadow, range, at),
         Event::IsOrderedBefore(first, second) => {
-            do_check_ordered_before(fast, model, &scratch.shadow, first, second, entry.loc, diags);
+            rules.check_ordered_before(&scratch.shadow, first, second, at);
         }
-        Event::TxAdd(range) => tx_add_sub(scratch, diags, range, entry.loc),
-        Event::TxBegin => scratch.tx_begins.push(entry.loc),
-        Event::TxEnd => on_tx_end(scratch, diags, entry.loc),
-        Event::TxCheckerStart => on_tx_checker_start(scratch, entry.loc),
-        Event::TxCheckerEnd => on_tx_checker_end(model, fast, scratch, diags, entry.loc),
+        Event::TxAdd(range) => tx_add_sub(rules, scratch, range, at),
+        Event::TxBegin => scratch.tx_begins.push(at),
+        Event::TxEnd => on_tx_end(rules, scratch, at),
+        Event::TxCheckerStart => on_tx_checker_start(scratch, at),
+        Event::TxCheckerEnd => on_tx_checker_end(rules, scratch, at),
         Event::Exclude(range) => scratch.shadow.exclude(range),
         Event::Include(range) => scratch.shadow.include(range),
     }
 }
 
-fn on_tx_end(scratch: &mut CheckerScratch, diags: &mut Vec<Diag>, loc: SourceLoc) {
+fn on_tx_end<L: FnMut(u32) -> SourceLoc>(
+    rules: &mut Rules<'_, L>,
+    scratch: &mut CheckerScratch,
+    at: u32,
+) {
     if scratch.tx_begins.pop().is_none() {
-        diags.push(Diag {
+        rules.diags.push(Diag {
             kind: DiagKind::UnmatchedTxEnd,
-            loc,
+            loc: (rules.locs)(at),
             range: None,
             culprit: None,
             message: "transaction end without a matching begin".to_owned(),
@@ -292,74 +305,87 @@ fn on_tx_end(scratch: &mut CheckerScratch, diags: &mut Vec<Diag>, loc: SourceLoc
     }
 }
 
-/// Opens (or re-opens) the checked scope; the log tree and modified set are
-/// cleared in place, retaining their capacity for the recycled case.
-fn on_tx_checker_start(scratch: &mut CheckerScratch, loc: SourceLoc) {
+/// Opens (or re-opens) the checked scope; the log tree and modified list
+/// are cleared in place, retaining their capacity for the recycled case.
+fn on_tx_checker_start(scratch: &mut CheckerScratch, at: u32) {
     scratch.tx.active = true;
-    scratch.tx.start_loc = Some(loc);
+    scratch.tx.start_loc = Some(at);
     scratch.tx.log.clear();
     scratch.tx.modified.clear();
 }
 
 /// Handles one (possibly clipped) written sub-range.
-fn write_sub(
-    model: &dyn PersistencyModel,
-    fast: Option<BuiltinModel>,
+fn write_sub<L: FnMut(u32) -> SourceLoc>(
+    rules: &mut Rules<'_, L>,
     scratch: &mut CheckerScratch,
-    diags: &mut Vec<Diag>,
     sub: ByteRange,
-    loc: SourceLoc,
+    at: u32,
 ) {
-    // Missing-backup check (§5.1.1): inside a checked transaction, every
-    // modified range must already be in the undo log.
-    if scratch.tx.active && !scratch.tx_begins.is_empty() {
-        for gap in scratch.tx.log.uncovered(sub) {
-            diags.push(Diag {
-                kind: DiagKind::MissingLog,
-                loc,
-                range: Some(gap),
-                // The unlogged write itself is the site to fix.
-                culprit: Some(loc),
-                message: "persistent object modified inside a transaction without \
-                          a prior TX_ADD backup"
-                    .to_owned(),
-            });
+    if scratch.tx.active {
+        // Missing-backup check (§5.1.1): inside a checked transaction,
+        // every modified range must already be in the undo log.
+        if !scratch.tx_begins.is_empty() {
+            for gap in scratch.tx.log.uncovered(sub) {
+                let loc = (rules.locs)(at);
+                rules.diags.push(Diag {
+                    kind: DiagKind::MissingLog,
+                    loc,
+                    range: Some(gap),
+                    // The unlogged write itself is the site to fix.
+                    culprit: Some(loc),
+                    message: "persistent object modified inside a transaction without \
+                              a prior TX_ADD backup"
+                        .to_owned(),
+                });
+            }
+        }
+        if !sub.is_empty() {
+            scratch.tx.modified.push(sub);
         }
     }
-    if scratch.tx.active {
-        scratch.tx.modified.insert(sub, loc);
-    }
-    apply_op(fast, model, &mut scratch.shadow, Event::Write(sub), loc, diags);
+    rules.op(&mut scratch.shadow, Event::Write(sub), at);
 }
 
-fn tx_add_sub(scratch: &mut CheckerScratch, diags: &mut Vec<Diag>, sub: ByteRange, loc: SourceLoc) {
+fn tx_add_sub<L: FnMut(u32) -> SourceLoc>(
+    rules: &mut Rules<'_, L>,
+    scratch: &mut CheckerScratch,
+    sub: ByteRange,
+    at: u32,
+) {
     if !scratch.tx.active {
         return;
     }
     // Duplicate-log check (§5.1.2).
-    if let Some((_, earlier)) = scratch.tx.log.overlaps(sub).next() {
-        diags.push(Diag {
+    if let Some((_, &earlier)) = scratch.tx.log.overlaps(sub).next() {
+        rules.diags.push(Diag {
             kind: DiagKind::DuplicateLog,
-            loc,
+            loc: (rules.locs)(at),
             range: Some(sub),
-            culprit: Some(*earlier),
+            culprit: Some((rules.locs)(earlier)),
             message: "object already added to the undo log in this transaction".to_owned(),
         });
     }
-    scratch.tx.log.insert(sub, loc);
+    scratch.tx.log.insert(sub, at);
 }
 
-fn on_tx_checker_end(
-    model: &dyn PersistencyModel,
-    fast: Option<BuiltinModel>,
+/// Closes the checked scope: reports still-open transactions, then checks
+/// that every range modified inside the scope persisted.
+///
+/// The modified ranges are checked as their union — the list sorted and
+/// merged in place — which reports exactly what checking each range of a
+/// per-write segment map would: every in-scope write lands in the shadow
+/// memory with the same range, and only a write erases a shadow segment
+/// boundary, so no shadow segment straddles a boundary of the modified set
+/// and each reports once, in address order (DESIGN.md §12).
+fn on_tx_checker_end<L: FnMut(u32) -> SourceLoc>(
+    rules: &mut Rules<'_, L>,
     scratch: &mut CheckerScratch,
-    diags: &mut Vec<Diag>,
-    loc: SourceLoc,
+    at: u32,
 ) {
     if !scratch.tx.active {
-        diags.push(Diag {
+        rules.diags.push(Diag {
             kind: DiagKind::UnterminatedTx,
-            loc,
+            loc: (rules.locs)(at),
             range: None,
             culprit: None,
             message: "TX_CHECKER_END without a matching TX_CHECKER_START".to_owned(),
@@ -368,12 +394,17 @@ fn on_tx_checker_end(
     }
     // Incomplete-transaction check (§5.1.1).
     if !scratch.tx_begins.is_empty() {
-        diags.push(Diag {
+        rules.diags.push(Diag {
             kind: DiagKind::UnterminatedTx,
-            loc,
+            loc: (rules.locs)(at),
             range: None,
             // The innermost TX_BEGIN that was never closed.
-            culprit: scratch.tx_begins.last().copied().or(scratch.tx.start_loc),
+            culprit: scratch
+                .tx_begins
+                .last()
+                .copied()
+                .or(scratch.tx.start_loc)
+                .map(&mut rules.locs),
             message: format!(
                 "{} transaction(s) still open at the end of the checked scope",
                 scratch.tx_begins.len()
@@ -381,25 +412,42 @@ fn on_tx_checker_end(
         });
     }
     // Auto-injected `isPersist` for every modified, in-scope object
-    // (§5.1.1, Fig. 5b). The range list goes through a recycled buffer.
-    let mut ranges = std::mem::take(&mut scratch.modified_ranges);
-    ranges.clear();
-    ranges.extend(scratch.tx.modified.iter().map(|(r, _)| r));
+    // (§5.1.1, Fig. 5b).
+    merge_in_place(&mut scratch.tx.modified);
     let clipping = scratch.shadow.has_exclusions();
-    for &range in &ranges {
+    for &range in &scratch.tx.modified {
         if clipping {
             for sub in scratch.shadow.in_scope(range) {
-                do_check_persist(fast, model, &scratch.shadow, sub, loc, diags);
+                rules.check_persist(&scratch.shadow, sub, at);
             }
         } else {
-            do_check_persist(fast, model, &scratch.shadow, range, loc, diags);
+            rules.check_persist(&scratch.shadow, range, at);
         }
     }
-    scratch.modified_ranges = ranges;
     scratch.tx.active = false;
     scratch.tx.start_loc = None;
     scratch.tx.log.clear();
     scratch.tx.modified.clear();
+}
+
+/// Sorts `ranges` and merges overlapping or adjacent ones, in place: the
+/// result is the union as disjoint ranges in address order.
+fn merge_in_place(ranges: &mut Vec<ByteRange>) {
+    ranges.sort_unstable_by_key(ByteRange::start);
+    let mut kept = 0usize;
+    for i in 0..ranges.len() {
+        let next = ranges[i];
+        match kept.checked_sub(1).map(|last| &mut ranges[last]) {
+            Some(last) if next.start() <= last.end() => {
+                *last = ByteRange::new(last.start(), last.end().max(next.end()));
+            }
+            _ => {
+                ranges[kept] = next;
+                kept += 1;
+            }
+        }
+    }
+    ranges.truncate(kept);
 }
 
 /// Checks one trace against `model`, returning all diagnostics.
@@ -510,139 +558,6 @@ pub fn check_packed_with(
     resolver: &mut LocResolver,
 ) -> Vec<Diag> {
     replay(words, model, scratch, resolver, &mut ())
-}
-
-/// Maximum number of distinct ranges the clean-lane DFA tracks before it
-/// defers to the full checker. The paper's microbenchmark traces (Fig. 10a)
-/// touch one or two objects; four slots covers them with room to spare.
-const FAST_SLOTS: usize = 4;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FastState {
-    Dirty,
-    Flushed,
-    Persisted,
-}
-
-/// The *clean lane*: a conservative single-pass DFA over packed records that
-/// answers "is this trace certainly diagnostic-free under `model`?" without
-/// decoding entries, resolving locations, or touching shadow memory.
-///
-/// The DFA tracks up to `FAST_SLOTS` (4) mutually disjoint ranges, each
-/// matched *exactly* (same start and end on every reappearance), through
-/// `dirty → flushed → persisted`. Anything it is not absolutely sure about —
-/// partially overlapping ranges, transaction events, ordering checkers,
-/// scope control, ops foreign to the model, a flush that could draw a
-/// performance warning — makes it bail with `false`, and the caller runs the
-/// full checker. `true` is a proof: the full checker would emit no
-/// diagnostics, so the report is byte-identical either way (an empty
-/// diagnostics list), verified by a differential property test.
-#[must_use]
-pub fn packed_clean(model: BuiltinModel, words: &[PackedEntry]) -> bool {
-    let hops = matches!(model, BuiltinModel::Hops);
-    let mut slots = [(0u64, 0u64, FastState::Dirty); FAST_SLOTS];
-    let mut used = 0usize;
-    for w in words {
-        match w.op() {
-            PackedOp::Write => {
-                let (lo, hi) = (w.lo(), w.hi());
-                if lo >= hi {
-                    return false; // empty write: stay out of corner cases
-                }
-                let mut found = false;
-                for s in slots[..used].iter_mut() {
-                    if s.0 == lo && s.1 == hi {
-                        // Re-dirty: matches the model resetting the flush
-                        // interval on overwrite.
-                        s.2 = FastState::Dirty;
-                        found = true;
-                        break;
-                    }
-                    if lo < s.1 && s.0 < hi {
-                        return false; // partial overlap: defer
-                    }
-                }
-                if !found {
-                    if used == FAST_SLOTS {
-                        return false;
-                    }
-                    slots[used] = (lo, hi, FastState::Dirty);
-                    used += 1;
-                }
-            }
-            PackedOp::Flush => {
-                if hops {
-                    return false; // foreign op under HOPS
-                }
-                let (lo, hi) = (w.lo(), w.hi());
-                let mut closed = false;
-                for s in slots[..used].iter_mut() {
-                    if s.0 == lo && s.1 == hi {
-                        if s.2 != FastState::Dirty {
-                            return false; // duplicate flush may warn
-                        }
-                        s.2 = FastState::Flushed;
-                        closed = true;
-                        break;
-                    }
-                    if lo < s.1 && s.0 < hi {
-                        return false;
-                    }
-                }
-                if !closed {
-                    return false; // flush of an unwritten range may warn
-                }
-            }
-            PackedOp::Fence => {
-                if hops {
-                    return false;
-                }
-                for s in slots[..used].iter_mut() {
-                    if s.2 == FastState::Flushed {
-                        s.2 = FastState::Persisted;
-                    }
-                }
-            }
-            PackedOp::OFence => {
-                if !hops {
-                    return false; // foreign op under x86
-                }
-                // Epoch boundary: orders, persists nothing.
-            }
-            PackedOp::DFence => {
-                if !hops {
-                    return false;
-                }
-                for s in slots[..used].iter_mut() {
-                    s.2 = FastState::Persisted;
-                }
-            }
-            PackedOp::IsPersist => {
-                let (lo, hi) = (w.lo(), w.hi());
-                if lo >= hi {
-                    return false;
-                }
-                for s in slots[..used].iter() {
-                    if s.0 == lo && s.1 == hi {
-                        if s.2 != FastState::Persisted {
-                            return false; // would FAIL — full checker reports it
-                        }
-                        break;
-                    }
-                    if lo < s.1 && s.0 < hi {
-                        return false;
-                    }
-                }
-                // Disjoint from every tracked range: the checker would pass
-                // it only if the range was never written — which holds, or
-                // the write would have landed in a slot or bailed.
-            }
-            // Transactions, ordering checkers, scope control, continuation
-            // records: always the full checker's business.
-            _ => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]

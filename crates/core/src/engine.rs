@@ -12,10 +12,10 @@ use crate::bundle::{BundleReason, DiagnosisBundle, BUNDLE_STEPS};
 use crate::cache::{
     CachedVerdict, VerdictCache, VerdictCacheConfig, VerdictCacheStats, WorkerCache,
 };
-use crate::checker::{check_packed_with, packed_clean, replay, CheckerScratch, ReplayObserver};
+use crate::checker::{check_packed_with, replay, CheckerScratch, ReplayObserver};
 use crate::diag::{Diag, Report, Severity, TraceReport};
 use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
-use crate::model::{BuiltinModel, PersistencyModel, X86Model};
+use crate::model::{PersistencyModel, X86Model};
 use crate::shadow::ShadowMemory;
 use crate::telemetry::{
     EngineTelemetry, EntryTimer, FlushCause, SiteProfiler, Stage, TelemetryConfig, TelemetryLevel,
@@ -788,8 +788,6 @@ struct BatchTally {
 /// state allocates nothing.
 struct WorkerState {
     idx: usize,
-    /// The model's built-in identity, enabling the clean lane.
-    fast: Option<BuiltinModel>,
     /// The checker's shadow memory and scratch buffers, reset (not
     /// reallocated) between traces.
     scratch: CheckerScratch,
@@ -814,7 +812,6 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let _guard = WorkerGuard::new(shared.plane.clone());
     let mut state = WorkerState {
         idx,
-        fast: shared.model.builtin(),
         scratch: CheckerScratch::new(),
         resolver: LocResolver::new(),
         wcache: shared.verdict_cache.as_ref().map(|_| WorkerCache::new()),
@@ -919,14 +916,11 @@ fn check_span(
 ///   cache counts it as a bypass.
 /// * **Unobserved** — at `Off` and `Bundles`, a trace first probes the
 ///   verdict cache when it is on: a hit replays the memoized diagnostics
-///   without touching the checker. Otherwise, for built-in models, a
-///   conservative DFA sweep over the raw records ([`packed_clean`]) proves
-///   the common all-clean trace diagnostic-free without decoding entries
-///   or touching the shadow memory, and the rest take the packed replay
-///   ([`check_packed_with`]). A cache miss memoizes the outcome.
+///   without touching the checker. Otherwise it takes the same replay with
+///   no observer ([`check_packed_with`]), and a cache miss memoizes the
+///   outcome.
 ///
-/// Every path produces identical diagnostics (the clean lane only ever
-/// proves "none").
+/// Every path produces identical diagnostics.
 ///
 /// [`CheckerCategory`]: crate::telemetry::CheckerCategory
 fn verdict(shared: &Shared, state: &mut WorkerState, words: &[PackedEntry]) -> Vec<Diag> {
@@ -955,11 +949,7 @@ fn verdict(shared: &Shared, state: &mut WorkerState, words: &[PackedEntry]) -> V
         }
         cache_slot = Some((cache, fp));
     }
-    let diags = if state.fast.is_some_and(|f| packed_clean(f, words)) {
-        Vec::new()
-    } else {
-        check_packed_with(words, model, &mut state.scratch, &mut state.resolver)
-    };
+    let diags = check_packed_with(words, model, &mut state.scratch, &mut state.resolver);
     if let (Some((cache, fp)), Some(wc)) = (cache_slot, state.wcache.as_mut()) {
         wc.install(cache, fp, CachedVerdict::new(diags.clone()));
     }
@@ -1384,13 +1374,13 @@ mod tests {
         assert!(summary.contains("p50"), "{summary}");
     }
 
-    /// The clean lane must be invisible in results: traces it proves clean
-    /// and traces it defers to the full checker land in the same report a
-    /// custom (non-builtin, lane-less) model would produce.
+    /// The fused built-in path must be invisible in results: clean and
+    /// failing traces land in the same report a custom (non-builtin) model
+    /// running the same rules through the object-safe path would produce.
     #[test]
-    fn clean_lane_does_not_change_the_report() {
+    fn fused_path_does_not_change_the_report() {
         /// x86 rules without `builtin()`: forces the dynamic-dispatch path,
-        /// which never consults the clean lane.
+        /// which always collects open writes and resolves every location.
         #[derive(Debug)]
         struct OpaqueX86(X86Model);
         impl PersistencyModel for OpaqueX86 {

@@ -86,8 +86,8 @@ pub use bundle::{
 };
 pub use cache::{VerdictCacheConfig, VerdictCacheStats};
 pub use checker::{
-    check_packed_with, check_trace, check_trace_observed, check_trace_with, packed_clean,
-    CheckerScratch, ReplayObserver,
+    check_packed_with, check_trace, check_trace_observed, check_trace_with, CheckerScratch,
+    ReplayObserver,
 };
 pub use diag::{Diag, DiagKind, Report, Severity, TraceReport};
 pub use engine::{derived_queue_capacity, Engine, EngineConfig, EngineStats, SubmitError};

@@ -1,7 +1,8 @@
 use std::fmt::Debug;
 
 use pmtest_interval::ByteRange;
-use pmtest_trace::{Entry, Event, LocId, SourceLoc};
+use pmtest_trace::packed::{intern_loc, resolve_loc};
+use pmtest_trace::{Entry, Event, SourceLoc};
 
 use crate::diag::{Diag, DiagKind};
 use crate::epoch::EpochInterval;
@@ -86,10 +87,16 @@ fn foreign_op(event: Event, loc: SourceLoc, model: &str, diags: &mut Vec<Diag>) 
 
 /// The shared `isPersist` validation (§4.4): both built-in models report an
 /// open persist interval the same way. Also the fused-path implementation.
+///
+/// The rule functions take the issuing location as its interned id `at`
+/// and resolve ids through `locs` only for a diagnostic: the replay passes
+/// its worker's resolver, the [`PersistencyModel`] methods the process-wide
+/// table.
 pub(crate) fn persist_failure(
     shadow: &ShadowMemory,
     range: ByteRange,
-    loc: SourceLoc,
+    at: u32,
+    locs: &mut impl FnMut(u32) -> SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
     for (sub, st) in shadow.states_in(range) {
@@ -97,9 +104,9 @@ pub(crate) fn persist_failure(
             if !pi.is_closed() {
                 diags.push(Diag {
                     kind: DiagKind::NotPersisted,
-                    loc,
+                    loc: locs(at),
                     range: Some(sub),
-                    culprit: st.write_loc.map(|id| shadow.resolve_loc(id)),
+                    culprit: st.write_loc.map(&mut *locs),
                     message: format!("persist interval {pi} never closes"),
                 });
             }
@@ -114,18 +121,19 @@ pub(crate) fn x86_op(
     warn_performance: bool,
     shadow: &mut ShadowMemory,
     event: Event,
-    loc: SourceLoc,
+    at: u32,
+    locs: &mut impl FnMut(u32) -> SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
     match event {
-        Event::Write(range) => shadow.record_write(range, loc),
+        Event::Write(range) => shadow.write(range, at),
         Event::Flush(range) => {
-            let obs = shadow.record_flush(range, loc);
+            let obs = shadow.flush(range, at);
             if warn_performance {
                 for sub in obs.unmodified {
                     diags.push(Diag {
                         kind: DiagKind::UnnecessaryFlush,
-                        loc,
+                        loc: locs(at),
                         range: Some(sub),
                         culprit: None,
                         message: "writing back data that was never modified".to_owned(),
@@ -134,9 +142,9 @@ pub(crate) fn x86_op(
                 for (sub, earlier) in obs.duplicate {
                     diags.push(Diag {
                         kind: DiagKind::DuplicateFlush,
-                        loc,
+                        loc: locs(at),
                         range: Some(sub),
-                        culprit: earlier,
+                        culprit: earlier.map(&mut *locs),
                         message: "data already written back".to_owned(),
                     });
                 }
@@ -144,11 +152,11 @@ pub(crate) fn x86_op(
         }
         Event::Fence => shadow.fence(),
         Event::OFence => {
-            foreign_op(event, loc, "x86", diags);
+            foreign_op(event, locs(at), "x86", diags);
             shadow.ofence();
         }
         Event::DFence => {
-            foreign_op(event, loc, "x86", diags);
+            foreign_op(event, locs(at), "x86", diags);
             shadow.dfence();
         }
         _ => unreachable!("non-operation event {event} reached the model"),
@@ -160,20 +168,21 @@ pub(crate) fn x86_op(
 pub(crate) fn hops_op(
     shadow: &mut ShadowMemory,
     event: Event,
-    loc: SourceLoc,
+    at: u32,
+    locs: &mut impl FnMut(u32) -> SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
     match event {
-        Event::Write(range) => shadow.record_write(range, loc),
+        Event::Write(range) => shadow.write(range, at),
         Event::OFence => shadow.ofence(),
         Event::DFence => shadow.dfence(),
         Event::Flush(_) => {
             // HOPS hardware tracks dirty PM data itself; clwb is redundant
             // there (§5.2 removes the flush interval).
-            foreign_op(event, loc, "hops", diags);
+            foreign_op(event, locs(at), "hops", diags);
         }
         Event::Fence => {
-            foreign_op(event, loc, "hops", diags);
+            foreign_op(event, locs(at), "hops", diags);
             shadow.ofence();
         }
         _ => unreachable!("non-operation event {event} reached the model"),
@@ -189,7 +198,7 @@ fn first_unordered(
     first: ByteRange,
     second: ByteRange,
     ordered: impl Fn(&EpochInterval, &EpochInterval) -> bool,
-) -> Option<(ByteRange, EpochInterval, Option<LocId>, ByteRange, EpochInterval)> {
+) -> Option<(ByteRange, EpochInterval, Option<u32>, ByteRange, EpochInterval)> {
     let persists = |range| {
         shadow.states_in(range).filter_map(|(sub, st)| st.persist.map(|p| (sub, p, st.write_loc)))
     };
@@ -206,7 +215,8 @@ pub(crate) fn x86_ordered_before(
     shadow: &ShadowMemory,
     first: ByteRange,
     second: ByteRange,
-    loc: SourceLoc,
+    at: u32,
+    locs: &mut impl FnMut(u32) -> SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
     // One witness per checker, like the paper's output.
@@ -215,9 +225,9 @@ pub(crate) fn x86_ordered_before(
     {
         diags.push(Diag {
             kind: DiagKind::NotOrderedBefore,
-            loc,
+            loc: locs(at),
             range: Some(sub_a),
-            culprit: loc_a.map(|id| shadow.resolve_loc(id)),
+            culprit: loc_a.map(&mut *locs),
             message: format!(
                 "persist interval {pi_a} of {sub_a:?} may not complete before \
                  {pi_b} of {sub_b:?} begins"
@@ -233,7 +243,8 @@ pub(crate) fn hops_ordered_before(
     shadow: &ShadowMemory,
     first: ByteRange,
     second: ByteRange,
-    loc: SourceLoc,
+    at: u32,
+    locs: &mut impl FnMut(u32) -> SourceLoc,
     diags: &mut Vec<Diag>,
 ) {
     if let Some((sub_a, pi_a, loc_a, sub_b, pi_b)) =
@@ -241,9 +252,9 @@ pub(crate) fn hops_ordered_before(
     {
         diags.push(Diag {
             kind: DiagKind::NotOrderedBefore,
-            loc,
+            loc: locs(at),
             range: Some(sub_a),
-            culprit: loc_a.map(|id| shadow.resolve_loc(id)),
+            culprit: loc_a.map(&mut *locs),
             message: format!(
                 "write at {sub_a:?} (epoch {}) is not fence-ordered before \
                  write at {sub_b:?} (epoch {})",
@@ -291,7 +302,8 @@ impl PersistencyModel for X86Model {
     }
 
     fn apply(&self, shadow: &mut ShadowMemory, entry: &Entry, diags: &mut Vec<Diag>) {
-        x86_op(self.warn_performance, shadow, entry.event, entry.loc, diags);
+        let at = intern_loc(entry.loc);
+        x86_op(self.warn_performance, shadow, entry.event, at, &mut resolve_loc, diags);
     }
 
     fn check_persist(
@@ -301,7 +313,7 @@ impl PersistencyModel for X86Model {
         loc: SourceLoc,
         diags: &mut Vec<Diag>,
     ) {
-        persist_failure(shadow, range, loc, diags);
+        persist_failure(shadow, range, intern_loc(loc), &mut resolve_loc, diags);
     }
 
     fn check_ordered_before(
@@ -312,7 +324,7 @@ impl PersistencyModel for X86Model {
         loc: SourceLoc,
         diags: &mut Vec<Diag>,
     ) {
-        x86_ordered_before(shadow, first, second, loc, diags);
+        x86_ordered_before(shadow, first, second, intern_loc(loc), &mut resolve_loc, diags);
     }
 
     fn builtin(&self) -> Option<BuiltinModel> {
@@ -343,7 +355,7 @@ impl PersistencyModel for HopsModel {
     }
 
     fn apply(&self, shadow: &mut ShadowMemory, entry: &Entry, diags: &mut Vec<Diag>) {
-        hops_op(shadow, entry.event, entry.loc, diags);
+        hops_op(shadow, entry.event, intern_loc(entry.loc), &mut resolve_loc, diags);
     }
 
     fn check_persist(
@@ -353,7 +365,7 @@ impl PersistencyModel for HopsModel {
         loc: SourceLoc,
         diags: &mut Vec<Diag>,
     ) {
-        persist_failure(shadow, range, loc, diags);
+        persist_failure(shadow, range, intern_loc(loc), &mut resolve_loc, diags);
     }
 
     fn check_ordered_before(
@@ -364,7 +376,7 @@ impl PersistencyModel for HopsModel {
         loc: SourceLoc,
         diags: &mut Vec<Diag>,
     ) {
-        hops_ordered_before(shadow, first, second, loc, diags);
+        hops_ordered_before(shadow, first, second, intern_loc(loc), &mut resolve_loc, diags);
     }
 
     fn builtin(&self) -> Option<BuiltinModel> {

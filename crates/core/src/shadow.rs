@@ -3,7 +3,8 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use pmtest_interval::{ByteRange, SegmentMap};
-use pmtest_trace::{LocId, LocInterner, SourceLoc};
+use pmtest_trace::packed::{intern_loc, resolve_loc};
+use pmtest_trace::SourceLoc;
 
 use crate::epoch::{Epoch, EpochInterval};
 
@@ -16,21 +17,22 @@ use crate::epoch::{Epoch, EpochInterval};
 ///
 /// Source locations of the responsible write/flush are kept so diagnostics
 /// can point at the culprit operation, not just the failing checker. They
-/// are stored as [`LocId`]s interned per shadow memory — a trace replays the
-/// same few call sites over and over, and the 4-byte id keeps this state
-/// `Copy` when a write splits into many segments. Resolve them with
+/// are kept as the process-wide location ids the packed trace records carry
+/// ([`intern_loc`](pmtest_trace::packed::intern_loc)), exactly as recorded:
+/// the replay never re-interns a location, and the 4-byte id keeps this
+/// state `Copy` when a write splits into many segments. Resolve them with
 /// [`ShadowMemory::resolve_loc`]. The state is 64 bytes: two 24-byte
-/// `Option<EpochInterval>`s and two 8-byte `Option<LocId>`s.
+/// `Option<EpochInterval>`s and two 8-byte `Option<u32>`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegState {
     /// Persist interval of the last write, if the range was written.
     pub persist: Option<EpochInterval>,
     /// Flush interval of the last writeback, if one was issued.
     pub flush: Option<EpochInterval>,
-    /// Where the last write was issued (interned).
-    pub write_loc: Option<LocId>,
-    /// Where the last writeback was issued (interned).
-    pub flush_loc: Option<LocId>,
+    /// Location id of the last write.
+    pub write_loc: Option<u32>,
+    /// Location id of the last writeback.
+    pub flush_loc: Option<u32>,
 }
 
 /// What a writeback observed about the ranges it covered, used by the
@@ -40,8 +42,9 @@ pub struct FlushObservation {
     /// Sub-ranges that had never been written (nothing to write back).
     pub unmodified: Vec<ByteRange>,
     /// Sub-ranges already covered by an issued or completed writeback, with
-    /// the location of the earlier writeback.
-    pub duplicate: Vec<(ByteRange, Option<SourceLoc>)>,
+    /// the location id of the earlier writeback (or, failing that, write);
+    /// resolve it with [`ShadowMemory::resolve_loc`].
+    pub duplicate: Vec<(ByteRange, Option<u32>)>,
 }
 
 /// The per-trace shadow memory: a segment map from modified address ranges
@@ -50,11 +53,11 @@ pub struct FlushObservation {
 /// Every trace is checked against a *logically* fresh `ShadowMemory`; traces
 /// are independent units of checking. The instance itself is built to be
 /// recycled: [`clear`](Self::clear) resets the state while keeping every
-/// backing allocation (segment vectors, range lists, interner arena).
-/// Operations rewrite segment state in place wherever they land on existing
-/// segment boundaries, so once a pooled shadow memory has seen a trace's
-/// shape it replays it without touching the allocator — as long as its
-/// segment map stays in the flat representation (up to 2048 segments; see
+/// backing allocation (segment vectors, range lists). Operations rewrite
+/// segment state in place wherever they land on existing segment
+/// boundaries, so once a pooled shadow memory has seen a trace's shape it
+/// replays it without touching the allocator — as long as its segment map
+/// stays in the flat representation (up to 2048 segments; see
 /// [`SegmentMap`]).
 ///
 /// # Examples
@@ -81,13 +84,16 @@ pub struct ShadowMemory {
     /// once. A `dfence` depends only on this set — it closes the persist
     /// intervals over each range and splits segments at each range's ends,
     /// in any order — so a repeated write adds nothing, and the set holds the
-    /// distinct ranges written rather than one entry per write. That matters
-    /// under x86, where only a foreign `dfence` drains it.
+    /// distinct ranges written rather than one entry per write.
     open_writes: HashSet<ByteRange, BuildHasherDefault<RangeHasher>>,
+    /// Whether writes are added to `open_writes`. Only a `dfence` reads the
+    /// set, so the replay turns this off for a built-in model's trace that
+    /// holds no `dfence` record ([`set_open_write_tracking`]); it is on
+    /// otherwise.
+    ///
+    /// [`set_open_write_tracking`]: Self::set_open_write_tracking
+    track_open_writes: bool,
     excluded: SegmentMap<()>,
-    /// Source locations of this trace's writes/flushes, interned so segment
-    /// states stay `Copy`.
-    locs: LocInterner,
 }
 
 impl Default for ShadowMemory {
@@ -105,8 +111,8 @@ impl ShadowMemory {
             timestamp: 0,
             open_flushes: Vec::new(),
             open_writes: HashSet::default(),
+            track_open_writes: true,
             excluded: SegmentMap::new(),
-            locs: LocInterner::new(),
         }
     }
 
@@ -118,8 +124,14 @@ impl ShadowMemory {
         self.timestamp = 0;
         self.open_flushes.clear();
         self.open_writes.clear();
+        self.track_open_writes = true;
         self.excluded.clear();
-        self.locs.clear();
+    }
+
+    /// Stops (or resumes) collecting the ranges a `dfence` closes. The replay
+    /// turns collection off for a trace in which no `dfence` can run.
+    pub(crate) fn set_open_write_tracking(&mut self, on: bool) {
+        self.track_open_writes = on;
     }
 
     /// The current global epoch.
@@ -128,10 +140,11 @@ impl ShadowMemory {
         self.timestamp
     }
 
-    /// Resolves an interned source location stored in a [`SegState`].
+    /// Resolves a location id stored in a [`SegState`] or a flush
+    /// observation through the process-wide table.
     #[must_use]
-    pub fn resolve_loc(&self, id: LocId) -> SourceLoc {
-        self.locs.resolve(id)
+    pub fn resolve_loc(&self, id: u32) -> SourceLoc {
+        resolve_loc(id)
     }
 
     /// Times the underlying segment maps migrated from their flat small-map
@@ -145,10 +158,14 @@ impl ShadowMemory {
     /// Records a store: clears any previous status over `range` and opens a
     /// fresh persist interval at the current epoch (§4.4 `write` rule).
     pub fn record_write(&mut self, range: ByteRange, loc: SourceLoc) {
+        self.write(range, intern_loc(loc));
+    }
+
+    /// [`record_write`](Self::record_write) with the location's interned id.
+    pub(crate) fn write(&mut self, range: ByteRange, loc: u32) {
         if range.is_empty() {
             return;
         }
-        let loc = self.locs.intern(loc);
         self.map.insert(
             range,
             SegState {
@@ -158,19 +175,24 @@ impl ShadowMemory {
                 flush_loc: None,
             },
         );
-        self.open_writes.insert(range);
+        if self.track_open_writes {
+            self.open_writes.insert(range);
+        }
     }
 
     /// Records a writeback: opens a flush interval over `range` and reports
     /// what the performance checkers need (§4.4 `clwb` rule, §5.1.2).
     pub fn record_flush(&mut self, range: ByteRange, loc: SourceLoc) -> FlushObservation {
+        self.flush(range, intern_loc(loc))
+    }
+
+    /// [`record_flush`](Self::record_flush) with the location's interned id.
+    pub(crate) fn flush(&mut self, range: ByteRange, loc: u32) -> FlushObservation {
         let mut obs = FlushObservation::default();
         if range.is_empty() {
             return obs;
         }
         let ts = self.timestamp;
-        let loc = self.locs.intern(loc);
-        let locs = &self.locs;
         self.map.update_range(range, |sub, cur| match cur {
             None => {
                 // Never written: flushing unmodified data.
@@ -194,8 +216,7 @@ impl ShadowMemory {
                     _ => false,
                 };
                 if already_flushed {
-                    let earlier = state.flush_loc.or(state.write_loc);
-                    obs.duplicate.push((sub, earlier.map(|id| locs.resolve(id))));
+                    obs.duplicate.push((sub, state.flush_loc.or(state.write_loc)));
                 }
                 if state.persist.is_none() && state.flush.is_some() {
                     // Re-flushing a never-written range: also unmodified.
@@ -209,7 +230,6 @@ impl ShadowMemory {
         self.open_flushes.push(range);
         obs
     }
-
     /// An `sfence` (§4.4): advances the epoch, completes issued writebacks,
     /// and closes the persist intervals they cover.
     pub fn fence(&mut self) {
@@ -241,6 +261,7 @@ impl ShadowMemory {
     /// A HOPS `dfence` (§5.2): advances the epoch and closes the persist
     /// interval of every prior write.
     pub fn dfence(&mut self) {
+        debug_assert!(self.track_open_writes, "a dfence in a trace scanned as dfence-free");
         self.timestamp += 1;
         let ts = self.timestamp;
         for &range in &self.open_writes {
@@ -265,9 +286,7 @@ impl ShadowMemory {
     ) -> Vec<(ByteRange, EpochInterval, Option<SourceLoc>)> {
         self.map
             .overlapping(range)
-            .filter_map(|(sub, st)| {
-                st.persist.map(|p| (sub, p, st.write_loc.map(|id| self.locs.resolve(id))))
-            })
+            .filter_map(|(sub, st)| st.persist.map(|p| (sub, p, st.write_loc.map(resolve_loc))))
             .collect()
     }
 

@@ -34,14 +34,13 @@ pub enum TelemetryLevel {
     Off,
     /// Adds a diagnosis bundle for every trace whose verdict carries a FAIL,
     /// built by re-checking that trace's packed records with a step
-    /// recorder watching (see DESIGN.md §11). Passing traces cost nothing:
-    /// they keep the clean lane and the verdict cache.
+    /// recorder watching (see DESIGN.md §11). Passing traces cost what they
+    /// cost at `Off`: the unobserved replay, or a verdict-cache hit.
     Bundles,
     /// Adds the cross-trace performance profile: per-`SourceLoc`
     /// flush/fence/log counts, wasted-persist bytes and WARN diagnostics,
     /// feeding the optimization advisor (see DESIGN.md §16). Every trace is
-    /// observed by the packed replay, so none takes the clean lane or the
-    /// verdict cache.
+    /// observed by the packed replay, so none takes the verdict cache.
     Profile,
     /// Adds latency histograms (per-checker, per-trace, the five pipeline
     /// stages), worker busy time and utilization, per-worker
@@ -354,7 +353,7 @@ impl EngineTelemetry {
     }
 
     /// Whether every trace's replay is observed (profiled, and timed at
-    /// `Full`): such traces skip the clean lane and the verdict cache.
+    /// `Full`): such traces skip the verdict cache.
     pub(crate) fn observes(&self) -> bool {
         self.level >= TelemetryLevel::Profile
     }

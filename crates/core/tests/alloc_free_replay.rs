@@ -6,13 +6,17 @@
 //! kv-shaped batch of short redo-log transactions (tens of entries and a
 //! handful of live segments each) and a pmfs-shaped journal stream (tens of
 //! thousands of entries, 150+ live segments, some writes straddling earlier
-//! ones). A counting global allocator tallies per thread, so tests running in
+//! ones). A third batch mixes x86 kv traces with ones that end in a foreign
+//! `dfence`, the only traces for which the replay collects open writes. A
+//! counting global allocator tallies per thread, so tests running in
 //! parallel do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pmtest_core::{check_packed_with, CheckerScratch, HopsModel, PersistencyModel, X86Model};
+use pmtest_core::{
+    check_packed_with, CheckerScratch, DiagKind, HopsModel, PersistencyModel, X86Model,
+};
 use pmtest_interval::ByteRange;
 use pmtest_trace::{Event, LocResolver, Trace};
 
@@ -209,4 +213,39 @@ fn pmfs_shaped_replay_allocates_nothing_under_hops() {
     let live = live_segments(&trace, &model);
     assert!(live >= 150, "pmfs-shaped trace holds {live} live segments");
     assert_eq!(steady_state_allocations_per_entry(&[trace], &model), 0.0);
+}
+
+#[test]
+fn x86_dfence_traces_among_dfence_free_ones_allocate_only_their_diagnostics() {
+    let model = X86Model::new();
+    let mut traces = kv_traces(Dialect::X86);
+    // Every eighth set ends in a foreign dfence (one WARN), so the replay
+    // collects that trace's writes for it, after seven traces that collect
+    // none.
+    for t in traces.iter_mut().skip(7).step_by(8) {
+        t.push(Event::DFence.here());
+    }
+    let lone = [Trace::from_entries(0, vec![Event::DFence.here()])];
+    let mut scratch = CheckerScratch::new();
+    let mut resolver = LocResolver::new();
+    // Allocations and diagnostics of one replay of `traces`.
+    let mut replay = |traces: &[Trace]| {
+        let before = allocations();
+        let mut diags = 0;
+        for t in traces {
+            let found = check_packed_with(t.packed(), &model, &mut scratch, &mut resolver);
+            assert!(found.iter().all(|d| d.kind == DiagKind::ForeignOperation), "{found:?}");
+            diags += found.len() as u64;
+        }
+        (allocations() - before, diags)
+    };
+    for _ in 0..2 {
+        replay(&traces);
+        replay(&lone);
+    }
+    let (per_diag, one) = replay(&lone);
+    assert_eq!(one, 1);
+    let (allocs, diags) = replay(&traces);
+    assert_eq!(diags, 8, "one WARN per dfence trace");
+    assert_eq!(allocs, diags * per_diag, "the replay allocates beyond its diagnostics");
 }

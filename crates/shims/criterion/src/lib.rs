@@ -11,8 +11,9 @@
 //! per-iteration time over `sample_size` batches. No statistical regression,
 //! HTML reports, or outlier analysis — numbers print to stdout and are
 //! queryable by the caller via [`Criterion::last_estimate_ns`] /
-//! [`Criterion::last_best_ns`] (used by this repository's JSON-emitting
-//! benches: medians for reporting, floors for regression guards).
+//! [`Criterion::last_best_ns`] / [`Criterion::last_quartiles_ns`] (used by
+//! this repository's JSON-emitting benches: medians for reporting, floors
+//! for regression guards, quartiles for the spread).
 
 #![forbid(unsafe_code)]
 
@@ -26,8 +27,16 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
-    last_estimate_ns: Option<f64>,
-    last_best_ns: Option<f64>,
+    last: Option<Summary>,
+}
+
+/// Per-iteration times of one benchmark's sample batches, in ns.
+#[derive(Clone, Copy, Debug)]
+struct Summary {
+    median: f64,
+    best: f64,
+    q1: f64,
+    q3: f64,
 }
 
 impl Default for Criterion {
@@ -36,8 +45,7 @@ impl Default for Criterion {
             sample_size: 20,
             measurement_time: Duration::from_secs(2),
             warm_up_time: Duration::from_millis(300),
-            last_estimate_ns: None,
-            last_best_ns: None,
+            last: None,
         }
     }
 }
@@ -66,16 +74,14 @@ impl Criterion {
 
     /// Runs one benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let (median, best) = run_bench(
+        self.last = Some(run_bench(
             name,
             None,
             self.sample_size,
             self.measurement_time,
             self.warm_up_time,
             &mut f,
-        );
-        self.last_estimate_ns = Some(median);
-        self.last_best_ns = Some(best);
+        ));
         self
     }
 
@@ -88,7 +94,7 @@ impl Criterion {
     /// (shim extension; the real crate exposes this via its report files).
     #[must_use]
     pub fn last_estimate_ns(&self) -> Option<f64> {
-        self.last_estimate_ns
+        self.last.map(|s| s.median)
     }
 
     /// Best (minimum) ns/iter over the most recent benchmark's sample
@@ -98,7 +104,14 @@ impl Criterion {
     /// it. (Shim extension.)
     #[must_use]
     pub fn last_best_ns(&self) -> Option<f64> {
-        self.last_best_ns
+        self.last.map(|s| s.best)
+    }
+
+    /// First and third quartiles of ns/iter over the most recent
+    /// benchmark's sample batches — its spread. (Shim extension.)
+    #[must_use]
+    pub fn last_quartiles_ns(&self) -> Option<(f64, f64)> {
+        self.last.map(|s| (s.q1, s.q3))
     }
 }
 
@@ -119,16 +132,14 @@ impl BenchmarkGroup<'_> {
     /// Runs one benchmark within the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         let name = format!("{}/{}", self.name, id);
-        let (median, best) = run_bench(
+        self.parent.last = Some(run_bench(
             &name,
             self.throughput,
             self.parent.sample_size,
             self.parent.measurement_time,
             self.parent.warm_up_time,
             &mut f,
-        );
-        self.parent.last_estimate_ns = Some(median);
-        self.parent.last_best_ns = Some(best);
+        ));
         self
     }
 
@@ -140,16 +151,14 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let name = format!("{}/{}", self.name, id);
-        let (median, best) = run_bench(
+        self.parent.last = Some(run_bench(
             &name,
             self.throughput,
             self.parent.sample_size,
             self.parent.measurement_time,
             self.parent.warm_up_time,
             &mut |b| f(b, input),
-        );
-        self.parent.last_estimate_ns = Some(median);
-        self.parent.last_best_ns = Some(best);
+        ));
         self
     }
 
@@ -157,14 +166,21 @@ impl BenchmarkGroup<'_> {
     /// mirrors [`Criterion::last_estimate_ns`] while the group borrows it).
     #[must_use]
     pub fn last_estimate_ns(&self) -> Option<f64> {
-        self.parent.last_estimate_ns
+        self.parent.last_estimate_ns()
     }
 
     /// Best (minimum) ns/iter of the most recently run benchmark (shim
     /// extension, mirrors [`Criterion::last_best_ns`]).
     #[must_use]
     pub fn last_best_ns(&self) -> Option<f64> {
-        self.parent.last_best_ns
+        self.parent.last_best_ns()
+    }
+
+    /// Quartiles of ns/iter of the most recently run benchmark (shim
+    /// extension, mirrors [`Criterion::last_quartiles_ns`]).
+    #[must_use]
+    pub fn last_quartiles_ns(&self) -> Option<(f64, f64)> {
+        self.parent.last_quartiles_ns()
     }
 
     /// Ends the group (no-op beyond matching the real API).
@@ -229,7 +245,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(
     measurement_time: Duration,
     warm_up_time: Duration,
     f: &mut F,
-) -> (f64, f64) {
+) -> Summary {
     // Warm-up: also sizes the batch so one batch ≈ measurement_time/samples.
     let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
     let warm_start = Instant::now();
@@ -252,7 +268,8 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         samples_ns.push(b.elapsed.as_nanos() as f64 / b.iters as f64);
     }
     samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-    let median = samples_ns[samples_ns.len() / 2];
+    let n = samples_ns.len();
+    let median = samples_ns[n / 2];
     let best = samples_ns[0];
 
     let rate = throughput.map(|t| match t {
@@ -265,7 +282,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         "{name:<48} median {median:>12.1} ns/iter  best {best:>12.1} ns/iter{}",
         rate.unwrap_or_default()
     );
-    (median, best)
+    Summary { median, best, q1: samples_ns[n / 4], q3: samples_ns[3 * n / 4] }
 }
 
 /// Declares a group of benchmark functions, optionally with a config.
@@ -314,6 +331,8 @@ mod tests {
         assert!(est > 0.0);
         let best = c.last_best_ns().expect("best sample recorded");
         assert!(best > 0.0 && best <= est, "floor {best} must not exceed median {est}");
+        let (q1, q3) = c.last_quartiles_ns().expect("quartiles recorded");
+        assert!(best <= q1 && q1 <= est && est <= q3, "{best} <= {q1} <= {est} <= {q3}");
     }
 
     #[test]

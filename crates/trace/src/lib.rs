@@ -38,7 +38,6 @@
 
 mod arena;
 mod event;
-mod loc;
 pub mod packed;
 mod pool;
 mod sink;
@@ -46,7 +45,6 @@ mod stats;
 
 pub use arena::{ArenaStats, TraceArena, TraceSpan};
 pub use event::{Entry, Event, EventKind, SourceLoc, Trace};
-pub use loc::{LocId, LocInterner};
 pub use packed::{
     Fingerprinter, InternStats, LocResolver, PackedEntry, PackedOp, TraceFingerprint,
     PACKED_ENTRY_BYTES,

@@ -3,9 +3,8 @@
 //!
 //! The enum-of-structs [`Entry`] is ergonomic to record but expensive to
 //! ship: with two embedded [`ByteRange`]s and a `&'static str` location it
-//! is 56 bytes of pointer-carrying payload per event, and every consumer
-//! (shadow memory, diagnostics) re-interns the location on its own. The
-//! packed form fixes the width at three `u64` words per record —
+//! is 56 bytes of pointer-carrying payload per event. The packed form fixes
+//! the width at three `u64` words per record —
 //!
 //! | word | bits    | field                                    |
 //! |------|---------|------------------------------------------|
@@ -21,9 +20,11 @@
 //! event; it encodes as its own record followed by one
 //! [`PackedOp::Operand`] continuation record carrying the second range.
 //!
-//! Decoding resolves ids back through a [`LocResolver`], a cheap per-worker
-//! mirror of the global table: the table is append-only, so a mirror only
-//! ever needs to copy the tail it has not seen yet.
+//! The id is the one form of a location from record to report: the checker
+//! keeps it in its shadow state ([`decode_event`] hands it over unresolved)
+//! and resolves it through a [`LocResolver`] — a cheap per-worker mirror of
+//! the global table — only when a diagnostic needs the location. The table
+//! is append-only, so a mirror only ever copies the tail it has not seen.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -394,8 +395,16 @@ pub fn decode_next(
     i: usize,
     resolver: &mut LocResolver,
 ) -> Option<(Entry, usize)> {
+    let (event, loc_id, next) = decode_event(words, i)?;
+    Some((event.at(resolver.resolve(loc_id)), next))
+}
+
+/// Decodes the event starting at `words[i]` without resolving its location:
+/// the event, the interned id of its source location, and the index of the
+/// next record. `None` once `i` is past the end.
+#[inline]
+pub fn decode_event(words: &[PackedEntry], i: usize) -> Option<(Event, u32, usize)> {
     let rec = *words.get(i)?;
-    let loc = resolver.resolve(rec.loc_id());
     let (event, next) = match rec.op() {
         PackedOp::Write => (Event::Write(rec.range()), i + 1),
         PackedOp::Flush => (Event::Flush(rec.range()), i + 1),
@@ -419,7 +428,7 @@ pub fn decode_next(
         PackedOp::Include => (Event::Include(rec.range()), i + 1),
         PackedOp::Operand => unreachable!("dangling operand continuation record"),
     };
-    Some((Event::at(event, loc), next))
+    Some((event, rec.loc_id(), next))
 }
 
 /// Decodes a whole record slice back into entries.
