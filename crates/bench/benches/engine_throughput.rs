@@ -10,7 +10,8 @@
 //! not just enqueueing. Results are written to
 //! `bench_results/BENCH_engine.json` together with the engine's pipeline
 //! counters (ring occupancy high-water, backpressure stalls, steal counts,
-//! batch totals) and the arena pool's recycling stats.
+//! batch totals) and how often shipped batches reused their rings'
+//! recycled buffers without growing them.
 //!
 //! Run with: `cargo bench -p pmtest-bench --bench engine_throughput`
 //! (`PMTEST_BENCH_TRACES` overrides the per-round trace count.)
@@ -235,7 +236,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             // depth-4 queues that used to stall batched rounds.
             let session = PmTestSession::builder().workers(workers).batch_capacity(batch).build();
             session.start();
-            run_round(&session, traces); // warm the arena pool
+            run_round(&session, traces); // warm the rings' buffers
             group.bench_with_input(
                 BenchmarkId::new(format!("w{workers}"), format!("b{batch}")),
                 &traces,
@@ -269,7 +270,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             .telemetry(TelemetryConfig::at(level))
             .build();
         session.start();
-        run_round(&session, traces); // warm the arena pool
+        run_round(&session, traces); // warm the rings' buffers
         group.bench_with_input(BenchmarkId::new(id, "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });
@@ -284,7 +285,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         let session =
             PmTestSession::builder().workers(4).batch_capacity(32).verdict_cache(cached).build();
         session.start();
-        run_round_repetitive(&session, traces); // warm pools and cache
+        run_round_repetitive(&session, traces); // warm buffers and cache
         let id = if cached { "cached_w4" } else { "rep_w4" };
         group.bench_with_input(BenchmarkId::new(id, "b32"), &traces, |b, &traces| {
             b.iter(|| run_round_repetitive(&session, traces))
@@ -321,7 +322,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         let session = PmTestSession::builder().workers(workers).batch_capacity(batch).build();
         session.start();
         let mut rec = session.recorder();
-        run_round_recorder(&mut rec, &session, traces); // warm the pools
+        run_round_recorder(&mut rec, &session, traces); // warm the buffers
         group.bench_with_input(
             BenchmarkId::new(format!("rec_w{workers}"), format!("b{batch}")),
             &traces,
@@ -333,15 +334,15 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
     samples
 }
 
-/// Engine and arena-pool counters from one 4-worker batch-32 round, for the
-/// JSON report.
+/// Engine counters and ship-path buffer reuse from one 4-worker batch-32
+/// round, for the JSON report.
 fn stats_sample(traces: u64) -> String {
     let session = PmTestSession::builder().workers(4).batch_capacity(32).build();
     session.start();
     run_round(&session, traces);
     run_round(&session, traces);
     let stats = session.stats();
-    let pool = session.pool_stats();
+    let reuse = session.pool_stats();
     let snap = session.telemetry_snapshot();
     let repr_switches = snap.counter("engine_segmap_repr_switches").unwrap_or(0);
     let mut s = String::new();
@@ -359,8 +360,7 @@ fn stats_sample(traces: u64) -> String {
             "    \"backpressure_stalls\": {},\n",
             "    \"steals\": {},\n",
             "    \"rings_registered\": {},\n",
-            "    \"arena_pool_recycled\": {},\n",
-            "    \"arena_pool_fresh\": {},\n",
+            "    \"grown_batches\": {},\n",
             "    \"arena_pool_hit_rate\": {:.4},\n",
             "    \"segmap_repr_switches\": {}\n",
             "  }}"
@@ -373,9 +373,8 @@ fn stats_sample(traces: u64) -> String {
         stats.backpressure_stalls,
         stats.steals,
         stats.rings_registered,
-        pool.recycled,
-        pool.fresh,
-        pool.hit_rate(),
+        reuse.grown,
+        reuse.hit_rate(),
         repr_switches,
     );
     s

@@ -5,10 +5,15 @@
 //! (c) scaling both together stays roughly level.
 //!
 //! Only the client-operation loops are timed; store construction and the
-//! final `PMTest_GET_RESULT` drain sit outside.
+//! final `PMTest_GET_RESULT` drain sit outside. Every table cell is also
+//! written as one row of `bench_results/BENCH_fig12.json`, with the engine
+//! counters of its best run and the host's parallelism: on a host with
+//! fewer cores than app threads plus workers, a row measures time-sharing,
+//! not scaling, and says so (`oversubscribed`). No trend is asserted.
 //!
 //! Run with: `cargo bench -p pmtest-bench --bench fig12_scalability`
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,8 +87,101 @@ fn run(
     (elapsed, stats)
 }
 
-fn best_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
-    (0..reps.max(2)).map(|_| f()).min().expect("at least one sample")
+/// The fastest of `reps` runs (at least two), with its engine counters.
+fn best_of(
+    reps: usize,
+    mut f: impl FnMut() -> (Duration, Option<EngineStats>),
+) -> (Duration, Option<EngineStats>) {
+    (0..reps.max(2)).map(|_| f()).min_by_key(|(elapsed, _)| *elapsed).expect("at least one run")
+}
+
+/// One table cell: a PMTest run against the native run of the same shape.
+struct Cell {
+    table: &'static str,
+    threads: usize,
+    workers: usize,
+    batch: usize,
+    native: Duration,
+    pmtest: Duration,
+    stats: EngineStats,
+}
+
+impl Cell {
+    /// Times the best native and the best PMTest run of one shape.
+    fn measure(
+        table: &'static str,
+        threads: usize,
+        workers: usize,
+        batch: usize,
+        native: Duration,
+        ops: usize,
+        reps: usize,
+    ) -> Self {
+        let (pmtest, stats) = best_of(reps, || run(threads, Some(workers), batch, ops));
+        let stats = stats.expect("a PMTest run returns its engine stats");
+        Self { table, threads, workers, batch, native, pmtest, stats }
+    }
+
+    fn slowdown(&self) -> f64 {
+        slowdown(self.pmtest, self.native)
+    }
+}
+
+/// Prints the cells of one table, keyed by `axis`.
+fn print_cells(title: &str, axis: &str, cells: &[&Cell], key: impl Fn(&Cell) -> usize) {
+    let rows: Vec<Vec<String>> =
+        cells.iter().map(|c| vec![key(c).to_string(), format!("{:.2}x", c.slowdown())]).collect();
+    print_table(title, &[axis, "slowdown"], &rows);
+}
+
+fn write_json(cells: &[Cell], ops: usize, reps: usize, parallelism: usize) {
+    let mut rows = String::new();
+    for (i, c) in cells.iter().enumerate() {
+        let _ = writeln!(
+            rows,
+            "    {{\"table\": \"{}\", \"app_threads\": {}, \"workers\": {}, \"batch\": {}, \
+             \"native_ms\": {:.3}, \"pmtest_ms\": {:.3}, \"slowdown\": {:.3}, \
+             \"traces_submitted\": {}, \"backpressure_stalls\": {}, \"queue_highwater\": {}, \
+             \"host_parallelism\": {}, \"oversubscribed\": {}}}{}",
+            c.table,
+            c.threads,
+            c.workers,
+            c.batch,
+            c.native.as_secs_f64() * 1e3,
+            c.pmtest.as_secs_f64() * 1e3,
+            c.slowdown(),
+            c.stats.traces_submitted,
+            c.stats.backpressure_stalls,
+            c.stats.queue_highwater,
+            parallelism,
+            c.threads + c.workers > parallelism,
+            if i + 1 == cells.len() { "" } else { "," },
+        );
+    }
+    let json = format!(
+        concat!(
+            "{{\n",
+            "  \"bench\": \"fig12_scalability\",\n",
+            "  \"host_parallelism\": {},\n",
+            "  \"ops_per_thread\": {},\n",
+            "  \"reps\": {},\n",
+            "  \"workload\": \"YCSB update-heavy clients on one shared Mnemosyne KvStore, one \
+             trace per set; sessions use queue_capacity 16; 12a: 1 worker, 1/2/4 app threads; \
+             12b: 4 app threads, 1/2/4 workers; 12c: threads = workers = 1/2/4; 12d: 4 threads, \
+             4 workers, batch 1/32\",\n",
+            "  \"columns\": \"native_ms / pmtest_ms = best client phase of reps runs (at least \
+             two), slowdown = pmtest_ms / native_ms; engine counters from the best PMTest run; \
+             oversubscribed = app_threads + workers > host_parallelism\",\n",
+            "  \"results\": [\n{}  ]\n",
+            "}}\n"
+        ),
+        parallelism, ops, reps, rows,
+    );
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_results");
+    std::fs::create_dir_all(dir).expect("create bench_results/");
+    let path = format!("{dir}/BENCH_fig12.json");
+    std::fs::write(&path, &json).expect("write BENCH_fig12.json");
+    println!("\nwrote {path}");
 }
 
 fn main() {
@@ -100,63 +198,56 @@ fn main() {
         );
     }
 
-    let threads_axis = [1usize, 2, 4];
-
+    let axis = [1usize, 2, 4];
+    let native = |threads: usize| best_of(reps, || run(threads, None, 1, ops)).0;
+    let mut cells = Vec::new();
     // (a) one worker, varying app threads.
-    let mut rows_a = Vec::new();
-    for &threads in &threads_axis {
-        let native = best_of(reps, || run(threads, None, 1, ops).0);
-        let pmtest = best_of(reps, || run(threads, Some(1), 1, ops).0);
-        rows_a.push(vec![threads.to_string(), format!("{:.2}x", slowdown(pmtest, native))]);
+    for &threads in &axis {
+        cells.push(Cell::measure("12a", threads, 1, 1, native(threads), ops, reps));
     }
-    print_table(
-        "Fig. 12a — slowdown vs #Memcached threads (1 PMTest worker)",
-        &["app threads", "slowdown"],
-        &rows_a,
-    );
-
     // (b) four app threads, varying workers.
-    let mut rows_b = Vec::new();
-    let native4 = best_of(reps, || run(4, None, 1, ops).0);
-    for &workers in &threads_axis {
-        let pmtest = best_of(reps, || run(4, Some(workers), 1, ops).0);
-        rows_b.push(vec![workers.to_string(), format!("{:.2}x", slowdown(pmtest, native4))]);
+    let native4 = native(4);
+    for &workers in &axis {
+        cells.push(Cell::measure("12b", 4, workers, 1, native4, ops, reps));
     }
-    print_table(
-        "Fig. 12b — slowdown vs #PMTest workers (4 Memcached threads)",
-        &["PMTest workers", "slowdown"],
-        &rows_b,
-    );
-
     // (c) scale both together.
-    let mut rows_c = Vec::new();
-    for &n in &threads_axis {
-        let native = best_of(reps, || run(n, None, 1, ops).0);
-        let pmtest = best_of(reps, || run(n, Some(n), 1, ops).0);
-        rows_c.push(vec![n.to_string(), format!("{:.2}x", slowdown(pmtest, native))]);
+    for &n in &axis {
+        cells.push(Cell::measure("12c", n, n, 1, native(n), ops, reps));
     }
-    print_table(
-        "Fig. 12c — slowdown with #threads == #workers",
-        &["threads = workers", "slowdown"],
-        &rows_c,
-    );
-
     // (d) batched submission: same 4-thread/4-worker setup, session batch
     // capacity 1 (paper semantics) vs 32. Shows how much of the slowdown is
     // per-trace handoff that batching amortizes away.
-    let mut rows_d = Vec::new();
     for &batch in &[1usize, 32] {
-        let pmtest = best_of(reps, || run(4, Some(4), batch, ops).0);
-        rows_d.push(vec![batch.to_string(), format!("{:.2}x", slowdown(pmtest, native4))]);
+        cells.push(Cell::measure("12d", 4, 4, batch, native4, ops, reps));
     }
-    print_table(
-        "Fig. 12 extension — slowdown vs session batch capacity (4 threads, 4 workers)",
-        &["batch capacity", "slowdown"],
-        &rows_d,
-    );
 
-    // Engine pipeline counters from one instrumented batched run.
-    if let (_, Some(stats)) = run(4, Some(4), 32, ops) {
+    let table = |name: &str| cells.iter().filter(|c| c.table == name).collect::<Vec<_>>();
+    print_cells(
+        "Fig. 12a — slowdown vs #Memcached threads (1 PMTest worker)",
+        "app threads",
+        &table("12a"),
+        |c| c.threads,
+    );
+    print_cells(
+        "Fig. 12b — slowdown vs #PMTest workers (4 Memcached threads)",
+        "PMTest workers",
+        &table("12b"),
+        |c| c.workers,
+    );
+    print_cells(
+        "Fig. 12c — slowdown with #threads == #workers",
+        "threads = workers",
+        &table("12c"),
+        |c| c.workers,
+    );
+    print_cells(
+        "Fig. 12 extension — slowdown vs session batch capacity (4 threads, 4 workers)",
+        "batch capacity",
+        &table("12d"),
+        |c| c.batch,
+    );
+    if let Some(c) = cells.last() {
+        let stats = &c.stats;
         println!(
             "\nengine stats (4 threads, 4 workers, batch 32): {} traces in {} batches \
              (mean {:.1}/batch), queue high-water {}, backpressure stalls {}",
@@ -167,5 +258,6 @@ fn main() {
             stats.backpressure_stalls,
         );
     }
+    write_json(&cells, ops, reps, cores);
     println!("\npaper shapes: (a) rises with threads, (b) falls with workers, (c) roughly level");
 }

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use pmtest_obs::{ScrapeServer, SpanHandle, TelemetrySnapshot};
-use pmtest_trace::{ArenaPool, Entry, LocResolver, PackedEntry, Trace, TraceArena, TraceStats};
+use pmtest_trace::{Entry, LocResolver, PackedEntry, Trace, TraceArena, TraceStats};
 
 use crate::bundle::{BundleReason, DiagnosisBundle, BUNDLE_STEPS};
 use crate::cache::{
@@ -14,7 +14,7 @@ use crate::cache::{
 };
 use crate::checker::{check_packed_with, replay, CheckerScratch, ReplayObserver};
 use crate::diag::{Diag, Report, Severity, TraceReport};
-use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
+use crate::ingest::{IngestPlane, PlaneClosed, ProducerRing, WorkerGuard};
 use crate::model::{PersistencyModel, X86Model};
 use crate::shadow::ShadowMemory;
 use crate::telemetry::{
@@ -56,15 +56,13 @@ impl Default for EngineConfig {
     }
 }
 
-/// What actually travels on a producer ring: a sealed record arena — the
-/// one message shape, whether it carries a session's batch or a single
-/// submitted trace — plus its dispatch accounting. The accounting settles
-/// on drop, so the `outstanding` counter stays consistent no matter how the
-/// batch dies — checked normally, abandoned mid-batch by a panicking
-/// checker, or discarded from a dead plane's rings after the last worker
-/// exits.
+/// What travels on a producer ring beside the batch's records, which sit in
+/// the ring slot's arena: the batch's dispatch accounting. The accounting
+/// settles on drop, so the `outstanding` counter stays consistent no matter
+/// how the batch dies — checked normally, abandoned mid-batch by a
+/// panicking checker, or discarded from a dead plane's rings after the last
+/// worker exits.
 pub(crate) struct BatchMsg {
-    arena: TraceArena,
     accounting: BatchAccounting,
     /// Send time, for the ring-wait stage histogram. `None` below
     /// [`TelemetryLevel::Full`] — reading the clock per submit would
@@ -151,17 +149,18 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
 ///   §13.
 /// * **Arena messages** — every submission travels as one [`TraceArena`] of
 ///   compact packed records: a batched session stages sealed traces in one
-///   and ships the whole batch as one pointer handoff;
+///   and ships the whole batch as one buffer trade with a ring slot;
 ///   [`submit`](Self::submit) wraps a lone trace's record buffer without
 ///   copying it. Workers check the packed records in place without decoding
 ///   them into `Entry` vectors.
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
-/// * **Storage recycling** — workers return arenas to a pool that
-///   submissions draw from, and each worker keeps its own checker scratch
-///   state across batches, keeping the steady-state path off the
-///   allocator.
+/// * **Storage recycling** — each ring slot keeps its arena for the ring's
+///   life: a push and a claim trade cleared buffers through it, so a
+///   producer's ring bounds the buffers it has in flight. Each worker keeps
+///   its own checker scratch state across batches, keeping the steady-state
+///   path off the allocator.
 ///
 /// # Examples
 ///
@@ -201,7 +200,7 @@ struct Shared {
     outstanding: AtomicU64,
     /// The sharded ingest plane: per-producer rings plus the worker
     /// wake/steal protocol. Its ring list is the only producer registry.
-    plane: Arc<IngestPlane<BatchMsg, TraceArena>>,
+    plane: Arc<IngestPlane<BatchMsg>>,
     /// Per-worker result shards; worker `i` writes only `shards[i]`.
     shards: Vec<Mutex<Vec<TraceReport>>>,
     /// Results merged out of the shards so far, kept sorted by trace id.
@@ -209,8 +208,6 @@ struct Shared {
     /// request — so [`Engine::report`] clones an already-built [`Report`]
     /// and [`Engine::with_report`] borrows it without copying at all.
     collected: Mutex<Report>,
-    /// Arenas recycled between workers (release) and submitters (acquire).
-    arena_pool: Arc<ArenaPool>,
     /// Shared L2 of the content-addressed verdict cache; `None` unless
     /// [`VerdictCacheConfig::enabled`]. Workers keep their L1s privately.
     verdict_cache: Option<VerdictCache>,
@@ -241,7 +238,7 @@ const MAX_BUNDLES: usize = 16;
 /// A recording producer: its ring on the ingest plane plus, behind the
 /// producer lock, its staged batch — traces sealed by `send_trace` but not
 /// yet shipped.
-pub(crate) type Producer = ProducerRing<BatchMsg, TraceArena>;
+pub(crate) type Producer = ProducerRing<BatchMsg>;
 
 impl Shared {
     /// Marks `n` traces as no longer outstanding, waking idle waiters when
@@ -299,6 +296,15 @@ impl Shared {
         }
     }
 
+    /// Buffer reuse on the ship path, from the tallies [`Engine::push`]
+    /// folds: batches shipped, and those whose traces grew a slab.
+    fn reuse_stats(&self) -> ReuseStats {
+        ReuseStats {
+            batches: self.telemetry.counters.batches_submitted.get(),
+            grown: self.telemetry.arena_grown_batches.get(),
+        }
+    }
+
     /// Snapshot assembly; see [`Engine::telemetry_snapshot`]. Lives on
     /// `Shared` so the scrape endpoint can serve live snapshots through a
     /// [`Weak`](std::sync::Weak) without holding the engine itself. The
@@ -318,12 +324,7 @@ impl Shared {
             snap.push_gauge("engine_ring_highwater", labels, ring.highwater as f64);
             snap.push_counter("engine_ring_pushed", labels, ring.pushed);
         }
-        let arena = self.arena_pool.stats();
-        snap.push_counter("arena_pool_recycled", &[], arena.recycled);
-        snap.push_counter("arena_pool_fresh", &[], arena.fresh);
-        snap.push_counter("arena_pool_released", &[], arena.released);
-        snap.push_counter("arena_pool_dropped", &[], arena.dropped);
-        snap.push_gauge("arena_pool_hit_rate", &[], arena.hit_rate());
+        snap.push_gauge("arena_pool_hit_rate", &[], self.reuse_stats().hit_rate());
         if let Some(cache) = &self.verdict_cache {
             let stats = cache.stats();
             snap.push_counter("verdict_cache_l1_hits", &[], stats.l1_hits);
@@ -381,6 +382,29 @@ pub struct EngineStats {
     pub recruit_cas_fails: u64,
 }
 
+/// How often shipped batches were recorded into recycled buffers without
+/// growing them; see [`PmTestSession::pool_stats`](crate::PmTestSession::pool_stats).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReuseStats {
+    /// Batches shipped onto the engine's rings.
+    pub batches: u64,
+    /// Shipped batches whose recording outgrew a recycled word buffer.
+    pub grown: u64,
+}
+
+impl ReuseStats {
+    /// Share of shipped batches that needed no slab growth, in `[0, 1]` (0
+    /// before anything ships).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.batches.saturating_sub(self.grown) as f64 / self.batches as f64
+        }
+    }
+}
+
 impl EngineStats {
     /// Mean traces per submitted batch (0 if nothing was submitted).
     #[must_use]
@@ -413,7 +437,6 @@ impl Engine {
             )),
             shards: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
             collected: Mutex::new(Report::default()),
-            arena_pool: Arc::new(ArenaPool::new()),
             verdict_cache: config
                 .verdict_cache
                 .enabled
@@ -471,11 +494,9 @@ impl Engine {
         self.queue_capacity
     }
 
-    /// The pool of recycled arenas. Sessions and [`submit`](Self::submit)
-    /// draw arenas from here; workers return each checked batch's arena.
-    #[must_use]
-    pub fn arena_pool(&self) -> &Arc<ArenaPool> {
-        &self.shared.arena_pool
+    /// Buffer reuse on the ship path (see [`ReuseStats`]).
+    pub(crate) fn reuse_stats(&self) -> ReuseStats {
+        self.shared.reuse_stats()
     }
 
     /// Lifetime counters (never reset, even by
@@ -503,8 +524,8 @@ impl Engine {
     /// A full machine-readable snapshot of the engine's telemetry: registry
     /// metrics (per-checker latency histograms, per-kind diagnostic
     /// counters, queue-depth and worker-utilization gauges), the lifetime
-    /// [`EngineStats`] counters, ingest-plane ring metrics, and pool
-    /// statistics.
+    /// [`EngineStats`] counters, ingest-plane ring metrics, and ship-path
+    /// buffer reuse.
     ///
     /// Export it with [`TelemetrySnapshot::to_json_lines`],
     /// [`TelemetrySnapshot::to_prometheus`], or dump it to disk via
@@ -575,9 +596,7 @@ impl Engine {
     /// Returns [`SubmitError`] if the worker pool has terminated (the engine
     /// was shut down, or a worker panicked); the trace is dropped.
     pub fn submit(&self, trace: Trace) -> Result<(), SubmitError> {
-        let mut arena = self.shared.arena_pool.acquire();
-        arena.push_trace(trace);
-        self.dispatch(arena)
+        self.dispatch(|batch| batch.push_trace(trace))
     }
 
     /// Submits a batch of traces in one ring operation, paying the dispatch
@@ -592,18 +611,16 @@ impl Engine {
         if traces.is_empty() {
             return Ok(());
         }
-        let mut arena = self.shared.arena_pool.acquire();
-        for trace in traces {
-            arena.push_trace(trace);
-        }
-        self.dispatch(arena)
+        self.dispatch(|batch| traces.into_iter().for_each(|trace| batch.push_trace(trace)))
     }
 
-    /// Pushes `arena` through the engine-owned producer.
-    fn dispatch(&self, arena: TraceArena) -> Result<(), SubmitError> {
+    /// Stages traces in the engine-owned producer's arena with `fill`, then
+    /// pushes them.
+    fn dispatch(&self, fill: impl FnOnce(&mut TraceArena)) -> Result<(), SubmitError> {
         let producer = self.producer.get_or_init(|| self.register_producer());
-        let _held = producer.staged.lock();
-        self.push(producer, arena)
+        let mut staged = producer.staged.lock();
+        fill(&mut staged);
+        self.push(producer, &mut staged)
     }
 
     /// Registers a recording producer with the ingest plane.
@@ -611,35 +628,39 @@ impl Engine {
         self.shared.plane.register_ring()
     }
 
-    /// Pushes a sealed batch onto `producer`'s ring, folding the
-    /// allocator/intern tallies its traces carry into the engine's counters.
-    /// Callers hold the producer lock, as every push onto a ring does.
+    /// Pushes the sealed batch in `batch`, the producer's staged arena, onto
+    /// `producer`'s ring, folding the allocator/intern tallies its traces
+    /// carry into the engine's counters. Callers hold the producer lock, as
+    /// every push onto a ring does. `batch` comes back cleared: a push
+    /// trades it for the tail slot's arena, and a failed one drops its
+    /// traces.
     pub(crate) fn push(
         &self,
         producer: &Producer,
-        mut arena: TraceArena,
+        batch: &mut TraceArena,
     ) -> Result<(), SubmitError> {
         let plane = &self.shared.plane;
         if plane.is_dead() {
+            batch.clear();
             return Err(SubmitError);
         }
-        self.shared.telemetry.note_arena_stats(arena.take_stats());
+        self.shared.telemetry.note_arena_stats(batch.take_stats());
         // Packed records the arena holds, for the ring's queued-record bound.
-        let words = arena.traces().map(|(_, w, _)| w.len() as u64).sum();
-        let n = arena.sealed() as u64;
+        let words = batch.traces().map(|(_, w, _)| w.len() as u64).sum();
+        let n = batch.sealed() as u64;
         self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
         let submitted = self.shared.telemetry.timed().then(Instant::now);
         // From here the accounting settles when `msg` drops — whether a
         // worker finishes it, a panicking checker abandons it, or a dead
         // plane discards it. No explicit rollback.
-        let msg = BatchMsg {
-            arena,
-            accounting: BatchAccounting { shared: self.shared.clone(), n },
-            submitted,
-        };
-        let depth = match plane.push(producer, msg, n, words) {
+        let msg =
+            BatchMsg { accounting: BatchAccounting { shared: self.shared.clone(), n }, submitted };
+        let depth = match plane.push(producer, batch, msg, n, words) {
             Ok(depth) => depth,
-            Err(_) => return Err(SubmitError),
+            Err(PlaneClosed) => {
+                batch.clear();
+                return Err(SubmitError);
+            }
         };
         if plane.is_dead() {
             // The last worker may have died — and run its final ring drain —
@@ -667,14 +688,14 @@ impl Engine {
         // a waiting writer, so a push stalled under a read guard while a
         // producer registers would block every worker's scan.
         for producer in self.shared.plane.rings() {
-            // Publish invariant (a): the batch is taken and pushed under its
+            // Publish invariant (a): the staged batch is pushed under its
             // producer's lock, and `push` raises `outstanding` before the
-            // lock is released, so a result point that finds the batch
-            // already gone still waits for it.
+            // lock is released, so a result point that finds the staged
+            // arena already empty still waits for the batch it held.
             let mut staged = producer.staged.lock();
-            if let Some(batch) = staged.take() {
-                self.shared.telemetry.note_batch_shipped(FlushCause::ResultPoint, batch.sealed());
-                let _ = self.push(&producer, batch);
+            if staged.sealed() > 0 {
+                self.shared.telemetry.note_batch_shipped(FlushCause::ResultPoint, staged.sealed());
+                let _ = self.push(&producer, &mut staged);
             }
         }
     }
@@ -810,6 +831,9 @@ struct WorkerState {
 /// the plane dead if this is the last worker out (normal exit or panic).
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let _guard = WorkerGuard::new(shared.plane.clone());
+    // The worker's spare: a claim trades it, cleared, for the claimed slot's
+    // arena, and the batch is then checked in place here.
+    let mut batch = TraceArena::new();
     let mut state = WorkerState {
         idx,
         scratch: CheckerScratch::new(),
@@ -823,13 +847,13 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     // only allocation; below the `Full` level the sink defers even that,
     // and every record below is one relaxed load and a taken-branch.
     let span: SpanHandle = shared.telemetry.spans.register(idx as u64);
-    while let Some((msg, _n)) = shared.plane.next_batch(idx) {
+    while let Some((msg, _n)) = shared.plane.next_batch(idx, &mut batch) {
         // Re-checked per batch: the sink can be toggled at runtime.
         let tracing = span.enabled();
         // Destructured so the accounting guard outlives the checking: a
         // panicking checker unwinds through it and the batch still retires
         // (otherwise `wait_idle` would block forever on the lost traces).
-        let BatchMsg { arena, accounting: _accounting, submitted } = msg;
+        let BatchMsg { accounting: _accounting, submitted } = msg;
         let dequeued = submitted.map(|sent| {
             let now = Instant::now();
             shared
@@ -847,11 +871,11 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
                 .record(to.duration_since(from).as_nanos() as u64);
         }
         let span_replay = tracing.then(|| span.now_ns());
-        for (id, words, entries) in arena.traces() {
+        for (id, words, entries) in batch.traces() {
             check_span(shared, &mut state, id, words, entries);
         }
+        batch.clear();
         state.profiler.flush(&shared.telemetry.profile);
-        shared.arena_pool.release(arena);
         let replay_done = shared.telemetry.timed().then(Instant::now);
         if let (Some(from), Some(to)) = (replay_start, replay_done) {
             shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
@@ -1466,9 +1490,37 @@ mod tests {
         assert!(snap.counter("engine_ring_pushed").is_some());
         // Arena/intern counters register even when the batched path is idle.
         assert_eq!(snap.counter("engine_arena_slab_allocs"), Some(0));
+        assert_eq!(snap.counter("engine_arena_grown_batches"), Some(0));
         assert_eq!(snap.counter_sum("engine_intern_hits"), 0);
         // Span accounting is exported.
         assert_eq!(snap.counter("engine_spans_dropped"), Some(0));
+    }
+
+    /// A long trace's buffer is freed after its check: once a 10 000-record
+    /// trace has been checked, no ring slot and no worker spare keeps a word
+    /// buffer over the retention cap. With one worker, the trace submitted
+    /// next trades the worker's spare — the long trace's cleared arena —
+    /// into a ring slot, where the scan below sees it.
+    #[test]
+    fn a_long_trace_leaves_no_buffer_over_the_retention_cap() {
+        let engine = Engine::new(EngineConfig { queue_capacity: 4, ..EngineConfig::default() });
+        let mut long = Trace::new(0);
+        for _ in 0..10_000 {
+            long.push(Event::Fence.here());
+        }
+        engine.submit(long).unwrap();
+        engine.wait_idle();
+        engine.submit(clean_trace(1)).unwrap();
+        assert_eq!(engine.take_report().traces().len(), 2);
+        let rings = engine.shared.plane.rings();
+        assert_eq!(rings.len(), 1, "direct submits share one ring");
+        let slots = rings[0].slot_word_capacities();
+        assert_eq!(slots.len(), 4);
+        assert!(
+            slots.iter().all(|&words| words <= TraceArena::RETAINED_WORDS),
+            "a slot kept the long trace's buffer: {slots:?}"
+        );
+        assert!(rings[0].staged.lock().word_capacity() <= TraceArena::RETAINED_WORDS);
     }
 
     #[test]

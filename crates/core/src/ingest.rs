@@ -12,10 +12,21 @@
 //! A ring is bounded in slots and in the packed records it holds queued
 //! ([`MAX_QUEUED_WORDS`]); a producer pushing into a full ring waits.
 //!
-//! Each ring also holds its producer's staged state — for the engine, the
-//! traces it sealed but has not shipped — behind the producer lock, which
-//! every push onto the ring takes. The ring list is thus the only producer
-//! registry: a result point walks it and ships every staged batch.
+//! Each ring also holds its producer's staged arena — the traces it sealed
+//! but has not shipped — behind the producer lock, which every push onto
+//! the ring takes. The ring list is thus the only producer registry: a
+//! result point walks it and ships every staged batch.
+//!
+//! ## Arena recycling
+//!
+//! Every slot keeps one [`TraceArena`] for the ring's life, and record
+//! buffers change hands only under the slot mutex the push and the claim
+//! already take. A push trades the staged arena's buffers for the slot's
+//! cleared ones; a claim moves the message out and trades the slot's
+//! buffers for the claiming worker's cleared spare, which the worker checks
+//! in place and then clears. Every arena a trade hands on is empty, so
+//! recycled storage never carries records into another trace, and the
+//! ring's slot count bounds the buffers its producer has in flight.
 //!
 //! ## Steal protocol
 //!
@@ -48,15 +59,22 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use pmtest_obs::Counter;
+use pmtest_trace::TraceArena;
 
 /// Safety-net bound on a producer's wait for ring space. A consumer that
 /// frees space wakes a registered waiter; the timeout only covers protocol
 /// bugs.
 const FULL_RING_POLL: Duration = Duration::from_millis(1);
+
+/// How long a producer that finds its ring full watches for a worker's
+/// claim before it registers as a waiter and sleeps: about the futex wait
+/// and wake it saves. A producer faster than its worker stalls often, and
+/// each sleep costs it a wake-up and the worker a notify.
+const FULL_RING_SPIN: Duration = Duration::from_micros(10);
 
 /// Packed records one producer ring may hold queued, besides its slot
 /// count: about one long trace (64 Ki records, 1.5 MiB). A ring that holds
@@ -76,17 +94,21 @@ const WORKER_PARK: Duration = Duration::from_millis(50);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlaneClosed;
 
-/// A ring slot: the message plus the trace and packed-record counts it
-/// carries, `Some` from the producer's write until a consumer's take.
-type MessageSlot<T> = Mutex<Option<(T, u64, u64)>>;
+/// A ring slot: the arena it keeps for the ring's life plus, from a push
+/// until a claim, the message and the trace and packed-record counts of the
+/// batch that arena holds.
+struct Slot<T> {
+    arena: TraceArena,
+    batch: Option<(T, u64, u64)>,
+}
 
-/// One producer's bounded SPSC ring plus its staged state `S`. Pushes are
-/// made under the producer lock, so they are serialized even when several
+/// One producer's bounded SPSC ring plus its staged arena. Pushes are made
+/// under the producer lock, so they are serialized even when several
 /// threads share the producer; `try_pop` is called by any worker.
-pub(crate) struct ProducerRing<T, S = ()> {
+pub(crate) struct ProducerRing<T> {
     /// Power-of-two slot array. The mutex is the producer/consumer
     /// rendezvous on wrap-around and is otherwise uncontended.
-    slots: Box<[MessageSlot<T>]>,
+    slots: Box<[Mutex<Slot<T>>]>,
     mask: u64,
     /// Next slot the producer fills. Published with `Release` *after* the
     /// slot is written, so a consumer that observes `head < tail` is
@@ -112,9 +134,10 @@ pub(crate) struct ProducerRing<T, S = ()> {
     space_lock: Mutex<()>,
     space: Condvar,
     space_waiters: AtomicUsize,
-    /// The producer lock, guarding what the producer has staged (`None`:
-    /// nothing). Every push onto this ring is made under it.
-    pub(crate) staged: Mutex<Option<S>>,
+    /// The producer lock, guarding the producer's staged arena: the traces
+    /// it sealed but has not shipped (none when it holds no span). Every
+    /// push onto this ring is made under it and trades this arena.
+    pub(crate) staged: Mutex<TraceArena>,
 }
 
 /// One ring's observability sample, as exported by
@@ -133,11 +156,13 @@ pub(crate) struct RingStats {
     pub(crate) retired: bool,
 }
 
-impl<T, S> ProducerRing<T, S> {
+impl<T> ProducerRing<T> {
     fn new(capacity: usize, pref: usize) -> Self {
         let capacity = capacity.next_power_of_two().max(1);
         Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            slots: (0..capacity)
+                .map(|_| Mutex::new(Slot { arena: TraceArena::new(), batch: None }))
+                .collect(),
             mask: capacity as u64 - 1,
             tail: AtomicU64::new(0),
             head: AtomicU64::new(0),
@@ -150,7 +175,7 @@ impl<T, S> ProducerRing<T, S> {
             space_lock: Mutex::new(()),
             space: Condvar::new(),
             space_waiters: AtomicUsize::new(0),
-            staged: Mutex::new(None),
+            staged: Mutex::new(TraceArena::new()),
         }
     }
 
@@ -172,7 +197,7 @@ impl<T, S> ProducerRing<T, S> {
     fn is_drained(&self) -> bool {
         self.retired.load(Ordering::Acquire)
             && self.staged.try_lock().is_some_and(|staged| {
-                staged.is_none()
+                staged.sealed() == 0
                     && self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
             })
     }
@@ -209,12 +234,12 @@ pub(crate) struct IngestCounters {
 
 /// The plane: every registered ring plus the worker wake/stall protocol and
 /// the observability counters the engine exports.
-pub(crate) struct IngestPlane<T, S = ()> {
+pub(crate) struct IngestPlane<T> {
     /// Slots per ring (rounded up to a power of two from the engine's
     /// configured queue capacity).
     ring_capacity: usize,
     workers: usize,
-    rings: RwLock<Vec<Arc<ProducerRing<T, S>>>>,
+    rings: RwLock<Vec<Arc<ProducerRing<T>>>>,
     /// Batches queued across all rings. The Dekker-style handshake with the
     /// park path (worker: enlist in `parked` then re-check `pending`;
     /// producer: bump `pending` then check `sleepers`) makes the
@@ -245,7 +270,7 @@ pub(crate) struct IngestPlane<T, S = ()> {
     occupancy_highwater: AtomicU64,
 }
 
-impl<T: Send, S> IngestPlane<T, S> {
+impl<T: Send> IngestPlane<T> {
     pub(crate) fn new(workers: usize, ring_capacity: usize, counters: IngestCounters) -> Self {
         Self {
             ring_capacity,
@@ -265,7 +290,7 @@ impl<T: Send, S> IngestPlane<T, S> {
 
     /// Registers a new producer ring, assigning its preferred worker
     /// round-robin so producers spread across the pool.
-    pub(crate) fn register_ring(&self) -> Arc<ProducerRing<T, S>> {
+    pub(crate) fn register_ring(&self) -> Arc<ProducerRing<T>> {
         let mut rings = self.rings.write();
         // Read and bumped under the registry lock, so every ring gets its
         // own sequence number.
@@ -276,19 +301,22 @@ impl<T: Send, S> IngestPlane<T, S> {
         ring
     }
 
-    /// Pushes one message carrying `n` traces of `words` packed records in
-    /// all onto `ring` (producer side, under the producer lock when the
-    /// producer is shared). Blocks while the ring is full, or
-    /// holds a message and would exceed [`MAX_QUEUED_WORDS`] — the
-    /// backpressure regime — and fails once the plane is closed or its
-    /// workers are gone. Returns the ring's trace occupancy right after the
-    /// push (the queue-depth sample).
+    /// Pushes the batch in `staged` — `n` traces of `words` packed records
+    /// in all, settled by `payload` — onto `ring` (producer side, under the
+    /// producer lock). The tail slot takes `staged`'s buffers and hands back
+    /// its own cleared ones. Blocks while the ring is full, or holds a
+    /// message and would exceed [`MAX_QUEUED_WORDS`] — the backpressure
+    /// regime — and fails once the plane is closed or its workers are gone.
+    /// Returns the ring's trace occupancy right after the push (the
+    /// queue-depth sample).
     ///
-    /// On failure the message is dropped here; callers rely on its drop
-    /// guard to settle any accounting.
+    /// On failure the message is dropped here, and `staged` keeps its
+    /// traces; callers rely on the message's drop guard to settle any
+    /// accounting.
     pub(crate) fn push(
         &self,
-        ring: &ProducerRing<T, S>,
+        ring: &ProducerRing<T>,
+        staged: &mut TraceArena,
         payload: T,
         n: u64,
         words: u64,
@@ -305,7 +333,7 @@ impl<T: Send, S> IngestPlane<T, S> {
                 let mut guard = slot.lock();
                 // Takes only lower `words` and only this producer raises
                 // it, so a fit seen here still holds when the message lands.
-                if guard.is_none() && ring.has_room_for(words) {
+                if guard.batch.is_none() && ring.has_room_for(words) {
                     // Re-checked under the slot mutex: `mark_dead` stores the
                     // flag before its drain takes this slot, so a producer
                     // that sees the slot freed *by the death drain* is
@@ -314,7 +342,9 @@ impl<T: Send, S> IngestPlane<T, S> {
                     if self.dead.load(Ordering::Acquire) {
                         return Err(PlaneClosed);
                     }
-                    *guard = payload.take();
+                    debug_assert!(guard.arena.is_empty(), "a push must trade in a cleared arena");
+                    std::mem::swap(staged, &mut guard.arena);
+                    guard.batch = payload.take();
                     break;
                 }
             }
@@ -324,6 +354,18 @@ impl<T: Send, S> IngestPlane<T, S> {
             if !stalled {
                 stalled = true;
                 self.counters.backpressure_stalls.inc();
+                // A worker checking short traces frees the slot within a
+                // few microseconds: watch for its claim before sleeping, so
+                // such a stall costs neither side a futex call.
+                let spin = Instant::now();
+                let slots = ring.slots.len() as u64;
+                while spin.elapsed() < FULL_RING_SPIN {
+                    if ring.head.load(Ordering::Acquire) + slots > t && ring.has_room_for(words) {
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+                continue;
             }
             // Register as a waiter, then re-check under `space_lock`: a take
             // after the registration sees the waiter (SeqCst on both sides,
@@ -332,7 +374,7 @@ impl<T: Send, S> IngestPlane<T, S> {
             let mut space = ring.space_lock.lock();
             ring.space_waiters.fetch_add(1, Ordering::SeqCst);
             let dead = self.dead.load(Ordering::SeqCst);
-            if !dead && (slot.lock().is_some() || !ring.has_room_for(words)) {
+            if !dead && (slot.lock().batch.is_some() || !ring.has_room_for(words)) {
                 ring.space.wait_for(&mut space, FULL_RING_POLL);
             }
             ring.space_waiters.fetch_sub(1, Ordering::SeqCst);
@@ -406,13 +448,17 @@ impl<T: Send, S> IngestPlane<T, S> {
         woken.unpark();
     }
 
-    /// Claims one message from `ring` (any worker). The claim is a head CAS;
-    /// the take happens under the slot mutex, which is what makes the
-    /// `expect` sound: `head < tail` (tail released after the slot write)
-    /// guarantees the slot was filled, the CAS makes this claim exclusive,
-    /// and a producer wrapping onto the same physical slot blocks on the
-    /// mutex until the take completes.
-    fn try_pop(&self, ring: &ProducerRing<T, S>) -> Option<(T, u64)> {
+    /// Claims one message from `ring` (any worker), trading the cleared
+    /// `spare` for the slot's arena, which holds the message's batch. The
+    /// claim is a head CAS; the take happens under the slot mutex, which is
+    /// what makes the `expect` sound: `head < tail` (tail released after the
+    /// slot write) guarantees the slot was filled, the CAS makes this claim
+    /// exclusive, and a producer wrapping onto the same physical slot blocks
+    /// on the mutex until the take completes.
+    fn try_pop(&self, ring: &ProducerRing<T>, spare: &mut TraceArena) -> Option<(T, u64)> {
+        // Checked before the claim, so a failing check leaves the message
+        // queued for the death drain to settle.
+        debug_assert!(spare.is_empty(), "a claim must trade in a cleared arena");
         loop {
             let h = ring.head.load(Ordering::Relaxed);
             let t = ring.tail.load(Ordering::Acquire);
@@ -424,10 +470,11 @@ impl<T: Send, S> IngestPlane<T, S> {
                 .compare_exchange_weak(h, h + 1, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
-                let (payload, n, words) = ring.slots[(h & ring.mask) as usize]
-                    .lock()
-                    .take()
-                    .expect("claimed ring slot must hold a message");
+                let (payload, n, words) = {
+                    let mut slot = ring.slots[(h & ring.mask) as usize].lock();
+                    std::mem::swap(spare, &mut slot.arena);
+                    slot.batch.take().expect("claimed ring slot must hold a message")
+                };
                 ring.occupancy.fetch_sub(n, Ordering::Relaxed);
                 ring.words.fetch_sub(words, Ordering::SeqCst);
                 self.pending.fetch_sub(1, Ordering::SeqCst);
@@ -444,19 +491,19 @@ impl<T: Send, S> IngestPlane<T, S> {
 
     /// One scan for work: the worker's affinity rings first, then everything
     /// else (counted as steals).
-    fn try_claim(&self, me: usize) -> Option<(T, u64)> {
+    fn try_claim(&self, me: usize, spare: &mut TraceArena) -> Option<(T, u64)> {
         if self.pending.load(Ordering::Acquire) == 0 {
             return None;
         }
         let rings = self.rings.read();
         for ring in rings.iter().filter(|r| r.pref == me) {
-            if let Some(got) = self.try_pop(ring) {
+            if let Some(got) = self.try_pop(ring, spare) {
                 self.counters.affinity_hits.inc();
                 return Some(got);
             }
         }
         for ring in rings.iter().filter(|r| r.pref != me) {
-            if let Some(got) = self.try_pop(ring) {
+            if let Some(got) = self.try_pop(ring, spare) {
                 self.counters.steals.inc();
                 return Some(got);
             }
@@ -464,11 +511,12 @@ impl<T: Send, S> IngestPlane<T, S> {
         None
     }
 
-    /// Blocks until a message is available, the plane is closed *and*
+    /// Blocks until a message is available — its batch then sits in
+    /// `spare`, which must come in cleared — the plane is closed *and*
     /// drained (`None`), or a park times out and the scan repeats.
-    pub(crate) fn next_batch(&self, me: usize) -> Option<(T, u64)> {
+    pub(crate) fn next_batch(&self, me: usize, spare: &mut TraceArena) -> Option<(T, u64)> {
         loop {
-            if let Some(got) = self.try_claim(me) {
+            if let Some(got) = self.try_claim(me, spare) {
                 // Progress: any outstanding recruit credit is spent, so the
                 // next push re-evaluates whether the backlog needs another
                 // worker.
@@ -522,14 +570,15 @@ impl<T: Send, S> IngestPlane<T, S> {
     }
 
     /// Discards everything queued on `ring`; each message's drop settles its
-    /// own accounting. Used by a producer that raced a dying worker pool.
-    pub(crate) fn drain_discard(&self, ring: &ProducerRing<T, S>) {
-        while self.try_pop(ring).is_some() {}
+    /// own accounting, and its records leave with a throwaway spare. Used by
+    /// a producer that raced a dying worker pool.
+    pub(crate) fn drain_discard(&self, ring: &ProducerRing<T>) {
+        while self.try_pop(ring, &mut TraceArena::new()).is_some() {}
     }
 
     /// A copy of the ring list, for walks that may block (a result point's
     /// pushes, the death drain) and so must not hold the registry lock.
-    pub(crate) fn rings(&self) -> Vec<Arc<ProducerRing<T, S>>> {
+    pub(crate) fn rings(&self) -> Vec<Arc<ProducerRing<T>>> {
         self.rings.read().clone()
     }
 
@@ -607,17 +656,17 @@ impl<T: Send, S> IngestPlane<T, S> {
 /// RAII guard a worker thread holds for its whole life: the drop (normal
 /// exit or unwinding panic) decrements the live-worker count, and the last
 /// one out marks the plane dead.
-pub(crate) struct WorkerGuard<T: Send, S = ()> {
-    plane: Arc<IngestPlane<T, S>>,
+pub(crate) struct WorkerGuard<T: Send> {
+    plane: Arc<IngestPlane<T>>,
 }
 
-impl<T: Send, S> WorkerGuard<T, S> {
-    pub(crate) fn new(plane: Arc<IngestPlane<T, S>>) -> Self {
+impl<T: Send> WorkerGuard<T> {
+    pub(crate) fn new(plane: Arc<IngestPlane<T>>) -> Self {
         Self { plane }
     }
 }
 
-impl<T: Send, S> Drop for WorkerGuard<T, S> {
+impl<T: Send> Drop for WorkerGuard<T> {
     fn drop(&mut self) {
         if self.plane.workers_alive.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.plane.mark_dead();
@@ -626,8 +675,17 @@ impl<T: Send, S> Drop for WorkerGuard<T, S> {
 }
 
 #[cfg(test)]
+impl<T> ProducerRing<T> {
+    /// Word capacity of every slot's arena.
+    pub(crate) fn slot_word_capacities(&self) -> Vec<usize> {
+        self.slots.iter().map(|slot| slot.lock().arena.word_capacity()).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use pmtest_trace::{Event, Trace};
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
 
@@ -648,7 +706,9 @@ mod tests {
                     // producer is done — the exit race under test.
                     let ring = plane.register_ring();
                     for i in 0..PER_PRODUCER {
-                        plane.push(&ring, p * PER_PRODUCER + i, 1, 1).unwrap();
+                        plane
+                            .push(&ring, &mut TraceArena::new(), p * PER_PRODUCER + i, 1, 1)
+                            .unwrap();
                     }
                     ring.retire();
                 });
@@ -657,7 +717,7 @@ mod tests {
                 let plane = plane.clone();
                 let seen = &seen;
                 s.spawn(move || {
-                    while let Some((v, n)) = plane.next_batch(w) {
+                    while let Some((v, n)) = plane.next_batch(w, &mut TraceArena::new()) {
                         assert_eq!(n, 1);
                         assert!(seen.lock().insert(v), "batch {v} delivered twice");
                     }
@@ -682,14 +742,14 @@ mod tests {
         let plane: Arc<IngestPlane<u32>> =
             Arc::new(IngestPlane::new(1, 1, IngestCounters::default()));
         let ring = plane.register_ring();
-        plane.push(&ring, 0, 1, 1).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 0, 1, 1).unwrap();
         let pushed = Arc::new(AtomicBool::new(false));
         let blocked = {
             let plane = plane.clone();
             let ring = ring.clone();
             let pushed = pushed.clone();
             std::thread::spawn(move || {
-                plane.push(&ring, 1, 1, 1).unwrap();
+                plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
                 pushed.store(true, Ordering::Release);
             })
         };
@@ -700,11 +760,13 @@ mod tests {
         }
         assert!(!pushed.load(Ordering::Acquire), "push into a full ring must block");
         assert!(plane.counters.backpressure_stalls.get() >= 1);
-        let (first, _) = plane.try_pop(&ring).expect("first message queued");
+        let (first, _) =
+            plane.try_pop(&ring, &mut TraceArena::new()).expect("first message queued");
         assert_eq!(first, 0);
         blocked.join().unwrap();
         assert!(pushed.load(Ordering::Acquire));
-        let (second, _) = plane.try_pop(&ring).expect("stalled push landed");
+        let (second, _) =
+            plane.try_pop(&ring, &mut TraceArena::new()).expect("stalled push landed");
         assert_eq!(second, 1);
     }
 
@@ -716,14 +778,14 @@ mod tests {
         let plane: Arc<IngestPlane<u32>> =
             Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
-        plane.push(&ring, 0, 1, 2 * MAX_QUEUED_WORDS).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 0, 1, 2 * MAX_QUEUED_WORDS).unwrap();
         let pushed = Arc::new(AtomicBool::new(false));
         let blocked = {
             let plane = plane.clone();
             let ring = ring.clone();
             let pushed = pushed.clone();
             std::thread::spawn(move || {
-                plane.push(&ring, 1, 1, 1).unwrap();
+                plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
                 pushed.store(true, Ordering::Release);
             })
         };
@@ -733,15 +795,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(!pushed.load(Ordering::Acquire), "a ring over its record bound must block");
-        assert_eq!(plane.try_pop(&ring).expect("first message queued").0, 0);
+        assert_eq!(
+            plane.try_pop(&ring, &mut TraceArena::new()).expect("first message queued").0,
+            0
+        );
         blocked.join().unwrap();
         // Small messages share the bound until the next would pass it.
-        plane.push(&ring, 2, 1, MAX_QUEUED_WORDS - 2).unwrap();
-        plane.push(&ring, 3, 1, 1).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 2, 1, MAX_QUEUED_WORDS - 2).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 3, 1, 1).unwrap();
         assert_eq!(plane.counters.backpressure_stalls.get(), 1, "within the bound nothing stalls");
         assert_eq!(ring.words.load(Ordering::Relaxed), MAX_QUEUED_WORDS);
         for expect in 1..=3 {
-            assert_eq!(plane.try_pop(&ring).expect("queued").0, expect);
+            assert_eq!(plane.try_pop(&ring, &mut TraceArena::new()).expect("queued").0, expect);
         }
         assert_eq!(ring.words.load(Ordering::Relaxed), 0);
     }
@@ -757,7 +822,11 @@ mod tests {
         // below zero.
         ring.occupancy.fetch_sub(1, Ordering::Relaxed);
         plane.pending.fetch_sub(1, Ordering::SeqCst);
-        assert_eq!(plane.push(&ring, 7, 1, 1), Ok(0), "queue depth back at zero");
+        assert_eq!(
+            plane.push(&ring, &mut TraceArena::new(), 7, 1, 1),
+            Ok(0),
+            "queue depth back at zero"
+        );
         assert_eq!(plane.pending.load(Ordering::SeqCst), 0);
         assert_eq!(ring.occupancy(), 0);
     }
@@ -778,13 +847,13 @@ mod tests {
             Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
         for _ in 0..3 {
-            plane.push(&ring, Settles(settled.clone()), 1, 1).unwrap();
+            plane.push(&ring, &mut TraceArena::new(), Settles(settled.clone()), 1, 1).unwrap();
         }
         // The only worker exits (as a panic would): everything settles.
         drop(WorkerGuard::new(plane.clone()));
         assert!(plane.is_dead());
         assert_eq!(settled.load(Ordering::SeqCst), 3, "queued messages must settle");
-        let err = plane.push(&ring, Settles(settled.clone()), 1, 1);
+        let err = plane.push(&ring, &mut TraceArena::new(), Settles(settled.clone()), 1, 1);
         assert_eq!(err.unwrap_err(), PlaneClosed);
         assert_eq!(settled.load(Ordering::SeqCst), 4, "rejected message settles too");
     }
@@ -796,11 +865,11 @@ mod tests {
         let plane: Arc<IngestPlane<u32>> =
             Arc::new(IngestPlane::new(1, 1, IngestCounters::default()));
         let ring = plane.register_ring();
-        plane.push(&ring, 0, 1, 1).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 0, 1, 1).unwrap();
         let stalled = {
             let plane = plane.clone();
             let ring = ring.clone();
-            std::thread::spawn(move || plane.push(&ring, 1, 1, 1))
+            std::thread::spawn(move || plane.push(&ring, &mut TraceArena::new(), 1, 1, 1))
         };
         std::thread::sleep(Duration::from_millis(10));
         drop(WorkerGuard::new(plane.clone()));
@@ -814,12 +883,13 @@ mod tests {
         let plane: Arc<IngestPlane<u32>> =
             Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
         let ring = plane.register_ring();
-        plane.push(&ring, 7, 1, 1).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 7, 1, 1).unwrap();
         ring.retire();
         drop(ring);
         plane.prune_retired();
         assert_eq!(plane.rings_live(), 1, "undrained ring must survive pruning");
-        let (v, _) = plane.next_batch(0).expect("retired ring still drains");
+        let (v, _) =
+            plane.next_batch(0, &mut TraceArena::new()).expect("retired ring still drains");
         assert_eq!(v, 7);
         plane.prune_retired();
         assert_eq!(plane.rings_live(), 0, "drained retired ring is pruned");
@@ -829,24 +899,51 @@ mod tests {
     /// its producer lock held (a push may be in flight), is never pruned.
     #[test]
     fn retired_rings_with_staged_state_survive_pruning() {
-        let plane: IngestPlane<u32, u32> = IngestPlane::new(1, 8, IngestCounters::default());
+        let plane: IngestPlane<u32> = IngestPlane::new(1, 8, IngestCounters::default());
         let ring = plane.register_ring();
-        *ring.staged.lock() = Some(7);
+        ring.staged.lock().push_trace(Trace::new(7));
         ring.retire();
         plane.prune_retired();
         assert_eq!(plane.rings_live(), 1, "a staged batch keeps its ring");
         {
             let mut staged = ring.staged.lock();
-            let v = staged.take().unwrap();
             plane.prune_retired();
             assert_eq!(plane.rings_live(), 1, "a held producer lock keeps its ring");
-            plane.push(&ring, v, 1, 1).unwrap();
+            plane.push(&ring, &mut staged, 7, 1, 1).unwrap();
         }
         plane.prune_retired();
         assert_eq!(plane.rings_live(), 1, "the published message keeps its ring");
-        assert_eq!(plane.next_batch(0).expect("published message drains").0, 7);
+        let mut spare = TraceArena::new();
+        assert_eq!(plane.next_batch(0, &mut spare).expect("published message drains").0, 7);
+        assert_eq!(spare.traces().next().unwrap().0, 7, "the claim took the staged trace");
         plane.prune_retired();
         assert_eq!(plane.rings_live(), 0, "drained with nothing staged: pruned");
+    }
+
+    /// A push trades the staged arena for the tail slot's cleared one, and a
+    /// claim trades the claimer's cleared spare for the slot's: the batch's
+    /// records move without a copy, and the slot keeps the spare's buffer.
+    #[test]
+    fn pushes_and_claims_trade_arenas_through_the_slot() {
+        let plane: IngestPlane<u32> = IngestPlane::new(1, 1, IngestCounters::default());
+        let ring = plane.register_ring();
+        let mut staged = TraceArena::new();
+        let mut trace = Trace::new(3);
+        trace.push(Event::Fence.here());
+        staged.push_trace(trace);
+        let records = staged.traces().next().unwrap().1.as_ptr();
+        plane.push(&ring, &mut staged, 0, 1, 1).unwrap();
+        assert!(staged.is_empty(), "the producer stages on into the slot's cleared arena");
+        let mut spare = TraceArena::new();
+        for _ in 0..10 {
+            spare.push(Event::Fence.here());
+        }
+        spare.seal(9);
+        spare.clear();
+        let spare_capacity = spare.word_capacity();
+        assert_eq!(plane.try_pop(&ring, &mut spare), Some((0, 1)));
+        assert_eq!(spare.traces().next().unwrap().1.as_ptr(), records, "moved, not copied");
+        assert_eq!(ring.slot_word_capacities(), [spare_capacity], "the slot kept the spare");
     }
 
     /// Affinity: a lone preferred worker claims without steals; a foreign
@@ -856,11 +953,11 @@ mod tests {
         let plane: Arc<IngestPlane<u32>> =
             Arc::new(IngestPlane::new(2, 8, IngestCounters::default()));
         let ring = plane.register_ring(); // pref = 0
-        plane.push(&ring, 1, 1, 1).unwrap();
-        assert!(plane.try_claim(0).is_some());
+        plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
+        assert!(plane.try_claim(0, &mut TraceArena::new()).is_some());
         assert_eq!(plane.counters.steals.get(), 0, "affinity claim is not a steal");
-        plane.push(&ring, 2, 1, 1).unwrap();
-        assert!(plane.try_claim(1).is_some());
+        plane.push(&ring, &mut TraceArena::new(), 2, 1, 1).unwrap();
+        assert!(plane.try_claim(1, &mut TraceArena::new()).is_some());
         assert_eq!(plane.counters.steals.get(), 1, "foreign claim is a steal");
         assert_eq!(plane.counters.affinity_hits.get(), 1, "only the first claim was on-affinity");
     }
@@ -872,10 +969,10 @@ mod tests {
             Arc::new(IngestPlane::new(2, 8, IngestCounters::default()));
         let a = plane.register_ring();
         let b = plane.register_ring();
-        plane.push(&a, 1, 3, 1).unwrap();
-        plane.push(&a, 2, 2, 1).unwrap();
-        plane.push(&b, 3, 1, 1).unwrap();
-        assert!(plane.try_claim(0).is_some());
+        plane.push(&a, &mut TraceArena::new(), 1, 3, 1).unwrap();
+        plane.push(&a, &mut TraceArena::new(), 2, 2, 1).unwrap();
+        plane.push(&b, &mut TraceArena::new(), 3, 1, 1).unwrap();
+        assert!(plane.try_claim(0, &mut TraceArena::new()).is_some());
         let stats = plane.ring_stats();
         assert_eq!(stats.len(), 2);
         let sa = stats.iter().find(|s| s.pref == 0).unwrap();
@@ -901,7 +998,7 @@ mod tests {
             let plane = plane.clone();
             std::thread::spawn(move || {
                 let mut got = 0u32;
-                while plane.next_batch(0).is_some() {
+                while plane.next_batch(0, &mut TraceArena::new()).is_some() {
                     got += 1;
                 }
                 got
@@ -911,7 +1008,7 @@ mod tests {
         while plane.sleepers.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        plane.push(&ring, 1, 1, 1).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
         while plane.pending.load(Ordering::SeqCst) > 0 {
             std::thread::yield_now();
         }
@@ -938,7 +1035,7 @@ mod tests {
         let ring = plane.register_ring();
         plane.recruiting.store(true, Ordering::SeqCst);
         plane.sleepers.store(1, Ordering::SeqCst);
-        plane.push(&ring, 2, 1, 1).unwrap();
+        plane.push(&ring, &mut TraceArena::new(), 2, 1, 1).unwrap();
         assert_eq!(plane.counters.recruit_cas_fails.get(), 1);
         assert_eq!(plane.counters.wakes.get(), 0, "a lost recruit CAS must not wake");
     }

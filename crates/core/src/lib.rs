@@ -90,7 +90,9 @@ pub use checker::{
     ReplayObserver,
 };
 pub use diag::{Diag, DiagKind, Report, Severity, TraceReport};
-pub use engine::{derived_queue_capacity, Engine, EngineConfig, EngineStats, SubmitError};
+pub use engine::{
+    derived_queue_capacity, Engine, EngineConfig, EngineStats, ReuseStats, SubmitError,
+};
 pub use epoch::{Epoch, EpochInterval};
 pub use explore::{
     explore, ExploreConfig, ExploreMode, ExplorePhase, ExploreReport, ExploreStats,

@@ -47,9 +47,10 @@ impl Drop for Slot {
 }
 
 /// This thread's slot registry: the slots plus a one-entry position cache.
-/// Slots are never removed while the thread lives, so a cache hit skips
-/// even the linear scan on the per-event path; one struct keeps the whole
-/// lookup to a single thread-local access and `RefCell` borrow.
+/// A cache hit skips even the linear scan on the per-event path; one struct
+/// keeps the whole lookup to a single thread-local access and `RefCell`
+/// borrow. A slot outlives its session: it is removed when this thread next
+/// registers a slot, or when the thread exits.
 struct ThreadSlots {
     /// `(session id, index into list)` of the last slot this thread used.
     last: (u64, usize),
@@ -89,6 +90,10 @@ fn with_slot<R>(shared: &SessionShared, f: impl FnOnce(&mut Slot) -> R) -> R {
         let pos = match slots.pos(shared.id) {
             Some(pos) => pos,
             None => {
+                // A ring only this thread still holds belongs to a dropped
+                // engine: free it, and the arenas its slots keep, rather
+                // than hold them until the thread exits.
+                slots.list.retain(|slot| Arc::strong_count(&slot.producer) > 1);
                 slots.last = (shared.id, slots.list.len());
                 slots.list.push(shared.new_slot());
                 slots.list.len() - 1
@@ -158,75 +163,43 @@ struct SessionShared {
     next_trace: AtomicU64,
     batch_capacity: usize,
     vars: Mutex<HashMap<String, ByteRange>>,
-    /// Arenas pre-released into the engine's pool so far, bounding the
-    /// per-producer pre-warm at [`PREWARM_MAX_ARENAS`] per session.
-    prewarmed: AtomicU64,
 }
-
-/// Session-wide cap on pre-warmed arenas — the pool's own retention cap
-/// (8 shards × 64 items), past which releases would be dropped anyway.
-const PREWARM_MAX_ARENAS: u64 = 512;
 
 impl SessionShared {
     /// A new recording thread's slot: a producer registered with the
-    /// engine, a pre-warmed arena and, at `TelemetryLevel::Full`, a span
-    /// buffer.
+    /// engine and, at `TelemetryLevel::Full`, a span buffer.
     #[cold]
     fn new_slot(&self) -> Slot {
         Slot {
             session: self.id,
-            arena: self.prewarmed_arena(),
+            arena: TraceArena::new(),
             producer: self.engine.register_producer(),
             span: self.producer_span(),
         }
     }
 
-    /// Pre-warms the engine's arena pool for one new producer thread and
-    /// draws the thread's initial recording arena from it.
-    ///
-    /// A producer keeps `queue_capacity + 1` arenas in flight once its ring
-    /// backs up (one per queued batch, plus the one it records into), so a
-    /// cold pool mints exactly that many `arena_pool_fresh` arenas per thread
-    /// before recycling takes over. Releasing them up front — pre-sized so
-    /// the pool's retention check keeps them and the first batches record
-    /// without slab growth — moves those misses off the steady-state rate:
-    /// the committed w4/b32 `arena_pool_hit_rate` was 0.79 without this, ≥0.9
-    /// with it (asserted in the engine stress test).
-    fn prewarmed_arena(&self) -> TraceArena {
-        let pool = self.engine.arena_pool();
-        let per_producer = self.engine.queue_capacity() as u64 + 1;
-        // ~8 packed words per trace of headroom, clamped to the pool's
-        // per-item retention cap.
-        let words = (self.batch_capacity * 8).clamp(16, 4096);
-        for _ in 0..per_producer {
-            if self.prewarmed.fetch_add(1, Ordering::Relaxed) >= PREWARM_MAX_ARENAS {
-                break;
-            }
-            pool.release(TraceArena::with_word_capacity(words));
-        }
-        pool.acquire()
-    }
-
     /// Moves the trace just sealed in `arena` to `producer`'s staged batch
     /// and ships the batch once it holds `batch_capacity` traces — at batch
-    /// 1 straight from the thread's arena — all under the producer lock
-    /// (publish invariant (a), see `Engine::publish_staged`).
+    /// 1 the staged arena trades buffers with the thread's arena, then with
+    /// a ring slot — all under the producer lock (publish invariant (a), see
+    /// `Engine::publish_staged`).
     fn stage(&self, producer: &Producer, arena: &mut TraceArena, span: Option<&SpanHandle>) {
         let mut staged = producer.staged.lock();
-        staged.get_or_insert_with(|| self.engine.arena_pool().acquire()).append_sealed(arena);
-        if let Some(batch) = staged.take_if(|batch| batch.sealed() >= self.batch_capacity) {
-            self.ship(producer, batch, span, FlushCause::Capacity);
+        staged.append_sealed(arena);
+        if staged.sealed() >= self.batch_capacity {
+            self.ship(producer, &mut staged, span, FlushCause::Capacity);
         }
     }
 
-    /// Pushes `batch` onto `producer`'s ring — the caller holds the
-    /// producer lock — recording its fill level and why it shipped
-    /// (`session_flush_total{cause=…}`, batched sessions only), and wrapping
-    /// the push in a producer-side `ship` span when `span` is recording.
+    /// Pushes `batch`, `producer`'s staged arena, onto its ring — the
+    /// caller holds the producer lock — recording its fill level and why it
+    /// shipped (`session_flush_total{cause=…}`, batched sessions only), and
+    /// wrapping the push in a producer-side `ship` span when `span` is
+    /// recording.
     fn ship(
         &self,
         producer: &Producer,
-        batch: TraceArena,
+        batch: &mut TraceArena,
         span: Option<&SpanHandle>,
         cause: FlushCause,
     ) {
@@ -350,7 +323,6 @@ impl SessionBuilder {
                 next_trace: AtomicU64::new(0),
                 batch_capacity: self.batch_capacity,
                 vars: Mutex::new(HashMap::new()),
-                prewarmed: AtomicU64::new(0),
             }),
         }
     }
@@ -399,7 +371,7 @@ impl PmTestSession {
     #[must_use]
     pub fn recorder(&self) -> ThreadRecorder {
         ThreadRecorder {
-            arena: self.shared.engine.arena_pool().acquire(),
+            arena: TraceArena::new(),
             producer: self.shared.engine.register_producer(),
             span: self.shared.producer_span(),
             shared: self.shared.clone(),
@@ -461,11 +433,13 @@ impl PmTestSession {
         self.shared.engine.stats()
     }
 
-    /// Statistics of the engine's arena recycling pool — the pool this
-    /// session's record batches cycle through.
+    /// How often this session's shipped batches were recorded into the
+    /// recycled buffers their rings trade without growing them (see
+    /// [`ReuseStats`](crate::ReuseStats)). A fresh ring's first lap grows
+    /// its buffers, so the share rises toward 1 as a run goes on.
     #[must_use]
-    pub fn pool_stats(&self) -> pmtest_trace::PoolStats {
-        self.shared.engine.arena_pool().stats()
+    pub fn pool_stats(&self) -> crate::engine::ReuseStats {
+        self.shared.engine.reuse_stats()
     }
 
     /// Counter snapshot of the engine's verdict cache — `None` unless
@@ -756,10 +730,9 @@ impl ThreadRecorder {
         if self.arena.sealed() == 0 {
             return;
         }
-        let _held = self.producer.staged.lock();
-        let mut batch = self.shared.engine.arena_pool().acquire();
-        batch.append_sealed(&mut self.arena);
-        self.shared.ship(&self.producer, batch, self.span.as_ref(), cause);
+        let mut staged = self.producer.staged.lock();
+        staged.append_sealed(&mut self.arena);
+        self.shared.ship(&self.producer, &mut staged, self.span.as_ref(), cause);
     }
 
     /// The session this recorder feeds.
@@ -773,10 +746,7 @@ impl Drop for ThreadRecorder {
     fn drop(&mut self) {
         // Sealed traces were promised to the report, so they are staged for
         // the next result point; the open tail was not.
-        if self.arena.sealed() > 0 {
-            let mut staged = self.producer.staged.lock();
-            staged.get_or_insert_with(TraceArena::new).append_sealed(&mut self.arena);
-        }
+        self.producer.staged.lock().append_sealed(&mut self.arena);
         self.producer.retire();
     }
 }
@@ -1107,11 +1077,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_sessions_with_many_threads_keep_the_pool_warm() {
-        // Stress shape: many producer threads shipping many batches each.
-        // The per-producer pre-warm (queue_capacity + 1 arenas released at
-        // slot creation) must hold the arena pool hit rate at steady-state
-        // levels from the first batch — this was 0.79 cold at w4/b32.
+    fn batched_sessions_with_many_threads_check_every_trace() {
+        // Stress shape: many producer threads shipping many batches each
+        // through rings that trade their arenas on every push and claim.
         let session =
             PmTestSession::builder().workers(4).batch_capacity(16).queue_capacity(8).build();
         session.start();
@@ -1135,36 +1103,54 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.traces().len(), 600, "no trace lost under stress");
         assert!(report.is_clean());
-        let pool = session.pool_stats();
-        assert!(
-            pool.hit_rate() >= 0.9,
-            "pre-warmed arena pool must serve >=90% of acquires: {pool:?}"
-        );
     }
 
     #[test]
-    fn buffers_recycle_between_traces() {
-        let session = PmTestSession::builder().build();
+    fn a_warm_ring_ships_without_slab_growth() {
+        // Four slots, the staged and recording arenas and the worker's spare:
+        // seven buffers, each recorded into within the first lap.
+        let session = PmTestSession::builder().queue_capacity(4).build();
         session.start();
-        session.thread_init(); // this thread's slot pre-warms the pool
-        let warm = session.pool_stats().released;
-        for _ in 0..10 {
-            record_clean_trace(&session);
-        }
-        // Barrier: every checked batch has returned its arena to the pool,
-        // so the next round's acquires must be recycles.
-        assert!(session.report().is_clean());
-        for _ in 0..10 {
+        for _ in 0..20 {
             record_clean_trace(&session);
         }
         assert!(session.report().is_clean());
-        let pool = session.pool_stats();
-        assert_eq!(
-            pool.released - warm,
-            20,
-            "workers return every arena (one per trace at capacity 1)"
-        );
-        assert!(pool.recycled > 0, "later traces reuse returned arenas");
+        let warm = session.pool_stats();
+        assert!(warm.grown > 0, "a fresh ring's first lap grows its buffers");
+        for _ in 0..20 {
+            record_clean_trace(&session);
+        }
+        assert!(session.report().is_clean());
+        let stats = session.pool_stats();
+        assert_eq!(stats.batches - warm.batches, 20, "one batch per trace at capacity 1");
+        assert_eq!(stats.grown, warm.grown, "recycled buffers already fit");
+        assert!(stats.hit_rate() > warm.hit_rate());
+    }
+
+    #[test]
+    fn a_dropped_sessions_slot_is_freed_at_the_next_registration() {
+        let slots = || SLOTS.with(|s| s.borrow().list.len());
+        let base = slots();
+        for _ in 0..3 {
+            let session = PmTestSession::builder().build();
+            session.start();
+            record_clean_trace(&session);
+            assert!(session.report().is_clean());
+            assert_eq!(slots(), base + 1, "one live slot per thread, stale ones freed");
+        }
+    }
+
+    #[test]
+    fn a_batch_capacity_near_usize_max_ships_at_result_points() {
+        let session = PmTestSession::builder().batch_capacity(usize::MAX >> 1).build();
+        session.start();
+        record_clean_trace(&session);
+        assert_eq!(session.stats().traces_submitted, 0, "still staged");
+        session.flush();
+        assert_eq!(session.stats().traces_submitted, 1);
+        let report = session.report();
+        assert_eq!(report.traces().len(), 1);
+        assert!(report.is_clean());
     }
 
     #[test]
@@ -1192,7 +1178,7 @@ mod tests {
     fn arena_tallies_fold_into_the_snapshot_at_ship_time() {
         let session = PmTestSession::builder().batch_capacity(8).build();
         session.start();
-        // One trace longer than a pre-warmed arena holds, so it must grow.
+        // A fresh ring's buffers start empty, so recording must grow them.
         for _ in 0..100 {
             session.record(Event::Fence.here());
         }
@@ -1202,7 +1188,7 @@ mod tests {
         }
         assert!(session.report().is_clean());
         let snap = session.telemetry_snapshot();
-        // Growing past the pre-warmed capacity reallocates at least once.
+        // Growing a fresh buffer reallocates at least once.
         assert!(snap.counter("engine_arena_slab_allocs").unwrap_or(0) >= 1);
         // Every recorded entry resolves its source location through some
         // intern tier; repeats within a batch hit the arena cache.

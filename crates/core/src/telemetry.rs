@@ -261,6 +261,8 @@ pub(crate) struct EngineTelemetry {
     pub(crate) span_names: SpanNames,
     /// Arena word-slab reallocations, folded in at batch-ship time.
     arena_slab_allocs: Counter,
+    /// Shipped batches that carried at least one slab reallocation.
+    pub(crate) arena_grown_batches: Counter,
     /// Location-intern tier hits (arena / TLS / global), folded in at
     /// batch-ship time.
     intern_tiers: [Counter; 3],
@@ -347,6 +349,7 @@ impl EngineTelemetry {
             spans,
             span_names,
             arena_slab_allocs: registry.counter("engine_arena_slab_allocs", &[]),
+            arena_grown_batches: registry.counter("engine_arena_grown_batches", &[]),
             intern_tiers,
             registry,
         }
@@ -373,6 +376,7 @@ impl EngineTelemetry {
     pub(crate) fn note_arena_stats(&self, stats: ArenaStats) {
         if stats.slab_allocs > 0 {
             self.arena_slab_allocs.add(stats.slab_allocs);
+            self.arena_grown_batches.inc();
         }
         let ArenaStats { interns, .. } = stats;
         if interns.arena_hits > 0 {
@@ -783,6 +787,7 @@ mod tests {
         });
         let snap = tel.snapshot();
         assert_eq!(snap.counter("engine_arena_slab_allocs"), Some(2));
+        assert_eq!(snap.counter("engine_arena_grown_batches"), Some(1));
         assert_eq!(snap.counter_sum("engine_intern_hits"), 158);
     }
 

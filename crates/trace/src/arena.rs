@@ -7,10 +7,13 @@
 //! A [`TraceArena`] replaces that with two flat vectors: the packed words
 //! of every trace in the batch, back to back, and a small span index
 //! `(id, start, records, entries)` marking where each sealed trace lives.
-//! Arenas are recycled through the [`ArenaPool`](crate::ArenaPool), so
-//! steady-state recording never touches the allocator. The arena is the
-//! engine's only message shape: a lone submitted [`Trace`] travels as a
-//! one-span arena built by [`push_trace`](TraceArena::push_trace).
+//! Arenas are recycled by trading buffers, never by allocating: the engine's
+//! ring slots each keep one arena for the ring's life, a ship trades the
+//! staged batch's buffers for a slot's cleared ones, and a worker's claim
+//! trades the slot's for its own cleared spare — so steady-state recording
+//! never touches the allocator. The arena is the engine's only message
+//! shape: a lone submitted [`Trace`] travels as a one-span arena built by
+//! [`push_trace`](TraceArena::push_trace).
 
 use crate::event::{Entry, Trace};
 use crate::packed::{encode_into_interned, InternStats, LocInterner, PackedEntry};
@@ -32,9 +35,9 @@ pub struct TraceSpan {
 /// sealed traces inside it.
 ///
 /// Recording appends to the *open* region at the tail; [`seal`](Self::seal)
-/// turns the open region into a span. Shipping moves the whole arena; any
-/// still-open tail is first carried over into the replacement arena by
-/// [`detach_for_ship`](Self::detach_for_ship).
+/// turns the open region into a span. Shipping moves the sealed spans out by
+/// [`append_sealed`](Self::append_sealed); a still-open tail stays with the
+/// recording side.
 ///
 /// # Examples
 ///
@@ -84,18 +87,6 @@ impl TraceArena {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty arena whose word buffer is pre-sized to `words`
-    /// records. Pre-warmed pool arenas use this so the first batches through
-    /// a fresh pool record without slab growth — and so the pool's
-    /// retention check (which drops zero-capacity items) keeps them.
-    #[must_use]
-    pub fn with_word_capacity(words: usize) -> Self {
-        let mut arena = Self::default();
-        arena.words.reserve_exact(words);
-        arena.last_word_cap = arena.words.capacity();
-        arena
     }
 
     /// Encodes one entry into the open region.
@@ -173,36 +164,12 @@ impl TraceArena {
         })
     }
 
-    /// Prepares this arena for shipping: the still-open tail (entries
-    /// recorded but not yet sealed) is moved into `fresh`, which replaces
-    /// `self`; the sealed arena is returned, ready to hand to the engine.
-    #[must_use]
-    pub fn detach_for_ship(&mut self, mut fresh: TraceArena) -> TraceArena {
-        debug_assert!(fresh.is_empty(), "replacement arena must be recycled clean");
-        if self.open_entries > 0 {
-            fresh.words.extend_from_slice(&self.words[self.open_start..]);
-            fresh.open_entries = self.open_entries;
-            self.words.truncate(self.open_start);
-            self.open_entries = 0;
-        }
-        // The location cache belongs with the *recording* side: keep the
-        // warm one here, ship the replacement's (the checker never uses it).
-        // The allocation tallies travel with it — the ship path reads them
-        // off the live arena right after this returns.
-        std::mem::swap(&mut self.interner, &mut fresh.interner);
-        std::mem::swap(&mut self.slab_allocs, &mut fresh.slab_allocs);
-        let shipped = std::mem::replace(self, fresh);
-        // `self` is now the replacement; re-anchor its growth watermark so
-        // a retained slab is not miscounted as a fresh allocation.
-        self.last_word_cap = self.words.capacity();
-        shipped
-    }
-
     /// Moves the sealed traces of `src` onto the end of this arena, leaving
-    /// `src` with only its open tail. An arena that holds nothing takes
-    /// `src`'s buffers by [`detach_for_ship`](Self::detach_for_ship) instead
-    /// of copying (the location cache stays with `src`, the recording
-    /// side); otherwise the records are copied in. `src`'s allocator/intern
+    /// `src` with only its open tail. An arena that holds nothing trades
+    /// buffers with `src` instead of copying: it takes `src`'s records whole,
+    /// and `src` records on into this arena's cleared buffers, its open tail
+    /// copied over. Otherwise the records are copied in. The location cache
+    /// stays with `src`, the recording side; `src`'s allocator/intern
     /// tallies move here with the traces, so whoever ships this arena folds
     /// them.
     ///
@@ -215,25 +182,46 @@ impl TraceArena {
             return;
         }
         if self.is_empty() {
-            *self = src.detach_for_ship(std::mem::take(self));
+            std::mem::swap(&mut self.words, &mut src.words);
+            std::mem::swap(&mut self.spans, &mut src.spans);
+            // Growth of the traded-in slab is the recording side's, counted
+            // at its next seal; size it for a trace like the one just
+            // shipped at once rather than by doubling — up to the retained
+            // size, so a long trace's records are not held twice.
+            src.last_word_cap = src.words.capacity();
+            src.words.reserve(self.words.len().min(Self::RETAINED_WORDS));
+            src.words.extend_from_slice(&self.words[src.open_start..]);
+            self.words.truncate(src.open_start);
+            src.open_start = 0;
         } else {
             let base = u32::try_from(self.words.len()).expect("arena exceeds u32 records");
             self.words.extend_from_slice(&src.words[..src.open_start]);
             let spans = src.spans.drain(..).map(|s| TraceSpan { start: s.start + base, ..s });
             self.spans.extend(spans);
-            self.open_start = self.words.len();
             src.words.drain(..src.open_start);
             src.open_start = 0;
         }
+        self.open_start = self.words.len();
         let stats = src.take_stats();
         self.slab_allocs += stats.slab_allocs;
         self.interner.stats.merge(stats.interns);
     }
 
-    /// Forgets all records and spans while keeping the backing allocations,
-    /// upholding the pool's cleared-on-release invariant.
+    /// Word-buffer capacity, in records, that [`clear`](Self::clear) keeps.
+    /// A buffer one long trace grew past it is freed instead of staying
+    /// pinned in whichever ring slot recycles it next.
+    pub const RETAINED_WORDS: usize = 4096;
+
+    /// Forgets all records and spans while keeping the backing allocations
+    /// (a word buffer over [`RETAINED_WORDS`](Self::RETAINED_WORDS) is
+    /// freed). A recycled arena is cleared before it is traded on, so its
+    /// storage never carries records into another trace.
     pub fn clear(&mut self) {
-        self.words.clear();
+        if self.words.capacity() > Self::RETAINED_WORDS {
+            self.words = Vec::new();
+        } else {
+            self.words.clear();
+        }
         self.spans.clear();
         self.open_start = 0;
         self.open_entries = 0;
@@ -241,9 +229,9 @@ impl TraceArena {
     }
 
     /// Returns and resets the allocator/intern tallies accumulated since
-    /// the last take. The ship path calls this on the live (recording-side)
-    /// arena right after [`detach_for_ship`](Self::detach_for_ship), which
-    /// keeps the tallies on the recording side.
+    /// the last take. The ship path calls this on the batch it pushes, which
+    /// [`append_sealed`](Self::append_sealed) handed the recording side's
+    /// tallies.
     pub fn take_stats(&mut self) -> ArenaStats {
         ArenaStats {
             slab_allocs: std::mem::take(&mut self.slab_allocs),
@@ -251,7 +239,7 @@ impl TraceArena {
         }
     }
 
-    /// Capacity of the word buffer, used by the pool's retention cap.
+    /// Capacity of the word buffer, in records.
     #[must_use]
     pub fn word_capacity(&self) -> usize {
         self.words.capacity()
@@ -292,20 +280,26 @@ mod tests {
     }
 
     #[test]
-    fn detach_carries_the_open_tail() {
-        let mut arena = TraceArena::new();
-        arena.push(Event::Write(r(0, 8)).at(loc(1)));
-        arena.seal(1);
-        arena.push(Event::Fence.at(loc(2))); // open, not sealed
-        let shipped = arena.detach_for_ship(TraceArena::new());
-        assert_eq!(shipped.sealed(), 1);
-        assert_eq!(shipped.traces().next().unwrap().0, 1);
-        // The open fence survived into the live arena.
-        assert_eq!(arena.open_entries(), 1);
-        arena.seal(2);
-        let (id, words, entries) = arena.traces().next().unwrap();
+    fn a_trade_carries_the_open_tail_and_keeps_the_location_cache() {
+        let mut rec = TraceArena::new();
+        rec.push(Event::Write(r(0, 8)).at(loc(1)));
+        rec.seal(1);
+        rec.push(Event::Fence.at(loc(2))); // open, not sealed
+        let sealed = rec.traces().next().unwrap().1.as_ptr();
+        let mut batch = TraceArena::new();
+        batch.append_sealed(&mut rec); // empty: buffers trade places
+        assert_eq!(batch.sealed(), 1);
+        assert_eq!(batch.traces().next().unwrap().1.as_ptr(), sealed, "traded, not copied");
+        // The open fence survived into the recording side's new buffer.
+        assert_eq!((rec.sealed(), rec.open_entries()), (0, 1));
+        rec.seal(2);
+        let (id, words, entries) = rec.traces().next().unwrap();
         assert_eq!((id, entries), (2, 1));
         assert_eq!(words[0].op(), crate::packed::PackedOp::Fence);
+        // The recording side's location cache stayed warm.
+        rec.take_stats();
+        rec.push(Event::Write(r(0, 8)).at(loc(1)));
+        assert_eq!(rec.take_stats().interns.arena_hits, 1);
     }
 
     #[test]
@@ -338,18 +332,6 @@ mod tests {
         let stats = arena.take_stats();
         assert_eq!(stats.slab_allocs, 0, "recycled slab must not recount");
         assert_eq!(stats.interns.arena_hits, 128, "warm interner hits every entry");
-    }
-
-    #[test]
-    fn detach_keeps_tallies_on_the_recording_side() {
-        let mut arena = TraceArena::new();
-        arena.push(Event::Write(r(0, 8)).at(loc(9)));
-        arena.seal(1);
-        let mut shipped = arena.detach_for_ship(TraceArena::new());
-        assert_eq!(shipped.take_stats(), ArenaStats::default(), "shipped side carries no tallies");
-        let stats = arena.take_stats();
-        assert!(stats.slab_allocs >= 1);
-        assert_eq!(stats.interns.tls_hits + stats.interns.global, 1);
     }
 
     #[test]
@@ -411,5 +393,18 @@ mod tests {
         assert!(arena.is_empty());
         assert_eq!(arena.sealed(), 0);
         assert_eq!(arena.word_capacity(), cap, "clear must keep the backing buffer");
+    }
+
+    #[test]
+    fn clear_frees_a_buffer_over_the_retention_cap() {
+        let mut arena = TraceArena::new();
+        for _ in 0..=TraceArena::RETAINED_WORDS {
+            arena.push(Event::Fence.at(loc(1)));
+        }
+        arena.seal(0);
+        assert!(arena.word_capacity() > TraceArena::RETAINED_WORDS);
+        arena.clear();
+        assert!(arena.is_empty());
+        assert_eq!(arena.word_capacity(), 0, "one long trace's buffer is not kept");
     }
 }

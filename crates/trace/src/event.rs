@@ -288,8 +288,8 @@ impl Trace {
         self.entries()
     }
 
-    /// Consumes the trace, returning the packed record buffer (for
-    /// recycling through a pool).
+    /// Consumes the trace, returning the packed record buffer (a
+    /// [`TraceArena`](crate::TraceArena) adopts it without a copy).
     #[must_use]
     pub fn into_packed(self) -> Vec<crate::PackedEntry> {
         self.words

@@ -39,7 +39,6 @@
 mod arena;
 mod event;
 pub mod packed;
-mod pool;
 mod sink;
 mod stats;
 
@@ -49,6 +48,5 @@ pub use packed::{
     Fingerprinter, InternStats, LocResolver, PackedEntry, PackedOp, TraceFingerprint,
     PACKED_ENTRY_BYTES,
 };
-pub use pool::{ArenaPool, PoolStats};
 pub use sink::{CountingSink, MemorySink, NullSink, SharedSink, Sink};
 pub use stats::{TraceStats, TraceStatsBuilder};

@@ -94,9 +94,7 @@ pub mod prelude {
     pub use pmtest_interval::ByteRange;
     pub use pmtest_obs::TelemetrySnapshot;
     pub use pmtest_pmem::{PersistMode, PmHeap, PmPool};
-    pub use pmtest_trace::{
-        ArenaPool, Entry, Event, PoolStats, Sink, SourceLoc, Trace, TraceStats,
-    };
+    pub use pmtest_trace::{Entry, Event, Sink, SourceLoc, Trace, TraceStats};
 }
 
 #[cfg(test)]
