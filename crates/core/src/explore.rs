@@ -32,14 +32,19 @@
 //!
 //! # Images
 //!
-//! A point's images come from one working image: the cursor's durable image
-//! (the base plus every forced write) with, per dirty cache line, a chosen
-//! prefix of that line's pending writes. Model mode steps it through the
-//! odometer ([`CrashChoices::step`]), random mode redraws it
+//! Every image of the sweep is built in the cursor's one working image: the
+//! durable image (the base plus every forced write) with, per dirty cache
+//! line, a chosen prefix of that line's pending writes. The cursor keeps it
+//! in step with the durable image as it advances, and readying a point
+//! moves back only the lines the previous point left above their forced
+//! prefix, so a point starts at its minimal image without a copy or an
+//! allocation. Model mode steps the image through the odometer
+//! ([`CrashChoices::step`]), random mode redraws it
 //! ([`CrashSampler::sample`]), and either rewrites only the lines whose
 //! choice changed. Each image is copied into one recovery buffer reused
-//! across the whole sweep, and the raw image is copied out only for a
-//! violation, so checking an image allocates nothing.
+//! across the whole sweep, since [`RecoveryProc::recover`] may change any
+//! byte and reports no write set, and the raw image is copied out only for
+//! a violation, so checking an image allocates nothing.
 
 use std::fmt;
 
@@ -337,6 +342,7 @@ pub fn explore(sim: &CrashSim, proc: &dyn RecoveryProc, cfg: &ExploreConfig) -> 
         } else {
             report.stats.prefix_share_hits += 1;
         }
+        // The point's states are stepped in the cursor's working image.
         let analysis = cursor.analysis();
         let state_count = analysis.state_count();
         let mut outcome = PointOutcome {

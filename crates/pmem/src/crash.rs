@@ -36,8 +36,19 @@
 //! line by line, and moving from one state to the next rewrites only the
 //! lines whose choice changed ([`CrashChoices::step`],
 //! [`CrashSampler::sample`]).
+//!
+//! A [`CrashCursor`] keeps one such *working image* for its whole sweep,
+//! with each line's prefix choice, and keeps both in step with the durable
+//! image as it advances: a piece forced past a line's choice is applied to
+//! the working image too. A point therefore starts at its minimal image
+//! without a copy: the one pass that counts its states and lists its open
+//! lines (those with pending pieces beyond the forced prefix) also moves
+//! back the lines a capped enumeration or a random draw left above their
+//! forced prefix. An analysis built from scratch ([`CrashSim::analyze`])
+//! gives each enumeration and sampler a working image of its own.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -240,6 +251,8 @@ impl CrashSim {
             index: BTreeMap::new(),
             flushed: Vec::new(),
             durable: self.base.clone(),
+            work: WorkingImage { image: self.base.clone(), prefixes: Vec::new() },
+            open: Vec::new(),
             last_dfence: None,
             advanced_ops: 0,
             rebuilds: 0,
@@ -317,7 +330,19 @@ impl CrashSim {
                 self.apply_piece(&mut durable, p);
             }
         }
-        CrashAnalysis { sim: self, lines: Cow::Owned(lines), durable: Cow::Owned(durable) }
+        let open: Vec<usize> =
+            (0..lines.len()).filter(|&i| lines[i].forced < lines[i].pieces.len()).collect();
+        let state_count = open.iter().fold(1u128, |n, &i| {
+            n.saturating_mul((lines[i].pieces.len() - lines[i].forced + 1) as u128)
+        });
+        CrashAnalysis {
+            sim: self,
+            lines: Cow::Owned(lines),
+            durable: Cow::Owned(durable),
+            open: Cow::Owned(open),
+            state_count,
+            lent: Cell::new(None),
+        }
     }
 
     /// Stores `piece`'s bytes (its clip of the write's data) into `image`.
@@ -424,6 +449,12 @@ struct LineAux {
 /// by address: a write or a flush touches only its own lines, and a fence
 /// visits only the lines with a pending flush.
 ///
+/// Beside it the cursor keeps the sweep's one *working image* and each
+/// line's prefix choice: a newly written line starts at prefix 0, and a
+/// piece forced past a line's choice is applied to the working image as it
+/// is to the durable one. Every point's states are stepped or drawn in
+/// that image, so moving to the next point copies no image.
+///
 /// The cursor's [`analysis`](Self::analysis) borrows the live state instead
 /// of cloning it, and is bit-for-bit equivalent to `analyze(point)` — the
 /// equivalence is asserted across this module's tests and fuzzed by the
@@ -439,6 +470,10 @@ pub struct CrashCursor<'a> {
     flushed: Vec<usize>,
     /// The base plus every forced piece.
     durable: Vec<u8>,
+    /// The working image, its prefixes parallel to `lines`.
+    work: WorkingImage,
+    /// The open lines at the current point, listed by `analysis`.
+    open: Vec<usize>,
     last_dfence: Option<usize>,
     advanced_ops: u64,
     rebuilds: u64,
@@ -481,6 +516,8 @@ impl<'a> CrashCursor<'a> {
             self.index.clear();
             self.flushed.clear();
             self.durable.copy_from_slice(&self.sim.base);
+            self.work.image.copy_from_slice(&self.sim.base);
+            self.work.prefixes.clear();
             self.last_dfence = None;
             self.rebuilds += 1;
         }
@@ -510,6 +547,7 @@ impl<'a> CrashCursor<'a> {
                             // is later) but mirrors the from-scratch scan.
                             self.aux
                                 .push(LineAux { boundary: self.last_dfence, pending_flush: None });
+                            self.work.prefixes.push(0);
                             *e.insert(self.lines.len() - 1)
                         }
                     };
@@ -528,21 +566,22 @@ impl<'a> CrashCursor<'a> {
                 }
             }
             LogOp::Fence => {
-                for li in self.flushed.drain(..) {
+                for k in 0..self.flushed.len() {
+                    let li = self.flushed[k];
                     let aux = &mut self.aux[li];
                     let f = aux.pending_flush.take().expect("listed lines have a pending flush");
                     aux.boundary = Some(aux.boundary.map_or(f, |b| b.max(f)));
-                    refresh_forced(sim, &mut self.lines[li], aux.boundary, &mut self.durable);
+                    self.refresh_forced(li);
                 }
+                self.flushed.clear();
             }
             LogOp::DFence => {
                 self.last_dfence = Some(idx);
                 self.flushed.clear();
-                for (l, aux) in self.lines.iter_mut().zip(&mut self.aux) {
+                for li in 0..self.lines.len() {
                     // Every earlier boundary lies below `idx`.
-                    aux.boundary = Some(idx);
-                    aux.pending_flush = None;
-                    refresh_forced(sim, l, aux.boundary, &mut self.durable);
+                    self.aux[li] = LineAux { boundary: Some(idx), pending_flush: None };
+                    self.refresh_forced(li);
                 }
             }
         }
@@ -550,15 +589,63 @@ impl<'a> CrashCursor<'a> {
         self.advanced_ops += 1;
     }
 
+    /// Advances line `li`'s forced prefix past every piece below its
+    /// boundary, applying each newly forced piece to the durable image, and
+    /// to the working image where it lies past the line's prefix (which
+    /// then follows it). The forced prefix is monotone: boundaries only grow
+    /// and pieces only append, so resuming from the previous value is exact.
+    fn refresh_forced(&mut self, li: usize) {
+        let Some(b) = self.aux[li].boundary else { return };
+        let (l, prefix) = (&mut self.lines[li], &mut self.work.prefixes[li]);
+        while l.forced < l.pieces.len() && l.pieces[l.forced].op_idx < b {
+            let piece = &l.pieces[l.forced];
+            self.sim.apply_piece(&mut self.durable, piece);
+            if *prefix == l.forced {
+                self.sim.apply_piece(&mut self.work.image, piece);
+                *prefix += 1;
+            }
+            l.forced += 1;
+        }
+    }
+
     /// The crash analysis at the cursor's current point, borrowing the live
-    /// shadow state and durable image (no per-point clone).
+    /// shadow state and durable image (no per-point clone). Its first
+    /// [`enumerate`](CrashAnalysis::enumerate) or
+    /// [`sampler`](CrashAnalysis::sampler) steps the cursor's working image,
+    /// which this call has moved to the point's minimal image; later ones
+    /// build their own.
     #[must_use]
-    pub fn analysis(&self) -> CrashAnalysis<'_> {
+    pub fn analysis(&mut self) -> CrashAnalysis<'_> {
+        let state_count = self.ready();
         CrashAnalysis {
             sim: self.sim,
             lines: Cow::Borrowed(&self.lines),
             durable: Cow::Borrowed(&self.durable),
+            open: Cow::Borrowed(&self.open),
+            state_count,
+            lent: Cell::new(Some(&mut self.work)),
         }
+    }
+
+    /// Readies the current point in one pass over its lines: lists the open
+    /// lines, counts the states, and moves every line that a capped
+    /// enumeration or a draw left above its forced prefix back to it, so
+    /// the working image is the point's minimal image.
+    fn ready(&mut self) -> u128 {
+        let at = PointLines { sim: self.sim, lines: &self.lines, durable: &self.durable };
+        self.open.clear();
+        let mut states = 1u128;
+        for (i, l) in at.lines.iter().enumerate() {
+            if l.forced == l.pieces.len() {
+                continue;
+            }
+            self.open.push(i);
+            states = states.saturating_mul((l.pieces.len() - l.forced + 1) as u128);
+            if self.work.prefixes[i] > l.forced {
+                self.work.set(at, i, l.forced);
+            }
+        }
+        states
     }
 }
 
@@ -580,28 +667,18 @@ fn clip(range: ByteRange, line: u64) -> ByteRange {
         .expect("line touched implies overlap")
 }
 
-/// Advances `forced` past every piece below `boundary`, applying each newly
-/// forced piece to `durable`. `forced` is monotone: boundaries only grow and
-/// pieces only append, so resuming from the previous value is exact.
-fn refresh_forced(
-    sim: &CrashSim,
-    l: &mut LinePending,
-    boundary: Option<usize>,
-    durable: &mut [u8],
-) {
-    let Some(b) = boundary else { return };
-    while l.forced < l.pieces.len() && l.pieces[l.forced].op_idx < b {
-        sim.apply_piece(durable, &l.pieces[l.forced]);
-        l.forced += 1;
-    }
-}
-
 /// The reachable crash states at one crash point.
 pub struct CrashAnalysis<'a> {
     sim: &'a CrashSim,
     lines: Cow<'a, [LinePending]>,
     /// The base plus every forced piece: the minimal image.
     durable: Cow<'a, [u8]>,
+    /// Lines with at least one pending piece, ascending.
+    open: Cow<'a, [usize]>,
+    state_count: u128,
+    /// A cursor's working image, at this point's minimal image, until the
+    /// first enumeration or sampler takes it.
+    lent: Cell<Option<&'a mut WorkingImage>>,
 }
 
 impl CrashAnalysis<'_> {
@@ -614,9 +691,7 @@ impl CrashAnalysis<'_> {
     /// Number of distinct reachable crash states (saturating).
     #[must_use]
     pub fn state_count(&self) -> u128 {
-        self.lines
-            .iter()
-            .fold(1u128, |acc, l| acc.saturating_mul((l.pieces.len() - l.forced + 1) as u128))
+        self.state_count
     }
 
     /// Per-dirty-line summary, in first-write order (the order `prefixes`
@@ -664,11 +739,10 @@ impl CrashAnalysis<'_> {
     /// (for culprit attribution via [`culprit_op`](Self::culprit_op)) instead
     /// of copying it out.
     pub fn enumerate(&self) -> CrashChoices<'_> {
-        let open =
-            (0..self.lines.len()).filter(|&i| self.lines[i].forced < self.lines[i].pieces.len());
         CrashChoices {
-            work: WorkingImage::new(self),
-            open: open.collect(),
+            at: self.point_lines(),
+            open: &self.open,
+            work: self.working_image(),
             started: false,
             done: false,
         }
@@ -677,7 +751,23 @@ impl CrashAnalysis<'_> {
     /// A sampler drawing reachable states uniformly over per-line prefix
     /// choices, into one working image.
     pub fn sampler(&self) -> CrashSampler<'_> {
-        CrashSampler { work: WorkingImage::new(self) }
+        CrashSampler { at: self.point_lines(), work: self.working_image() }
+    }
+
+    fn point_lines(&self) -> PointLines<'_> {
+        PointLines { sim: self.sim, lines: &self.lines, durable: &self.durable }
+    }
+
+    /// The cursor's working image if no enumeration or sampler has taken it
+    /// yet, else a new one at the minimal image.
+    fn working_image(&self) -> Work<'_> {
+        match self.lent.take() {
+            Some(work) => Work::Lent(work),
+            None => Work::Own(WorkingImage {
+                image: self.durable.to_vec(),
+                prefixes: self.lines.iter().map(|l| l.forced).collect(),
+            }),
+        }
     }
 
     /// The earliest write excluded from the image produced by `prefixes` —
@@ -722,39 +812,56 @@ impl fmt::Debug for CrashAnalysis<'_> {
     }
 }
 
-/// One crash image moved between the states of a point: the durable image
-/// plus, per dirty line, that line's first `prefixes[i]` pieces.
-struct WorkingImage<'a> {
-    analysis: &'a CrashAnalysis<'a>,
+/// The lines one point's states are built from.
+#[derive(Clone, Copy)]
+struct PointLines<'a> {
+    sim: &'a CrashSim,
+    lines: &'a [LinePending],
+    durable: &'a [u8],
+}
+
+/// One crash image moved between states: each dirty line `i` of `image`
+/// holds the base plus that line's first `prefixes[i]` pieces, and
+/// `prefixes[i]` is at least the line's forced prefix.
+struct WorkingImage {
     image: Vec<u8>,
     prefixes: Vec<usize>,
 }
 
-impl<'a> WorkingImage<'a> {
-    /// The minimal image: every line at its forced prefix.
-    fn new(analysis: &'a CrashAnalysis<'a>) -> Self {
-        let prefixes = analysis.lines.iter().map(|l| l.forced).collect();
-        Self { analysis, image: analysis.durable.to_vec(), prefixes }
-    }
-
+impl WorkingImage {
     /// Moves line `i` to its first `k` pieces, rewriting that line only. A
     /// longer prefix applies just the added pieces; a shorter one copies
     /// the line back from the durable image and re-applies its pending
     /// pieces up to `k`.
-    fn set(&mut self, i: usize, k: usize) {
-        let a = self.analysis;
-        let l = &a.lines[i];
+    fn set(&mut self, at: PointLines<'_>, i: usize, k: usize) {
+        let l = &at.lines[i];
         let mut from = self.prefixes[i];
         if k < from {
             let start = l.line as usize;
             let end = (start + CACHE_LINE as usize).min(self.image.len());
-            self.image[start..end].copy_from_slice(&a.durable[start..end]);
+            self.image[start..end].copy_from_slice(&at.durable[start..end]);
             from = l.forced;
         }
         for p in &l.pieces[from..k] {
-            a.sim.apply_piece(&mut self.image, p);
+            at.sim.apply_piece(&mut self.image, p);
         }
         self.prefixes[i] = k;
+    }
+}
+
+/// The working image an enumeration or a sampler steps: a cursor's, lent,
+/// or one of its own.
+enum Work<'a> {
+    Lent(&'a mut WorkingImage),
+    Own(WorkingImage),
+}
+
+impl Work<'_> {
+    fn get(&mut self) -> &mut WorkingImage {
+        match self {
+            Self::Lent(work) => work,
+            Self::Own(work) => work,
+        }
     }
 }
 
@@ -776,12 +883,14 @@ impl Iterator for CrashStates<'_> {
 /// moves the odometer over per-line prefixes (first-written line fastest)
 /// and rewrites only the lines whose digit changed: an advanced digit
 /// applies its line's next pending piece, a digit that wraps copies its
-/// line back from the durable image.
+/// line back from the durable image. A full enumeration ends with every
+/// digit wrapped, back at the minimal image.
 pub struct CrashChoices<'a> {
-    work: WorkingImage<'a>,
+    at: PointLines<'a>,
     /// Lines with at least one pending piece, ascending: the only digits
     /// that ever move (a fully forced line always carries).
-    open: Vec<usize>,
+    open: &'a [usize],
+    work: Work<'a>,
     started: bool,
     done: bool,
 }
@@ -795,18 +904,18 @@ impl CrashChoices<'_> {
         if self.done {
             return None;
         }
+        let work = self.work.get();
         if self.started {
-            let a = self.work.analysis;
-            let lines = &a.lines;
             let mut carried = true;
-            for &i in &self.open {
-                let k = self.work.prefixes[i];
-                if k < lines[i].pieces.len() {
-                    self.work.set(i, k + 1);
+            for &i in self.open {
+                let l = &self.at.lines[i];
+                let k = work.prefixes[i];
+                if k < l.pieces.len() {
+                    work.set(self.at, i, k + 1);
                     carried = false;
                     break;
                 }
-                self.work.set(i, lines[i].forced);
+                work.set(self.at, i, l.forced);
             }
             if carried {
                 self.done = true;
@@ -814,14 +923,15 @@ impl CrashChoices<'_> {
             }
         }
         self.started = true;
-        Some((&self.work.image, &self.work.prefixes))
+        Some((&work.image, &work.prefixes))
     }
 }
 
 /// Random draws of reachable crash states ([`CrashAnalysis::sampler`]),
 /// kept in one working image.
 pub struct CrashSampler<'a> {
-    work: WorkingImage<'a>,
+    at: PointLines<'a>,
+    work: Work<'a>,
 }
 
 impl CrashSampler<'_> {
@@ -830,14 +940,14 @@ impl CrashSampler<'_> {
     /// prefix choice. Only the lines whose choice changed since the last
     /// draw are rewritten.
     pub fn sample<R: Rng>(&mut self, rng: &mut R) -> (&[u8], &[usize]) {
-        let a = self.work.analysis;
-        for (i, l) in a.lines.iter().enumerate() {
+        let work = self.work.get();
+        for (i, l) in self.at.lines.iter().enumerate() {
             let k = rng.gen_range(l.forced..=l.pieces.len());
-            if k != self.work.prefixes[i] {
-                self.work.set(i, k);
+            if k != work.prefixes[i] {
+                work.set(self.at, i, k);
             }
         }
-        (&self.work.image, &self.work.prefixes)
+        (&work.image, &work.prefixes)
     }
 }
 
@@ -1348,6 +1458,44 @@ mod tests {
         assert_sim_matches_reference(&sim);
     }
 
+    /// Walks one cursor over every point of `sim` and then seeks back to
+    /// the middle. Each visit takes its turn in `plan`: `(false, n)`
+    /// enumerates the point's first `n` states, `(true, n)` draws `n`
+    /// samples, so most points start from a working image the visit before
+    /// left above the minimal image. Every lent state is the reference
+    /// image of its prefixes; enumerated states come in reference order,
+    /// the first being the minimal image.
+    fn assert_carried_image_matches_reference(sim: &CrashSim, plan: &[(bool, u8)]) {
+        let mut cursor = sim.cursor();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let back = sim.op_count() / 2;
+        for (visit, point) in (0..=sim.op_count()).chain([back]).enumerate() {
+            let at = format!("visit {visit} at point {point}");
+            let backward = point < cursor.point();
+            assert_eq!(cursor.seek(point), backward, "{at}");
+            let fresh = sim.analyze(point);
+            let a = cursor.analysis();
+            let (draw, n) = plan[visit % plan.len()];
+            if draw {
+                let mut sampler = a.sampler();
+                for _ in 0..n {
+                    let (image, prefixes) = sampler.sample(&mut rng);
+                    assert_eq!(image, fresh.image_for(prefixes), "{at}: draw");
+                }
+                continue;
+            }
+            let mut choices = a.enumerate();
+            for (s, want) in reference_choices(&fresh, usize::from(n)).iter().enumerate() {
+                let (image, prefixes) = choices.step().expect("the reference has this state");
+                assert_eq!(prefixes, &want[..], "{at}: state {s} out of order");
+                assert_eq!(image, fresh.image_for(prefixes), "{at}: state {s}");
+                if s == 0 {
+                    assert_eq!(image, fresh.minimal_image(), "{at}: first state");
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -1366,6 +1514,24 @@ mod tests {
         ) {
             let base_len = lines * CACHE_LINE as usize + extra;
             assert_sim_matches_reference(&generated_sim(base_len, &raw));
+        }
+
+        /// The same logs walked by one cursor whose working image carries
+        /// across points: capped enumerations and draws leave lines above
+        /// their forced prefix, and the next point still starts at its
+        /// minimal image.
+        #[test]
+        fn a_carried_working_image_matches_the_reference_on_generated_logs(
+            lines in 1..5usize,
+            extra in 0..64usize,
+            raw in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u8>()),
+                0..20,
+            ),
+            plan in proptest::collection::vec((proptest::prelude::any::<bool>(), 1..5u8), 1..6),
+        ) {
+            let base_len = lines * CACHE_LINE as usize + extra;
+            assert_carried_image_matches_reference(&generated_sim(base_len, &raw), &plan);
         }
     }
 

@@ -3,10 +3,11 @@
 //! - Recording a program keeps one compact crash log: op records, one
 //!   payload slab holding every write's bytes, and call sites. Recording
 //!   allocates only when one of those grows, never once per write.
-//! - A sweep keeps one working image per crash point and one recovery
-//!   buffer for the whole sweep, so its allocations follow its crash points,
-//!   not the images it checks, in model and random mode alike; and the
-//!   queue's in-place recovery allocates nothing on a clean image.
+//! - A sweep keeps one working image and one recovery buffer, carried from
+//!   crash point to crash point, so neither its images nor its points
+//!   allocate; only the cursor's line state grows, with the log. That holds
+//!   in model and random mode alike, and the queue's in-place recovery
+//!   allocates nothing on a clean image.
 //!
 //! A counting global allocator tallies per thread, so tests running in
 //! parallel do not see each other's allocations.
@@ -179,8 +180,8 @@ fn model(cap: usize) -> ExploreConfig {
     ExploreConfig { max_states_per_point: cap, ..ExploreConfig::default() }
 }
 
-fn random(samples_per_point: usize) -> ExploreConfig {
-    let mode = ExploreMode::Random { seed: 3, points: 64, samples_per_point };
+fn random(points: usize, samples_per_point: usize) -> ExploreConfig {
+    let mode = ExploreMode::Random { seed: 3, points, samples_per_point };
     ExploreConfig { mode, ..ExploreConfig::default() }
 }
 
@@ -212,27 +213,45 @@ fn model_sweeps_allocate_per_point_not_per_image() {
 fn random_sweeps_allocate_per_point_not_per_image() {
     let sim = unflushed_sim(8, 6);
     assert_same_allocations(
-        counted_sweep(&sim, &AcceptAll, &random(4)),
-        counted_sweep(&sim, &AcceptAll, &random(256)),
+        counted_sweep(&sim, &AcceptAll, &random(64, 4)),
+        counted_sweep(&sim, &AcceptAll, &random(64, 256)),
     );
 }
 
-#[test]
-fn model_sweep_allocations_grow_with_points() {
-    let (short, short_allocs) = counted_sweep(&unflushed_sim(8, 6), &AcceptAll, &model(4096));
-    let (long, long_allocs) = counted_sweep(&unflushed_sim(32, 6), &AcceptAll, &model(4096));
-    assert_eq!(long.points.len(), 4 * short.points.len() - 3);
-    let per_point =
-        (long_allocs - short_allocs) as f64 / (long.points.len() - short.points.len()) as f64;
+/// Asserts that a sweep with more crash points made at most one more
+/// allocation per added point: the cursor's line state grows with the log,
+/// and nothing is allocated per point.
+fn assert_at_most_one_allocation_per_added_point(
+    short: (ExploreReport, u64),
+    long: (ExploreReport, u64),
+) {
+    let ((short, short_allocs), (long, long_allocs)) = (short, long);
+    let added = long.points.len() - short.points.len();
+    let per_point = long_allocs.saturating_sub(short_allocs) as f64 / added as f64;
     assert!(
-        per_point <= 8.0,
-        "{per_point:.1} allocations per added crash point ({short_allocs} -> {long_allocs} for \
+        per_point <= 1.0,
+        "{per_point:.2} allocations per added crash point ({short_allocs} -> {long_allocs} for \
          {} -> {} points, {} -> {} images)",
         short.points.len(),
         long.points.len(),
         short.stats.images_checked,
         long.stats.images_checked
     );
+}
+
+#[test]
+fn model_sweep_allocations_grow_with_points() {
+    let short = counted_sweep(&unflushed_sim(8, 6), &AcceptAll, &model(4096));
+    let long = counted_sweep(&unflushed_sim(32, 6), &AcceptAll, &model(4096));
+    assert_eq!(long.0.points.len(), 4 * short.0.points.len() - 3);
+    assert_at_most_one_allocation_per_added_point(short, long);
+}
+
+#[test]
+fn random_sweep_allocations_grow_with_points() {
+    let short = counted_sweep(&unflushed_sim(8, 6), &AcceptAll, &random(64, 4));
+    let long = counted_sweep(&unflushed_sim(32, 6), &AcceptAll, &random(512, 4));
+    assert_at_most_one_allocation_per_added_point(short, long);
 }
 
 #[test]
