@@ -6,8 +6,6 @@
 //!   testing speed"). Sweeping the batch size shows the trade-off between
 //!   submission overhead (tiny traces) and shadow-memory growth + lost
 //!   pipelining (one giant trace).
-//! * **Queue depth** — the bounded engine queue trades memory for
-//!   backpressure; a depth-1 queue serializes the pipeline.
 //! * **Performance checkers** — the §5.1.2 WARN rules are almost free.
 //!
 //! Run with: `cargo bench -p pmtest-bench --bench ablation`
@@ -21,9 +19,9 @@ use pmtest_pmem::{PersistMode, PmPool};
 use pmtest_txlib::ObjPool;
 use pmtest_workloads::{gen, CheckMode, FaultSet, HashMapTx, KvMap};
 
-fn run(ops: usize, batch: usize, queue: usize, perf_checks: bool) -> Duration {
+fn run(ops: usize, batch: usize, perf_checks: bool) -> Duration {
     let model = if perf_checks { X86Model::new() } else { X86Model::without_performance_checks() };
-    let session = PmTestSession::builder().model(model).queue_capacity(queue).build();
+    let session = PmTestSession::builder().model(model).build();
     session.start();
     let pm = Arc::new(PmPool::new(16 << 20, session.sink()));
     let pool = Arc::new(ObjPool::create(pm, 8192, PersistMode::X86).expect("pool"));
@@ -52,14 +50,14 @@ fn main() {
     println!("Design-choice ablation — {ops} insertions, best of {reps} runs");
 
     // (1) Trace granularity: transactions per trace.
-    let baseline = best_of(reps, || run(ops, 1, 256, true));
+    let baseline = best_of(reps, || run(ops, 1, true));
     let mut rows = vec![vec![
         "1 (per transaction, paper)".to_owned(),
         format!("{baseline:.2?}"),
         "1.00x".to_owned(),
     ]];
     for batch in [8usize, 64, ops] {
-        let t = best_of(reps, || run(ops, batch, 256, true));
+        let t = best_of(reps, || run(ops, batch, true));
         let label =
             if batch == ops { "entire run as one trace".to_owned() } else { batch.to_string() };
         rows.push(vec![
@@ -74,22 +72,10 @@ fn main() {
         &rows,
     );
 
-    // (2) Engine queue depth.
-    let mut rows = Vec::new();
-    for queue in [1usize, 16, 256, 4096] {
-        let t = best_of(reps, || run(ops, 1, queue, true));
-        rows.push(vec![
-            queue.to_string(),
-            format!("{t:.2?}"),
-            format!("{:.2}x", t.as_secs_f64() / baseline.as_secs_f64()),
-        ]);
-    }
-    print_table("Ablation 2 — engine queue depth", &["depth", "time", "relative"], &rows);
-
-    // (3) Performance (WARN) checkers on/off.
-    let without = best_of(reps, || run(ops, 1, 256, false));
+    // (2) Performance (WARN) checkers on/off.
+    let without = best_of(reps, || run(ops, 1, false));
     print_table(
-        "Ablation 3 — §5.1.2 performance checkers",
+        "Ablation 2 — §5.1.2 performance checkers",
         &["configuration", "time", "relative"],
         &[
             vec![

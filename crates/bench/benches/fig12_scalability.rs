@@ -1,7 +1,7 @@
 //! **Fig. 12** — scalability of the Memcached-like store under PMTest:
 //! (a) more application threads against one checking worker raises the
-//! slowdown (the worker saturates and its bounded queue backpressures the
-//! clients); (b) more checking workers (at 4 app threads) lowers it;
+//! slowdown (the worker saturates, and each client's bounded mailbox
+//! backpressures it); (b) more checking workers (at 4 app threads) lowers it;
 //! (c) scaling both together stays roughly level.
 //!
 //! Only the client-operation loops are timed; store construction and the
@@ -23,25 +23,18 @@ use pmtest_trace::NullSink;
 use pmtest_workloads::{gen, CheckMode};
 
 /// Runs `threads` YCSB clients against one shared store; `workers` is the
-/// PMTest pool size (`None` = native, untracked) and `batch` the session
-/// batch capacity (1 = submit every trace immediately, the paper's
-/// semantics). Returns the time of the client phase only.
+/// PMTest pool size (`None` = native, untracked). Every set ships its trace
+/// at once (the paper's semantics). Returns the time of the client phase
+/// only.
 fn run(
     threads: usize,
     workers: Option<usize>,
-    batch: usize,
     ops_per_thread: usize,
 ) -> (Duration, Option<EngineStats>) {
     let (sink, session): (pmtest_trace::SharedSink, Option<PmTestSession>) = match workers {
         None => (Arc::new(NullSink), None),
         Some(w) => {
-            // A small queue makes checking-pipeline saturation visible at
-            // bench scale, as the kernel FIFO does in the paper (§4.5).
-            let s = PmTestSession::builder()
-                .workers(w)
-                .queue_capacity(16)
-                .batch_capacity(batch)
-                .build();
+            let s = PmTestSession::builder().workers(w).build();
             s.start();
             (s.sink(), Some(s))
         }
@@ -100,7 +93,6 @@ struct Cell {
     table: &'static str,
     threads: usize,
     workers: usize,
-    batch: usize,
     native: Duration,
     pmtest: Duration,
     stats: EngineStats,
@@ -112,14 +104,13 @@ impl Cell {
         table: &'static str,
         threads: usize,
         workers: usize,
-        batch: usize,
         native: Duration,
         ops: usize,
         reps: usize,
     ) -> Self {
-        let (pmtest, stats) = best_of(reps, || run(threads, Some(workers), batch, ops));
+        let (pmtest, stats) = best_of(reps, || run(threads, Some(workers), ops));
         let stats = stats.expect("a PMTest run returns its engine stats");
-        Self { table, threads, workers, batch, native, pmtest, stats }
+        Self { table, threads, workers, native, pmtest, stats }
     }
 
     fn slowdown(&self) -> f64 {
@@ -139,18 +130,19 @@ fn write_json(cells: &[Cell], ops: usize, reps: usize, parallelism: usize) {
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             rows,
-            "    {{\"table\": \"{}\", \"app_threads\": {}, \"workers\": {}, \"batch\": {}, \
+            "    {{\"table\": \"{}\", \"app_threads\": {}, \"workers\": {}, \
              \"native_ms\": {:.3}, \"pmtest_ms\": {:.3}, \"slowdown\": {:.3}, \
-             \"traces_submitted\": {}, \"backpressure_stalls\": {}, \"queue_highwater\": {}, \
+             \"traces_submitted\": {}, \"mean_traces_per_handoff\": {:.2}, \
+             \"backpressure_stalls\": {}, \"queue_highwater\": {}, \
              \"host_parallelism\": {}, \"oversubscribed\": {}}}{}",
             c.table,
             c.threads,
             c.workers,
-            c.batch,
             c.native.as_secs_f64() * 1e3,
             c.pmtest.as_secs_f64() * 1e3,
             c.slowdown(),
             c.stats.traces_submitted,
+            c.stats.mean_batch_size(),
             c.stats.backpressure_stalls,
             c.stats.queue_highwater,
             parallelism,
@@ -166,9 +158,8 @@ fn write_json(cells: &[Cell], ops: usize, reps: usize, parallelism: usize) {
             "  \"ops_per_thread\": {},\n",
             "  \"reps\": {},\n",
             "  \"workload\": \"YCSB update-heavy clients on one shared Mnemosyne KvStore, one \
-             trace per set; sessions use queue_capacity 16; 12a: 1 worker, 1/2/4 app threads; \
-             12b: 4 app threads, 1/2/4 workers; 12c: threads = workers = 1/2/4; 12d: 4 threads, \
-             4 workers, batch 1/32\",\n",
+             trace per set, shipped through each client's mailbox; 12a: 1 worker, 1/2/4 app \
+             threads; 12b: 4 app threads, 1/2/4 workers; 12c: threads = workers = 1/2/4\",\n",
             "  \"columns\": \"native_ms / pmtest_ms = best client phase of reps runs (at least \
              two), slowdown = pmtest_ms / native_ms; engine counters from the best PMTest run; \
              oversubscribed = app_threads + workers > host_parallelism\",\n",
@@ -199,26 +190,20 @@ fn main() {
     }
 
     let axis = [1usize, 2, 4];
-    let native = |threads: usize| best_of(reps, || run(threads, None, 1, ops)).0;
+    let native = |threads: usize| best_of(reps, || run(threads, None, ops)).0;
     let mut cells = Vec::new();
     // (a) one worker, varying app threads.
     for &threads in &axis {
-        cells.push(Cell::measure("12a", threads, 1, 1, native(threads), ops, reps));
+        cells.push(Cell::measure("12a", threads, 1, native(threads), ops, reps));
     }
     // (b) four app threads, varying workers.
     let native4 = native(4);
     for &workers in &axis {
-        cells.push(Cell::measure("12b", 4, workers, 1, native4, ops, reps));
+        cells.push(Cell::measure("12b", 4, workers, native4, ops, reps));
     }
     // (c) scale both together.
     for &n in &axis {
-        cells.push(Cell::measure("12c", n, n, 1, native(n), ops, reps));
-    }
-    // (d) batched submission: same 4-thread/4-worker setup, session batch
-    // capacity 1 (paper semantics) vs 32. Shows how much of the slowdown is
-    // per-trace handoff that batching amortizes away.
-    for &batch in &[1usize, 32] {
-        cells.push(Cell::measure("12d", 4, 4, batch, native4, ops, reps));
+        cells.push(Cell::measure("12c", n, n, native(n), ops, reps));
     }
 
     let table = |name: &str| cells.iter().filter(|c| c.table == name).collect::<Vec<_>>();
@@ -240,17 +225,11 @@ fn main() {
         &table("12c"),
         |c| c.workers,
     );
-    print_cells(
-        "Fig. 12 extension — slowdown vs session batch capacity (4 threads, 4 workers)",
-        "batch capacity",
-        &table("12d"),
-        |c| c.batch,
-    );
     if let Some(c) = cells.last() {
         let stats = &c.stats;
         println!(
-            "\nengine stats (4 threads, 4 workers, batch 32): {} traces in {} batches \
-             (mean {:.1}/batch), queue high-water {}, backpressure stalls {}",
+            "\nengine stats (4 threads, 4 workers): {} traces in {} handoffs \
+             (mean {:.1}/handoff), largest handoff {}, backpressure stalls {}",
             stats.traces_submitted,
             stats.batches_submitted,
             stats.mean_batch_size(),

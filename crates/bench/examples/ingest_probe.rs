@@ -1,8 +1,8 @@
 //! Component timing probe for the ingest path. Not a benchmark of record —
 //! a diagnostic for where the per-trace nanoseconds go, ending with the
 //! `Full` telemetry level's own five-stage latency decomposition
-//! (record→ring-push, ring-wait, claim/steal→replay, replay, report-merge)
-//! from an instrumented w4/b32 round. Run with:
+//! (staging, mailbox wait, take/steal→replay, replay, report-merge) from an
+//! instrumented w4 round. Run with:
 //! `cargo run --release -p pmtest-bench --example ingest_probe [traces]`
 
 use std::time::Instant;
@@ -39,24 +39,9 @@ fn main() {
 
     // Session record path with tracking disabled: pure overhead floor of
     // the sink calls.
-    let session = PmTestSession::builder().workers(1).batch_capacity(32).build();
+    let session = PmTestSession::builder().workers(1).build();
     time("session record, disabled", traces, || {
         for _ in 0..traces {
-            session.record(Event::Write(r).here());
-            session.record(Event::Flush(r).here());
-            session.record(Event::Fence.here());
-            session.is_persist(r);
-            session.send_trace();
-        }
-    });
-
-    // Produce side alone: tracking on, but a batch capacity nothing reaches,
-    // so no trace ever ships (one big arena grows instead).
-    let produce_only = traces.min(500_000);
-    let session = PmTestSession::builder().workers(1).batch_capacity(usize::MAX >> 1).build();
-    session.start();
-    time("session produce path, no shipping", produce_only, || {
-        for _ in 0..produce_only {
             session.record(Event::Write(r).here());
             session.record(Event::Flush(r).here());
             session.record(Event::Fence.here());
@@ -78,93 +63,59 @@ fn main() {
         });
     }
 
-    // Recorder-handle produce path: owned arena, no TLS/RefCell per event.
-    let session = PmTestSession::builder().workers(1).batch_capacity(usize::MAX >> 1).build();
+    // Full single-producer pipeline, inline on the main thread: through
+    // the `Sink` path, then through the owned recorder handle (the
+    // peak-ingest configuration).
+    let session = PmTestSession::builder().workers(1).build();
     session.start();
+    let record = || {
+        session.record(Event::Write(r).here());
+        session.record(Event::Flush(r).here());
+        session.record(Event::Fence.here());
+        session.is_persist(r);
+        session.send_trace();
+    };
+    for _ in 0..2_000 {
+        record();
+    }
+    assert!(session.take_report().is_clean());
+    time("1 producer inline, w1", traces, || {
+        for _ in 0..traces {
+            record();
+        }
+        assert!(session.take_report().is_clean());
+    });
     let mut rec = session.recorder();
-    time("recorder produce path, no shipping", produce_only, || {
-        for _ in 0..produce_only {
+    time("1 recorder inline, w1", traces, || {
+        for _ in 0..traces {
             rec.record(Event::Write(r).here());
             rec.record(Event::Flush(r).here());
             rec.record(Event::Fence.here());
             rec.is_persist(r);
             rec.send_trace();
         }
+        assert!(session.take_report().is_clean());
     });
+    let stats = session.stats();
+    println!(
+        "    stalls={} steals={} largest handoff={} mean handoff {:.1} traces",
+        stats.backpressure_stalls,
+        stats.steals,
+        stats.queue_highwater,
+        stats.mean_batch_size()
+    );
     drop(rec);
     drop(session);
 
-    // Full single-producer pipeline, inline on the main thread.
-    for batch in [32usize, 256] {
-        let session = PmTestSession::builder().workers(1).batch_capacity(batch).build();
-        session.start();
-        for _ in 0..2_000 {
-            session.record(Event::Write(r).here());
-            session.record(Event::Flush(r).here());
-            session.record(Event::Fence.here());
-            session.is_persist(r);
-            session.send_trace();
-        }
-        assert!(session.take_report().is_clean());
-        time(&format!("1 producer inline, w1/b{batch}"), traces, || {
-            for _ in 0..traces {
-                session.record(Event::Write(r).here());
-                session.record(Event::Flush(r).here());
-                session.record(Event::Fence.here());
-                session.is_persist(r);
-                session.send_trace();
-            }
-            assert!(session.take_report().is_clean());
-        });
-        let stats = session.stats();
-        println!(
-            "    stalls={} steals={} highwater={}",
-            stats.backpressure_stalls, stats.steals, stats.queue_highwater
-        );
-    }
-
-    // Recorder-handle pipeline: the peak-ingest configuration.
-    for batch in [256usize, 1024] {
-        let session = PmTestSession::builder().workers(1).batch_capacity(batch).build();
-        session.start();
-        let mut rec = session.recorder();
-        for _ in 0..2_000 {
-            rec.record(Event::Write(r).here());
-            rec.record(Event::Flush(r).here());
-            rec.record(Event::Fence.here());
-            rec.is_persist(r);
-            rec.send_trace();
-        }
-        rec.flush();
-        assert!(session.take_report().is_clean());
-        time(&format!("1 recorder inline, w1/b{batch}"), traces, || {
-            for _ in 0..traces {
-                rec.record(Event::Write(r).here());
-                rec.record(Event::Flush(r).here());
-                rec.record(Event::Fence.here());
-                rec.is_persist(r);
-                rec.send_trace();
-            }
-            rec.flush();
-            assert!(session.take_report().is_clean());
-        });
-        let stats = session.stats();
-        println!(
-            "    stalls={} steals={} highwater={}",
-            stats.backpressure_stalls, stats.steals, stats.queue_highwater
-        );
-    }
-
-    // Stage-latency decomposition: the same w4/b32 short-trace round with
-    // the `Full` telemetry level, broken into the five per-batch pipeline stages
-    // (record→ring-push, ring-wait, claim/steal→replay, replay,
-    // report-merge). Per-*batch* numbers — divide by the batch size for the
-    // per-trace share.
+    // Stage-latency decomposition: a w4 short-trace round with the `Full`
+    // telemetry level, broken into the five pipeline stages (staging per
+    // submission; mailbox wait, take/steal→replay, replay and report-merge
+    // per handoff). Divide the per-handoff stages by the mean handoff size
+    // for the per-trace share.
     {
         let round = traces.min(500_000);
         let session = PmTestSession::builder()
             .workers(4)
-            .batch_capacity(32)
             .telemetry(pmtest_core::TelemetryConfig::at(pmtest_core::TelemetryLevel::Full))
             .build();
         session.start();
@@ -185,7 +136,10 @@ fn main() {
         });
         assert!(session.take_report().is_clean());
         let snap = session.telemetry_snapshot();
-        println!("\nstage latency decomposition (4 producers, w4/b32, per batch):");
+        println!(
+            "\nstage latency decomposition (4 producers, w4, {:.1} traces per handoff):",
+            session.stats().mean_batch_size()
+        );
         for stage in ["record_push", "ring_wait", "claim_replay", "replay", "report_merge"] {
             let h = snap
                 .histogram_with("engine_stage_ns", "stage", stage)
@@ -215,14 +169,10 @@ fn main() {
             session.is_persist(ByteRange::with_len(0, 64));
             session.send_trace();
         };
-        println!("\nverdict-cache decomposition (1 producer, w1/b32, repetitive shape):");
+        println!("\nverdict-cache decomposition (1 producer, w1, repetitive shape):");
         let mut uncached_ns = 0.0;
         for cached in [false, true] {
-            let session = PmTestSession::builder()
-                .workers(1)
-                .batch_capacity(32)
-                .verdict_cache(cached)
-                .build();
+            let session = PmTestSession::builder().workers(1).verdict_cache(cached).build();
             session.start();
             for _ in 0..2_000 {
                 record_rep(&session);

@@ -14,7 +14,7 @@ use crate::cache::{
 };
 use crate::checker::{check_packed_with, replay, CheckerScratch, ReplayObserver};
 use crate::diag::{Diag, Report, Severity, TraceReport};
-use crate::ingest::{IngestPlane, PlaneClosed, ProducerRing, WorkerGuard};
+use crate::ingest::{IngestPlane, PlaneClosed, WorkerGuard};
 use crate::model::{PersistencyModel, X86Model};
 use crate::shadow::ShadowMemory;
 use crate::telemetry::{
@@ -29,11 +29,6 @@ pub struct EngineConfig {
     /// Number of worker threads (the paper uses one unless stated, §6.1;
     /// Fig. 12b scales this up).
     pub workers: usize,
-    /// Per-producer ring depth, in *batches* (rounded up to a power of two
-    /// internally). Bounding the rings keeps memory finite and reproduces
-    /// the paper's behaviour that a saturated checking pipeline
-    /// backpressures the program (Fig. 12a).
-    pub queue_capacity: usize,
     /// What the engine records beyond its always-on counters: one
     /// [`TelemetryLevel`] (diagnosis bundles, the profile, latency
     /// histograms and spans). Defaults to [`TelemetryLevel::Off`].
@@ -49,30 +44,30 @@ impl Default for EngineConfig {
         Self {
             model: Arc::new(X86Model::new()),
             workers: 1,
-            queue_capacity: 256,
             telemetry: TelemetryConfig::off(),
             verdict_cache: VerdictCacheConfig::default(),
         }
     }
 }
 
-/// What travels on a producer ring beside the batch's records, which sit in
-/// the ring slot's arena: the batch's dispatch accounting. The accounting
+/// What travels with one handoff beside its traces' records, which sit in
+/// the handed-over arena: the handoff's dispatch accounting. The accounting
 /// settles on drop, so the `outstanding` counter stays consistent no matter
-/// how the batch dies — checked normally, abandoned mid-batch by a
-/// panicking checker, or discarded from a dead plane's rings after the last
-/// worker exits.
+/// how the handoff dies — checked normally, abandoned mid-batch by a
+/// panicking checker, or discarded from a dead plane's mailboxes after the
+/// last worker exits.
 pub(crate) struct BatchMsg {
     accounting: BatchAccounting,
-    /// Send time, for the ring-wait stage histogram. `None` below
-    /// [`TelemetryLevel::Full`] — reading the clock per submit would
+    /// Handoff time, for the mailbox-wait stage histogram. `None` below
+    /// [`TelemetryLevel::Full`] — reading the clock per handoff would
     /// otherwise dominate short traces.
     submitted: Option<Instant>,
+    /// Which caller handed the traces over.
+    cause: FlushCause,
 }
 
-/// Drop-guard for one dispatched batch. Dropping it marks the batch's traces
-/// as no longer outstanding, waking idle waiters if it was the last work in
-/// flight.
+/// Drop-guard for one handoff. Dropping it marks its traces as no longer
+/// outstanding, waking idle waiters if it was the last work in flight.
 struct BatchAccounting {
     shared: Arc<Shared>,
     n: u64,
@@ -90,10 +85,10 @@ impl Drop for BatchAccounting {
 ///
 /// The submitted traces are dropped; results already collected remain
 /// available through [`Engine::report`] / [`Engine::take_report`]. Those
-/// calls stay safe after a worker death: every dispatched batch settles its
+/// calls stay safe after a worker death: every handoff settles its
 /// idle-tracking accounting even if a panicking checker abandons it or the
-/// dying worker pool discards it from a ring, so the report barrier cannot
-/// hang on traces that will never be checked.
+/// dying worker pool discards it from a mailbox, so the report barrier
+/// cannot hang on traces that will never be checked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubmitError;
 
@@ -105,30 +100,8 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Per-producer ring depth (in batches) that [`SessionBuilder`] derives when
-/// none is configured explicitly: sized so the pipeline buffers roughly the
-/// same number of *traces* regardless of batch size.
-///
-/// The engine's historical default of 256 was tuned for unbatched
-/// submission. A batched session multiplies it: 256 batches of 32 traces is
-/// an 8192-trace pipeline whose memory high-water dwarfs the checking
-/// backlog it buys, while a *fixed* small depth starves the unbatched path.
-/// Deriving `256 / batch_capacity` (capped at the historical 256) keeps the
-/// buffered trace count — and therefore backpressure onset — roughly
-/// consistent across batch sizes. The floor is 32 batches: below that, a
-/// producer on a busy host fills its ring faster than a worker gets
-/// scheduled to drain it, and every fill is a millisecond-scale
-/// backpressure stall — a few hundred KiB of extra arena capacity buys back
-/// the whole stall budget. See DESIGN.md §12–13.
-///
-/// [`SessionBuilder`]: crate::SessionBuilder
-#[must_use]
-pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
-    (256 / batch_capacity.max(1)).clamp(32, 256)
-}
-
-/// The decoupled checking engine: trace batches flow through a sharded
-/// ingest plane to a pool of worker threads (Fig. 8).
+/// The decoupled checking engine: traces flow through the ingest plane's
+/// per-producer mailboxes to a pool of worker threads (Fig. 8).
 ///
 /// The program under test keeps executing while workers validate completed
 /// traces — this pipelining is the second half of the paper's performance
@@ -139,28 +112,30 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
 /// Four mechanisms keep the submission path cheap (Fig. 12's scalability
 /// depends on all of them):
 ///
-/// * **Per-producer SPSC rings** — each recording producer (a session
+/// * **Per-producer mailboxes** — each recording producer (a session
 ///   thread, a [`ThreadRecorder`](crate::ThreadRecorder)) registers its own
-///   bounded ring, and direct [`submit`](Self::submit) calls share one
-///   engine-owned ring; a push is one uncontended producer lock, slot write
-///   and tail store, with no cross-producer channel lock. Workers drain their
-///   affinity rings first and *steal* from the rest when idle, so the active
-///   worker set tracks the offered load. See `crate::ingest` and DESIGN.md
-///   §13.
-/// * **Arena messages** — every submission travels as one [`TraceArena`] of
-///   compact packed records: a batched session stages sealed traces in one
-///   and ships the whole batch as one buffer trade with a ring slot;
-///   [`submit`](Self::submit) wraps a lone trace's record buffer without
-///   copying it. Workers check the packed records in place without decoding
-///   them into `Entry` vectors.
+///   one-slot mailbox, and direct [`submit`](Self::submit) calls share one
+///   engine-owned producer. Every submission locks its producer, appends
+///   the sealed traces to the staged arena, and hands the staged arena over
+///   if the mailbox is empty — one uncontended lock and one buffer trade,
+///   with no cross-producer channel lock and no batch size to set: traces
+///   batch exactly while the workers are behind. Workers take their
+///   affinity mailboxes first, *steal* from the rest, and take any free
+///   producer's staged traces before they park. See `crate::ingest` and
+///   DESIGN.md §13.
+/// * **Arena messages** — every handoff travels as one [`TraceArena`] of
+///   compact packed records; [`submit`](Self::submit) wraps a lone trace's
+///   record buffer without copying it. Workers check the packed records in
+///   place without decoding them into `Entry` vectors.
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
-/// * **Storage recycling** — each ring slot keeps its arena for the ring's
-///   life: a push and a claim trade cleared buffers through it, so a
-///   producer's ring bounds the buffers it has in flight. Each worker keeps
-///   its own checker scratch state across batches, keeping the steady-state
-///   path off the allocator.
+/// * **Storage recycling** — each mailbox keeps its arena for the
+///   producer's life: a handoff and a take trade cleared buffers through
+///   it, and the records a producer holds untaken stay within one retained
+///   buffer's size, so steady-state handoffs never allocate. Each worker
+///   keeps its own checker scratch state across batches, keeping the
+///   steady-state path off the allocator.
 ///
 /// # Examples
 ///
@@ -184,7 +159,6 @@ pub struct Engine {
     /// on first use.
     producer: OnceLock<Arc<Producer>>,
     workers: usize,
-    queue_capacity: usize,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Live HTTP scrape endpoint, present when
     /// [`TelemetryConfig::scrape_addr`] is set. Holds only a
@@ -195,11 +169,12 @@ pub struct Engine {
 }
 
 struct Shared {
-    /// Traces submitted but not yet checked. Producers only touch this
-    /// atomic (plus their own ring), keeping `submit` off the result shards.
+    /// Traces handed over but not yet checked. Producers only touch this
+    /// atomic (plus their own mailbox), keeping `submit` off the result
+    /// shards.
     outstanding: AtomicU64,
-    /// The sharded ingest plane: per-producer rings plus the worker
-    /// wake/steal protocol. Its ring list is the only producer registry.
+    /// The ingest plane: per-producer mailboxes plus the worker wake/steal
+    /// protocol. Its producer list is the only producer registry.
     plane: Arc<IngestPlane<BatchMsg>>,
     /// Per-worker result shards; worker `i` writes only `shards[i]`.
     shards: Vec<Mutex<Vec<TraceReport>>>,
@@ -235,12 +210,27 @@ struct Shared {
 /// iteration; the first failures are the interesting ones.
 const MAX_BUNDLES: usize = 16;
 
-/// A recording producer: its ring on the ingest plane plus, behind the
-/// producer lock, its staged batch — traces sealed by `send_trace` but not
-/// yet shipped.
-pub(crate) type Producer = ProducerRing<BatchMsg>;
+/// A recording producer: its mailbox on the ingest plane plus, behind the
+/// producer lock, its staged arena — traces sealed but not yet handed over.
+pub(crate) type Producer = crate::ingest::Producer<BatchMsg>;
 
 impl Shared {
+    /// Admits the sealed traces in `arena` as one handoff, under their
+    /// producer's lock: raises `outstanding` before the lock is released
+    /// (publish invariant (a), see [`Engine::publish_staged`]). The returned
+    /// message settles the count when it drops. The handoff's counters are
+    /// the taking worker's to write, so a producer's handoff touches no
+    /// counter a worker writes.
+    fn admit(self: &Arc<Self>, arena: &TraceArena, cause: FlushCause) -> BatchMsg {
+        let n = arena.sealed() as u64;
+        self.outstanding.fetch_add(n, Ordering::AcqRel);
+        BatchMsg {
+            accounting: BatchAccounting { shared: self.clone(), n },
+            submitted: self.telemetry.timed().then(Instant::now),
+            cause,
+        }
+    }
+
     /// Marks `n` traces as no longer outstanding, waking idle waiters when
     /// the count reaches zero. Runs from [`BatchAccounting`]'s drop — after
     /// a worker finishes a batch, or when an unchecked batch is discarded.
@@ -285,7 +275,7 @@ impl Shared {
             diagnostics: c.diagnostics.get(),
             batches_submitted: c.batches_submitted.get(),
             traces_submitted: c.traces_submitted.get(),
-            queue_highwater: self.plane.occupancy_highwater(),
+            queue_highwater: self.plane.handoff_highwater(),
             backpressure_stalls: ingest.backpressure_stalls.get(),
             steals: ingest.steals.get(),
             rings_registered: ingest.rings_registered.get(),
@@ -296,8 +286,8 @@ impl Shared {
         }
     }
 
-    /// Buffer reuse on the ship path, from the tallies [`Engine::push`]
-    /// folds: batches shipped, and those whose traces grew a slab.
+    /// Buffer reuse on the handoff path, from the tallies each handoff
+    /// folds: handoffs, and those whose traces grew a slab.
     fn reuse_stats(&self) -> ReuseStats {
         ReuseStats {
             batches: self.telemetry.counters.batches_submitted.get(),
@@ -312,17 +302,17 @@ impl Shared {
     /// snapshot time.
     fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.telemetry.snapshot();
-        snap.push_counter("engine_queue_highwater", &[], self.plane.occupancy_highwater());
+        snap.push_counter("engine_queue_highwater", &[], self.plane.handoff_highwater());
         snap.push_gauge("engine_workers", &[], self.shards.len() as f64);
         let plane = &self.plane;
         snap.push_gauge("engine_ring_occupancy", &[], plane.current_occupancy() as f64);
-        snap.push_gauge("engine_rings_live", &[], plane.rings_live() as f64);
-        for (i, ring) in plane.ring_stats().iter().enumerate() {
+        snap.push_gauge("engine_rings_live", &[], plane.producers_live() as f64);
+        for (i, producer) in plane.producer_stats().iter().enumerate() {
             let idx = i.to_string();
             let labels: &[(&str, &str)] = &[("ring", &idx)];
-            snap.push_gauge("engine_ring_occupancy_traces", labels, ring.occupancy as f64);
-            snap.push_gauge("engine_ring_highwater", labels, ring.highwater as f64);
-            snap.push_counter("engine_ring_pushed", labels, ring.pushed);
+            snap.push_gauge("engine_ring_occupancy_traces", labels, producer.occupancy as f64);
+            snap.push_gauge("engine_ring_highwater", labels, producer.highwater as f64);
+            snap.push_counter("engine_ring_pushed", labels, producer.handoffs);
         }
         snap.push_gauge("arena_pool_hit_rate", &[], self.reuse_stats().hit_rate());
         if let Some(cache) = &self.verdict_cache {
@@ -351,50 +341,51 @@ pub struct EngineStats {
     pub entries_processed: u64,
     /// Diagnostics (FAIL + WARN) produced.
     pub diagnostics: u64,
-    /// Batches accepted by the submit methods (a bare `submit` counts as a
-    /// batch of one).
+    /// Handoffs of staged traces to the workers: by a submission that found
+    /// its mailbox empty, by a result point, or by an idle worker's take.
     pub batches_submitted: u64,
-    /// Traces accepted across all batches. `traces_submitted /
-    /// batches_submitted` is the mean batch size.
+    /// Traces handed over across all handoffs. `traces_submitted /
+    /// batches_submitted` is the mean handoff size.
     pub traces_submitted: u64,
-    /// Highest number of traces ever queued on a single producer ring — how
-    /// deep the checking pipeline ran behind the program.
+    /// Most traces one handoff ever carried: the traces staged plus those in
+    /// the mailbox (none) at the handoff — how far the checking pipeline ran
+    /// behind the program.
     pub queue_highwater: u64,
-    /// Times a submission found its ring full and had to block until a
-    /// worker caught up (Fig. 12a's backpressure regime).
+    /// Times a submission had to wait for a worker's take to keep its
+    /// untaken records within the bound (Fig. 12a's backpressure regime).
     pub backpressure_stalls: u64,
-    /// Batches claimed by a worker outside its affinity pass — the
+    /// Handoffs taken by a worker outside its affinity pass — the
     /// work-stealing traffic between producers and non-preferred workers.
     pub steals: u64,
-    /// Producer rings ever registered with the ingest plane: one per session
+    /// Producers ever registered with the ingest plane: one per session
     /// recording thread and per [`ThreadRecorder`](crate::ThreadRecorder),
     /// plus one shared by direct [`Engine::submit`] calls.
     pub rings_registered: u64,
-    /// Batches claimed by a worker inside its affinity pass — the complement
+    /// Handoffs taken by a worker inside its affinity pass — the complement
     /// of `steals`.
     pub affinity_hits: u64,
     /// Worker parks actually entered (a worker found no work and slept).
     pub parks: u64,
-    /// Parked workers recruited awake by a producer push.
+    /// Parked workers recruited awake by a producer's handoff.
     pub wakes: u64,
     /// Recruiting-CAS attempts that lost to an already-in-flight recruit —
     /// how often the single-recruit gate damped a would-be wake.
     pub recruit_cas_fails: u64,
 }
 
-/// How often shipped batches were recorded into recycled buffers without
-/// growing them; see [`PmTestSession::pool_stats`](crate::PmTestSession::pool_stats).
+/// How often handoffs were recorded into recycled buffers without growing
+/// them; see [`PmTestSession::pool_stats`](crate::PmTestSession::pool_stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReuseStats {
-    /// Batches shipped onto the engine's rings.
+    /// Handoffs to the engine's workers.
     pub batches: u64,
-    /// Shipped batches whose recording outgrew a recycled word buffer.
+    /// Handoffs whose recording or staging outgrew a recycled word buffer.
     pub grown: u64,
 }
 
 impl ReuseStats {
-    /// Share of shipped batches that needed no slab growth, in `[0, 1]` (0
-    /// before anything ships).
+    /// Share of handoffs that needed no slab growth, in `[0, 1]` (0 before
+    /// anything is handed over).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         if self.batches == 0 {
@@ -406,7 +397,7 @@ impl ReuseStats {
 }
 
 impl EngineStats {
-    /// Mean traces per submitted batch (0 if nothing was submitted).
+    /// Mean traces per handoff (0 if nothing was handed over).
     #[must_use]
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches_submitted == 0 {
@@ -422,19 +413,14 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers` or `config.queue_capacity` is zero.
+    /// Panics if `config.workers` is zero.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
-        assert!(config.queue_capacity > 0, "engine queue capacity must be positive");
         let telemetry = EngineTelemetry::new(config.workers, &config.telemetry);
         let shared = Arc::new(Shared {
             outstanding: AtomicU64::new(0),
-            plane: Arc::new(IngestPlane::new(
-                config.workers,
-                config.queue_capacity,
-                telemetry.ingest.clone(),
-            )),
+            plane: Arc::new(IngestPlane::new(config.workers, telemetry.ingest.clone())),
             shards: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
             collected: Mutex::new(Report::default()),
             verdict_cache: config
@@ -473,7 +459,6 @@ impl Engine {
             shared,
             producer: OnceLock::new(),
             workers: config.workers,
-            queue_capacity: config.queue_capacity,
             handles: Mutex::new(handles),
             scrape,
         }
@@ -485,16 +470,7 @@ impl Engine {
         self.workers
     }
 
-    /// Per-producer ring depth, in batches (whatever
-    /// [`EngineConfig::queue_capacity`] was at construction — possibly
-    /// derived from the batch size, see [`derived_queue_capacity`]; the
-    /// rings themselves round up to a power of two).
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
-    /// Buffer reuse on the ship path (see [`ReuseStats`]).
+    /// Buffer reuse on the handoff path (see [`ReuseStats`]).
     pub(crate) fn reuse_stats(&self) -> ReuseStats {
         self.shared.reuse_stats()
     }
@@ -515,8 +491,7 @@ impl Engine {
         self.shared.verdict_cache.as_ref().map(VerdictCache::stats)
     }
 
-    /// The typed metric handles shared with sessions (batch-fill histogram,
-    /// flush-cause counters).
+    /// The typed metric handles shared with sessions (span buffers).
     pub(crate) fn telemetry(&self) -> &EngineTelemetry {
         &self.shared.telemetry
     }
@@ -587,8 +562,9 @@ impl Engine {
         pmtest_obs::AdvisorReport::from_profile(&self.profile())
     }
 
-    /// Submits one trace for asynchronous checking. The trace travels as a
-    /// one-trace arena that adopts its record buffer without copying; an
+    /// Submits one trace for asynchronous checking. It is staged on the
+    /// engine-owned producer like a session's sealed trace; a staged arena
+    /// holding nothing adopts its record buffer without copying it, and an
     /// empty trace still gets its (empty) report.
     ///
     /// # Errors
@@ -596,12 +572,13 @@ impl Engine {
     /// Returns [`SubmitError`] if the worker pool has terminated (the engine
     /// was shut down, or a worker panicked); the trace is dropped.
     pub fn submit(&self, trace: Trace) -> Result<(), SubmitError> {
-        self.dispatch(|batch| batch.push_trace(trace))
+        let records = trace.packed().len();
+        self.stage(self.own_producer(), records, |staged| staged.push_trace(trace), None)
     }
 
-    /// Submits a batch of traces in one ring operation, paying the dispatch
-    /// cost once: the traces are packed into one arena. An empty batch is a
-    /// no-op.
+    /// Submits a batch of traces in one staging step, paying the lock and
+    /// any handoff once: the traces are packed into the staged arena. An
+    /// empty batch is a no-op.
     ///
     /// # Errors
     ///
@@ -611,108 +588,111 @@ impl Engine {
         if traces.is_empty() {
             return Ok(());
         }
-        self.dispatch(|batch| traces.into_iter().for_each(|trace| batch.push_trace(trace)))
+        let records = traces.iter().map(|trace| trace.packed().len()).sum();
+        let append =
+            |staged: &mut TraceArena| traces.into_iter().for_each(|t| staged.push_trace(t));
+        self.stage(self.own_producer(), records, append, None)
     }
 
-    /// Stages traces in the engine-owned producer's arena with `fill`, then
-    /// pushes them.
-    fn dispatch(&self, fill: impl FnOnce(&mut TraceArena)) -> Result<(), SubmitError> {
-        let producer = self.producer.get_or_init(|| self.register_producer());
-        let mut staged = producer.staged.lock();
-        fill(&mut staged);
-        self.push(producer, &mut staged)
+    /// The producer direct submissions share.
+    fn own_producer(&self) -> &Producer {
+        self.producer.get_or_init(|| self.register_producer())
     }
 
     /// Registers a recording producer with the ingest plane.
     pub(crate) fn register_producer(&self) -> Arc<Producer> {
-        self.shared.plane.register_ring()
+        self.shared.plane.register()
     }
 
-    /// Pushes the sealed batch in `batch`, the producer's staged arena, onto
-    /// `producer`'s ring, folding the allocator/intern tallies its traces
-    /// carry into the engine's counters. Callers hold the producer lock, as
-    /// every push onto a ring does. `batch` comes back cleared: a push
-    /// trades it for the tail slot's arena, and a failed one drops its
-    /// traces.
-    pub(crate) fn push(
+    /// The one stage path of every submission — a session's `send_trace`, a
+    /// `ThreadRecorder`'s, [`submit`](Self::submit) and
+    /// [`submit_batch`](Self::submit_batch): lock `producer`, append the
+    /// sealed traces (`incoming` packed records, which `append` moves into
+    /// the staged arena), and hand the staged arena over if the mailbox is
+    /// empty (`FlushCause::SendTrace`). A producer-side `ship` span wraps it
+    /// when `span` is recording. On a dead plane the staged traces are
+    /// dropped.
+    pub(crate) fn stage(
         &self,
         producer: &Producer,
-        batch: &mut TraceArena,
+        incoming: usize,
+        append: impl FnOnce(&mut TraceArena),
+        span: Option<&SpanHandle>,
+    ) -> Result<(), SubmitError> {
+        let telemetry = &self.shared.telemetry;
+        let started = telemetry.timed().then(Instant::now);
+        let span = span.filter(|h| h.enabled()).map(|h| (h, h.now_ns()));
+        let handed = {
+            let mut staged = producer.staged.lock();
+            let admit = |arena: &mut TraceArena| self.shared.admit(arena, FlushCause::SendTrace);
+            let handed = self.shared.plane.stage(producer, &mut staged, incoming, append, admit);
+            if handed.is_err() {
+                staged.arena.clear();
+            }
+            handed
+        };
+        if let Some((h, start)) = span {
+            h.record(telemetry.span_names.ship, start, h.now_ns().saturating_sub(start));
+        }
+        if let Some(start) = started {
+            telemetry.stage(Stage::RecordPush).record(start.elapsed().as_nanos() as u64);
+        }
+        self.settle(producer, handed)
+    }
+
+    /// A submission's outcome: it fails on a closed plane, and on a plane
+    /// whose last worker died — running its final mailbox drain — after the
+    /// handoff landed; the mailbox is then discarded so the message cannot
+    /// linger untaken (its accounting settles on drop either way).
+    fn settle(
+        &self,
+        producer: &Producer,
+        handed: Result<(), PlaneClosed>,
     ) -> Result<(), SubmitError> {
         let plane = &self.shared.plane;
-        if plane.is_dead() {
-            batch.clear();
-            return Err(SubmitError);
-        }
-        self.shared.telemetry.note_arena_stats(batch.take_stats());
-        // Packed records the arena holds, for the ring's queued-record bound.
-        let words = batch.traces().map(|(_, w, _)| w.len() as u64).sum();
-        let n = batch.sealed() as u64;
-        self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
-        let submitted = self.shared.telemetry.timed().then(Instant::now);
-        // From here the accounting settles when `msg` drops — whether a
-        // worker finishes it, a panicking checker abandons it, or a dead
-        // plane discards it. No explicit rollback.
-        let msg =
-            BatchMsg { accounting: BatchAccounting { shared: self.shared.clone(), n }, submitted };
-        let depth = match plane.push(producer, batch, msg, n, words) {
-            Ok(depth) => depth,
-            Err(PlaneClosed) => {
-                batch.clear();
-                return Err(SubmitError);
-            }
-        };
-        if plane.is_dead() {
-            // The last worker may have died — and run its final ring drain —
-            // between our push landing and now. Discard our own ring so the
-            // message cannot linger unclaimed; its accounting settles on
-            // drop either way.
+        if handed.is_err() || plane.is_dead() {
             plane.drain_discard(producer);
             return Err(SubmitError);
         }
-        if let Some(sent) = submitted {
-            // Producer-side stage: building the message and landing it in
-            // the ring, including any backpressure wait inside `push`.
-            self.shared.telemetry.stage(Stage::RecordPush).record(sent.elapsed().as_nanos() as u64);
-        }
-        self.note_submitted(n, depth);
         Ok(())
     }
 
-    /// Ships every producer's staged batch — traces sealed by `send_trace`
-    /// but not yet shipped, whether their thread still runs or has exited.
-    /// Every result point calls this before it waits.
+    /// Hands every producer's staged traces over — traces sealed but not yet
+    /// handed over, whether their thread still runs or has exited — each
+    /// once its mailbox is empty (`FlushCause::ResultPoint`). Every result
+    /// point calls this before it waits.
     pub(crate) fn publish_staged(&self) {
-        // Publish invariant (b): walk a copy of the ring list, never pushing
-        // under the registry lock — std's `RwLock` queues new readers behind
-        // a waiting writer, so a push stalled under a read guard while a
-        // producer registers would block every worker's scan.
-        for producer in self.shared.plane.rings() {
-            // Publish invariant (a): the staged batch is pushed under its
-            // producer's lock, and `push` raises `outstanding` before the
-            // lock is released, so a result point that finds the staged
-            // arena already empty still waits for the batch it held.
+        let plane = &self.shared.plane;
+        // Publish invariant (b): walk a copy of the producer list, never
+        // handing over under the registry lock — std's `RwLock` queues new
+        // readers behind a waiting writer, so a handoff waiting under a
+        // read guard while a producer registers would block every worker's
+        // scan.
+        for producer in plane.producers() {
+            // Publish invariant (a): the staged traces are handed over under
+            // their producer's lock, and admitting them raises `outstanding`
+            // before the lock is released, so a result point that finds the
+            // staged arena already empty still waits for the traces it held.
             let mut staged = producer.staged.lock();
-            if staged.sealed() > 0 {
-                self.shared.telemetry.note_batch_shipped(FlushCause::ResultPoint, staged.sealed());
-                let _ = self.push(&producer, &mut staged);
+            if staged.arena.sealed() == 0 {
+                continue;
             }
+            let admit = |arena: &mut TraceArena| self.shared.admit(arena, FlushCause::ResultPoint);
+            let handed = plane
+                .await_take(&producer)
+                .and_then(|()| plane.hand_over(&producer, &mut staged, admit));
+            if handed.is_err() {
+                staged.arena.clear();
+            }
+            drop(staged);
+            let _ = self.settle(&producer, handed);
         }
-    }
-
-    /// Records a successfully delivered batch: submission counters plus the
-    /// queue-depth gauge (the ring occupancy the batch landed at).
-    fn note_submitted(&self, n: u64, depth: u64) {
-        let telemetry = &self.shared.telemetry;
-        telemetry.counters.batches_submitted.inc();
-        telemetry.counters.traces_submitted.add(n);
-        telemetry.queue_depth.set(depth);
     }
 
     /// Blocks until every submitted trace has been checked
     /// (`PMTest_GET_RESULT`, §4.2). A trace a session sealed counts as
-    /// submitted once `send_trace` returns: the wait first ships every
-    /// producer's staged batch, from whichever thread sealed it.
+    /// submitted once `send_trace` returns: the wait first hands over every
+    /// producer's staged traces, from whichever thread sealed them.
     pub fn wait_idle(&self) {
         self.publish_staged();
         let shared = &self.shared;
@@ -825,14 +805,15 @@ struct WorkerState {
     tally: BatchTally,
 }
 
-/// One worker thread: claim batches off the ingest plane (affinity rings
-/// first, then stealing), check each trace's packed records in place, and
-/// file results. Exits when the plane is closed and drained; the guard marks
+/// One worker thread: take handoffs off the ingest plane (affinity
+/// mailboxes first, then stealing, then idle takes of staged traces), check
+/// each trace's packed records in place, and file results. Exits when the plane is closed and drained; the guard marks
 /// the plane dead if this is the last worker out (normal exit or panic).
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let _guard = WorkerGuard::new(shared.plane.clone());
-    // The worker's spare: a claim trades it, cleared, for the claimed slot's
-    // arena, and the batch is then checked in place here.
+    // The worker's spare: a take trades it, cleared, for the mailbox's (or
+    // an idle take for the staged) arena, and the batch is then checked in
+    // place here.
     let mut batch = TraceArena::new();
     let mut state = WorkerState {
         idx,
@@ -847,13 +828,19 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     // only allocation; below the `Full` level the sink defers even that,
     // and every record below is one relaxed load and a taken-branch.
     let span: SpanHandle = shared.telemetry.spans.register(idx as u64);
-    while let Some((msg, _n)) = shared.plane.next_batch(idx, &mut batch) {
+    let admit = |arena: &mut TraceArena| shared.admit(arena, FlushCause::IdleWorker);
+    while let Some((msg, n)) = shared.plane.next_batch(idx, &mut batch, admit) {
         // Re-checked per batch: the sink can be toggled at runtime.
         let tracing = span.enabled();
         // Destructured so the accounting guard outlives the checking: a
         // panicking checker unwinds through it and the batch still retires
         // (otherwise `wait_idle` would block forever on the lost traces).
-        let BatchMsg { accounting: _accounting, submitted } = msg;
+        let BatchMsg { accounting: _accounting, submitted, cause } = msg;
+        // The handoff's counters, folded where its traces are checked: its
+        // caller and fill, and the allocator/intern tallies its arena
+        // carries from recording and staging.
+        shared.telemetry.note_handoff(cause, n);
+        shared.telemetry.note_arena_stats(batch.take_stats());
         let dequeued = submitted.map(|sent| {
             let now = Instant::now();
             shared
@@ -1218,7 +1205,7 @@ mod tests {
 
     #[test]
     fn each_producer_thread_registers_its_own_ring() {
-        let session = crate::PmTestSession::builder().workers(2).batch_capacity(4).build();
+        let session = crate::PmTestSession::builder().workers(2).build();
         session.start();
         std::thread::scope(|s| {
             for _ in 0..3 {
@@ -1272,15 +1259,25 @@ mod tests {
 
     #[test]
     fn backpressure_stalls_are_counted_and_survivable() {
-        // One worker with a one-slot ring: the second in-flight submission
-        // must stall until the worker drains the first.
-        let engine = Engine::new(EngineConfig { queue_capacity: 1, ..EngineConfig::default() });
-        for id in 0..200 {
-            engine.submit(failing_trace(id)).unwrap();
+        // Traces over half the record bound: one fits the mailbox, and the
+        // next must stall until the worker takes it.
+        let engine = Engine::new(EngineConfig::default());
+        let traces: Vec<Trace> = (0..20)
+            .map(|id| {
+                let mut t = failing_trace(id);
+                for _ in 0..crate::ingest::MAX_STAGED_RECORDS / 2 {
+                    t.push(Event::Fence.here());
+                }
+                t
+            })
+            .collect();
+        for trace in traces {
+            engine.submit(trace).unwrap();
         }
         let report = engine.take_report();
-        assert_eq!(report.traces().len(), 200, "stalled submissions still deliver");
-        assert!(engine.stats().backpressure_stalls > 0, "queue of 1 must have stalled");
+        assert_eq!(report.traces().len(), 20, "stalled submissions still deliver");
+        assert_eq!(report.fail_count(), 20);
+        assert!(engine.stats().backpressure_stalls > 0, "the record bound must have stalled");
     }
 
     #[test]
@@ -1354,21 +1351,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_capacity_is_reported() {
-        let engine = Engine::new(EngineConfig { queue_capacity: 42, ..EngineConfig::default() });
-        assert_eq!(engine.queue_capacity(), 42);
-    }
-
-    #[test]
-    fn derived_queue_capacity_keeps_the_trace_window_consistent() {
-        assert_eq!(derived_queue_capacity(1), 256, "unbatched default unchanged");
-        assert_eq!(derived_queue_capacity(0), 256, "degenerate batch treated as 1");
-        assert_eq!(derived_queue_capacity(4), 64);
-        assert_eq!(derived_queue_capacity(32), 32, "floor absorbs scheduling gaps");
-        assert_eq!(derived_queue_capacity(1024), 32, "floor keeps slack for workers");
-    }
-
-    #[test]
     fn full_level_populates_latency_histograms_and_worker_stats() {
         let engine = engine_at(TelemetryLevel::Full);
         for id in 0..8 {
@@ -1383,7 +1365,9 @@ mod tests {
         assert_eq!(is_persist.count, 8, "one isPersist per clean trace");
         let replay = snap.histogram_with("engine_checker_ns", "checker", "model_replay").unwrap();
         assert_eq!(replay.count, 24, "write + flush + fence per clean trace");
-        assert_eq!(snap.histogram_with("engine_stage_ns", "stage", "ring_wait").unwrap().count, 8);
+        let handoffs = engine.stats().batches_submitted;
+        let ring_wait = snap.histogram_with("engine_stage_ns", "stage", "ring_wait").unwrap();
+        assert_eq!(ring_wait.count, handoffs, "one mailbox wait per handoff");
         assert!(snap.counter_sum("engine_worker_busy_ns") > 0);
         assert!(snap.gauge("engine_worker_utilization").is_some());
         let mut totals = TraceStats::default();
@@ -1460,11 +1444,15 @@ mod tests {
         }
         engine.wait_idle();
         let snap = engine.telemetry_snapshot();
+        let handoffs = engine.stats().batches_submitted;
         for stage in crate::telemetry::Stage::ALL {
             let h = snap
                 .histogram_with("engine_stage_ns", "stage", stage.label())
                 .unwrap_or_else(|| panic!("stage {} missing", stage.label()));
-            assert_eq!(h.count, 8, "one {} observation per batch", stage.label());
+            // The producer's stage is timed per submission, the rest per
+            // handoff.
+            let want = if stage == Stage::RecordPush { 8 } else { handoffs };
+            assert_eq!(h.count, want, "{} observations", stage.label());
         }
     }
 
@@ -1476,10 +1464,11 @@ mod tests {
         }
         engine.wait_idle();
         let snap = engine.telemetry_snapshot();
-        // Steal/affinity accounting: every claimed batch is one or the other.
+        // Steal/affinity accounting: every take is one or the other.
         let steals = snap.counter("engine_ring_steals").unwrap();
         let affinity = snap.counter("engine_ring_affinity_hits").unwrap();
-        assert_eq!(steals + affinity, 4, "each batch claim is a steal or an affinity hit");
+        let handoffs = engine.stats().batches_submitted;
+        assert_eq!(steals + affinity, handoffs, "each take is a steal or an affinity hit");
         // Parker counters are present (values depend on scheduling).
         assert!(snap.counter("engine_parker_parks").is_some());
         assert!(snap.counter("engine_parker_wakes").is_some());
@@ -1488,22 +1477,23 @@ mod tests {
         assert!(snap.gauge("engine_ring_highwater").is_some());
         assert!(snap.gauge("engine_ring_occupancy_traces").is_some());
         assert!(snap.counter("engine_ring_pushed").is_some());
-        // Arena/intern counters register even when the batched path is idle.
-        assert_eq!(snap.counter("engine_arena_slab_allocs"), Some(0));
-        assert_eq!(snap.counter("engine_arena_grown_batches"), Some(0));
+        // Arena/intern counters register even without a recording arena
+        // (a staged arena copying traces in behind an adopted one may grow).
+        assert!(snap.counter("engine_arena_slab_allocs").is_some());
+        assert!(snap.counter("engine_arena_grown_batches").is_some());
         assert_eq!(snap.counter_sum("engine_intern_hits"), 0);
         // Span accounting is exported.
         assert_eq!(snap.counter("engine_spans_dropped"), Some(0));
     }
 
     /// A long trace's buffer is freed after its check: once a 10 000-record
-    /// trace has been checked, no ring slot and no worker spare keeps a word
-    /// buffer over the retention cap. With one worker, the trace submitted
-    /// next trades the worker's spare — the long trace's cleared arena —
-    /// into a ring slot, where the scan below sees it.
+    /// trace has been checked, neither the mailbox nor a worker spare keeps
+    /// a word buffer over the retention cap. With one worker, the trace
+    /// submitted next trades the worker's spare — the long trace's cleared
+    /// arena — into the mailbox, where the scan below sees it.
     #[test]
     fn a_long_trace_leaves_no_buffer_over_the_retention_cap() {
-        let engine = Engine::new(EngineConfig { queue_capacity: 4, ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig::default());
         let mut long = Trace::new(0);
         for _ in 0..10_000 {
             long.push(Event::Fence.here());
@@ -1512,15 +1502,14 @@ mod tests {
         engine.wait_idle();
         engine.submit(clean_trace(1)).unwrap();
         assert_eq!(engine.take_report().traces().len(), 2);
-        let rings = engine.shared.plane.rings();
-        assert_eq!(rings.len(), 1, "direct submits share one ring");
-        let slots = rings[0].slot_word_capacities();
-        assert_eq!(slots.len(), 4);
+        let producers = engine.shared.plane.producers();
+        assert_eq!(producers.len(), 1, "direct submits share one producer");
+        let mailbox = producers[0].mailbox_word_capacity();
         assert!(
-            slots.iter().all(|&words| words <= TraceArena::RETAINED_WORDS),
-            "a slot kept the long trace's buffer: {slots:?}"
+            mailbox <= TraceArena::RETAINED_WORDS,
+            "the mailbox kept the long trace's buffer: {mailbox}"
         );
-        assert!(rings[0].staged.lock().word_capacity() <= TraceArena::RETAINED_WORDS);
+        assert!(producers[0].staged.lock().arena.word_capacity() <= TraceArena::RETAINED_WORDS);
     }
 
     #[test]
@@ -1532,7 +1521,8 @@ mod tests {
         engine.wait_idle();
         let trace = engine.chrome_trace();
         let stats = pmtest_obs::trace_event::validate_str(&trace).expect("trace must validate");
-        assert!(stats.pairs >= 18, "claim+replay+merge per batch, got {}", stats.pairs);
+        let handoffs = engine.stats().batches_submitted as usize;
+        assert!(stats.pairs >= 3 * handoffs, "claim+replay+merge per handoff, got {}", stats.pairs);
         for name in ["claim", "replay", "merge"] {
             assert!(trace.contains(name), "span {name} missing from {trace}");
         }
@@ -1651,7 +1641,6 @@ mod tests {
         // from the rings, all have to retire or this report blocks forever.
         let engine = Engine::new(EngineConfig {
             model: Arc::new(PanickingModel),
-            queue_capacity: 4,
             ..EngineConfig::default()
         });
         for id in 0..50 {

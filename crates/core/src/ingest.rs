@@ -1,61 +1,40 @@
-//! The sharded ingest plane: one bounded SPSC ring per recording producer,
-//! drained by worker threads that prefer their affinity rings and steal
-//! from the others when idle.
+//! The ingest plane: one single-slot *mailbox* per recording producer,
+//! drained by worker threads that prefer their affinity producers and steal
+//! from the others.
 //!
-//! The previous ingest path multiplexed every submitting thread onto
-//! per-worker MPMC channels, so each submit paid a channel lock that all
-//! producers contended on, plus a load-aware scan over worker queue depths.
-//! Here each producer owns a private ring: a push is one uncontended slot
-//! mutex, one tail store, and a conditional wake. Consumers claim batches
-//! by a head CAS and take the message under the slot mutex — the only
-//! place a producer and a consumer can meet, and only when the ring wraps.
-//! A ring is bounded in slots and in the packed records it holds queued
-//! ([`MAX_QUEUED_WORDS`]); a producer pushing into a full ring waits.
+//! Every submission locks its producer, appends the sealed traces to the
+//! producer's staged arena, and hands the whole staged arena to the mailbox
+//! if the mailbox is empty. Traces thus go over one at a time while the
+//! workers keep pace and batch exactly while they are behind; there is no
+//! batch size or queue depth to configure. The producer list is the only
+//! producer registry: a result point walks it and hands over every staged
+//! arena once its mailbox is empty, whether its thread still runs or not.
 //!
-//! Each ring also holds its producer's staged arena — the traces it sealed
-//! but has not shipped — behind the producer lock, which every push onto
-//! the ring takes. The ring list is thus the only producer registry: a
-//! result point walks it and ships every staged batch.
+//! * **The record bound.** Packed records staged or in the mailbox stay
+//!   within [`MAX_STAGED_RECORDS`]; a submission that would pass it while
+//!   the mailbox is full waits for a take, and an empty mailbox admits a
+//!   trace of any size. Every handoff of short traces fits a buffer
+//!   [`TraceArena::clear`] keeps, so steady-state handoffs never allocate.
+//! * **Recycling.** The mailbox keeps one arena for the producer's life: a
+//!   handoff trades the staged arena for its cleared one, and a take trades
+//!   it for the worker's cleared spare, which the worker checks in place
+//!   and clears. Every arena a trade hands on is empty.
+//! * **Idle takes.** A worker that finds every mailbox empty takes the
+//!   staged arena of any producer that left traces behind a full mailbox
+//!   and whose lock is free (`try_lock`; a held lock means a submission in
+//!   flight, so it yields and scans again). It then watches for a handoff
+//!   briefly, and only then parks on a LIFO stack; a handoff unparks the
+//!   most recently parked worker only when full mailboxes outnumber the
+//!   awake ones and no recruit is in flight. In the steady state only the
+//!   producer touches its staged arena.
+//! * **Lifecycle.** A producer retires when its thread's slot or its
+//!   `ThreadRecorder` drops, and is pruned once nothing is staged or in its
+//!   mailbox. The last worker to exit marks the plane *dead*, discards
+//!   every mailbox (each message's drop guard settles the engine's
+//!   accounting) and wakes stalled producers so their submissions fail.
+//!   Closing the plane (engine drop) lets workers drain and exit.
 //!
-//! ## Arena recycling
-//!
-//! Every slot keeps one [`TraceArena`] for the ring's life, and record
-//! buffers change hands only under the slot mutex the push and the claim
-//! already take. A push trades the staged arena's buffers for the slot's
-//! cleared ones; a claim moves the message out and trades the slot's
-//! buffers for the claiming worker's cleared spare, which the worker checks
-//! in place and then clears. Every arena a trade hands on is empty, so
-//! recycled storage never carries records into another trace, and the
-//! ring's slot count bounds the buffers its producer has in flight.
-//!
-//! ## Steal protocol
-//!
-//! Every ring is assigned a *preferred* worker round-robin at registration.
-//! A worker looking for work scans its own rings first; only when all of
-//! them are empty does it scan the rest, counting each foreign claim as a
-//! steal. An idle worker parks on a LIFO stack (`std::thread::park`);
-//! producers unpark the ring's preferred worker when parked — else the most
-//! recently parked, cache-warm one — and only when the backlog exceeds the
-//! awake worker count with no recruit already in flight, so the saturated
-//! path never touches the park lock and an oversubscribed pool is not
-//! dragged through park/unpark churn.
-//!
-//! ## Lifecycle
-//!
-//! * A producer retires its ring when it is done (its thread's session
-//!   slot or its `ThreadRecorder` is dropped); idle workers prune a retired
-//!   ring once it is drained and nothing is staged on it.
-//! * The last worker to exit — normal shutdown or panic — marks the plane
-//!   *dead*, discards every queued message (their drop guards settle the
-//!   engine's `outstanding` accounting), and wakes stalled producers so a
-//!   blocked submit surfaces as an error instead of a hang.
-//! * Closing the plane (engine drop) lets workers drain what is queued and
-//!   then exit.
-//!
-//! The crate is `#![forbid(unsafe_code)]`: the ring is safe Rust. The slot
-//! mutexes are uncontended in steady state (a producer and a consumer only
-//! share a slot across a full wrap), so the design measures within noise of
-//! an unsafe seqlock ring for this access pattern.
+//! The crate is `#![forbid(unsafe_code)]`: the mailbox is a mutex.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,148 +44,158 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use pmtest_obs::Counter;
 use pmtest_trace::TraceArena;
 
-/// Safety-net bound on a producer's wait for ring space. A consumer that
-/// frees space wakes a registered waiter; the timeout only covers protocol
-/// bugs.
+/// Safety-net bound on a producer's wait for a take. A worker's take wakes a
+/// registered waiter; the timeout only covers protocol bugs.
 const FULL_RING_POLL: Duration = Duration::from_millis(1);
 
-/// How long a producer that finds its ring full watches for a worker's
-/// claim before it registers as a waiter and sleeps: about the futex wait
-/// and wake it saves. A producer faster than its worker stalls often, and
-/// each sleep costs it a wake-up and the worker a notify.
+/// How long a producer that must wait for a take watches for it before it
+/// sleeps: about the futex wait and wake it saves.
 const FULL_RING_SPIN: Duration = Duration::from_micros(10);
 
-/// Packed records one producer ring may hold queued, besides its slot
-/// count: about one long trace (64 Ki records, 1.5 MiB). A ring that holds
-/// any message takes another only while their records stay within this
-/// bound, so a producer recording long traces faster than the workers
-/// replay them keeps one queued instead of every pending one, and its
-/// memory does not depend on how far the checker lags. Short-trace rings —
-/// every slot full at a few dozen records each — stay far below it.
-const MAX_QUEUED_WORDS: u64 = 1 << 16;
+/// Packed records one producer may hold staged or in its mailbox, not yet
+/// taken by a worker: the capacity a cleared arena keeps (about 150 kv set
+/// traces). An empty mailbox admits a trace of any size, so a producer of
+/// long traces keeps one waiting, not every pending one.
+pub(crate) const MAX_STAGED_RECORDS: usize = TraceArena::RETAINED_WORDS;
 
 /// Safety-net bound on a worker's park. Wakeups are signalled; the timeout
-/// only covers protocol bugs and retired-ring pruning.
+/// only covers protocol bugs and retired-producer pruning.
 const WORKER_PARK: Duration = Duration::from_millis(50);
+
+/// How long an idle worker watches for a handoff before it parks, so a
+/// worker that keeps pace is fed without a wake (a futex call on the
+/// producer's `send_trace` path). One worker watches at a time.
+const IDLE_WATCH: Duration = Duration::from_micros(20);
+
+/// A value on cache lines of its own (two, for the adjacent-line
+/// prefetcher): a producer's private staged state and the counters both
+/// sides write stay off each other's lines.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// Error: the plane is no longer accepting messages — it was closed, or
 /// every worker has exited.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlaneClosed;
 
-/// A ring slot: the arena it keeps for the ring's life plus, from a push
-/// until a claim, the message and the trace and packed-record counts of the
-/// batch that arena holds.
-struct Slot<T> {
-    arena: TraceArena,
-    batch: Option<(T, u64, u64)>,
+/// A producer's staged state, guarded by its producer lock.
+#[derive(Default)]
+pub(crate) struct Staged {
+    /// Traces sealed but not yet handed over.
+    pub(crate) arena: TraceArena,
+    /// Packed records of the last handoff, counted against
+    /// [`MAX_STAGED_RECORDS`] while it is still in the mailbox.
+    handed: usize,
 }
 
-/// One producer's bounded SPSC ring plus its staged arena. Pushes are made
-/// under the producer lock, so they are serialized even when several
-/// threads share the producer; `try_pop` is called by any worker.
-pub(crate) struct ProducerRing<T> {
-    /// Power-of-two slot array. The mutex is the producer/consumer
-    /// rendezvous on wrap-around and is otherwise uncontended.
-    slots: Box<[Mutex<Slot<T>>]>,
-    mask: u64,
-    /// Next slot the producer fills. Published with `Release` *after* the
-    /// slot is written, so a consumer that observes `head < tail` is
-    /// guaranteed to find the slot occupied.
-    tail: AtomicU64,
-    /// Next slot a consumer claims (CAS).
-    head: AtomicU64,
-    /// Traces currently queued on this ring.
-    occupancy: AtomicU64,
-    /// Packed records currently queued on this ring (see
-    /// [`MAX_QUEUED_WORDS`]).
-    words: AtomicU64,
-    /// The owning producer thread has exited; no further pushes.
+/// The mailbox: the arena it keeps for the producer's life plus, from a
+/// handoff until a take, the handoff's message and trace count.
+struct Slot<T> {
+    arena: TraceArena,
+    msg: Option<(T, u64)>,
+}
+
+/// One recording producer: its producer lock over the staged arena, and its
+/// one-slot mailbox. Handoffs are made under the producer lock, so they are
+/// serialized even when several threads share the producer; any worker
+/// takes.
+pub(crate) struct Producer<T> {
+    /// The producer lock. Every handoff is made under it; in the steady
+    /// state only the producer touches it.
+    pub(crate) staged: Padded<Mutex<Staged>>,
+    mailbox: Mutex<Slot<T>>,
+    /// The mailbox holds a handoff: set by the handoff and cleared by the
+    /// take, each under the mailbox mutex, and read without it by scans.
+    full: AtomicBool,
+    /// Traces were staged behind a full mailbox and not handed over since:
+    /// the only producers an idle worker's scan locks. Written under the
+    /// producer lock.
+    behind: AtomicBool,
+    /// The producer is done; nothing is staged on it by its owner again.
     retired: AtomicBool,
-    /// The worker that scans this ring in its affinity pass.
+    /// The worker that scans this producer in its affinity pass.
     pref: usize,
-    /// Messages ever pushed onto this ring.
-    pushed: AtomicU64,
-    /// Highest trace occupancy this ring has ever reached.
+    /// Handoffs ever taken from this producer, idle takes included.
+    handoffs: AtomicU64,
+    /// Most traces one take from this producer carried.
     highwater: AtomicU64,
-    /// A producer stalled on a full ring registers in `space_waiters` and
-    /// waits here; a take notifies only when a waiter is registered.
+    /// A producer waiting for a take registers in `space_waiters` and waits
+    /// here; a take notifies only when a waiter is registered.
     space_lock: Mutex<()>,
     space: Condvar,
     space_waiters: AtomicUsize,
-    /// The producer lock, guarding the producer's staged arena: the traces
-    /// it sealed but has not shipped (none when it holds no span). Every
-    /// push onto this ring is made under it and trades this arena.
-    pub(crate) staged: Mutex<TraceArena>,
 }
 
-/// One ring's observability sample, as exported by
-/// [`IngestPlane::ring_stats`].
+/// One producer's observability sample, as exported by
+/// [`IngestPlane::producer_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RingStats {
-    /// The worker that scans this ring in its affinity pass.
+pub(crate) struct ProducerStats {
+    /// The worker that scans this producer in its affinity pass.
     pub(crate) pref: usize,
-    /// Traces currently queued.
+    /// Traces in the mailbox now.
     pub(crate) occupancy: u64,
-    /// Messages ever pushed.
-    pub(crate) pushed: u64,
-    /// Highest trace occupancy ever reached.
+    /// Handoffs ever taken.
+    pub(crate) handoffs: u64,
+    /// Most traces one take carried.
     pub(crate) highwater: u64,
     /// The owning producer has exited.
     pub(crate) retired: bool,
 }
 
-impl<T> ProducerRing<T> {
-    fn new(capacity: usize, pref: usize) -> Self {
-        let capacity = capacity.next_power_of_two().max(1);
+impl<T> Producer<T> {
+    fn new(pref: usize) -> Self {
         Self {
-            slots: (0..capacity)
-                .map(|_| Mutex::new(Slot { arena: TraceArena::new(), batch: None }))
-                .collect(),
-            mask: capacity as u64 - 1,
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-            occupancy: AtomicU64::new(0),
-            words: AtomicU64::new(0),
+            staged: Padded(Mutex::new(Staged::default())),
+            mailbox: Mutex::new(Slot { arena: TraceArena::new(), msg: None }),
+            full: AtomicBool::new(false),
+            behind: AtomicBool::new(false),
             retired: AtomicBool::new(false),
             pref,
-            pushed: AtomicU64::new(0),
+            handoffs: AtomicU64::new(0),
             highwater: AtomicU64::new(0),
             space_lock: Mutex::new(()),
             space: Condvar::new(),
             space_waiters: AtomicUsize::new(0),
-            staged: Mutex::new(TraceArena::new()),
         }
     }
 
-    /// Marks the ring as no longer produced into. Queued messages are still
-    /// drained; once empty the plane prunes the ring.
+    /// Marks the producer as done. What it handed over or staged is still
+    /// checked; once nothing is left the plane prunes it.
     pub(crate) fn retire(&self) {
         self.retired.store(true, Ordering::Release);
     }
 
-    /// Traces currently queued here.
-    pub(crate) fn occupancy(&self) -> u64 {
-        self.occupancy.load(Ordering::Relaxed)
+    /// Traces in the mailbox now.
+    fn occupancy(&self) -> u64 {
+        self.mailbox.lock().msg.as_ref().map_or(0, |(_, n)| *n)
     }
 
-    /// Retired, empty, and nothing staged: nothing will ever appear here
-    /// again. Publish invariant (c): the staged state is read under the
-    /// producer lock, so no push is in flight while the ring is judged; a
-    /// held lock means a push may be, and the ring stays.
+    /// Retired, mailbox empty, and nothing staged: nothing will ever appear
+    /// here again. Publish invariant (c): the staged state is read under the
+    /// producer lock, so no handoff is in flight while the producer is
+    /// judged; a held lock means one may be, and the producer stays.
     fn is_drained(&self) -> bool {
         self.retired.load(Ordering::Acquire)
             && self.staged.try_lock().is_some_and(|staged| {
-                staged.sealed() == 0
-                    && self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
+                staged.arena.sealed() == 0 && !self.full.load(Ordering::Acquire)
             })
     }
 
-    /// Whether a message of `words` packed records fits the queued-records
-    /// bound now.
-    fn has_room_for(&self, words: u64) -> bool {
-        let queued = self.words.load(Ordering::SeqCst);
-        queued == 0 || queued + words <= MAX_QUEUED_WORDS
+    /// Notes one take of `n` traces in this producer's and the plane's
+    /// samples.
+    fn note_handoff(&self, n: u64, plane_highwater: &AtomicU64) {
+        self.handoffs.fetch_add(1, Ordering::Relaxed);
+        self.highwater.fetch_max(n, Ordering::Relaxed);
+        plane_highwater.fetch_max(n, Ordering::Relaxed);
     }
 }
 
@@ -215,13 +204,15 @@ impl<T> ProducerRing<T> {
 /// same values; a standalone plane keeps unregistered ones.
 #[derive(Clone, Default)]
 pub(crate) struct IngestCounters {
-    /// Batches claimed outside the claiming worker's affinity pass.
+    /// Handoffs taken outside the taking worker's affinity pass.
     pub(crate) steals: Counter,
-    /// Batches claimed inside the claiming worker's affinity pass.
+    /// Handoffs taken inside the taking worker's affinity pass.
     pub(crate) affinity_hits: Counter,
-    /// Rings ever registered (≥ live rings; retired rings are pruned).
+    /// Producers ever registered (≥ live producers; retired ones are
+    /// pruned).
     pub(crate) rings_registered: Counter,
-    /// Pushes that found their ring full and had to wait for a consumer.
+    /// Submissions that had to wait for a take to stay within
+    /// [`MAX_STAGED_RECORDS`].
     pub(crate) backpressure_stalls: Counter,
     /// Worker parks actually entered (`park_timeout` calls).
     pub(crate) parks: Counter,
@@ -232,185 +223,209 @@ pub(crate) struct IngestCounters {
     pub(crate) recruit_cas_fails: Counter,
 }
 
-/// The plane: every registered ring plus the worker wake/stall protocol and
-/// the observability counters the engine exports.
+/// What a worker's scan of the staged arenas found.
+enum Idle<T> {
+    /// A staged arena's traces, now in the worker's spare.
+    Took((T, u64)),
+    /// Some producer lock was held: its producer may be mid-submission.
+    Busy,
+    /// Nothing staged anywhere.
+    Empty,
+}
+
+/// The plane: every registered producer plus the worker wake/stall protocol
+/// and the observability counters the engine exports.
 pub(crate) struct IngestPlane<T> {
-    /// Slots per ring (rounded up to a power of two from the engine's
-    /// configured queue capacity).
-    ring_capacity: usize,
     workers: usize,
-    rings: RwLock<Vec<Arc<ProducerRing<T>>>>,
-    /// Batches queued across all rings. The Dekker-style handshake with the
-    /// park path (worker: enlist in `parked` then re-check `pending`;
-    /// producer: bump `pending` then check `sleepers`) makes the
-    /// producer-side wake skippable when nobody sleeps.
-    pending: AtomicU64,
-    /// Workers parked waiting for work, most recent on top. Producers wake
-    /// the ring's preferred worker if it is parked, otherwise the *top* of
-    /// the stack — the most recently active, cache-warm thread — instead of
-    /// rotating batches through every cold sleeper the way a condvar's FIFO
-    /// order would.
+    producers: RwLock<Vec<Arc<Producer<T>>>>,
+    /// Full mailboxes (see `hand_over` for the park handshake).
+    pending: Padded<AtomicU64>,
+    /// Workers parked waiting for work, most recent on top.
     parked: Mutex<Vec<(usize, std::thread::Thread)>>,
-    /// Mirror of `parked.len()`, so the saturated push path can skip the
-    /// lock entirely.
+    /// Mirror of `parked.len()`, read without the lock.
     sleepers: AtomicUsize,
-    /// A wake has been issued and its worker has not yet claimed a batch
-    /// (or parked again). Recruiting one worker per claim, not one per
-    /// push, keeps a burst of pushes from dragging the whole pool through
-    /// park/unpark cycles on an oversubscribed host.
+    /// A worker is watching for a handoff before it parks (see
+    /// [`IDLE_WATCH`]); it counts as awake, so handoffs do not wake another.
+    watching: Padded<AtomicBool>,
+    /// A wake has been issued and its worker has not yet taken work (or
+    /// parked again): one recruit per take, not per handoff.
     recruiting: AtomicBool,
     /// Engine is shutting down; workers drain and exit.
     closed: AtomicBool,
-    /// Every worker has exited; submissions must fail, queued messages are
+    /// Every worker has exited; submissions must fail, mailboxes are
     /// discarded.
     dead: AtomicBool,
     workers_alive: AtomicUsize,
     pub(crate) counters: IngestCounters,
-    /// Highest trace occupancy ever observed on a single ring at push time.
-    occupancy_highwater: AtomicU64,
+    /// Most traces one handoff ever carried.
+    handoff_highwater: AtomicU64,
 }
 
 impl<T: Send> IngestPlane<T> {
-    pub(crate) fn new(workers: usize, ring_capacity: usize, counters: IngestCounters) -> Self {
+    pub(crate) fn new(workers: usize, counters: IngestCounters) -> Self {
         Self {
-            ring_capacity,
             workers: workers.max(1),
-            rings: RwLock::new(Vec::new()),
-            pending: AtomicU64::new(0),
+            producers: RwLock::new(Vec::new()),
+            pending: Padded(AtomicU64::new(0)),
             parked: Mutex::new(Vec::new()),
             sleepers: AtomicUsize::new(0),
+            watching: Padded(AtomicBool::new(false)),
             recruiting: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             workers_alive: AtomicUsize::new(workers),
             counters,
-            occupancy_highwater: AtomicU64::new(0),
+            handoff_highwater: AtomicU64::new(0),
         }
     }
 
-    /// Registers a new producer ring, assigning its preferred worker
-    /// round-robin so producers spread across the pool.
-    pub(crate) fn register_ring(&self) -> Arc<ProducerRing<T>> {
-        let mut rings = self.rings.write();
-        // Read and bumped under the registry lock, so every ring gets its
-        // own sequence number.
+    /// Registers a new producer, assigning its preferred worker round-robin
+    /// so producers spread across the pool.
+    pub(crate) fn register(&self) -> Arc<Producer<T>> {
+        let mut producers = self.producers.write();
+        // Read and bumped under the registry lock, so every producer gets
+        // its own sequence number.
         let seq = self.counters.rings_registered.get();
         self.counters.rings_registered.inc();
-        let ring = Arc::new(ProducerRing::new(self.ring_capacity, seq as usize % self.workers));
-        rings.push(ring.clone());
-        ring
+        let producer = Arc::new(Producer::new(seq as usize % self.workers));
+        producers.push(producer.clone());
+        producer
     }
 
-    /// Pushes the batch in `staged` — `n` traces of `words` packed records
-    /// in all, settled by `payload` — onto `ring` (producer side, under the
-    /// producer lock). The tail slot takes `staged`'s buffers and hands back
-    /// its own cleared ones. Blocks while the ring is full, or holds a
-    /// message and would exceed [`MAX_QUEUED_WORDS`] — the backpressure
-    /// regime — and fails once the plane is closed or its workers are gone.
-    /// Returns the ring's trace occupancy right after the push (the
-    /// queue-depth sample).
-    ///
-    /// On failure the message is dropped here, and `staged` keeps its
-    /// traces; callers rely on the message's drop guard to settle any
-    /// accounting.
-    pub(crate) fn push(
+    /// The one stage path, under the producer lock (`staged`): makes room
+    /// under [`MAX_STAGED_RECORDS`] for `incoming` packed records, lets
+    /// `append` move them into the staged arena, and hands the staged arena
+    /// over (its message built by `admit`) if the mailbox is empty. `append`
+    /// runs exactly once, also on a closed or dead plane; the caller then
+    /// discards the staged traces.
+    pub(crate) fn stage(
         &self,
-        ring: &ProducerRing<T>,
-        staged: &mut TraceArena,
-        payload: T,
-        n: u64,
-        words: u64,
-    ) -> Result<u64, PlaneClosed> {
+        producer: &Producer<T>,
+        staged: &mut Staged,
+        incoming: usize,
+        append: impl FnOnce(&mut TraceArena),
+        mut admit: impl FnMut(&mut TraceArena) -> T,
+    ) -> Result<(), PlaneClosed> {
+        let room = self.make_room(producer, staged, incoming, &mut admit);
+        append(&mut staged.arena);
+        room?;
+        if producer.full.load(Ordering::Acquire) {
+            if producer.behind.load(Ordering::Relaxed) {
+                return Ok(());
+            }
+            // Left behind a full mailbox: flag it for the idle workers' scan,
+            // then look again. A take after the first look either sees the
+            // flag (SeqCst on both sides, the parker's Dekker handshake) or
+            // is seen here, and the traces go over now.
+            producer.behind.store(true, Ordering::SeqCst);
+            if producer.full.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+        }
+        self.hand_over(producer, staged, admit)
+    }
+
+    /// Waits for takes and hands staged traces over until `incoming` more
+    /// records fit [`MAX_STAGED_RECORDS`] — or stage into an empty arena
+    /// before an empty mailbox, which admits any size.
+    fn make_room(
+        &self,
+        producer: &Producer<T>,
+        staged: &mut Staged,
+        incoming: usize,
+        admit: &mut impl FnMut(&mut TraceArena) -> T,
+    ) -> Result<(), PlaneClosed> {
         if self.dead.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire) {
             return Err(PlaneClosed);
         }
-        let t = ring.tail.load(Ordering::Relaxed);
-        let slot = &ring.slots[(t & ring.mask) as usize];
-        let mut payload = Some((payload, n, words));
-        let mut stalled = false;
         loop {
-            {
-                let mut guard = slot.lock();
-                // Takes only lower `words` and only this producer raises
-                // it, so a fit seen here still holds when the message lands.
-                if guard.batch.is_none() && ring.has_room_for(words) {
-                    // Re-checked under the slot mutex: `mark_dead` stores the
-                    // flag before its drain takes this slot, so a producer
-                    // that sees the slot freed *by the death drain* is
-                    // guaranteed to see `dead` here and error out instead of
-                    // pushing into a plane nobody will ever drain again.
-                    if self.dead.load(Ordering::Acquire) {
-                        return Err(PlaneClosed);
-                    }
-                    debug_assert!(guard.arena.is_empty(), "a push must trade in a cleared arena");
-                    std::mem::swap(staged, &mut guard.arena);
-                    guard.batch = payload.take();
-                    break;
-                }
+            let full = producer.full.load(Ordering::Acquire);
+            let untaken = staged.arena.sealed_records() + if full { staged.handed } else { 0 };
+            if untaken + incoming <= MAX_STAGED_RECORDS || (!full && staged.arena.sealed() == 0) {
+                return Ok(());
             }
-            // Ring full, or holding as many records as it may: the program
-            // now blocks behind the checking pipeline (Fig. 12a's
-            // backpressure regime).
-            if !stalled {
-                stalled = true;
+            if full {
+                // The program now blocks behind the checking pipeline
+                // (Fig. 12a's backpressure regime).
                 self.counters.backpressure_stalls.inc();
-                // A worker checking short traces frees the slot within a
-                // few microseconds: watch for its claim before sleeping, so
-                // such a stall costs neither side a futex call.
-                let spin = Instant::now();
-                let slots = ring.slots.len() as u64;
-                while spin.elapsed() < FULL_RING_SPIN {
-                    if ring.head.load(Ordering::Acquire) + slots > t && ring.has_room_for(words) {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                continue;
-            }
-            // Register as a waiter, then re-check under `space_lock`: a take
-            // after the registration sees the waiter (SeqCst on both sides,
-            // the parker's Dekker handshake), and it and a death notify under
-            // this lock, which only the wait releases — no wakeup is lost.
-            let mut space = ring.space_lock.lock();
-            ring.space_waiters.fetch_add(1, Ordering::SeqCst);
-            let dead = self.dead.load(Ordering::SeqCst);
-            if !dead && (slot.lock().batch.is_some() || !ring.has_room_for(words)) {
-                ring.space.wait_for(&mut space, FULL_RING_POLL);
-            }
-            ring.space_waiters.fetch_sub(1, Ordering::SeqCst);
-            if dead {
-                return Err(PlaneClosed);
+                self.await_take(producer)?;
+            } else {
+                self.hand_over(producer, staged, &mut *admit)?;
             }
         }
-        // Counted before the message is published, so a take never
-        // subtracts records not yet added.
-        ring.words.fetch_add(words, Ordering::AcqRel);
-        ring.tail.store(t + 1, Ordering::Release);
-        ring.pushed.fetch_add(1, Ordering::Relaxed);
-        // A worker may take the message as soon as `tail` is published, and
-        // subtract it from `occupancy` and `pending` before the adds below:
-        // the counters then sit one message below zero, wrapped, for a
-        // moment, so the sums must wrap too (a plain `+` overflows there and
-        // panics in debug builds).
-        let depth = ring.occupancy.fetch_add(n, Ordering::Relaxed).wrapping_add(n);
-        ring.highwater.fetch_max(depth, Ordering::Relaxed);
-        self.occupancy_highwater.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// Blocks until a worker has taken `producer`'s mailbox, watching for
+    /// the take before it sleeps; fails once the plane is dead.
+    pub(crate) fn await_take(&self, producer: &Producer<T>) -> Result<(), PlaneClosed> {
+        let spin = Instant::now();
+        while producer.full.load(Ordering::Acquire) && spin.elapsed() < FULL_RING_SPIN {
+            std::hint::spin_loop();
+        }
+        loop {
+            if self.dead.load(Ordering::Acquire) {
+                return Err(PlaneClosed);
+            }
+            if !producer.full.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            // Register, then re-check under `space_lock`: a take after the
+            // registration sees the waiter (SeqCst on both sides), and takes
+            // and deaths notify under this lock — no wakeup is lost.
+            let mut space = producer.space_lock.lock();
+            producer.space_waiters.fetch_add(1, Ordering::SeqCst);
+            if !self.dead.load(Ordering::SeqCst) && producer.full.load(Ordering::SeqCst) {
+                producer.space.wait_for(&mut space, FULL_RING_POLL);
+            }
+            producer.space_waiters.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Trades `staged`'s arena for `producer`'s empty mailbox's cleared one,
+    /// with the message `admit` builds, under the producer lock; wakes a
+    /// worker if needed. On a dead plane the message drops here, settling
+    /// its accounting, and `staged` keeps its traces.
+    pub(crate) fn hand_over(
+        &self,
+        producer: &Producer<T>,
+        staged: &mut Staged,
+        admit: impl FnOnce(&mut TraceArena) -> T,
+    ) -> Result<(), PlaneClosed> {
+        if self.dead.load(Ordering::Acquire) {
+            return Err(PlaneClosed);
+        }
+        let n = staged.arena.sealed() as u64;
+        let records = staged.arena.sealed_records();
+        let msg = admit(&mut staged.arena);
+        {
+            let mut slot = producer.mailbox.lock();
+            // Re-checked under the mailbox mutex: `mark_dead` stores the flag
+            // before its drain takes this mutex, so a handoff that lands
+            // after the death drain sees `dead` here and errors out instead
+            // of handing over to a plane nobody will ever drain again.
+            if self.dead.load(Ordering::Acquire) {
+                return Err(PlaneClosed);
+            }
+            debug_assert!(slot.msg.is_none(), "a handoff needs an empty mailbox");
+            debug_assert!(slot.arena.is_empty(), "a handoff must trade in a cleared arena");
+            std::mem::swap(&mut staged.arena, &mut slot.arena);
+            slot.msg = Some((msg, n));
+            producer.full.store(true, Ordering::SeqCst);
+        }
+        staged.handed = records;
+        if producer.behind.load(Ordering::Relaxed) {
+            producer.behind.store(false, Ordering::Relaxed);
+        }
+        // A worker may take the message as soon as `full` is published, and
+        // subtract it from `pending` before the add below: the counter then
+        // sits one below zero, wrapped, for a moment, so the sum must wrap
+        // too (a plain `+` overflows there and panics in debug builds).
         let pending = self.pending.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
-        // Dekker handshake with the park path: workers enlist in `parked`
-        // (bumping `sleepers`, SeqCst) before re-checking `pending`, so
-        // either we see the sleeper here or it sees our pending increment.
-        //
-        // Waking a sleeper on *every* push thrashes an oversubscribed host:
-        // with one worker awake and keeping up, each push would drag another
-        // thread through a park/unpark cycle just to find the batch already
-        // claimed. A worker can only transition awake→asleep after its
-        // post-enlist `pending` re-check reads zero, and our increment above
-        // precedes the `sleepers` load (both SeqCst) — so any worker counted
-        // awake here is guaranteed to claim work before it can park. A wake
-        // is therefore only needed when the backlog exceeds the awake count,
-        // and one outstanding recruit at a time (`recruiting`) is enough:
-        // the recruit clears the flag when it claims, at which point the
-        // next push re-evaluates the backlog.
+        // Dekker handshake with the park path (SeqCst on both sides): a
+        // worker enlists in `parked` before re-checking `pending`, so any
+        // worker counted awake here takes work before it can park. A wake
+        // is needed only when full mailboxes outnumber the awake workers,
+        // and one recruit at a time (`recruiting`) is enough.
         let sleepers = self.sleepers.load(Ordering::SeqCst);
         if sleepers > 0 {
             let awake = self.workers_alive.load(Ordering::SeqCst).saturating_sub(sleepers);
@@ -422,21 +437,15 @@ impl<T: Send> IngestPlane<T> {
                 {
                     self.wake_one();
                 } else {
-                    // Backlog warranted a wake, but a recruit is already in
-                    // flight. High rates here mean the single-recruit gate is
-                    // doing real damping work.
                     self.counters.recruit_cas_fails.inc();
                 }
             }
         }
-        Ok(depth)
+        Ok(())
     }
 
-    /// Unparks the most recently parked sleeper. LIFO keeps the working set
-    /// on the fewest (and warmest) threads: a pool bigger than the load
-    /// leaves its surplus parked instead of rotating batches through every
-    /// cold worker. (Ring affinity governs a woken worker's *scan order*,
-    /// not which worker gets woken — a steal is cheaper than a cold stack.)
+    /// Unparks the most recently parked sleeper: LIFO keeps the work on the
+    /// fewest, warmest threads.
     fn wake_one(&self) {
         let woken = {
             let mut parked = self.parked.lock();
@@ -448,62 +457,50 @@ impl<T: Send> IngestPlane<T> {
         woken.unpark();
     }
 
-    /// Claims one message from `ring` (any worker), trading the cleared
-    /// `spare` for the slot's arena, which holds the message's batch. The
-    /// claim is a head CAS; the take happens under the slot mutex, which is
-    /// what makes the `expect` sound: `head < tail` (tail released after the
-    /// slot write) guarantees the slot was filled, the CAS makes this claim
-    /// exclusive, and a producer wrapping onto the same physical slot blocks
-    /// on the mutex until the take completes.
-    fn try_pop(&self, ring: &ProducerRing<T>, spare: &mut TraceArena) -> Option<(T, u64)> {
-        // Checked before the claim, so a failing check leaves the message
-        // queued for the death drain to settle.
-        debug_assert!(spare.is_empty(), "a claim must trade in a cleared arena");
-        loop {
-            let h = ring.head.load(Ordering::Relaxed);
-            let t = ring.tail.load(Ordering::Acquire);
-            if h >= t {
-                return None;
-            }
-            if ring
-                .head
-                .compare_exchange_weak(h, h + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                let (payload, n, words) = {
-                    let mut slot = ring.slots[(h & ring.mask) as usize].lock();
-                    std::mem::swap(spare, &mut slot.arena);
-                    slot.batch.take().expect("claimed ring slot must hold a message")
-                };
-                ring.occupancy.fetch_sub(n, Ordering::Relaxed);
-                ring.words.fetch_sub(words, Ordering::SeqCst);
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                // Wake only a registered waiter: a notify costs a syscall
-                // whether or not anyone waits.
-                if ring.space_waiters.load(Ordering::SeqCst) > 0 {
-                    drop(ring.space_lock.lock());
-                    ring.space.notify_all();
-                }
-                return Some((payload, n));
-            }
+    /// Takes `producer`'s mailbox (any worker), trading the cleared `spare`
+    /// for the mailbox's arena, which holds the handoff's traces. The
+    /// mailbox mutex makes the take exclusive: a worker that loses the race
+    /// finds the message gone.
+    fn try_take(&self, producer: &Producer<T>, spare: &mut TraceArena) -> Option<(T, u64)> {
+        if !producer.full.load(Ordering::Acquire) {
+            return None;
         }
+        // Checked before the take, so a failing check leaves the message in
+        // the mailbox for the death drain to settle.
+        debug_assert!(spare.is_empty(), "a take must trade in a cleared arena");
+        let got = {
+            let mut slot = producer.mailbox.lock();
+            let got = slot.msg.take()?;
+            std::mem::swap(spare, &mut slot.arena);
+            producer.full.store(false, Ordering::SeqCst);
+            got
+        };
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+        producer.note_handoff(got.1, &self.handoff_highwater);
+        // Wake only a registered waiter: a notify costs a syscall whether or
+        // not anyone waits.
+        if producer.space_waiters.load(Ordering::SeqCst) > 0 {
+            drop(producer.space_lock.lock());
+            producer.space.notify_all();
+        }
+        Some(got)
     }
 
-    /// One scan for work: the worker's affinity rings first, then everything
-    /// else (counted as steals).
+    /// One scan of the mailboxes: the worker's affinity producers first,
+    /// then everything else (counted as steals).
     fn try_claim(&self, me: usize, spare: &mut TraceArena) -> Option<(T, u64)> {
         if self.pending.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let rings = self.rings.read();
-        for ring in rings.iter().filter(|r| r.pref == me) {
-            if let Some(got) = self.try_pop(ring, spare) {
+        let producers = self.producers.read();
+        for producer in producers.iter().filter(|p| p.pref == me) {
+            if let Some(got) = self.try_take(producer, spare) {
                 self.counters.affinity_hits.inc();
                 return Some(got);
             }
         }
-        for ring in rings.iter().filter(|r| r.pref != me) {
-            if let Some(got) = self.try_pop(ring, spare) {
+        for producer in producers.iter().filter(|p| p.pref != me) {
+            if let Some(got) = self.try_take(producer, spare) {
                 self.counters.steals.inc();
                 return Some(got);
             }
@@ -511,20 +508,90 @@ impl<T: Send> IngestPlane<T> {
         None
     }
 
-    /// Blocks until a message is available — its batch then sits in
-    /// `spare`, which must come in cleared — the plane is closed *and*
-    /// drained (`None`), or a park times out and the scan repeats.
-    pub(crate) fn next_batch(&self, me: usize, spare: &mut TraceArena) -> Option<(T, u64)> {
+    /// One scan of the staged arenas by a worker that found every mailbox
+    /// empty, over the producers that left traces behind a full mailbox:
+    /// the first whose lock is free hands its staged traces straight to
+    /// `spare`, its staged arena becoming the spare's cleared buffers, with
+    /// `admit` building their message under the producer lock (publish
+    /// invariant (a)). A producer whose mailbox filled meanwhile is left to
+    /// the next mailbox scan.
+    fn idle_take(
+        &self,
+        me: usize,
+        spare: &mut TraceArena,
+        admit: &mut impl FnMut(&mut TraceArena) -> T,
+    ) -> Idle<T> {
+        let producers = self.producers.read();
+        let mut busy = false;
+        for affine in [true, false] {
+            let behind =
+                |p: &&Arc<Producer<T>>| (p.pref == me) == affine && p.behind.load(Ordering::SeqCst);
+            for producer in producers.iter().filter(behind) {
+                let Some(mut staged) = producer.staged.try_lock() else {
+                    busy = true;
+                    continue;
+                };
+                if staged.arena.sealed() == 0 || producer.full.load(Ordering::Acquire) {
+                    continue;
+                }
+                debug_assert!(spare.is_empty(), "a take must trade in a cleared arena");
+                let n = staged.arena.sealed() as u64;
+                let msg = admit(&mut staged.arena);
+                std::mem::swap(spare, &mut staged.arena);
+                producer.behind.store(false, Ordering::Relaxed);
+                producer.note_handoff(n, &self.handoff_highwater);
+                let claims =
+                    if affine { &self.counters.affinity_hits } else { &self.counters.steals };
+                claims.inc();
+                return Idle::Took((msg, n));
+            }
+        }
+        if busy {
+            Idle::Busy
+        } else {
+            Idle::Empty
+        }
+    }
+
+    /// Blocks until work is available — its traces then sit in `spare`,
+    /// which must come in cleared — or the plane is closed *and* drained
+    /// (`None`). A full mailbox is taken first; failing that, a staged
+    /// arena (see [`idle_take`](Self::idle_take)), whose message `admit`
+    /// builds. Otherwise the worker parks, and a park that times out scans
+    /// again.
+    pub(crate) fn next_batch(
+        &self,
+        me: usize,
+        spare: &mut TraceArena,
+        mut admit: impl FnMut(&mut TraceArena) -> T,
+    ) -> Option<(T, u64)> {
         loop {
-            if let Some(got) = self.try_claim(me, spare) {
+            let got = match self.try_claim(me, spare) {
+                Some(got) => Some(got),
+                None => match self.idle_take(me, spare, &mut admit) {
+                    Idle::Took(got) => Some(got),
+                    Idle::Busy => {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    Idle::Empty => None,
+                },
+            };
+            if let Some(got) = got {
                 // Progress: any outstanding recruit credit is spent, so the
-                // next push re-evaluates whether the backlog needs another
-                // worker.
-                self.recruiting.store(false, Ordering::SeqCst);
+                // next handoff re-evaluates whether another worker is needed.
+                // Written only when set: the flag shares the plane's hot
+                // line with `pending`.
+                if self.recruiting.load(Ordering::Relaxed) {
+                    self.recruiting.store(false, Ordering::SeqCst);
+                }
                 return Some(got);
             }
             if self.closed.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) == 0 {
                 return None;
+            }
+            if self.watch_for_handoff() {
+                continue;
             }
             self.prune_retired();
             // About to park: this worker is no longer a claimant, so release
@@ -546,10 +613,29 @@ impl<T: Send> IngestPlane<T> {
         }
     }
 
+    /// Watches `pending` for up to [`IDLE_WATCH`] unless another worker
+    /// watches; true when a handoff (or the close) arrived. A submission
+    /// that finds its mailbox empty hands over, so `pending` is all to watch.
+    fn watch_for_handoff(&self) -> bool {
+        if self.watching.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        let start = Instant::now();
+        let arrived = loop {
+            if self.pending.load(Ordering::Acquire) > 0 || self.closed.load(Ordering::Acquire) {
+                break true;
+            }
+            if start.elapsed() >= IDLE_WATCH {
+                break false;
+            }
+            std::thread::yield_now();
+        };
+        self.watching.store(false, Ordering::Release);
+        arrived
+    }
+
     /// Removes this worker's `parked` entry unless a producer already popped
-    /// it. A raced wake leaves a stale unpark token behind, which only makes
-    /// the next park return immediately — the loop re-checks for work either
-    /// way.
+    /// it (a raced wake only leaves a stale unpark token).
     fn delist(&self, me: usize) {
         let mut parked = self.parked.lock();
         if let Some(at) = parked.iter().position(|(idx, _)| *idx == me) {
@@ -558,40 +644,39 @@ impl<T: Send> IngestPlane<T> {
         }
     }
 
-    /// Drops retired rings that can never hold a message again. Producers
-    /// that come and go (one ring per thread per plane) would otherwise
-    /// accumulate dead rings on the scan path forever. The producer-lock
-    /// probes in [`ProducerRing::is_drained`] never block, so holding the
-    /// registry's write lock over them cannot stall a push.
+    /// Drops retired producers that can never hold work again. The
+    /// producer-lock probes in [`Producer::is_drained`] never block, so
+    /// holding the registry's write lock over them cannot stall a handoff.
     fn prune_retired(&self) {
-        if self.rings.read().iter().any(|r| r.is_drained()) {
-            self.rings.write().retain(|r| !r.is_drained());
+        if self.producers.read().iter().any(|p| p.is_drained()) {
+            self.producers.write().retain(|p| !p.is_drained());
         }
     }
 
-    /// Discards everything queued on `ring`; each message's drop settles its
-    /// own accounting, and its records leave with a throwaway spare. Used by
-    /// a producer that raced a dying worker pool.
-    pub(crate) fn drain_discard(&self, ring: &ProducerRing<T>) {
-        while self.try_pop(ring, &mut TraceArena::new()).is_some() {}
+    /// Discards `producer`'s mailbox; the message's drop settles its own
+    /// accounting, and its records leave with a throwaway spare. Used by a
+    /// producer that raced a dying worker pool.
+    pub(crate) fn drain_discard(&self, producer: &Producer<T>) {
+        let _ = self.try_take(producer, &mut TraceArena::new());
     }
 
-    /// A copy of the ring list, for walks that may block (a result point's
-    /// pushes, the death drain) and so must not hold the registry lock.
-    pub(crate) fn rings(&self) -> Vec<Arc<ProducerRing<T>>> {
-        self.rings.read().clone()
+    /// A copy of the producer list, for walks that may block (a result
+    /// point's handoffs, the death drain) and so must not hold the registry
+    /// lock.
+    pub(crate) fn producers(&self) -> Vec<Arc<Producer<T>>> {
+        self.producers.read().clone()
     }
 
-    /// Called by the last exiting worker (shutdown or panic): no message
-    /// will ever be claimed again, so discard the queue (settling the
-    /// accounting of every batch in flight) and wake stalled producers so
-    /// their submits fail instead of hanging.
+    /// Called by the last exiting worker (shutdown or panic): no mailbox
+    /// will ever be taken again, so discard them (settling the accounting of
+    /// every handoff in flight) and wake stalled producers so their
+    /// submissions fail instead of hanging.
     fn mark_dead(&self) {
         self.dead.store(true, Ordering::SeqCst);
-        for ring in self.rings() {
-            self.drain_discard(&ring);
-            drop(ring.space_lock.lock());
-            ring.space.notify_all();
+        for producer in self.producers() {
+            self.drain_discard(&producer);
+            drop(producer.space_lock.lock());
+            producer.space.notify_all();
         }
         self.nudge_workers();
     }
@@ -601,13 +686,13 @@ impl<T: Send> IngestPlane<T> {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Shuts the plane down: workers drain what is queued, then exit.
+    /// Shuts the plane down: workers drain what is handed over, then exit.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
         self.nudge_workers();
     }
 
-    /// Wakes every parked worker (retired-ring pruning, close, death).
+    /// Wakes every parked worker (close, death).
     pub(crate) fn nudge_workers(&self) {
         let drained: Vec<_> = {
             let mut parked = self.parked.lock();
@@ -621,35 +706,35 @@ impl<T: Send> IngestPlane<T> {
 
     // ---- observability ----
 
-    /// A per-ring observability sample across every registered ring still
-    /// on the scan path.
-    pub(crate) fn ring_stats(&self) -> Vec<RingStats> {
-        self.rings
+    /// A per-producer observability sample across every producer still on
+    /// the scan path.
+    pub(crate) fn producer_stats(&self) -> Vec<ProducerStats> {
+        self.producers
             .read()
             .iter()
-            .map(|r| RingStats {
-                pref: r.pref,
-                occupancy: r.occupancy.load(Ordering::Relaxed),
-                pushed: r.pushed.load(Ordering::Relaxed),
-                highwater: r.highwater.load(Ordering::Relaxed),
-                retired: r.retired.load(Ordering::Acquire),
+            .map(|p| ProducerStats {
+                pref: p.pref,
+                occupancy: p.occupancy(),
+                handoffs: p.handoffs.load(Ordering::Relaxed),
+                highwater: p.highwater.load(Ordering::Relaxed),
+                retired: p.retired.load(Ordering::Acquire),
             })
             .collect()
     }
 
-    /// Highest trace occupancy ever observed on one ring at push time.
-    pub(crate) fn occupancy_highwater(&self) -> u64 {
-        self.occupancy_highwater.load(Ordering::Relaxed)
+    /// Most traces one handoff ever carried.
+    pub(crate) fn handoff_highwater(&self) -> u64 {
+        self.handoff_highwater.load(Ordering::Relaxed)
     }
 
-    /// Traces currently queued across all rings.
+    /// Traces in mailboxes now, across all producers.
     pub(crate) fn current_occupancy(&self) -> u64 {
-        self.rings.read().iter().map(|r| r.occupancy()).sum()
+        self.producers.read().iter().map(|p| p.occupancy()).sum()
     }
 
-    /// Rings currently registered (live or retired-but-undrained).
-    pub(crate) fn rings_live(&self) -> usize {
-        self.rings.read().len()
+    /// Producers currently registered (live, or retired with work left).
+    pub(crate) fn producers_live(&self) -> usize {
+        self.producers.read().len()
     }
 }
 
@@ -675,10 +760,10 @@ impl<T: Send> Drop for WorkerGuard<T> {
 }
 
 #[cfg(test)]
-impl<T> ProducerRing<T> {
-    /// Word capacity of every slot's arena.
-    pub(crate) fn slot_word_capacities(&self) -> Vec<usize> {
-        self.slots.iter().map(|slot| slot.lock().arena.word_capacity()).collect()
+impl<T> Producer<T> {
+    /// Word capacity of the mailbox's arena.
+    pub(crate) fn mailbox_word_capacity(&self) -> usize {
+        self.mailbox.lock().arena.word_capacity()
     }
 }
 
@@ -687,44 +772,74 @@ mod tests {
     use super::*;
     use pmtest_trace::{Event, Trace};
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
 
-    /// No interleaving of producers registering, pushing, and exiting with
-    /// concurrent stealing consumers loses or duplicates a batch.
+    /// The test message: the id of the first trace a handoff carries.
+    fn first_id(arena: &mut TraceArena) -> u64 {
+        arena.traces().next().map_or(u64::MAX, |(id, _, _)| id)
+    }
+
+    /// A sealed trace of `records` fences.
+    fn fences(id: u64, records: usize) -> Trace {
+        let mut trace = Trace::new(id);
+        for _ in 0..records {
+            trace.push(Event::Fence.here());
+        }
+        trace
+    }
+
+    /// Stages trace `id` of `records` packed records through the one stage
+    /// path.
+    fn stage(
+        plane: &IngestPlane<u64>,
+        producer: &Producer<u64>,
+        id: u64,
+        records: usize,
+    ) -> Result<(), PlaneClosed> {
+        let mut staged = producer.staged.lock();
+        let trace = fences(id, records);
+        plane.stage(producer, &mut staged, records, |a| a.push_trace(trace), first_id)
+    }
+
+    /// No interleaving of producers registering, staging, and exiting with
+    /// concurrent stealing workers loses or duplicates a trace — whether it
+    /// reaches a worker by a mailbox take or by an idle take.
     #[test]
-    fn no_lost_or_duplicated_batches_under_producer_exit_races() {
+    fn no_lost_or_duplicated_traces_under_producer_exit_races() {
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 500;
-        let plane: Arc<IngestPlane<u64>> =
-            Arc::new(IngestPlane::new(2, 4, IngestCounters::default()));
+        let plane: Arc<IngestPlane<u64>> = Arc::new(IngestPlane::new(2, IngestCounters::default()));
         let seen = Mutex::new(HashSet::new());
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
                 let plane = plane.clone();
                 s.spawn(move || {
-                    // Fresh ring per producer; retired the moment the
-                    // producer is done — the exit race under test.
-                    let ring = plane.register_ring();
+                    // Fresh producer per thread; retired the moment it is
+                    // done — the exit race under test.
+                    let producer = plane.register();
                     for i in 0..PER_PRODUCER {
-                        plane
-                            .push(&ring, &mut TraceArena::new(), p * PER_PRODUCER + i, 1, 1)
+                        stage(&plane, &producer, p * PER_PRODUCER + i, 1 + (i % 3) as usize)
                             .unwrap();
                     }
-                    ring.retire();
+                    producer.retire();
                 });
             }
             for w in 0..2 {
                 let plane = plane.clone();
                 let seen = &seen;
                 s.spawn(move || {
-                    while let Some((v, n)) = plane.next_batch(w, &mut TraceArena::new()) {
-                        assert_eq!(n, 1);
-                        assert!(seen.lock().insert(v), "batch {v} delivered twice");
+                    let mut spare = TraceArena::new();
+                    while let Some((first, n)) = plane.next_batch(w, &mut spare, first_id) {
+                        assert_eq!(n, spare.sealed() as u64);
+                        assert_eq!(first, first_id(&mut spare));
+                        for (id, _, _) in spare.traces() {
+                            assert!(seen.lock().insert(id), "trace {id} delivered twice");
+                        }
+                        spare.clear();
                     }
                 });
             }
-            // Producers finish first (scope joins in spawn order is not
-            // guaranteed, so poll): close once everything is accounted for.
+            // Close once everything is accounted for: the idle takes ship
+            // what the exiting producers left staged.
             while seen.lock().len() < (PRODUCERS * PER_PRODUCER) as usize {
                 std::thread::yield_now();
             }
@@ -735,107 +850,112 @@ mod tests {
         assert_eq!(plane.counters.rings_registered.get(), PRODUCERS);
     }
 
-    /// A full ring blocks its producer (counting the stall) until a consumer
-    /// frees a slot.
+    /// A producer hands over while its mailbox is empty and stages behind a
+    /// full one; a take lets the next submission hand everything staged
+    /// over in one handoff.
     #[test]
-    fn full_ring_backpressures_the_producer() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 1, IngestCounters::default()));
-        let ring = plane.register_ring();
-        plane.push(&ring, &mut TraceArena::new(), 0, 1, 1).unwrap();
-        let pushed = Arc::new(AtomicBool::new(false));
-        let blocked = {
-            let plane = plane.clone();
-            let ring = ring.clone();
-            let pushed = pushed.clone();
-            std::thread::spawn(move || {
-                plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
-                pushed.store(true, Ordering::Release);
-            })
-        };
-        // The stall is counted before the wait, and nothing can land before
-        // the pop below, so this holds however late the thread runs.
-        while plane.counters.backpressure_stalls.get() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+    fn traces_batch_exactly_while_the_mailbox_is_full() {
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
+        stage(&plane, &producer, 0, 1).unwrap();
+        assert_eq!(producer.occupancy(), 1, "an empty mailbox takes the trace at once");
+        for id in 1..4 {
+            stage(&plane, &producer, id, 1).unwrap();
         }
-        assert!(!pushed.load(Ordering::Acquire), "push into a full ring must block");
-        assert!(plane.counters.backpressure_stalls.get() >= 1);
-        let (first, _) =
-            plane.try_pop(&ring, &mut TraceArena::new()).expect("first message queued");
-        assert_eq!(first, 0);
-        blocked.join().unwrap();
-        assert!(pushed.load(Ordering::Acquire));
-        let (second, _) =
-            plane.try_pop(&ring, &mut TraceArena::new()).expect("stalled push landed");
-        assert_eq!(second, 1);
+        assert_eq!(producer.staged.lock().arena.sealed(), 3, "a full mailbox leaves them staged");
+        let mut spare = TraceArena::new();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((0, 1)));
+        stage(&plane, &producer, 4, 1).unwrap();
+        assert_eq!(producer.occupancy(), 4, "the next submission hands all four over");
+        assert!(producer.staged.lock().arena.is_empty());
+        spare.clear();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((1, 4)));
+        assert_eq!(plane.handoff_highwater(), 4);
+        assert_eq!(plane.counters.backpressure_stalls.get(), 0, "within the bound nothing stalls");
     }
 
-    /// A ring holding queued records blocks a push that would take it past
-    /// `MAX_QUEUED_WORDS` until a consumer takes them; an empty ring takes
-    /// a message of any size.
+    /// Records staged or in the mailbox stay within the bound: a submission
+    /// that would pass it while the mailbox is full waits for a take
+    /// (counting the stall), and an empty mailbox admits a trace of any
+    /// size.
     #[test]
-    fn queued_records_backpressure_the_producer() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
-        let ring = plane.register_ring();
-        plane.push(&ring, &mut TraceArena::new(), 0, 1, 2 * MAX_QUEUED_WORDS).unwrap();
-        let pushed = Arc::new(AtomicBool::new(false));
+    fn the_record_bound_backpressures_the_producer() {
+        let plane: Arc<IngestPlane<u64>> = Arc::new(IngestPlane::new(1, IngestCounters::default()));
+        let producer = plane.register();
+        stage(&plane, &producer, 0, 2 * MAX_STAGED_RECORDS).unwrap();
+        assert_eq!(producer.occupancy(), 1, "an empty mailbox admits any size");
+        let staged = Arc::new(AtomicBool::new(false));
         let blocked = {
-            let plane = plane.clone();
-            let ring = ring.clone();
-            let pushed = pushed.clone();
+            let (plane, producer, staged) = (plane.clone(), producer.clone(), staged.clone());
             std::thread::spawn(move || {
-                plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
-                pushed.store(true, Ordering::Release);
+                stage(&plane, &producer, 1, 1).unwrap();
+                staged.store(true, Ordering::Release);
             })
         };
         // The stall is counted before the wait, and nothing can land before
-        // the pop below, so this holds however late the thread runs.
+        // the take below, so this holds however late the thread runs.
         while plane.counters.backpressure_stalls.get() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(!pushed.load(Ordering::Acquire), "a ring over its record bound must block");
-        assert_eq!(
-            plane.try_pop(&ring, &mut TraceArena::new()).expect("first message queued").0,
-            0
-        );
+        assert!(!staged.load(Ordering::Acquire), "a submission over the bound must block");
+        let mut spare = TraceArena::new();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((0, 1)));
         blocked.join().unwrap();
-        // Small messages share the bound until the next would pass it.
-        plane.push(&ring, &mut TraceArena::new(), 2, 1, MAX_QUEUED_WORDS - 2).unwrap();
-        plane.push(&ring, &mut TraceArena::new(), 3, 1, 1).unwrap();
+        assert_eq!(producer.occupancy(), 1, "the waiting trace went over after the take");
+        // Short traces share the bound until the next would pass it.
+        spare.clear();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((1, 1)));
+        stage(&plane, &producer, 2, 1).unwrap();
+        stage(&plane, &producer, 3, MAX_STAGED_RECORDS - 2).unwrap();
         assert_eq!(plane.counters.backpressure_stalls.get(), 1, "within the bound nothing stalls");
-        assert_eq!(ring.words.load(Ordering::Relaxed), MAX_QUEUED_WORDS);
-        for expect in 1..=3 {
-            assert_eq!(plane.try_pop(&ring, &mut TraceArena::new()).expect("queued").0, expect);
+        assert_eq!(producer.staged.lock().arena.sealed_records(), MAX_STAGED_RECORDS - 2);
+    }
+
+    /// An empty mailbox before a non-empty staged arena takes what is staged
+    /// first when the next trace would not fit beside it, and the trace then
+    /// waits for that handoff's take: every handoff of short traces stays
+    /// within the bound.
+    #[test]
+    fn a_handoff_never_passes_the_bound_for_short_traces() {
+        let plane: Arc<IngestPlane<u64>> = Arc::new(IngestPlane::new(1, IngestCounters::default()));
+        let producer = plane.register();
+        stage(&plane, &producer, 0, 1).unwrap();
+        stage(&plane, &producer, 1, MAX_STAGED_RECORDS - 1).unwrap();
+        let mut spare = TraceArena::new();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((0, 1)));
+        let waiting = {
+            let (plane, producer) = (plane.clone(), producer.clone());
+            std::thread::spawn(move || stage(&plane, &producer, 2, 2))
+        };
+        while plane.counters.backpressure_stalls.get() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(ring.words.load(Ordering::Relaxed), 0);
+        spare.clear();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((1, 1)), "trace 1 went over alone");
+        waiting.join().unwrap().unwrap();
+        spare.clear();
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((2, 1)), "trace 2 followed alone");
+        assert_eq!(plane.handoff_highwater(), 1);
     }
 
-    /// A worker can take a message the moment `tail` is published, before
-    /// its producer adds it to `occupancy` and `pending`; the producer's
-    /// sums must wrap back into range instead of overflowing.
+    /// A worker can take a handoff the moment `full` is published, before
+    /// its producer adds it to `pending`; the producer's sum must wrap back
+    /// into range instead of overflowing.
     #[test]
-    fn push_tolerates_a_take_before_its_counters_are_bumped() {
-        let plane: IngestPlane<u32> = IngestPlane::new(1, 8, IngestCounters::default());
-        let ring = plane.register_ring();
-        // What a racing take leaves behind: both counters one message
-        // below zero.
-        ring.occupancy.fetch_sub(1, Ordering::Relaxed);
+    fn a_handoff_tolerates_a_take_before_its_counter_is_bumped() {
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
+        // What a racing take leaves behind: the counter one below zero.
         plane.pending.fetch_sub(1, Ordering::SeqCst);
-        assert_eq!(
-            plane.push(&ring, &mut TraceArena::new(), 7, 1, 1),
-            Ok(0),
-            "queue depth back at zero"
-        );
+        stage(&plane, &producer, 7, 1).unwrap();
         assert_eq!(plane.pending.load(Ordering::SeqCst), 0);
-        assert_eq!(ring.occupancy(), 0);
     }
 
-    /// When the last worker dies, queued messages are discarded — and each
-    /// discarded message's drop guard still runs, which is how the engine's
-    /// `outstanding` counter settles after a worker panic.
+    /// When the last worker dies, the mailbox's message is discarded — and
+    /// its drop guard still runs, which is how the engine's `outstanding`
+    /// counter settles after a worker panic — and later submissions fail.
     #[test]
-    fn dead_plane_discards_queued_messages_and_fails_pushes() {
+    fn dead_plane_discards_the_mailbox_and_fails_submissions() {
         struct Settles(Arc<AtomicUsize>);
         impl Drop for Settles {
             fn drop(&mut self) {
@@ -844,96 +964,102 @@ mod tests {
         }
         let settled = Arc::new(AtomicUsize::new(0));
         let plane: Arc<IngestPlane<Settles>> =
-            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
-        let ring = plane.register_ring();
-        for _ in 0..3 {
-            plane.push(&ring, &mut TraceArena::new(), Settles(settled.clone()), 1, 1).unwrap();
+            Arc::new(IngestPlane::new(1, IngestCounters::default()));
+        let producer = plane.register();
+        let admit = |_: &mut TraceArena| Settles(settled.clone());
+        for id in 0..3 {
+            let mut staged = producer.staged.lock();
+            plane.stage(&producer, &mut staged, 1, |a| a.push_trace(fences(id, 1)), admit).unwrap();
         }
-        // The only worker exits (as a panic would): everything settles.
+        assert_eq!(settled.load(Ordering::SeqCst), 0);
+        // The only worker exits (as a panic would): the handoff settles.
         drop(WorkerGuard::new(plane.clone()));
         assert!(plane.is_dead());
-        assert_eq!(settled.load(Ordering::SeqCst), 3, "queued messages must settle");
-        let err = plane.push(&ring, &mut TraceArena::new(), Settles(settled.clone()), 1, 1);
-        assert_eq!(err.unwrap_err(), PlaneClosed);
-        assert_eq!(settled.load(Ordering::SeqCst), 4, "rejected message settles too");
+        assert_eq!(settled.load(Ordering::SeqCst), 1, "the mailbox's message must settle");
+        let mut staged = producer.staged.lock();
+        let err = plane.stage(&producer, &mut staged, 1, |a| a.push_trace(fences(3, 1)), admit);
+        assert_eq!(err, Err(PlaneClosed));
+        assert_eq!(staged.arena.sealed(), 3, "the caller discards what a dead plane refused");
     }
 
-    /// A producer stalled on a full ring is released with an error when the
-    /// worker pool dies — a blocked submit must not hang forever.
+    /// A producer stalled on the bound is released with an error when the
+    /// worker pool dies — a blocked submission must not hang forever.
     #[test]
     fn worker_death_unblocks_a_stalled_producer() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 1, IngestCounters::default()));
-        let ring = plane.register_ring();
-        plane.push(&ring, &mut TraceArena::new(), 0, 1, 1).unwrap();
+        let plane: Arc<IngestPlane<u64>> = Arc::new(IngestPlane::new(1, IngestCounters::default()));
+        let producer = plane.register();
+        stage(&plane, &producer, 0, MAX_STAGED_RECORDS).unwrap();
         let stalled = {
-            let plane = plane.clone();
-            let ring = ring.clone();
-            std::thread::spawn(move || plane.push(&ring, &mut TraceArena::new(), 1, 1, 1))
+            let (plane, producer) = (plane.clone(), producer.clone());
+            std::thread::spawn(move || stage(&plane, &producer, 1, 1))
         };
-        std::thread::sleep(Duration::from_millis(10));
+        while plane.counters.backpressure_stalls.get() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         drop(WorkerGuard::new(plane.clone()));
         assert_eq!(stalled.join().unwrap(), Err(PlaneClosed));
     }
 
-    /// Retired, drained rings disappear from the scan path; undrained ones
-    /// survive until their messages are claimed.
+    /// Retired producers leave the scan path once drained; one with a full
+    /// mailbox survives until it is taken.
     #[test]
-    fn retired_rings_are_pruned_once_drained() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
-        let ring = plane.register_ring();
-        plane.push(&ring, &mut TraceArena::new(), 7, 1, 1).unwrap();
-        ring.retire();
-        drop(ring);
+    fn retired_producers_are_pruned_once_drained() {
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
+        stage(&plane, &producer, 7, 1).unwrap();
+        producer.retire();
+        drop(producer);
         plane.prune_retired();
-        assert_eq!(plane.rings_live(), 1, "undrained ring must survive pruning");
-        let (v, _) =
-            plane.next_batch(0, &mut TraceArena::new()).expect("retired ring still drains");
+        assert_eq!(plane.producers_live(), 1, "a full mailbox keeps its producer");
+        let (v, _) = plane
+            .next_batch(0, &mut TraceArena::new(), first_id)
+            .expect("a retired producer still drains");
         assert_eq!(v, 7);
         plane.prune_retired();
-        assert_eq!(plane.rings_live(), 0, "drained retired ring is pruned");
+        assert_eq!(plane.producers_live(), 0, "drained and retired: pruned");
     }
 
-    /// Publish invariant (c): a retired ring with something staged, or with
-    /// its producer lock held (a push may be in flight), is never pruned.
+    /// Publish invariant (c): a retired producer with something staged, or
+    /// with its producer lock held (a handoff may be in flight), is never
+    /// pruned.
     #[test]
-    fn retired_rings_with_staged_state_survive_pruning() {
-        let plane: IngestPlane<u32> = IngestPlane::new(1, 8, IngestCounters::default());
-        let ring = plane.register_ring();
-        ring.staged.lock().push_trace(Trace::new(7));
-        ring.retire();
+    fn retired_producers_with_staged_state_survive_pruning() {
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
+        producer.staged.lock().arena.push_trace(Trace::new(7));
+        producer.retire();
         plane.prune_retired();
-        assert_eq!(plane.rings_live(), 1, "a staged batch keeps its ring");
+        assert_eq!(plane.producers_live(), 1, "a staged trace keeps its producer");
         {
-            let mut staged = ring.staged.lock();
+            let mut staged = producer.staged.lock();
             plane.prune_retired();
-            assert_eq!(plane.rings_live(), 1, "a held producer lock keeps its ring");
-            plane.push(&ring, &mut staged, 7, 1, 1).unwrap();
+            assert_eq!(plane.producers_live(), 1, "a held producer lock keeps its producer");
+            plane.hand_over(&producer, &mut staged, first_id).unwrap();
         }
         plane.prune_retired();
-        assert_eq!(plane.rings_live(), 1, "the published message keeps its ring");
+        assert_eq!(plane.producers_live(), 1, "the handoff keeps its producer");
         let mut spare = TraceArena::new();
-        assert_eq!(plane.next_batch(0, &mut spare).expect("published message drains").0, 7);
-        assert_eq!(spare.traces().next().unwrap().0, 7, "the claim took the staged trace");
+        assert_eq!(plane.next_batch(0, &mut spare, first_id).expect("handoff drains").0, 7);
+        assert_eq!(spare.traces().next().unwrap().0, 7, "the take got the staged trace");
         plane.prune_retired();
-        assert_eq!(plane.rings_live(), 0, "drained with nothing staged: pruned");
+        assert_eq!(plane.producers_live(), 0, "drained with nothing staged: pruned");
     }
 
-    /// A push trades the staged arena for the tail slot's cleared one, and a
-    /// claim trades the claimer's cleared spare for the slot's: the batch's
-    /// records move without a copy, and the slot keeps the spare's buffer.
+    /// A handoff trades the staged arena for the mailbox's cleared one, and
+    /// a take trades the worker's cleared spare for the mailbox's: the
+    /// records move without a copy, and the mailbox keeps the spare's
+    /// buffer.
     #[test]
-    fn pushes_and_claims_trade_arenas_through_the_slot() {
-        let plane: IngestPlane<u32> = IngestPlane::new(1, 1, IngestCounters::default());
-        let ring = plane.register_ring();
-        let mut staged = TraceArena::new();
-        let mut trace = Trace::new(3);
-        trace.push(Event::Fence.here());
-        staged.push_trace(trace);
-        let records = staged.traces().next().unwrap().1.as_ptr();
-        plane.push(&ring, &mut staged, 0, 1, 1).unwrap();
-        assert!(staged.is_empty(), "the producer stages on into the slot's cleared arena");
+    fn handoffs_and_takes_trade_arenas_through_the_mailbox() {
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
+        let trace = fences(3, 1);
+        let records = trace.packed().as_ptr();
+        {
+            let mut staged = producer.staged.lock();
+            plane.stage(&producer, &mut staged, 1, |a| a.push_trace(trace), first_id).unwrap();
+            assert!(staged.arena.is_empty(), "the producer stages on into the mailbox's arena");
+        }
         let mut spare = TraceArena::new();
         for _ in 0..10 {
             spare.push(Event::Fence.here());
@@ -941,64 +1067,94 @@ mod tests {
         spare.seal(9);
         spare.clear();
         let spare_capacity = spare.word_capacity();
-        assert_eq!(plane.try_pop(&ring, &mut spare), Some((0, 1)));
+        assert_eq!(plane.try_take(&producer, &mut spare), Some((3, 1)));
         assert_eq!(spare.traces().next().unwrap().1.as_ptr(), records, "moved, not copied");
-        assert_eq!(ring.slot_word_capacities(), [spare_capacity], "the slot kept the spare");
+        assert_eq!(producer.mailbox_word_capacity(), spare_capacity, "the mailbox kept the spare");
     }
 
-    /// Affinity: a lone preferred worker claims without steals; a foreign
-    /// worker's claims are counted.
+    /// A worker that finds every mailbox empty takes a staged arena whose
+    /// producer lock is free, trading in its spare; a held producer lock
+    /// reads as busy, not as empty.
     #[test]
-    fn steals_are_counted_only_for_foreign_claims() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(2, 8, IngestCounters::default()));
-        let ring = plane.register_ring(); // pref = 0
-        plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
+    fn an_idle_worker_takes_staged_traces_under_a_free_producer_lock() {
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
+        stage(&plane, &producer, 0, 1).unwrap();
+        stage(&plane, &producer, 1, 1).unwrap();
+        let mut spare = TraceArena::new();
+        assert!(matches!(plane.idle_take(0, &mut spare, &mut first_id), Idle::Empty));
+        assert!(spare.is_empty(), "a full mailbox is left to the mailbox scan");
+        assert_eq!(plane.try_claim(0, &mut spare), Some((0, 1)));
+        spare.clear();
+        {
+            let _held = producer.staged.lock();
+            assert!(matches!(plane.idle_take(0, &mut spare, &mut first_id), Idle::Busy));
+        }
+        let Idle::Took(got) = plane.idle_take(0, &mut spare, &mut first_id) else {
+            panic!("the staged trace must be taken");
+        };
+        assert_eq!(got, (1, 1));
+        assert_eq!(spare.traces().next().unwrap().0, 1);
+        assert!(producer.staged.lock().arena.is_empty());
+        assert_eq!(plane.counters.affinity_hits.get(), 2, "both takes count as claims");
+        assert_eq!(plane.pending.load(Ordering::SeqCst), 0, "an idle take fills no mailbox");
+    }
+
+    /// Affinity: a lone preferred worker takes without steals; a foreign
+    /// worker's takes are counted.
+    #[test]
+    fn steals_are_counted_only_for_foreign_takes() {
+        let plane: IngestPlane<u64> = IngestPlane::new(2, IngestCounters::default());
+        let producer = plane.register(); // pref = 0
+        stage(&plane, &producer, 1, 1).unwrap();
         assert!(plane.try_claim(0, &mut TraceArena::new()).is_some());
-        assert_eq!(plane.counters.steals.get(), 0, "affinity claim is not a steal");
-        plane.push(&ring, &mut TraceArena::new(), 2, 1, 1).unwrap();
+        assert_eq!(plane.counters.steals.get(), 0, "an affinity take is not a steal");
+        stage(&plane, &producer, 2, 1).unwrap();
         assert!(plane.try_claim(1, &mut TraceArena::new()).is_some());
-        assert_eq!(plane.counters.steals.get(), 1, "foreign claim is a steal");
-        assert_eq!(plane.counters.affinity_hits.get(), 1, "only the first claim was on-affinity");
+        assert_eq!(plane.counters.steals.get(), 1, "a foreign take is a steal");
+        assert_eq!(plane.counters.affinity_hits.get(), 1, "only the first take was on-affinity");
     }
 
-    /// Per-ring samples track pushes, occupancy, and the high-water mark.
+    /// Per-producer samples track takes, mailbox occupancy, and the largest
+    /// take.
     #[test]
-    fn ring_stats_sample_push_and_highwater() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(2, 8, IngestCounters::default()));
-        let a = plane.register_ring();
-        let b = plane.register_ring();
-        plane.push(&a, &mut TraceArena::new(), 1, 3, 1).unwrap();
-        plane.push(&a, &mut TraceArena::new(), 2, 2, 1).unwrap();
-        plane.push(&b, &mut TraceArena::new(), 3, 1, 1).unwrap();
+    fn producer_stats_sample_takes_and_highwater() {
+        let plane: IngestPlane<u64> = IngestPlane::new(2, IngestCounters::default());
+        let a = plane.register();
+        let b = plane.register();
+        stage(&plane, &a, 1, 1).unwrap();
+        stage(&plane, &a, 2, 1).unwrap();
+        stage(&plane, &a, 3, 1).unwrap();
         assert!(plane.try_claim(0, &mut TraceArena::new()).is_some());
-        let stats = plane.ring_stats();
+        stage(&plane, &a, 4, 1).unwrap();
+        assert!(plane.try_claim(0, &mut TraceArena::new()).is_some());
+        stage(&plane, &a, 5, 1).unwrap();
+        stage(&plane, &b, 6, 1).unwrap();
+        let stats = plane.producer_stats();
         assert_eq!(stats.len(), 2);
         let sa = stats.iter().find(|s| s.pref == 0).unwrap();
         let sb = stats.iter().find(|s| s.pref == 1).unwrap();
-        assert_eq!(sa.pushed, 2);
-        assert_eq!(sa.highwater, 5, "high-water survives the claim");
-        assert_eq!(sa.occupancy, 2, "one 3-trace batch claimed");
+        assert_eq!((sa.handoffs, sa.occupancy, sa.highwater), (2, 1, 3));
         assert!(!sa.retired);
-        assert_eq!((sb.pushed, sb.occupancy, sb.highwater), (1, 1, 1));
+        assert_eq!((sb.handoffs, sb.occupancy, sb.highwater), (0, 1, 0));
         a.retire();
-        assert!(plane.ring_stats().iter().any(|s| s.retired));
+        assert!(plane.producer_stats().iter().any(|s| s.retired));
     }
 
-    /// A parked worker records the park, and the producer wake that recruits
-    /// it is counted; a second ready batch while the recruit is still in
-    /// flight records a recruiting-CAS loss instead of a second wake.
+    /// A parked worker records the park, and the handoff that recruits it
+    /// is counted; a second handoff while the recruit is still in flight
+    /// records a recruiting-CAS loss instead of a second wake.
     #[test]
     fn parker_counters_track_parks_wakes_and_recruit_losses() {
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
-        let ring = plane.register_ring();
+        let plane: Arc<IngestPlane<u64>> = Arc::new(IngestPlane::new(1, IngestCounters::default()));
+        let producer = plane.register();
         let worker = {
             let plane = plane.clone();
             std::thread::spawn(move || {
                 let mut got = 0u32;
-                while plane.next_batch(0, &mut TraceArena::new()).is_some() {
+                let mut spare = TraceArena::new();
+                while plane.next_batch(0, &mut spare, first_id).is_some() {
+                    spare.clear();
                     got += 1;
                 }
                 got
@@ -1008,7 +1164,7 @@ mod tests {
         while plane.sleepers.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        plane.push(&ring, &mut TraceArena::new(), 1, 1, 1).unwrap();
+        stage(&plane, &producer, 1, 1).unwrap();
         while plane.pending.load(Ordering::SeqCst) > 0 {
             std::thread::yield_now();
         }
@@ -1018,8 +1174,7 @@ mod tests {
 
         // Wake accounting, driven deterministically: enlist this thread as a
         // sleeper, then a wake must pop it and count exactly once.
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
         plane.parked.lock().push((0, std::thread::current()));
         plane.sleepers.store(1, Ordering::SeqCst);
         plane.wake_one();
@@ -1028,14 +1183,13 @@ mod tests {
         assert_eq!(plane.counters.wakes.get(), 1, "an empty stack wakes (and counts) nothing");
 
         // Recruit-loss path: with the recruiting flag pre-claimed and a
-        // sleeper enlisted, a push whose backlog exceeds the awake count
-        // must count a CAS loss rather than wake anyone.
-        let plane: Arc<IngestPlane<u32>> =
-            Arc::new(IngestPlane::new(1, 8, IngestCounters::default()));
-        let ring = plane.register_ring();
+        // sleeper enlisted, a handoff that outnumbers the awake workers must
+        // count a CAS loss rather than wake anyone.
+        let plane: IngestPlane<u64> = IngestPlane::new(1, IngestCounters::default());
+        let producer = plane.register();
         plane.recruiting.store(true, Ordering::SeqCst);
         plane.sleepers.store(1, Ordering::SeqCst);
-        plane.push(&ring, &mut TraceArena::new(), 2, 1, 1).unwrap();
+        stage(&plane, &producer, 2, 1).unwrap();
         assert_eq!(plane.counters.recruit_cas_fails.get(), 1);
         assert_eq!(plane.counters.wakes.get(), 0, "a lost recruit CAS must not wake");
     }

@@ -12,7 +12,7 @@ use pmtest_trace::{Entry, Event, SharedSink, Sink, TraceArena};
 use crate::diag::Report;
 use crate::engine::{Engine, EngineConfig, Producer};
 use crate::model::PersistencyModel;
-use crate::telemetry::{FlushCause, TelemetryConfig};
+use crate::telemetry::TelemetryConfig;
 
 static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -27,10 +27,10 @@ struct Slot {
     session: u64,
     /// The trace this thread is recording: entries encode to packed records
     /// as they arrive. `send_trace` moves the sealed trace to the
-    /// producer's staged batch, so no sealed trace waits here.
+    /// producer's staged arena, so no sealed trace waits here.
     arena: TraceArena,
     /// This thread's producer on the engine's ingest plane; its staged
-    /// batch is reachable from every result point.
+    /// traces are reachable from every result point and every idle worker.
     producer: Arc<Producer>,
     /// This thread's producer-side span buffer, present when the session's
     /// engine recorded spans (`TelemetryLevel::Full`) at slot creation;
@@ -40,8 +40,9 @@ struct Slot {
 
 impl Drop for Slot {
     fn drop(&mut self) {
-        // Thread exit drops the open, un-`send_trace`d tail; a staged batch
-        // stays with the producer for the next result point to ship.
+        // Thread exit drops the open, un-`send_trace`d tail; staged traces
+        // stay with the producer for an idle worker or the next result point
+        // to hand over.
         self.producer.retire();
     }
 }
@@ -90,8 +91,8 @@ fn with_slot<R>(shared: &SessionShared, f: impl FnOnce(&mut Slot) -> R) -> R {
         let pos = match slots.pos(shared.id) {
             Some(pos) => pos,
             None => {
-                // A ring only this thread still holds belongs to a dropped
-                // engine: free it, and the arenas its slots keep, rather
+                // A producer only this thread still holds belongs to a
+                // dropped engine: free it, and the arenas it keeps, rather
                 // than hold them until the thread exits.
                 slots.list.retain(|slot| Arc::strong_count(&slot.producer) > 1);
                 slots.last = (shared.id, slots.list.len());
@@ -123,17 +124,21 @@ fn with_slot<R>(shared: &SessionShared, f: impl FnOnce(&mut Slot) -> R) -> R {
 /// calling thread's buffer to the asynchronous [`Engine`]. Clone the session
 /// (cheap; shared state) to hand it to other threads.
 ///
-/// ## Batched submission
+/// ## Submission
 ///
-/// By default every `send_trace` goes straight to the engine (the paper's
-/// behaviour). With [`SessionBuilder::batch_capacity`] greater than one,
-/// completed traces collect in the thread's staged batch and ship together
-/// once it fills — one ring operation and one dispatch for many traces,
-/// which is what lets short-trace workloads scale (Fig. 12b). Every result
-/// point ([`report`](Self::report), [`take_report`](Self::take_report),
-/// [`finish`](Self::finish), [`flush`](Self::flush), …) first ships every
-/// thread's staged batch, whether that thread still runs or has exited, so
-/// results are identical either way; only submission granularity changes.
+/// Every `send_trace` ships its trace as soon as it completes (the paper's
+/// behaviour, §4.5) through the thread's mailbox: the trace is appended to
+/// the thread's staged arena, and the staged arena goes to the engine
+/// whenever the mailbox is empty. While the workers keep pace each trace
+/// goes over alone; while they are behind, traces collect and go over
+/// together at the next handoff — one buffer trade for many traces, which
+/// is what lets short-trace workloads scale (Fig. 12b) without a batch size
+/// to tune. A worker with nothing else to do takes staged traces itself, and
+/// every result point ([`report`](Self::report),
+/// [`take_report`](Self::take_report), [`finish`](Self::finish),
+/// [`flush`](Self::flush), …) first hands over every thread's staged traces,
+/// whether that thread still runs or has exited, so results are identical
+/// either way; only submission granularity changes.
 ///
 /// # Examples
 ///
@@ -161,7 +166,6 @@ struct SessionShared {
     enabled: AtomicBool,
     engine: Engine,
     next_trace: AtomicU64,
-    batch_capacity: usize,
     vars: Mutex<HashMap<String, ByteRange>>,
 }
 
@@ -178,40 +182,13 @@ impl SessionShared {
         }
     }
 
-    /// Moves the trace just sealed in `arena` to `producer`'s staged batch
-    /// and ships the batch once it holds `batch_capacity` traces — at batch
-    /// 1 the staged arena trades buffers with the thread's arena, then with
-    /// a ring slot — all under the producer lock (publish invariant (a), see
-    /// `Engine::publish_staged`).
+    /// Moves the traces just sealed in `arena` to `producer`'s staged arena
+    /// and hands it over if the mailbox is empty (`Engine::stage`, the one
+    /// stage path), all under the producer lock (publish invariant (a), see
+    /// `Engine::publish_staged`). A dead engine drops the traces.
     fn stage(&self, producer: &Producer, arena: &mut TraceArena, span: Option<&SpanHandle>) {
-        let mut staged = producer.staged.lock();
-        staged.append_sealed(arena);
-        if staged.sealed() >= self.batch_capacity {
-            self.ship(producer, &mut staged, span, FlushCause::Capacity);
-        }
-    }
-
-    /// Pushes `batch`, `producer`'s staged arena, onto its ring — the
-    /// caller holds the producer lock — recording its fill level and why it
-    /// shipped (`session_flush_total{cause=…}`, batched sessions only), and
-    /// wrapping the push in a producer-side `ship` span when `span` is
-    /// recording.
-    fn ship(
-        &self,
-        producer: &Producer,
-        batch: &mut TraceArena,
-        span: Option<&SpanHandle>,
-        cause: FlushCause,
-    ) {
-        let span = span.filter(|h| h.enabled()).map(|h| (h, h.now_ns()));
-        let telemetry = self.engine.telemetry();
-        if self.batch_capacity > 1 {
-            telemetry.note_batch_shipped(cause, batch.sealed());
-        }
-        let _ = self.engine.push(producer, batch);
-        if let Some((h, start)) = span {
-            h.record(telemetry.span_names.ship, start, h.now_ns().saturating_sub(start));
-        }
+        let incoming = arena.sealed_records();
+        let _ = self.engine.stage(producer, incoming, |staged| staged.append_sealed(arena), span);
     }
 
     /// A producer-side span buffer for one recording thread, when the
@@ -227,10 +204,6 @@ impl SessionShared {
 /// Builder for [`PmTestSession`] (`PMTest_INIT`).
 pub struct SessionBuilder {
     config: EngineConfig,
-    batch_capacity: usize,
-    /// Explicit queue depth, if [`queue_capacity`](Self::queue_capacity)
-    /// was called; otherwise `build` derives one from the batch size.
-    queue_capacity: Option<usize>,
 }
 
 impl SessionBuilder {
@@ -252,31 +225,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
-        self
-    }
-
-    /// Sets the per-producer ring depth in batches. A full ring
-    /// backpressures `send_trace`, bounding the engine's memory use.
-    ///
-    /// When not set, the depth is derived from the batch size
-    /// ([`derived_queue_capacity`](crate::derived_queue_capacity)):
-    /// `256 / batch_capacity`, clamped to `[32, 256]`, so the pipeline
-    /// buffers a consistent number of *traces* whether submission is
-    /// batched or not.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Sets how many completed traces each thread collects before shipping
-    /// them to the engine in one batch (default: 1 — submit immediately,
-    /// like the paper). Values above one amortise dispatch overhead on
-    /// short-trace workloads; see the session-level docs for the flush
-    /// points.
-    #[must_use]
-    pub fn batch_capacity(mut self, capacity: usize) -> Self {
-        self.batch_capacity = capacity.max(1);
         self
     }
 
@@ -311,17 +259,12 @@ impl SessionBuilder {
     /// call [`PmTestSession::start`]).
     #[must_use]
     pub fn build(self) -> PmTestSession {
-        let mut config = self.config;
-        config.queue_capacity = self
-            .queue_capacity
-            .unwrap_or_else(|| crate::engine::derived_queue_capacity(self.batch_capacity));
         PmTestSession {
             shared: Arc::new(SessionShared {
                 id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
                 enabled: AtomicBool::new(false),
-                engine: Engine::new(config),
+                engine: Engine::new(self.config),
                 next_trace: AtomicU64::new(0),
-                batch_capacity: self.batch_capacity,
                 vars: Mutex::new(HashMap::new()),
             }),
         }
@@ -332,7 +275,7 @@ impl PmTestSession {
     /// Starts building a session.
     #[must_use]
     pub fn builder() -> SessionBuilder {
-        SessionBuilder { config: EngineConfig::default(), batch_capacity: 1, queue_capacity: None }
+        SessionBuilder { config: EngineConfig::default() }
     }
 
     /// A `Sink` handle to hand to instrumented pools.
@@ -382,9 +325,9 @@ impl PmTestSession {
     /// one independent trace (`PMTest_SEND_TRACE`). Empty buffers are
     /// skipped.
     ///
-    /// With a [`batch_capacity`](SessionBuilder::batch_capacity) above one
-    /// the trace waits in the thread's staged batch until the batch fills or
-    /// any thread reaches a result point.
+    /// The trace goes over at once when the thread's mailbox is empty;
+    /// otherwise it waits in the thread's staged arena for the next handoff,
+    /// an idle worker, or a result point (see the session-level docs).
     ///
     /// Returns the trace id, if a trace was produced. If the engine's
     /// workers have terminated (it was shut down or a worker panicked) the
@@ -402,19 +345,19 @@ impl PmTestSession {
         })
     }
 
-    /// Ships every thread's staged trace batch to the engine now, without
-    /// waiting for the checks. Every result point does this first.
+    /// Hands every thread's staged traces to the engine now, without waiting
+    /// for the checks (only, per thread, for its mailbox to empty). Every
+    /// result point does this first.
     ///
-    /// A no-op when nothing is staged — in particular always, when
-    /// [`batch_capacity`](SessionBuilder::batch_capacity) is 1. Entries
-    /// still being recorded (not yet `send_trace`d) are *not* flushed.
+    /// A no-op when nothing is staged. Entries still being recorded (not yet
+    /// `send_trace`d) are *not* flushed.
     pub fn flush(&self) {
         self.shared.engine.publish_staged();
     }
 
     /// Blocks until all submitted traces are checked and returns the
-    /// accumulated results (`PMTest_GET_RESULT`). Ships every thread's
-    /// staged batch first.
+    /// accumulated results (`PMTest_GET_RESULT`). Hands over every thread's
+    /// staged traces first.
     #[must_use]
     pub fn report(&self) -> Report {
         self.shared.engine.report()
@@ -426,17 +369,19 @@ impl PmTestSession {
         self.shared.engine.take_report()
     }
 
-    /// Engine lifetime counters (traces checked, batches submitted, queue
-    /// high-water mark, backpressure stalls, …).
+    /// Engine lifetime counters (traces checked, handoffs, largest handoff,
+    /// backpressure stalls, …). Reads counters only: it neither hands
+    /// anything over nor waits.
     #[must_use]
     pub fn stats(&self) -> crate::engine::EngineStats {
         self.shared.engine.stats()
     }
 
-    /// How often this session's shipped batches were recorded into the
-    /// recycled buffers their rings trade without growing them (see
-    /// [`ReuseStats`](crate::ReuseStats)). A fresh ring's first lap grows
-    /// its buffers, so the share rises toward 1 as a run goes on.
+    /// How often this session's handoffs were recorded into the recycled
+    /// buffers their mailboxes trade without growing them (see
+    /// [`ReuseStats`](crate::ReuseStats)). A fresh producer's first
+    /// handoffs grow its buffers, so the share rises toward 1 as a run goes
+    /// on.
     #[must_use]
     pub fn pool_stats(&self) -> crate::engine::ReuseStats {
         self.shared.engine.reuse_stats()
@@ -449,17 +394,9 @@ impl PmTestSession {
         self.shared.engine.verdict_cache_stats()
     }
 
-    /// The per-producer ring depth the engine was built with — explicit if
-    /// [`SessionBuilder::queue_capacity`] was called, otherwise derived from
-    /// the batch size.
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.engine.queue_capacity()
-    }
-
     /// Drains the diagnosis bundles captured on ERROR so far — see
-    /// [`Engine::take_bundles`]. Ships every thread's staged batch first so
-    /// failures it contains are captured. Empty at
+    /// [`Engine::take_bundles`]. Hands over every thread's staged traces
+    /// first so failures they contain are captured. Empty at
     /// [`crate::TelemetryLevel::Off`].
     #[must_use]
     pub fn take_bundles(&self) -> Vec<crate::DiagnosisBundle> {
@@ -467,8 +404,9 @@ impl PmTestSession {
     }
 
     /// A machine-readable snapshot of the engine's telemetry — see
-    /// [`Engine::telemetry_snapshot`]. Includes the session-level batching
-    /// metrics (`session_batch_fill`, `session_flush_total{cause=…}`).
+    /// [`Engine::telemetry_snapshot`]. Includes the handoff metrics
+    /// (`session_batch_fill`, traces per handoff, and
+    /// `session_flush_total{cause=…}`, handoffs by caller).
     #[must_use]
     pub fn telemetry_snapshot(&self) -> pmtest_obs::TelemetrySnapshot {
         self.shared.engine.telemetry_snapshot()
@@ -490,7 +428,7 @@ impl PmTestSession {
     }
 
     /// The cross-trace performance profile — see [`Engine::profile`].
-    /// Waits for the engine, staged batches included, so every recorded
+    /// Waits for the engine, staged traces included, so every recorded
     /// trace is aggregated. Empty below
     /// [`crate::TelemetryLevel::Profile`].
     #[must_use]
@@ -639,16 +577,11 @@ impl Sink for SessionShared {
 /// writes into its own buffer with no indirection (§4.2).
 ///
 /// Traces recorded here are interleaved with `Sink`-path traces in the same
-/// session: ids come from the same counter, batches ship through a producer
-/// ring of the recorder's own, and results land in the same [`Report`].
-///
-/// Batching follows the session's
-/// [`batch_capacity`](SessionBuilder::batch_capacity). The recorder owns its
-/// batch: sealed traces ship when the batch fills or on
-/// [`flush`](Self::flush), and dropping the recorder hands them to its
-/// producer's staged batch, which the next result point ships. Entries
-/// recorded but never [`send_trace`](Self::send_trace)d are discarded on
-/// drop, exactly like the `Sink` path's thread slots.
+/// session: ids come from the same counter, traces ship through a producer
+/// mailbox of the recorder's own by the same stage path, and results land
+/// in the same [`Report`]. Entries recorded but never
+/// [`send_trace`](Self::send_trace)d are discarded on drop, exactly like the
+/// `Sink` path's thread slots.
 ///
 /// # Examples
 ///
@@ -666,12 +599,11 @@ impl Sink for SessionShared {
 /// rec.record(Event::Fence.here());
 /// rec.is_persist(r);
 /// rec.send_trace();
-/// drop(rec); // stages the pending batch for the report below
 /// assert!(session.take_report().is_clean());
 /// ```
 pub struct ThreadRecorder {
     shared: Arc<SessionShared>,
-    /// The open trace plus this recorder's batch of sealed traces.
+    /// The open trace.
     arena: TraceArena,
     /// This recorder's producer on the engine's ingest plane.
     producer: Arc<Producer>,
@@ -704,8 +636,8 @@ impl ThreadRecorder {
         self.record(Event::IsOrderedBefore(first, second).here());
     }
 
-    /// Seals the entries recorded since the last seal as one trace
-    /// (`PMTest_SEND_TRACE`), shipping the batch if it is now full.
+    /// Seals the entries recorded since the last seal as one trace and
+    /// ships it (`PMTest_SEND_TRACE`), like [`PmTestSession::send_trace`].
     /// Returns the trace id, or `None` when nothing was recorded.
     #[inline]
     pub fn send_trace(&mut self) -> Option<u64> {
@@ -714,25 +646,8 @@ impl ThreadRecorder {
         }
         let trace_id = self.shared.next_trace.fetch_add(1, Ordering::Relaxed);
         self.arena.seal(trace_id);
-        if self.arena.sealed() >= self.shared.batch_capacity {
-            self.ship(FlushCause::Capacity);
-        }
+        self.shared.stage(&self.producer, &mut self.arena, self.span.as_ref());
         Some(trace_id)
-    }
-
-    /// Ships the pending batch now, regardless of fill level. Entries still
-    /// being recorded (not yet sealed) stay in the recorder.
-    pub fn flush(&mut self) {
-        self.ship(FlushCause::ResultPoint);
-    }
-
-    fn ship(&mut self, cause: FlushCause) {
-        if self.arena.sealed() == 0 {
-            return;
-        }
-        let mut staged = self.producer.staged.lock();
-        staged.append_sealed(&mut self.arena);
-        self.shared.ship(&self.producer, &mut staged, self.span.as_ref(), cause);
     }
 
     /// The session this recorder feeds.
@@ -744,9 +659,8 @@ impl ThreadRecorder {
 
 impl Drop for ThreadRecorder {
     fn drop(&mut self) {
-        // Sealed traces were promised to the report, so they are staged for
-        // the next result point; the open tail was not.
-        self.producer.staged.lock().append_sealed(&mut self.arena);
+        // Sealed traces are already staged; the open tail was never
+        // promised to the report.
         self.producer.retire();
     }
 }
@@ -756,7 +670,6 @@ impl fmt::Debug for ThreadRecorder {
         f.debug_struct("ThreadRecorder")
             .field("session", &self.shared.id)
             .field("open_entries", &self.arena.open_entries())
-            .field("sealed", &self.arena.sealed())
             .finish()
     }
 }
@@ -766,7 +679,6 @@ impl fmt::Debug for PmTestSession {
         f.debug_struct("PmTestSession")
             .field("id", &self.shared.id)
             .field("started", &self.is_started())
-            .field("batch_capacity", &self.shared.batch_capacity)
             .field("engine", &self.shared.engine)
             .finish()
     }
@@ -775,23 +687,14 @@ impl fmt::Debug for PmTestSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::DiagKind;
-    use crate::model::HopsModel;
+    use crate::diag::{Diag, DiagKind};
+    use crate::model::{HopsModel, X86Model};
+    use crate::shadow::ShadowMemory;
+    use pmtest_trace::SourceLoc;
+    use std::sync::atomic::AtomicUsize;
 
     fn r(s: u64, e: u64) -> ByteRange {
         ByteRange::new(s, e)
-    }
-
-    #[test]
-    fn queue_capacity_is_derived_from_the_batch_size() {
-        assert_eq!(PmTestSession::builder().build().queue_capacity(), 256);
-        assert_eq!(PmTestSession::builder().batch_capacity(32).build().queue_capacity(), 32);
-        assert_eq!(PmTestSession::builder().batch_capacity(4).build().queue_capacity(), 64);
-        // An explicit setting always wins, in either call order.
-        let s = PmTestSession::builder().batch_capacity(32).queue_capacity(4).build();
-        assert_eq!(s.queue_capacity(), 4);
-        let s = PmTestSession::builder().queue_capacity(4).batch_capacity(32).build();
-        assert_eq!(s.queue_capacity(), 4);
     }
 
     #[test]
@@ -910,7 +813,7 @@ mod tests {
     }
 
     // --------------------------------------------------------------
-    // Batched submission
+    // Mailbox handoffs
     // --------------------------------------------------------------
 
     fn record_clean_trace(session: &PmTestSession) {
@@ -921,96 +824,101 @@ mod tests {
         session.send_trace().expect("trace submitted");
     }
 
-    #[test]
-    fn batches_ship_when_full() {
-        let session = PmTestSession::builder().batch_capacity(4).build();
-        session.start();
-        for _ in 0..8 {
-            record_clean_trace(&session);
-        }
-        // Two full batches of four shipped without any flush call.
-        assert_eq!(session.stats().batches_submitted, 2);
-        assert_eq!(session.stats().traces_submitted, 8);
-        assert!(session.report().is_clean());
+    /// The range whose write holds a [`GatedX86`] worker at its gate.
+    fn gate_range() -> ByteRange {
+        r(1 << 40, (1 << 40) + 1)
     }
 
-    #[test]
-    fn report_flushes_partial_batch() {
-        let session = PmTestSession::builder().batch_capacity(32).build();
-        session.start();
-        for _ in 0..5 {
-            record_clean_trace(&session);
-        }
-        let report = session.report();
-        assert_eq!(report.traces().len(), 5, "partial batch reached the engine");
-        let stats = session.stats();
-        assert_eq!(stats.batches_submitted, 1);
-        assert!((stats.mean_batch_size() - 5.0).abs() < f64::EPSILON);
+    /// Holds checking workers: each write to [`gate_range`] waits for a
+    /// permit.
+    #[derive(Debug, Default)]
+    struct Gate {
+        permits: AtomicUsize,
+        entered: AtomicUsize,
     }
 
-    #[test]
-    fn explicit_flush_ships_partial_batch() {
-        let session = PmTestSession::builder().batch_capacity(32).build();
-        session.start();
-        for _ in 0..3 {
-            record_clean_trace(&session);
+    impl Gate {
+        /// Lets `n` more gate writes through.
+        fn grant(&self, n: usize) {
+            self.permits.fetch_add(n, Ordering::SeqCst);
         }
-        assert_eq!(session.stats().traces_submitted, 0, "still batched");
-        session.flush();
-        session.flush(); // second flush is a no-op
-        let stats = session.stats();
-        assert_eq!(stats.traces_submitted, 3);
-        assert_eq!(stats.batches_submitted, 1);
-    }
 
-    #[test]
-    fn thread_exit_flushes_pending_batch() {
-        let session = PmTestSession::builder().batch_capacity(64).workers(2).build();
-        session.start();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let session = session.clone();
-                s.spawn(move || {
-                    session.thread_init();
-                    for _ in 0..10 {
-                        record_clean_trace(&session);
-                    }
-                    // Batch (10 < 64) still staged here.
-                });
+        /// Lets every gate write through from now on.
+        fn open(&self) {
+            self.permits.store(usize::MAX, Ordering::SeqCst);
+        }
+
+        /// Waits until `n` gate writes have reached the gate.
+        fn wait_entered(&self, n: usize) {
+            while self.entered.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
             }
-        });
-        let report = session.finish();
-        assert_eq!(report.traces().len(), 40, "no trace lost to thread exit");
-        assert!(report.is_clean());
+        }
     }
 
-    #[test]
-    fn sink_only_thread_flushes_pending_batch_on_exit() {
-        // A thread whose *first* session interaction is `record` through the
-        // shared sink (the normal instrumented-pool path) gets its slot, and
-        // its producer, from `SessionShared::record`; its staged batch must
-        // reach the report like any other thread's.
-        let session = PmTestSession::builder().batch_capacity(64).build();
-        session.start();
-        let handle = {
-            let session = session.clone();
-            std::thread::spawn(move || {
-                let sink = session.sink();
-                for _ in 0..10 {
-                    // No thread_init: the sink record creates the slot.
-                    sink.record(Event::Write(r(0, 8)).here());
-                    sink.record(Event::Flush(r(0, 8)).here());
-                    sink.record(Event::Fence.here());
-                    session.is_persist(r(0, 8));
-                    session.send_trace().expect("trace submitted");
+    /// x86 rules through the object-safe path, holding the checking worker
+    /// at every write to [`gate_range`] until its [`Gate`] grants a permit.
+    #[derive(Debug)]
+    struct GatedX86 {
+        gate: Arc<Gate>,
+        x86: X86Model,
+    }
+
+    impl PersistencyModel for GatedX86 {
+        fn name(&self) -> &str {
+            "x86"
+        }
+
+        fn apply(&self, shadow: &mut ShadowMemory, entry: &Entry, diags: &mut Vec<Diag>) {
+            if entry.event == Event::Write(gate_range()) {
+                self.gate.entered.fetch_add(1, Ordering::SeqCst);
+                let take = |p: usize| p.checked_sub(1);
+                while self
+                    .gate
+                    .permits
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
+                    .is_err()
+                {
+                    std::thread::yield_now();
                 }
-                // 10 < 64: everything is still in the pending batch here.
-            })
-        };
-        handle.join().unwrap();
-        let report = session.report();
-        assert_eq!(report.traces().len(), 10, "the report shipped the staged batch");
-        assert!(report.is_clean());
+            }
+            self.x86.apply(shadow, entry, diags);
+        }
+
+        fn check_persist(
+            &self,
+            shadow: &ShadowMemory,
+            range: ByteRange,
+            loc: SourceLoc,
+            diags: &mut Vec<Diag>,
+        ) {
+            self.x86.check_persist(shadow, range, loc, diags);
+        }
+
+        fn check_ordered_before(
+            &self,
+            shadow: &ShadowMemory,
+            first: ByteRange,
+            second: ByteRange,
+            loc: SourceLoc,
+            diags: &mut Vec<Diag>,
+        ) {
+            self.x86.check_ordered_before(shadow, first, second, loc, diags);
+        }
+    }
+
+    /// A started one-worker session checking through `gate`.
+    fn gated_session(gate: &Arc<Gate>) -> PmTestSession {
+        let model = GatedX86 { gate: gate.clone(), x86: X86Model::new() };
+        let session = PmTestSession::builder().model(model).build();
+        session.start();
+        session
+    }
+
+    /// A gate write, then a clean trace.
+    fn record_gated_trace(session: &PmTestSession) {
+        session.record(Event::Write(gate_range()).here());
+        record_clean_trace(session);
     }
 
     fn flush_cause_count(snap: &pmtest_obs::TelemetrySnapshot, cause: &str) -> u64 {
@@ -1024,107 +932,203 @@ mod tests {
             .sum()
     }
 
+    /// A trace staged behind a full mailbox reaches the worker with no
+    /// result point and no further submission: the worker, having checked
+    /// the mailbox's trace, takes it from the idle producer's staged arena.
     #[test]
-    fn flush_causes_and_batch_fill_are_recorded() {
-        let session = PmTestSession::builder().batch_capacity(4).build();
-        session.start();
-        for _ in 0..9 {
-            record_clean_trace(&session);
+    fn no_trace_is_stranded_behind_a_full_mailbox() {
+        let gate = Arc::new(Gate::default());
+        let session = gated_session(&gate);
+        record_gated_trace(&session); // A: handed over and taken
+        gate.wait_entered(1); // the worker holds A at the gate
+        record_gated_trace(&session); // B: into the empty mailbox
+        record_gated_trace(&session); // C: staged behind B
+        gate.open();
+        // `stats` reads counters only: it hands nothing over and waits for
+        // nothing, so only an idle take can bring C to the worker.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while session.stats().traces_checked < 3 {
+            let stats = session.stats();
+            assert!(std::time::Instant::now() < deadline, "a staged trace was stranded: {stats:?}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // 9 traces at capacity 4: two capacity flushes, one trace pending.
-        let report = session.report(); // result-point flush ships the ninth
-        assert_eq!(report.traces().len(), 9);
         let snap = session.telemetry_snapshot();
-        assert_eq!(flush_cause_count(&snap, "capacity"), 2);
+        assert_eq!(flush_cause_count(&snap, "send_trace"), 2, "A and B found the mailbox empty");
+        assert_eq!(flush_cause_count(&snap, "idle_worker"), 1, "the worker took C");
+        assert_eq!(flush_cause_count(&snap, "result_point"), 0);
+        assert!(session.report().is_clean());
+    }
+
+    /// Every handoff is attributed to its caller — a submission that found
+    /// the mailbox empty, a result point, or an idle worker — and records
+    /// its fill in `session_batch_fill`.
+    #[test]
+    fn handoffs_are_attributed_to_their_caller() {
+        let gate = Arc::new(Gate::default());
+        let session = gated_session(&gate);
+        record_gated_trace(&session); // A: taken, held at the gate
+        gate.wait_entered(1);
+        record_gated_trace(&session); // B: into the mailbox
+        record_gated_trace(&session); // C and D: staged behind B
+        record_gated_trace(&session);
+        gate.grant(1); // A finishes; the worker takes B and holds again
+        gate.wait_entered(2);
+        session.flush(); // the mailbox is empty: C and D go over together
+        gate.open();
+        assert_eq!(session.report().traces().len(), 4);
+        let snap = session.telemetry_snapshot();
+        assert_eq!(flush_cause_count(&snap, "send_trace"), 2);
         assert_eq!(flush_cause_count(&snap, "result_point"), 1);
+        assert_eq!(flush_cause_count(&snap, "idle_worker"), 0);
         let fill = snap.histogram("session_batch_fill").expect("registered");
-        assert_eq!(fill.count, 3);
-        assert_eq!(fill.sum, 9, "4 + 4 + 1 traces across the three batches");
+        assert_eq!((fill.count, fill.sum), (3, 4), "1 + 1 + 2 traces over three handoffs");
+        let stats = session.stats();
+        assert_eq!((stats.batches_submitted, stats.traces_submitted), (3, 4));
+        assert_eq!(stats.queue_highwater, 2, "the largest handoff");
+    }
+
+    /// Records kv-set-shaped trace `i` behind a gate write: log the old
+    /// value, write the slot, commit, then check. Every seventh trace skips
+    /// the slot's flush and fails its `isPersist`.
+    fn record_kv_trace(session: &PmTestSession, i: u64) {
+        let slot = r(4096 + 64 * (i % 97), 4096 + 64 * (i % 97) + 8);
+        let (log, commit) = (r(0, 16), r(64, 72));
+        session.record(Event::Write(gate_range()).here());
+        for range in [log, slot, commit] {
+            session.record(Event::Write(range).here());
+            if range != slot || !i.is_multiple_of(7) {
+                session.record(Event::Flush(range).here());
+            }
+            session.record(Event::Fence.here());
+        }
+        session.is_persist(slot);
+        session.is_ordered_before(log, slot);
+        session.send_trace().expect("trace submitted");
+    }
+
+    /// Traces that batch behind a held worker — past one record bound's
+    /// worth, so the producer also waits on the bound — check to a report
+    /// byte-identical to the same traces sent one at a time with a result
+    /// point after each.
+    #[test]
+    fn multi_trace_handoffs_match_one_trace_at_a_time() {
+        const TRACES: u64 = 2 * (crate::ingest::MAX_STAGED_RECORDS as u64 / 13) + 50;
+        let gate = Arc::new(Gate::default());
+        let session = gated_session(&gate);
+        record_kv_trace(&session, 0);
+        gate.wait_entered(1); // the worker holds trace 0
+        std::thread::scope(|s| {
+            // Opens the gate once the producer has filled its bound and
+            // waits for a take.
+            s.spawn(|| {
+                while session.stats().backpressure_stalls == 0 {
+                    std::thread::yield_now();
+                }
+                gate.open();
+            });
+            for i in 1..TRACES {
+                record_kv_trace(&session, i);
+            }
+        });
+        let batched = session.report();
+        let stats = session.stats();
+        assert!(stats.backpressure_stalls > 0);
+        assert!(stats.mean_batch_size() > 1.0, "traces staged behind the held worker: {stats:?}");
+
+        let open = Arc::new(Gate::default());
+        open.open();
+        let single = gated_session(&open);
+        for i in 0..TRACES {
+            record_kv_trace(&single, i);
+            let _ = single.report();
+        }
+        let single = single.report();
+        assert_eq!(batched.traces().len(), TRACES as usize);
+        assert_eq!(batched.fail_count(), TRACES.div_ceil(7) as usize, "every seventh fails");
+        assert_eq!(batched.to_string(), single.to_string());
+        assert_eq!(batched, single);
     }
 
     #[test]
-    fn thread_exit_flush_cause_is_attributed() {
-        let session = PmTestSession::builder().batch_capacity(64).build();
+    fn thread_exit_loses_no_staged_trace() {
+        let session = PmTestSession::builder().workers(2).build();
+        session.start();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let session = session.clone();
+                s.spawn(move || {
+                    session.thread_init();
+                    for _ in 0..10 {
+                        record_clean_trace(&session);
+                    }
+                    // Some traces may still be staged here.
+                });
+            }
+        });
+        let report = session.finish();
+        assert_eq!(report.traces().len(), 40, "no trace lost to thread exit");
+        assert!(report.is_clean());
+    }
+
+    #[test]
+    fn sink_only_thread_loses_no_staged_trace_on_exit() {
+        // A thread whose *first* session interaction is `record` through the
+        // shared sink (the normal instrumented-pool path) gets its slot, and
+        // its producer, from `SessionShared::record`; its staged traces must
+        // reach the report like any other thread's.
+        let session = PmTestSession::builder().build();
         session.start();
         let handle = {
             let session = session.clone();
             std::thread::spawn(move || {
-                session.thread_init();
-                for _ in 0..5 {
-                    record_clean_trace(&session);
+                let sink = session.sink();
+                for _ in 0..10 {
+                    // No thread_init: the sink record creates the slot.
+                    sink.record(Event::Write(r(0, 8)).here());
+                    sink.record(Event::Flush(r(0, 8)).here());
+                    sink.record(Event::Fence.here());
+                    session.is_persist(r(0, 8));
+                    session.send_trace().expect("trace submitted");
                 }
             })
         };
         handle.join().unwrap();
-        assert_eq!(session.stats().traces_submitted, 0, "an exited thread ships nothing itself");
         let report = session.report();
-        assert_eq!(report.traces().len(), 5);
-        let snap = session.telemetry_snapshot();
-        assert_eq!(flush_cause_count(&snap, "result_point"), 1, "the report shipped the batch");
-        assert_eq!(flush_cause_count(&snap, "capacity"), 0);
+        assert_eq!(report.traces().len(), 10, "every trace reached the report");
+        assert!(report.is_clean());
     }
 
     #[test]
-    fn batching_defaults_off() {
-        let session = PmTestSession::builder().build();
-        session.start();
-        for _ in 0..3 {
-            record_clean_trace(&session);
-        }
-        let stats = session.stats();
-        assert_eq!(stats.batches_submitted, 3, "capacity 1 submits immediately");
-        assert_eq!(stats.traces_submitted, 3);
-    }
-
-    #[test]
-    fn batched_sessions_with_many_threads_check_every_trace() {
-        // Stress shape: many producer threads shipping many batches each
-        // through rings that trade their arenas on every push and claim.
-        let session =
-            PmTestSession::builder().workers(4).batch_capacity(16).queue_capacity(8).build();
+    fn handoff_counts_add_up_over_many_producer_threads() {
+        // Stress shape: many producer threads handing over through
+        // mailboxes that trade their arenas on every handoff and take.
+        let session = PmTestSession::builder().workers(4).build();
         session.start();
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..6)
-                .map(|_| {
-                    let session = session.clone();
-                    s.spawn(move || {
-                        session.thread_init();
-                        for _ in 0..100 {
-                            record_clean_trace(&session);
-                        }
-                        session.flush();
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
+            for _ in 0..6 {
+                let session = session.clone();
+                s.spawn(move || {
+                    session.thread_init();
+                    for _ in 0..100 {
+                        record_clean_trace(&session);
+                    }
+                    session.flush();
+                });
             }
         });
         let report = session.finish();
         assert_eq!(report.traces().len(), 600, "no trace lost under stress");
         assert!(report.is_clean());
-    }
-
-    #[test]
-    fn a_warm_ring_ships_without_slab_growth() {
-        // Four slots, the staged and recording arenas and the worker's spare:
-        // seven buffers, each recorded into within the first lap.
-        let session = PmTestSession::builder().queue_capacity(4).build();
-        session.start();
-        for _ in 0..20 {
-            record_clean_trace(&session);
-        }
-        assert!(session.report().is_clean());
-        let warm = session.pool_stats();
-        assert!(warm.grown > 0, "a fresh ring's first lap grows its buffers");
-        for _ in 0..20 {
-            record_clean_trace(&session);
-        }
-        assert!(session.report().is_clean());
-        let stats = session.pool_stats();
-        assert_eq!(stats.batches - warm.batches, 20, "one batch per trace at capacity 1");
-        assert_eq!(stats.grown, warm.grown, "recycled buffers already fit");
-        assert!(stats.hit_rate() > warm.hit_rate());
+        let snap = session.telemetry_snapshot();
+        let stats = session.stats();
+        let causes: u64 = ["send_trace", "result_point", "idle_worker"]
+            .iter()
+            .map(|cause| flush_cause_count(&snap, cause))
+            .sum();
+        assert_eq!(causes, stats.batches_submitted, "every handoff has one caller");
+        let fill = snap.histogram("session_batch_fill").expect("registered");
+        assert_eq!((fill.count, fill.sum), (stats.batches_submitted, 600));
+        assert_eq!(stats.steals + stats.affinity_hits, stats.batches_submitted);
     }
 
     #[test]
@@ -1141,22 +1145,8 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_capacity_near_usize_max_ships_at_result_points() {
-        let session = PmTestSession::builder().batch_capacity(usize::MAX >> 1).build();
-        session.start();
-        record_clean_trace(&session);
-        assert_eq!(session.stats().traces_submitted, 0, "still staged");
-        session.flush();
-        assert_eq!(session.stats().traces_submitted, 1);
-        let report = session.report();
-        assert_eq!(report.traces().len(), 1);
-        assert!(report.is_clean());
-    }
-
-    #[test]
     fn ship_spans_appear_in_the_chrome_trace() {
         let session = PmTestSession::builder()
-            .batch_capacity(2)
             .telemetry(TelemetryConfig::at(crate::TelemetryLevel::Full))
             .build();
         session.start();
@@ -1166,19 +1156,20 @@ mod tests {
         assert!(session.report().is_clean());
         let json = session.chrome_trace();
         let stats = pmtest_obs::trace_event::validate_str(&json).expect("loadable trace");
-        // Two capacity ships on the producer side plus claim/replay/merge
-        // per batch on the worker side.
-        assert!(stats.pairs >= 8, "expected ship + worker stage spans, got {stats:?}");
+        // One ship per send_trace on the producer side plus
+        // claim/replay/merge per handoff on the worker side.
+        let handoffs = session.stats().batches_submitted as usize;
+        assert!(stats.pairs >= 4 + 3 * handoffs, "expected ship + worker spans, got {stats:?}");
         for name in ["ship", "claim", "replay", "merge"] {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "span {name} missing");
         }
     }
 
     #[test]
-    fn arena_tallies_fold_into_the_snapshot_at_ship_time() {
-        let session = PmTestSession::builder().batch_capacity(8).build();
+    fn arena_tallies_fold_into_the_snapshot_at_handoff() {
+        let session = PmTestSession::builder().build();
         session.start();
-        // A fresh ring's buffers start empty, so recording must grow them.
+        // A fresh producer's buffers start empty, so recording must grow them.
         for _ in 0..100 {
             session.record(Event::Fence.here());
         }
@@ -1191,7 +1182,7 @@ mod tests {
         // Growing a fresh buffer reallocates at least once.
         assert!(snap.counter("engine_arena_slab_allocs").unwrap_or(0) >= 1);
         // Every recorded entry resolves its source location through some
-        // intern tier; repeats within a batch hit the arena cache.
+        // intern tier; repeats hit the recording arena's cache.
         let interns = snap.counter_sum("engine_intern_hits");
         assert!(interns >= 32, "expected intern tier hits, got {interns}");
         let arena_hits = snap

@@ -89,14 +89,16 @@ impl TelemetryConfig {
 
 /// A pipeline stage of the ingest plane, as decomposed by the
 /// `engine_stage_ns{stage=…}` latency histograms: one trace's life is
-/// record→ring-push on the producer, the ring wait, claim (or steal) to
-/// replay start on the worker, the replay itself, and the report merge.
+/// staging (and any handoff) on the producer, the mailbox wait, take (or
+/// steal) to replay start on the worker, the replay itself, and the report
+/// merge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Producer side: sealing the batch and pushing it into the producer's
-    /// ring, including any backpressure wait.
+    /// Producer side, once per submission: staging its sealed traces and
+    /// any handoff, including any backpressure wait.
     RecordPush,
-    /// Submit to worker dequeue: time the batch sat in the ring.
+    /// Handoff to worker take: time the traces sat in the mailbox (zero for
+    /// an idle take).
     RingWait,
     /// Worker dequeue to first replay: shadow-state acquisition and batch
     /// unpacking.
@@ -186,24 +188,32 @@ impl CheckerCategory {
     }
 }
 
-/// Why a session shipped a trace batch to the engine
+/// Which caller handed a producer's staged traces to the checking pipeline
 /// (`session_flush_total{cause=…}`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushCause {
-    /// The producer's batch reached `batch_capacity`.
-    Capacity,
+    /// A submission — `send_trace`, `ThreadRecorder::send_trace`,
+    /// `Engine::submit`/`submit_batch` — found the producer's mailbox empty.
+    SendTrace,
     /// A result point — `flush`, `report`, `take_report`, `finish`, … —
-    /// or a `ThreadRecorder::flush`.
+    /// handed over what was staged.
     ResultPoint,
+    /// A worker that found every mailbox empty took a staged arena.
+    IdleWorker,
 }
 
 impl FlushCause {
+    /// Every cause, in counter registration order.
+    pub const ALL: [FlushCause; 3] =
+        [FlushCause::SendTrace, FlushCause::ResultPoint, FlushCause::IdleWorker];
+
     /// The `cause` label value.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
-            FlushCause::Capacity => "capacity",
+            FlushCause::SendTrace => "send_trace",
             FlushCause::ResultPoint => "result_point",
+            FlushCause::IdleWorker => "idle_worker",
         }
     }
 }
@@ -228,8 +238,8 @@ pub(crate) struct EngineTelemetry {
     /// What the engine records (checked by workers and dispatch).
     pub(crate) level: TelemetryLevel,
     started: Instant,
-    /// Queue depth of the chosen worker, sampled on every submit.
-    pub(crate) queue_depth: Gauge,
+    /// Traces in the last handoff.
+    queue_depth: Gauge,
     /// Whole-trace check latency, ns (`Full` only).
     pub(crate) check_latency: Histogram,
     /// Per-category entry-processing time, ns (`Full` only); indexed like
@@ -245,9 +255,9 @@ pub(crate) struct EngineTelemetry {
     pub(crate) worker_busy: Vec<Counter>,
     /// Aggregated [`TraceStats`] per worker (`Full` only).
     pub(crate) worker_stats: Vec<Mutex<TraceStats>>,
-    /// Traces per shipped session batch.
-    pub(crate) batch_fill: Histogram,
-    flush_causes: [Counter; 2],
+    /// Traces per handoff.
+    batch_fill: Histogram,
+    flush_causes: [Counter; FlushCause::ALL.len()],
     /// Per-stage pipeline latency, ns (`Full` only); indexed like
     /// [`Stage::ALL`]. Registered unconditionally so a snapshot always
     /// exposes all five stages (count 0 below `Full`).
@@ -272,7 +282,8 @@ pub(crate) struct EngineTelemetry {
 /// never touch the intern table.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SpanNames {
-    /// Producer: seal + ring push of one batch (includes backpressure).
+    /// Producer: staging one submission and any handoff (includes
+    /// backpressure).
     pub(crate) ship: u32,
     /// Worker: dequeue to replay start for one batch.
     pub(crate) claim: u32,
@@ -342,7 +353,7 @@ impl EngineTelemetry {
             worker_busy,
             worker_stats: (0..workers).map(|_| Mutex::new(TraceStats::default())).collect(),
             batch_fill: registry.histogram("session_batch_fill", &[]),
-            flush_causes: [FlushCause::Capacity, FlushCause::ResultPoint]
+            flush_causes: FlushCause::ALL
                 .map(|c| registry.counter("session_flush_total", &[("cause", c.label())])),
             stages,
             profile: ProfileStore::new(),
@@ -396,10 +407,14 @@ impl EngineTelemetry {
         &self.diag_kinds[idx]
     }
 
-    /// Records one shipped session batch.
-    pub(crate) fn note_batch_shipped(&self, cause: FlushCause, traces: usize) {
-        self.batch_fill.record(traces as u64);
+    /// Records one handoff of `traces` traces: its caller, its fill, and the
+    /// submission counters.
+    pub(crate) fn note_handoff(&self, cause: FlushCause, traces: u64) {
+        self.batch_fill.record(traces);
         self.flush_causes[cause as usize].inc();
+        self.counters.batches_submitted.inc();
+        self.counters.traces_submitted.add(traces);
+        self.queue_depth.set(traces);
     }
 
     /// The per-category histogram charged for `event`.

@@ -1,8 +1,10 @@
-//! Allocation regression test for the ship path: once a producer's ring has
-//! made one warm lap, recording, shipping and checking a trace must not
-//! touch the heap — record buffers are traded between the recording arena,
-//! the staged batch, the ring slots and the workers' spares, never
-//! allocated. Only the result vectors still grow, by doubling.
+//! Allocation regression test for the ship path: once a producer's buffers
+//! have made a warm lap, recording, handing over and checking a trace must
+//! not touch the heap — record buffers are traded between the recording
+//! arena, the staged arena, the mailbox and the workers' spares, never
+//! allocated. That holds in both regimes: a worker keeping pace takes one
+//! trace per handoff, and a worker the producer outruns takes handoffs up to
+//! the record bound. Only the result vectors still grow, by doubling.
 //!
 //! The engine's workers allocate on threads of their own, so the counting
 //! allocator tallies process-wide, and this binary holds one test: a second
@@ -11,9 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pmtest_core::{PmTestSession, ThreadRecorder};
+use pmtest_core::{Diag, PersistencyModel, PmTestSession, ShadowMemory, ThreadRecorder, X86Model};
 use pmtest_interval::ByteRange;
-use pmtest_trace::{Event, Sink};
+use pmtest_trace::{Entry, Event, Sink, SourceLoc};
 
 struct CountingAlloc;
 
@@ -87,31 +89,81 @@ fn count_phase(session: &PmTestSession, lap: usize, mut trace: impl FnMut()) -> 
     allocations
 }
 
-/// Traces that take a producer's ring once around, twice over: every ring
-/// slot, the staged and recording arenas and the worker's spare each record
-/// a full batch at least once.
-fn warm_lap(session: &PmTestSession, batch: usize) -> usize {
-    2 * (session.queue_capacity() + 4) * batch
+/// Warm-up traces for a producer whose handoffs carry one trace or a few:
+/// its four rotating buffers each record a handoff many times over.
+const WARM_LAP: usize = 1_000;
+
+/// Warm-up traces for a producer that outruns its worker: handoffs of up to
+/// a record bound's worth (about a thousand of these traces), so each of the
+/// four rotating buffers holds a full handoff several times over.
+const OUTRUN_WARM_LAP: usize = 30_000;
+
+/// x86 rules through the object-safe path, with every fence held for a few
+/// microseconds: a worker checking with it falls behind a producer
+/// recording short traces, so traces batch up to the record bound.
+#[derive(Debug)]
+struct SlowX86(X86Model);
+
+impl PersistencyModel for SlowX86 {
+    fn name(&self) -> &str {
+        "x86"
+    }
+
+    fn apply(&self, shadow: &mut ShadowMemory, entry: &Entry, diags: &mut Vec<Diag>) {
+        if entry.event == Event::Fence {
+            let start = std::time::Instant::now();
+            while start.elapsed() < std::time::Duration::from_micros(2) {
+                std::hint::spin_loop();
+            }
+        }
+        self.0.apply(shadow, entry, diags);
+    }
+
+    fn check_persist(
+        &self,
+        shadow: &ShadowMemory,
+        range: ByteRange,
+        loc: SourceLoc,
+        diags: &mut Vec<Diag>,
+    ) {
+        self.0.check_persist(shadow, range, loc, diags);
+    }
+
+    fn check_ordered_before(
+        &self,
+        shadow: &ShadowMemory,
+        first: ByteRange,
+        second: ByteRange,
+        loc: SourceLoc,
+        diags: &mut Vec<Diag>,
+    ) {
+        self.0.check_ordered_before(shadow, first, second, loc, diags);
+    }
 }
 
 #[test]
-fn a_warm_ring_ships_without_allocating() {
-    let unbatched = PmTestSession::builder().build();
-    unbatched.start();
-    let sink = count_phase(&unbatched, warm_lap(&unbatched, 1), || sink_trace(&unbatched));
+fn warm_handoffs_ship_without_allocating() {
+    let session = PmTestSession::builder().build();
+    session.start();
+    let sink = count_phase(&session, WARM_LAP, || sink_trace(&session));
 
-    let batched = PmTestSession::builder().batch_capacity(32).build();
-    batched.start();
-    let batch32 = count_phase(&batched, warm_lap(&batched, 32), || sink_trace(&batched));
+    let mut rec = session.recorder();
+    let recorder = count_phase(&session, WARM_LAP, || recorder_trace(&mut rec));
 
-    let mut rec = unbatched.recorder();
-    let recorder = count_phase(&unbatched, warm_lap(&unbatched, 1), || recorder_trace(&mut rec));
+    let slow = PmTestSession::builder().model(SlowX86(X86Model::new())).build();
+    slow.start();
+    let outrun = count_phase(&slow, OUTRUN_WARM_LAP, || sink_trace(&slow));
+    let stats = slow.stats();
+    assert!(
+        stats.mean_batch_size() > 10.0 && stats.backpressure_stalls > 0,
+        "the producer must outrun its worker up to the record bound: {stats:?}"
+    );
 
-    let total = sink + batch32 + recorder;
+    let total = sink + recorder + outrun;
     assert!(
         total * 100 < 3 * TRACES as u64,
-        "{total} allocations over {} traces (Sink path {sink}, batch 32 {batch32}, \
-         recorder {recorder}): more than one per 100 traces",
+        "{total} allocations over {} traces (Sink path {sink}, recorder {recorder}, \
+         outrun worker {outrun}): more than one per 100 traces",
         3 * TRACES
     );
 }

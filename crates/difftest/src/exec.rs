@@ -59,7 +59,6 @@ fn cell_config(model: Arc<dyn PersistencyModel>, run: &EngineRun) -> EngineConfi
     EngineConfig {
         model,
         workers: run.workers,
-        queue_capacity: 64,
         telemetry: run.telemetry.clone(),
         ..EngineConfig::default()
     }

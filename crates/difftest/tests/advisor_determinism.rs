@@ -24,7 +24,6 @@ fn advisor_json(program: &Program, workers: usize, batch_capacity: usize) -> Str
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers,
-        queue_capacity: 64,
         telemetry: TelemetryConfig::at(TelemetryLevel::Profile),
         ..EngineConfig::default()
     });

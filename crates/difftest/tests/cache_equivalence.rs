@@ -64,7 +64,6 @@ fn profiled_run(seed: u64, cached: bool) -> (String, TraceStats) {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 2,
-        queue_capacity: 64,
         telemetry: TelemetryConfig::at(TelemetryLevel::Profile),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
@@ -93,7 +92,6 @@ fn timed_stats(seed: u64, cached: bool) -> TraceStats {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 2,
-        queue_capacity: 64,
         telemetry: TelemetryConfig::at(TelemetryLevel::Full),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
@@ -126,7 +124,6 @@ fn bundle_lines(seed: u64, cached: bool) -> String {
         workers: 1,
         telemetry: TelemetryConfig::at(TelemetryLevel::Bundles),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
-        ..EngineConfig::default()
     });
     submit_replicas(&engine, &program, 1, REPLICAS, 0).expect("submit replicas");
     engine.wait_idle();

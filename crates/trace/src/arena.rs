@@ -137,6 +137,7 @@ impl TraceArena {
             // An adopted buffer is not slab growth of this arena.
             self.last_word_cap = self.words.capacity();
         } else {
+            self.reserve_within_retained(words.len());
             self.words.extend_from_slice(&words);
         }
         self.open_entries = entries;
@@ -147,6 +148,12 @@ impl TraceArena {
     #[must_use]
     pub fn sealed(&self) -> usize {
         self.spans.len()
+    }
+
+    /// Packed records of the sealed traces.
+    #[must_use]
+    pub fn sealed_records(&self) -> usize {
+        self.open_start
     }
 
     /// Whether the arena holds neither sealed spans nor open records.
@@ -164,11 +171,21 @@ impl TraceArena {
         })
     }
 
+    /// Sealed records from which [`append_sealed`](Self::append_sealed)
+    /// into an empty arena trades buffers instead of copying. A short trace
+    /// is cheaper to copy than the trade is to pay for: the traded-in buffer
+    /// comes back from a checking worker, and the recording thread would
+    /// then write its next trace into cache lines that worker's core just
+    /// read, one cross-core fetch per line, spread over the recording.
+    pub const TRADE_MIN_RECORDS: usize = 256;
+
     /// Moves the sealed traces of `src` onto the end of this arena, leaving
-    /// `src` with only its open tail. An arena that holds nothing trades
-    /// buffers with `src` instead of copying: it takes `src`'s records whole,
-    /// and `src` records on into this arena's cleared buffers, its open tail
-    /// copied over. Otherwise the records are copied in. The location cache
+    /// `src` with only its open tail. An arena that holds nothing takes at
+    /// least [`TRADE_MIN_RECORDS`](Self::TRADE_MIN_RECORDS) records by
+    /// trading buffers with `src` instead of copying: it takes `src`'s
+    /// records whole, and `src` records on into this arena's cleared
+    /// buffers, its open tail copied over. Otherwise the records are copied
+    /// in, and the recording side keeps its buffers. The location cache
     /// stays with `src`, the recording side; `src`'s allocator/intern
     /// tallies move here with the traces, so whoever ships this arena folds
     /// them.
@@ -181,7 +198,7 @@ impl TraceArena {
         if src.sealed() == 0 {
             return;
         }
-        if self.is_empty() {
+        if self.is_empty() && src.open_start >= Self::TRADE_MIN_RECORDS {
             std::mem::swap(&mut self.words, &mut src.words);
             std::mem::swap(&mut self.spans, &mut src.spans);
             // Growth of the traded-in slab is the recording side's, counted
@@ -195,6 +212,7 @@ impl TraceArena {
             src.open_start = 0;
         } else {
             let base = u32::try_from(self.words.len()).expect("arena exceeds u32 records");
+            self.reserve_within_retained(src.open_start);
             self.words.extend_from_slice(&src.words[..src.open_start]);
             let spans = src.spans.drain(..).map(|s| TraceSpan { start: s.start + base, ..s });
             self.spans.extend(spans);
@@ -205,6 +223,22 @@ impl TraceArena {
         let stats = src.take_stats();
         self.slab_allocs += stats.slab_allocs;
         self.interner.stats.merge(stats.interns);
+    }
+
+    /// Makes room for `additional` copied-in records, doubling the word
+    /// buffer as `Vec` would but not past
+    /// [`RETAINED_WORDS`](Self::RETAINED_WORDS) unless the records need it,
+    /// so a batch that fits the retained size leaves a buffer
+    /// [`clear`](Self::clear) keeps. Growth is counted as a slab
+    /// reallocation.
+    fn reserve_within_retained(&mut self, additional: usize) {
+        let need = self.words.len() + additional;
+        if need > self.words.capacity() {
+            let target = (2 * self.words.capacity()).clamp(need, need.max(Self::RETAINED_WORDS));
+            self.words.reserve_exact(target - self.words.len());
+            self.slab_allocs += 1;
+            self.last_word_cap = self.words.capacity();
+        }
     }
 
     /// Word-buffer capacity, in records, that [`clear`](Self::clear) keeps.
@@ -282,12 +316,14 @@ mod tests {
     #[test]
     fn a_trade_carries_the_open_tail_and_keeps_the_location_cache() {
         let mut rec = TraceArena::new();
-        rec.push(Event::Write(r(0, 8)).at(loc(1)));
+        for _ in 0..TraceArena::TRADE_MIN_RECORDS {
+            rec.push(Event::Write(r(0, 8)).at(loc(1)));
+        }
         rec.seal(1);
         rec.push(Event::Fence.at(loc(2))); // open, not sealed
         let sealed = rec.traces().next().unwrap().1.as_ptr();
         let mut batch = TraceArena::new();
-        batch.append_sealed(&mut rec); // empty: buffers trade places
+        batch.append_sealed(&mut rec); // empty, and long enough: buffers trade places
         assert_eq!(batch.sealed(), 1);
         assert_eq!(batch.traces().next().unwrap().1.as_ptr(), sealed, "traded, not copied");
         // The open fence survived into the recording side's new buffer.
@@ -359,7 +395,7 @@ mod tests {
         let mut rec = TraceArena::new();
         rec.push(Event::Write(r(0, 8)).at(loc(1)));
         rec.seal(1);
-        staged.append_sealed(&mut rec); // empty: buffers trade places
+        staged.append_sealed(&mut rec); // short: copied
         rec.push(Event::Fence.at(loc(2)));
         rec.push(Event::Write(r(8, 16)).at(loc(3)));
         rec.seal(2);
@@ -379,6 +415,32 @@ mod tests {
         rec.seal(3);
         let (id, words, _) = rec.traces().next().unwrap();
         assert_eq!((id, words[0].op()), (3, crate::packed::PackedOp::Fence));
+    }
+
+    #[test]
+    fn append_sealed_trades_only_long_traces() {
+        let record = |arena: &mut TraceArena, records: usize, id: u64| {
+            for _ in 0..records {
+                arena.push(Event::Fence.at(loc(1)));
+            }
+            arena.seal(id);
+        };
+        let mut rec = TraceArena::new();
+        record(&mut rec, 3, 1);
+        let own = rec.words.as_ptr();
+        let mut staged = TraceArena::new();
+        staged.append_sealed(&mut rec);
+        assert_eq!(
+            rec.words.as_ptr(),
+            own,
+            "a short trace is copied: the recorder keeps its buffer"
+        );
+        let mut long = TraceArena::new();
+        record(&mut long, TraceArena::TRADE_MIN_RECORDS, 2);
+        let records = long.words.as_ptr();
+        let mut staged = TraceArena::new();
+        staged.append_sealed(&mut long);
+        assert_eq!(staged.traces().next().unwrap().1.as_ptr(), records, "a long one trades");
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the site-keyed profile store.
     let session = PmTestSession::builder()
         .workers(2)
-        .batch_capacity(8)
         .telemetry(TelemetryConfig::at(TelemetryLevel::Profile))
         .build();
     session.start();

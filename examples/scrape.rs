@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exporter. A deployment would pin something like "127.0.0.1:9184".
     let session = PmTestSession::builder()
         .workers(2)
-        .batch_capacity(8)
         .telemetry(TelemetryConfig::at(TelemetryLevel::Full).with_scrape("127.0.0.1:0"))
         .build();
     let addr = session.scrape_addr().expect("scrape endpoint configured");

@@ -25,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // bypass predicate.
     let session = PmTestSession::builder()
         .workers(2)
-        .batch_capacity(8)
         .telemetry(TelemetryConfig::at(TelemetryLevel::Full))
         .verdict_cache(true)
         .build();
@@ -113,7 +112,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (report.fail_count() + report.warn_count()) as u64
     );
     assert!(snap.histogram("engine_check_latency_ns").map_or(0, |h| h.count) >= expected as u64);
-    assert!(snap.counter_sum("session_flush_total") > 0, "batch flushes are counted by cause");
+    // Every handoff is counted once, under the label of its caller, and
+    // its fill lands in the batch-fill histogram.
+    let handoffs = snap.counter("engine_batches_submitted").expect("registered");
+    assert_eq!(snap.counter_sum("session_flush_total"), handoffs, "handoffs counted by cause");
+    for cause in ["send_trace", "result_point", "idle_worker"] {
+        let labelled = snap.counters.iter().any(|c| {
+            c.name == "session_flush_total"
+                && c.labels.iter().any(|(k, v)| k == "cause" && v == cause)
+        });
+        assert!(labelled, "session_flush_total{{cause={cause}}} exported");
+    }
+    let fill = snap.histogram("session_batch_fill").expect("registered");
+    assert_eq!((fill.count, fill.sum), (handoffs, expected as u64), "traces per handoff");
     assert!(!bundles.is_empty(), "failing traces must auto-capture diagnosis bundles");
     assert!(bundles.iter().all(|b| !b.steps.is_empty()), "bundles carry the trace's steps");
     // The five ingest stages all saw traffic, and the exported trace-event

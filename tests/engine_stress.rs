@@ -1,25 +1,19 @@
-//! Stress tests for the batched, sharded checking engine: many producers,
-//! many workers, mixed batch sizes — no trace may be lost, and merging the
-//! per-worker result shards must preserve both the trace order (by id) and
-//! the program order of diagnostics *within* each trace.
+//! Stress tests for the sharded checking engine: many producers, many
+//! workers, mixed submission sizes, traces batching behind busy workers —
+//! no trace may be lost, and merging the per-worker result shards must
+//! preserve both the trace order (by id) and the program order of
+//! diagnostics *within* each trace.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use pmtest::core::ShadowMemory;
 use pmtest::prelude::*;
 
-/// A trace with two failing `isPersist` checkers on distinct ranges. The
-/// diagnostics must come back in program order: first the checker on
-/// `[lo)`, then the one on `[hi)`.
-fn two_failure_trace(id: u64) -> Trace {
-    let lo = ByteRange::with_len(0, 8);
-    let hi = ByteRange::with_len(64, 8);
-    let mut t = Trace::new(id);
-    t.push(Event::Write(lo).here());
-    t.push(Event::Write(hi).here());
-    t.push(Event::IsPersist(lo).here()); // FAIL 1: lo never flushed
-    t.push(Event::IsPersist(hi).here()); // FAIL 2: hi never flushed
-    t
-}
+/// Fences padding each contended trace: four such traces pass the record
+/// bound a producer may hold untaken, so submissions regularly wait for a
+/// worker's take (fences alone add no diagnostic).
+const PAD_FENCES: usize = 1024;
 
 fn clean_trace(id: u64) -> Trace {
     let r = ByteRange::with_len(0, 8);
@@ -31,16 +25,30 @@ fn clean_trace(id: u64) -> Trace {
     t
 }
 
+/// A trace with two failing `isPersist` checkers on distinct ranges, padded
+/// with [`PAD_FENCES`] fences before them. The diagnostics must come back in
+/// program order: first the checker on `[lo)`, then the one on `[hi)`.
+fn two_failure_trace(id: u64) -> Trace {
+    let lo = ByteRange::with_len(0, 8);
+    let hi = ByteRange::with_len(64, 8);
+    let mut t = Trace::new(id);
+    t.push(Event::Write(lo).here());
+    t.push(Event::Write(hi).here());
+    for _ in 0..PAD_FENCES {
+        t.push(Event::Fence.here());
+    }
+    t.push(Event::IsPersist(lo).here()); // FAIL 1: lo never flushed
+    t.push(Event::IsPersist(hi).here()); // FAIL 2: hi never flushed
+    t
+}
+
 #[test]
 fn no_trace_lost_under_producer_worker_contention() {
     const PRODUCERS: u64 = 8;
     const TRACES_PER_PRODUCER: u64 = 250;
-    // Small queue so submissions regularly stall on backpressure.
-    let engine = Arc::new(Engine::new(EngineConfig {
-        workers: 4,
-        queue_capacity: 4,
-        ..EngineConfig::default()
-    }));
+    // Eight threads share the engine's own producer, and padded traces fill
+    // its record bound, so submissions regularly stall on backpressure.
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 4, ..EngineConfig::default() }));
     std::thread::scope(|s| {
         for p in 0..PRODUCERS {
             let engine = engine.clone();
@@ -85,7 +93,7 @@ fn no_trace_lost_under_producer_worker_contention() {
     let stats = engine.stats();
     assert_eq!(stats.traces_submitted, total);
     assert_eq!(stats.traces_checked, total);
-    assert!(stats.backpressure_stalls > 0, "queue of 4 under 8 producers must stall");
+    assert!(stats.backpressure_stalls > 0, "padded traces under 8 producers must stall");
     assert!(stats.queue_highwater >= 1);
 }
 
@@ -113,11 +121,57 @@ fn accumulate_and_drain_survive_concurrent_submission() {
     assert_eq!(engine.report().traces().len(), 0, "drained");
 }
 
+/// x86 rules through the object-safe path, holding every worker in its
+/// first check while `hold` is set.
+#[derive(Debug)]
+struct HeldX86 {
+    hold: Arc<AtomicBool>,
+    x86: X86Model,
+}
+
+impl PersistencyModel for HeldX86 {
+    fn name(&self) -> &str {
+        "x86"
+    }
+
+    fn apply(&self, shadow: &mut ShadowMemory, entry: &Entry, diags: &mut Vec<Diag>) {
+        while self.hold.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        self.x86.apply(shadow, entry, diags);
+    }
+
+    fn check_persist(
+        &self,
+        shadow: &ShadowMemory,
+        range: ByteRange,
+        loc: SourceLoc,
+        diags: &mut Vec<Diag>,
+    ) {
+        self.x86.check_persist(shadow, range, loc, diags);
+    }
+
+    fn check_ordered_before(
+        &self,
+        shadow: &ShadowMemory,
+        first: ByteRange,
+        second: ByteRange,
+        loc: SourceLoc,
+        diags: &mut Vec<Diag>,
+    ) {
+        self.x86.check_ordered_before(shadow, first, second, loc, diags);
+    }
+}
+
 #[test]
 fn batched_sessions_with_many_threads_lose_nothing() {
     const THREADS: usize = 6;
     const TRACES_PER_THREAD: usize = 100;
-    let session = PmTestSession::builder().workers(4).batch_capacity(16).queue_capacity(8).build();
+    // The workers are held until every thread has exited, so each thread's
+    // traces batch behind its full mailbox and are still staged at exit.
+    let hold = Arc::new(AtomicBool::new(true));
+    let model = HeldX86 { hold: hold.clone(), x86: X86Model::new() };
+    let session = PmTestSession::builder().workers(4).model(model).build();
     session.start();
     std::thread::scope(|s| {
         for _ in 0..THREADS {
@@ -132,11 +186,11 @@ fn batched_sessions_with_many_threads_lose_nothing() {
                     session.is_persist(r);
                     session.send_trace().expect("trace produced");
                 }
-                // 100 % 16 != 0: a partial batch is pending at thread exit
-                // and must be flushed by the slot destructor.
+                // Traces are still staged here; the thread exits anyway.
             });
         }
     });
+    hold.store(false, Ordering::Release);
     let report = session.finish();
     assert_eq!(report.traces().len(), THREADS * TRACES_PER_THREAD);
     assert!(report.is_clean(), "{report}");
