@@ -124,9 +124,8 @@ impl std::error::Error for SubmitError {}
 ///   producer's staged traces before they park. See `crate::ingest` and
 ///   DESIGN.md §13.
 /// * **Arena messages** — every handoff travels as one [`TraceArena`] of
-///   compact packed records; [`submit`](Self::submit) wraps a lone trace's
-///   record buffer without copying it. Workers check the packed records in
-///   place without decoding them into `Entry` vectors.
+///   compact packed records, which workers check in place without decoding
+///   them into `Entry` vectors.
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
@@ -216,14 +215,14 @@ pub(crate) type Producer = crate::ingest::Producer<BatchMsg>;
 
 impl Shared {
     /// Admits the sealed traces in `arena` as one handoff, under their
-    /// producer's lock: raises `outstanding` before the lock is released
-    /// (publish invariant (a), see [`Engine::publish_staged`]). The returned
-    /// message settles the count when it drops. The handoff's counters are
-    /// the taking worker's to write, so a producer's handoff touches no
-    /// counter a worker writes.
+    /// producer's lock: counts them submitted and raises `outstanding`
+    /// before the lock is released (publish invariant (a), see
+    /// [`Engine::publish_staged`]). The returned message settles the count
+    /// when it drops; the handoff's other counters are the taking worker's.
     fn admit(self: &Arc<Self>, arena: &TraceArena, cause: FlushCause) -> BatchMsg {
         let n = arena.sealed() as u64;
         self.outstanding.fetch_add(n, Ordering::AcqRel);
+        self.telemetry.counters.traces_submitted.add(n);
         BatchMsg {
             accounting: BatchAccounting { shared: self.clone(), n },
             submitted: self.telemetry.timed().then(Instant::now),
@@ -341,15 +340,14 @@ pub struct EngineStats {
     pub entries_processed: u64,
     /// Diagnostics (FAIL + WARN) produced.
     pub diagnostics: u64,
-    /// Handoffs of staged traces to the workers: by a submission that found
-    /// its mailbox empty, by a result point, or by an idle worker's take.
+    /// Handoffs taken by the workers: made by a submission that found its
+    /// mailbox empty, by a result point, or by an idle worker's take.
     pub batches_submitted: u64,
-    /// Traces handed over across all handoffs. `traces_submitted /
-    /// batches_submitted` is the mean handoff size.
+    /// Traces handed over, counted as a handoff admits them: one discarded
+    /// untaken counts here and never in `traces_checked`.
     pub traces_submitted: u64,
-    /// Most traces one handoff ever carried: the traces staged plus those in
-    /// the mailbox (none) at the handoff — how far the checking pipeline ran
-    /// behind the program.
+    /// Most traces one handoff carried (what its producer staged while the
+    /// mailbox was full): how far the checking pipeline ran behind.
     pub queue_highwater: u64,
     /// Times a submission had to wait for a worker's take to keep its
     /// untaken records within the bound (Fig. 12a's backpressure regime).
@@ -366,7 +364,7 @@ pub struct EngineStats {
     pub affinity_hits: u64,
     /// Worker parks actually entered (a worker found no work and slept).
     pub parks: u64,
-    /// Parked workers recruited awake by a producer's handoff.
+    /// Parked workers recruited awake by a producer's handoff or staging.
     pub wakes: u64,
     /// Recruiting-CAS attempts that lost to an already-in-flight recruit —
     /// how often the single-recruit gate damped a would-be wake.
@@ -563,9 +561,9 @@ impl Engine {
     }
 
     /// Submits one trace for asynchronous checking. It is staged on the
-    /// engine-owned producer like a session's sealed trace; a staged arena
-    /// holding nothing adopts its record buffer without copying it, and an
-    /// empty trace still gets its (empty) report.
+    /// engine-owned producer like a session's sealed trace (see
+    /// [`TraceArena::push_trace`]); an empty trace still gets its (empty)
+    /// report.
     ///
     /// # Errors
     ///
@@ -1459,16 +1457,17 @@ mod tests {
     #[test]
     fn snapshot_exposes_ring_steal_parker_and_arena_counters() {
         let engine = Engine::new(EngineConfig::default());
+        // One trace at a time: each finds the mailbox empty and goes over
+        // alone, so there are exactly four takes.
         for id in 0..4 {
             engine.submit(clean_trace(id)).unwrap();
+            engine.wait_idle();
         }
-        engine.wait_idle();
         let snap = engine.telemetry_snapshot();
         // Steal/affinity accounting: every take is one or the other.
         let steals = snap.counter("engine_ring_steals").unwrap();
         let affinity = snap.counter("engine_ring_affinity_hits").unwrap();
-        let handoffs = engine.stats().batches_submitted;
-        assert_eq!(steals + affinity, handoffs, "each take is a steal or an affinity hit");
+        assert_eq!(steals + affinity, 4, "each take is a steal or an affinity hit");
         // Parker counters are present (values depend on scheduling).
         assert!(snap.counter("engine_parker_parks").is_some());
         assert!(snap.counter("engine_parker_wakes").is_some());
@@ -1477,13 +1476,42 @@ mod tests {
         assert!(snap.gauge("engine_ring_highwater").is_some());
         assert!(snap.gauge("engine_ring_occupancy_traces").is_some());
         assert!(snap.counter("engine_ring_pushed").is_some());
-        // Arena/intern counters register even without a recording arena
-        // (a staged arena copying traces in behind an adopted one may grow).
-        assert!(snap.counter("engine_arena_slab_allocs").is_some());
-        assert!(snap.counter("engine_arena_grown_batches").is_some());
+        // Arena/intern counters register even without a recording arena, and
+        // lone submitted traces grow no slab.
+        assert_eq!(snap.counter("engine_arena_slab_allocs"), Some(0));
+        assert_eq!(snap.counter("engine_arena_grown_batches"), Some(0));
         assert_eq!(snap.counter_sum("engine_intern_hits"), 0);
         // Span accounting is exported.
         assert_eq!(snap.counter("engine_spans_dropped"), Some(0));
+    }
+
+    /// Batched direct submissions recycle their buffers: once every arena
+    /// the producer's handoffs and the worker's takes trade has carried a
+    /// batch (the warm laps), staging a batch copies into a kept buffer and
+    /// grows no slab.
+    #[test]
+    fn warm_batched_submits_grow_no_slab() {
+        let engine = Engine::new(EngineConfig::default());
+        let lap = |lap: u64| {
+            engine.submit_batch((0..32).map(|i| clean_trace(lap * 32 + i)).collect()).unwrap();
+            engine.wait_idle();
+        };
+        // The staged arena, the mailbox's and the worker's spare.
+        for i in 0..3 {
+            lap(i);
+        }
+        let grown = |engine: &Engine| {
+            let snap = engine.telemetry_snapshot();
+            let counter = |name| snap.counter(name).unwrap();
+            (counter("engine_arena_slab_allocs"), counter("engine_arena_grown_batches"))
+        };
+        let warm = grown(&engine);
+        for i in 3..11 {
+            lap(i);
+        }
+        assert_eq!(grown(&engine), warm, "a warm batch grew a slab");
+        let stats = engine.stats();
+        assert_eq!((stats.batches_submitted, stats.traces_checked), (11, 352));
     }
 
     /// A long trace's buffer is freed after its check: once a 10 000-record
@@ -1654,5 +1682,9 @@ mod tests {
         let report = engine.report();
         assert!(report.traces().is_empty(), "no trace survives a panicking checker");
         assert!(engine.take_report().is_clean());
+        // The handoff the dying worker took was counted as it was admitted:
+        // the lost traces show as submitted and never checked.
+        let stats = engine.stats();
+        assert!(stats.traces_submitted > stats.traces_checked, "{stats:?}");
     }
 }

@@ -23,10 +23,10 @@
 //!   staged arena of any producer that left traces behind a full mailbox
 //!   and whose lock is free (`try_lock`; a held lock means a submission in
 //!   flight, so it yields and scans again). It then watches for a handoff
-//!   briefly, and only then parks on a LIFO stack; a handoff unparks the
-//!   most recently parked worker only when full mailboxes outnumber the
-//!   awake ones and no recruit is in flight. In the steady state only the
-//!   producer touches its staged arena.
+//!   briefly, and only then parks on a LIFO stack; one recruit at a time
+//!   unparks the last parked worker, when full mailboxes outnumber the awake
+//!   ones or a producer is left behind an untaken mailbox. In the steady
+//!   state only the producer touches its staged arena.
 //! * **Lifecycle.** A producer retires when its thread's slot or its
 //!   `ThreadRecorder` drops, and is pruned once nothing is staged or in its
 //!   mailbox. The last worker to exit marks the plane *dead*, discards
@@ -319,6 +319,11 @@ impl<T: Send> IngestPlane<T> {
             // is seen here, and the traces go over now.
             producer.behind.store(true, Ordering::SeqCst);
             if producer.full.load(Ordering::SeqCst) {
+                // Still untaken, so no awake worker was free: recruit a
+                // sleeper (one mailbox never outnumbers the awake workers).
+                if self.sleepers.load(Ordering::SeqCst) > 0 {
+                    self.recruit();
+                }
                 return Ok(());
             }
         }
@@ -430,18 +435,18 @@ impl<T: Send> IngestPlane<T> {
         if sleepers > 0 {
             let awake = self.workers_alive.load(Ordering::SeqCst).saturating_sub(sleepers);
             if pending > awake as u64 {
-                if self
-                    .recruiting
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    self.wake_one();
-                } else {
-                    self.counters.recruit_cas_fails.inc();
-                }
+                self.recruit();
             }
         }
         Ok(())
+    }
+
+    /// Wakes a sleeper unless a recruit is already in flight.
+    fn recruit(&self) {
+        match self.recruiting.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst) {
+            Ok(_) => self.wake_one(),
+            Err(_) => self.counters.recruit_cas_fails.inc(),
+        }
     }
 
     /// Unparks the most recently parked sleeper: LIFO keeps the work on the
@@ -1192,5 +1197,29 @@ mod tests {
         stage(&plane, &producer, 2, 1).unwrap();
         assert_eq!(plane.counters.recruit_cas_fails.get(), 1);
         assert_eq!(plane.counters.wakes.get(), 0, "a lost recruit CAS must not wake");
+    }
+
+    /// A lone producer's one mailbox never outnumbers the awake workers, so
+    /// the producer recruits a sleeper when it is left behind an untaken
+    /// mailbox — once, not per staged trace.
+    #[test]
+    fn a_producer_left_behind_recruits_a_sleeper() {
+        let plane: IngestPlane<u64> = IngestPlane::new(2, IngestCounters::default());
+        let producer = plane.register();
+        // Worker 1 sleeps; worker 0 is awake but busy checking.
+        let enlist = || {
+            plane.parked.lock().push((1, std::thread::current()));
+            plane.sleepers.store(1, Ordering::SeqCst);
+        };
+        enlist();
+        stage(&plane, &producer, 0, 1).unwrap();
+        assert_eq!(plane.counters.wakes.get(), 0, "one full mailbox, one awake worker");
+        stage(&plane, &producer, 1, 1).unwrap();
+        assert_eq!(plane.counters.wakes.get(), 1, "left behind the untaken mailbox");
+        assert_eq!(plane.sleepers.load(Ordering::SeqCst), 0);
+        enlist();
+        plane.recruiting.store(false, Ordering::SeqCst);
+        stage(&plane, &producer, 2, 1).unwrap();
+        assert_eq!(plane.counters.wakes.get(), 1, "already behind: no second recruit");
     }
 }

@@ -407,13 +407,12 @@ impl EngineTelemetry {
         &self.diag_kinds[idx]
     }
 
-    /// Records one handoff of `traces` traces: its caller, its fill, and the
-    /// submission counters.
+    /// Records one taken handoff of `traces` traces: its caller, its fill,
+    /// and the handoff count.
     pub(crate) fn note_handoff(&self, cause: FlushCause, traces: u64) {
         self.batch_fill.record(traces);
         self.flush_causes[cause as usize].inc();
         self.counters.batches_submitted.inc();
-        self.counters.traces_submitted.add(traces);
         self.queue_depth.set(traces);
     }
 

@@ -121,9 +121,11 @@ impl TraceArena {
     }
 
     /// Appends a whole recorded `trace` as one sealed span. An arena that
-    /// holds no records adopts the trace's record buffer instead of copying
-    /// it, so a lone trace ships without a copy; later traces are copied in
-    /// behind it. An empty trace still gets its (empty) span.
+    /// holds no records and whose buffer is too small for the trace adopts
+    /// the trace's record buffer instead of copying it, so a lone long trace
+    /// ships without a copy; otherwise the trace is copied in, so a recycled
+    /// buffer is kept and the traces that follow fit behind it. An empty
+    /// trace still gets its (empty) span.
     ///
     /// # Panics
     ///
@@ -132,7 +134,7 @@ impl TraceArena {
         debug_assert_eq!(self.open_start, self.words.len(), "push_trace onto an open region");
         let (id, entries) = (trace.id(), trace.len() as u32);
         let words = trace.into_packed();
-        if self.words.is_empty() {
+        if self.words.is_empty() && self.words.capacity() < words.len() {
             self.words = words;
             // An adopted buffer is not slab growth of this arena.
             self.last_word_cap = self.words.capacity();
@@ -387,6 +389,32 @@ mod tests {
         arena.push_trace(tail);
         let spans: Vec<_> = arena.traces().map(|(id, w, n)| (id, w.len(), n)).collect();
         assert_eq!(spans, vec![(4, 3, 2), (5, 0, 0), (6, 1, 1)]);
+    }
+
+    /// A cleared arena whose buffer holds the trace keeps that buffer: the
+    /// trace is copied in, and the traces pushed behind it fit without
+    /// growing the slab.
+    #[test]
+    fn a_recycled_buffer_is_kept_by_pushed_traces() {
+        let trace = |id: u64| {
+            let mut t = Trace::new(id);
+            t.push(Event::Write(r(0, 8)).at(loc(1)));
+            t.push(Event::Fence.at(loc(2)));
+            t
+        };
+        let mut arena = TraceArena::new();
+        for id in 0..8 {
+            arena.push_trace(trace(id));
+        }
+        arena.clear();
+        arena.take_stats();
+        let buffer = arena.words.as_ptr();
+        for id in 0..8 {
+            arena.push_trace(trace(id));
+        }
+        assert_eq!(arena.traces().next().unwrap().1.as_ptr(), buffer, "copied, not adopted");
+        assert_eq!(arena.take_stats().slab_allocs, 0, "the recycled buffer held the batch");
+        assert_eq!(arena.sealed(), 8);
     }
 
     #[test]
