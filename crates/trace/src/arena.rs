@@ -7,11 +7,11 @@
 //! A [`TraceArena`] replaces that with two flat vectors: the packed words
 //! of every trace in the batch, back to back, and a small span index
 //! `(id, start, records, entries)` marking where each sealed trace lives.
-//! Arenas are recycled by trading buffers, never by allocating: the engine's
-//! ring slots each keep one arena for the ring's life, a ship trades the
-//! staged batch's buffers for a slot's cleared ones, and a worker's claim
-//! trades the slot's for its own cleared spare — so steady-state recording
-//! never touches the allocator. The arena is the engine's only message
+//! Arenas are recycled by trading buffers, never by allocating: each of the
+//! engine's producer mailboxes keeps one arena for the producer's life, a
+//! handoff trades the staged batch's buffers for the mailbox's cleared
+//! ones, and a worker's take trades the mailbox's for its own cleared
+//! spare — so steady-state recording never touches the allocator. The arena is the engine's only message
 //! shape: a lone submitted [`Trace`] travels as a one-span arena built by
 //! [`push_trace`](TraceArena::push_trace).
 
@@ -245,7 +245,7 @@ impl TraceArena {
 
     /// Word-buffer capacity, in records, that [`clear`](Self::clear) keeps.
     /// A buffer one long trace grew past it is freed instead of staying
-    /// pinned in whichever ring slot recycles it next.
+    /// pinned in whichever mailbox or spare recycles it next.
     pub const RETAINED_WORDS: usize = 4096;
 
     /// Forgets all records and spans while keeping the backing allocations
